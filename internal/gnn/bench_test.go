@@ -8,45 +8,68 @@ import (
 	"mpidetect/internal/irgen"
 )
 
-// benchModel builds an untrained default-size model plus 8 resolved
-// corpus graphs: prediction cost does not depend on the weights, so
-// skipping training keeps the bench setup cheap while the forward pass
-// is exactly the serving one.
-func benchModel(b *testing.B) (*Model, []*graphs.Graph) {
-	b.Helper()
-	d := dataset.GenerateCorrBench(99, false)
+// benchModel builds an untrained default-size model over the graphs'
+// vocabulary: prediction cost does not depend on the weights, so skipping
+// training keeps the bench setup cheap while the forward pass is exactly
+// the serving one.
+func benchModel(gs []*graphs.Graph) *Model {
+	return NewModel(Default(), graphs.BuildVocab(gs), 2)
+}
+
+// corrBenchGraphs returns the first 8 CorrBench codes as graphs: small
+// programs (~67 nodes), cheap to predict.
+func corrBenchGraphs() []*graphs.Graph {
 	var gs []*graphs.Graph
-	for _, c := range d.Codes[:8] {
+	for _, c := range dataset.GenerateCorrBench(99, false).Codes[:8] {
 		gs = append(gs, graphs.Build(irgen.MustLower(c.Prog)))
 	}
-	m := NewModel(Default(), graphs.BuildVocab(gs), 2)
-	return m, gs
+	return gs
+}
+
+// mixGraphs returns 8 graphs drawn like the serving workload's inputs:
+// the MBI and CorrBench generators merged and shuffled, so most are the
+// larger MBI programs and some carry call edges.
+func mixGraphs(seed int64) []*graphs.Graph {
+	d := dataset.Merge("mix", dataset.GenerateMBI(seed), dataset.GenerateCorrBench(seed, false))
+	var gs []*graphs.Graph
+	for _, c := range d.Shuffled(seed)[:8] {
+		gs = append(gs, graphs.Build(irgen.MustLower(c.Prog)))
+	}
+	return gs
 }
 
 // BenchmarkPredictBatch compares the fused block-diagonal forward pass
 // over 8 graphs against 8 independent single-graph passes — the
 // worker-drain decision the serving engine makes under load. ns/op is
-// per 8-graph round in both modes.
+// per 8-graph round in both modes. fused/loop use small CorrBench graphs;
+// mix-fused/mix-loop use a serving-like MBI+CorrBench mix.
 func BenchmarkPredictBatch(b *testing.B) {
-	m, gs := benchModel(b)
-	b.Run("fused", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if out := m.PredictProbsBatch(gs); len(out) != len(gs) {
-				b.Fatal("short batch")
-			}
-		}
-		b.ReportMetric(float64(len(gs))*float64(b.N)/b.Elapsed().Seconds(), "graphs/s")
-	})
-	b.Run("loop", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, g := range gs {
-				if p := m.PredictProbs(g); len(p) != 2 {
-					b.Fatal("bad probs")
+	sets := []struct {
+		prefix string
+		gs     []*graphs.Graph
+	}{{"", corrBenchGraphs()}, {"mix-", mixGraphs(99)}}
+	for _, set := range sets {
+		gs := set.gs
+		m := benchModel(gs)
+		b.Run(set.prefix+"fused", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if out := m.PredictProbsBatch(gs); len(out) != len(gs) {
+					b.Fatal("short batch")
 				}
 			}
-		}
-		b.ReportMetric(float64(len(gs))*float64(b.N)/b.Elapsed().Seconds(), "graphs/s")
-	})
+			b.ReportMetric(float64(len(gs))*float64(b.N)/b.Elapsed().Seconds(), "graphs/s")
+		})
+		b.Run(set.prefix+"loop", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, g := range gs {
+					if p := m.PredictProbs(g); len(p) != 2 {
+						b.Fatal("bad probs")
+					}
+				}
+			}
+			b.ReportMetric(float64(len(gs))*float64(b.N)/b.Elapsed().Seconds(), "graphs/s")
+		})
+	}
 }

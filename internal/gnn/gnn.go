@@ -79,12 +79,11 @@ func init() {
 	}
 }
 
-// prepared is a graph preprocessed for the model: per-kind token ids and
-// per-relation local edge lists.
+// prepared is graphs preprocessed for the model: per-kind token ids and
+// per-relation edge lists in kind-local row indices.
 type prepared struct {
 	tokens [graphs.NumNodeKinds][]int
-	edges  [][2][]int // per relation: [srcIdx, dstIdx] in kind-local indices
-	label  int
+	edges  [][2][]int // per relation: [srcIdx, dstIdx]
 }
 
 // tokenID resolves node i of g to its vocabulary id: the pre-resolved
@@ -97,9 +96,12 @@ func (m *Model) tokenID(g *graphs.Graph, i int) int {
 	return m.Vocab.ID(g.Nodes[i].Token)
 }
 
-func (m *Model) prepare(g *graphs.Graph, label int) *prepared {
-	p := &prepared{label: label, edges: make([][2][]int, len(relations))}
-	local := make([]int, len(g.Nodes))
+// add appends g to p: its nodes become the next rows of their kinds and
+// its edges index those rows. local is scratch of len(g.Nodes).
+func (m *Model) add(p *prepared, g *graphs.Graph, local []int) {
+	if p.edges == nil {
+		p.edges = make([][2][]int, len(relations))
+	}
 	for i, n := range g.Nodes {
 		local[i] = len(p.tokens[n.Kind])
 		p.tokens[n.Kind] = append(p.tokens[n.Kind], m.tokenID(g, i))
@@ -115,6 +117,11 @@ func (m *Model) prepare(g *graphs.Graph, label int) *prepared {
 			}
 		}
 	}
+}
+
+func (m *Model) prepare(g *graphs.Graph) *prepared {
+	p := &prepared{}
+	m.add(p, g, make([]int, len(g.Nodes)))
 	return p
 }
 
@@ -123,40 +130,137 @@ func (m *Model) prepare(g *graphs.Graph, label int) *prepared {
 // maps each row back to its graph), and per-relation edge lists carry
 // kind-local row indices into the concatenated lists. Because the graphs
 // share no nodes, every segment operation downstream sees exactly the
-// rows and edge order of the corresponding single-graph pass.
+// rows and edge order of the corresponding single-graph pass. A pooled
+// preparedBatch is reused across calls: every slice keeps its capacity.
 type preparedBatch struct {
-	n      int
-	tokens [graphs.NumNodeKinds][]int
-	seg    [graphs.NumNodeKinds][]int
-	edges  [][2][]int
+	prepared
+	n     int
+	seg   [graphs.NumNodeKinds][]int
+	local []int // scratch for add
+	plan  compactPlan
 }
 
-func (m *Model) prepareBatch(gs []*graphs.Graph) *preparedBatch {
-	p := &preparedBatch{n: len(gs), edges: make([][2][]int, len(relations))}
-	var local []int
+// rowSel selects, for one relation, the distinct rows its edges read on
+// each endpoint side (0 = source, 1 = destination), in first-occurrence
+// order, and maps every edge to its row's position in that list.
+type rowSel struct {
+	keys [2][]int
+	at   [2][]int
+}
+
+// compactPlan tells the inference pass which rows each matmul must
+// produce. Layer 1 reads the embedding table, so its rows are keyed by
+// token id: a batch repeats few distinct (kind, token) pairs. Layers 2-3
+// read the previous layer's rows, keyed by kind-local row index: a
+// relation's edges touch only part of its endpoint kinds. Built once per
+// batch and shared by all layers; every slice lives in ints.
+type compactPlan struct {
+	kindTok [graphs.NumNodeKinds][]int // distinct token ids per kind
+	kindAt  [graphs.NumNodeKinds][]int // row -> position in kindTok
+	tok     []rowSel                   // per relation, keyed by token id
+	row     []rowSel                   // per relation, keyed by row index
+	ints    []int                      // backing store of every slice above
+	free    []int                      // unused tail of ints
+	mark    []int                      // key -> position+1; zero between uses
+}
+
+// prepareBatch refills p with the fused form of gs and builds the batch's
+// compaction plan.
+func (m *Model) prepareBatch(p *preparedBatch, gs []*graphs.Graph) {
+	p.n = len(gs)
+	for k := range p.tokens {
+		p.tokens[k] = p.tokens[k][:0]
+		p.seg[k] = p.seg[k][:0]
+	}
+	for ri := range p.edges {
+		p.edges[ri][0] = p.edges[ri][0][:0]
+		p.edges[ri][1] = p.edges[ri][1][:0]
+	}
 	for gi, g := range gs {
-		if cap(local) < len(g.Nodes) {
-			local = make([]int, len(g.Nodes))
+		if cap(p.local) < len(g.Nodes) {
+			p.local = make([]int, len(g.Nodes))
 		}
-		local = local[:len(g.Nodes)]
-		for i, n := range g.Nodes {
-			local[i] = len(p.tokens[n.Kind])
-			p.tokens[n.Kind] = append(p.tokens[n.Kind], m.tokenID(g, i))
-			p.seg[n.Kind] = append(p.seg[n.Kind], gi)
-		}
-		for _, e := range g.Edges {
-			sk := g.Nodes[e.Src].Kind
-			dk := g.Nodes[e.Dst].Kind
-			for ri, rel := range relations {
-				if rel.edge == e.Kind && rel.src == sk && rel.dst == dk {
-					p.edges[ri][0] = append(p.edges[ri][0], local[e.Src])
-					p.edges[ri][1] = append(p.edges[ri][1], local[e.Dst])
-					break
-				}
+		m.add(&p.prepared, g, p.local[:len(g.Nodes)])
+		for k := range p.seg {
+			for len(p.seg[k]) < len(p.tokens[k]) {
+				p.seg[k] = append(p.seg[k], gi)
 			}
 		}
 	}
-	return p
+	p.plan.build(p, m.embed.Table.Val.R)
+}
+
+// build fills the plan for the batch; vocab bounds the token ids.
+func (pl *compactPlan) build(p *preparedBatch, vocab int) {
+	need, keyRange := 0, vocab
+	for k := range p.tokens {
+		n := len(p.tokens[k])
+		need += 2 * n
+		keyRange = max(keyRange, n)
+	}
+	for ri, rel := range relations {
+		// Both selections (tok, row) hold an edge remap and at most
+		// min(edges, rows) distinct keys per endpoint side.
+		e := len(p.edges[ri][0])
+		need += 2 * (2*e + min(e, len(p.tokens[rel.src])) + min(e, len(p.tokens[rel.dst])))
+	}
+	if cap(pl.ints) < need {
+		pl.ints = make([]int, need)
+	}
+	if len(pl.mark) < keyRange {
+		pl.mark = make([]int, keyRange)
+	}
+	if pl.tok == nil {
+		pl.tok = make([]rowSel, len(relations))
+		pl.row = make([]rowSel, len(relations))
+	}
+	pl.free = pl.ints[:need]
+	for k := range p.tokens {
+		ids := p.tokens[k]
+		pl.kindAt[k] = pl.take(len(ids))
+		pl.kindTok[k] = pl.distinct(ids, nil, pl.take(len(ids))[:0], pl.kindAt[k])
+	}
+	for ri, rel := range relations {
+		for side, kind := range [2]graphs.NodeKind{rel.src, rel.dst} {
+			idx := p.edges[ri][side]
+			uniq := min(len(idx), len(p.tokens[kind]))
+			ts, rs := &pl.tok[ri], &pl.row[ri]
+			ts.at[side] = pl.take(len(idx))
+			ts.keys[side] = pl.distinct(idx, p.tokens[kind], pl.take(uniq)[:0], ts.at[side])
+			rs.at[side] = pl.take(len(idx))
+			rs.keys[side] = pl.distinct(idx, nil, pl.take(uniq)[:0], rs.at[side])
+		}
+	}
+}
+
+// take carves the next n ints off the plan's backing store.
+func (pl *compactPlan) take(n int) []int {
+	s := pl.free[:n:n]
+	pl.free = pl.free[n:]
+	return s
+}
+
+// distinct appends to uniq the distinct keys in first-occurrence order
+// and writes each key's position among them to at. Key i is keys[i], or
+// via[keys[i]] when via is non-nil. The mark array is zero on entry and
+// on return.
+func (pl *compactPlan) distinct(keys, via, uniq, at []int) []int {
+	for i, k := range keys {
+		if via != nil {
+			k = via[k]
+		}
+		j := pl.mark[k]
+		if j == 0 {
+			uniq = append(uniq, k)
+			j = len(uniq)
+			pl.mark[k] = j
+		}
+		at[i] = j - 1
+	}
+	for _, k := range uniq {
+		pl.mark[k] = 0
+	}
+	return uniq
 }
 
 type heteroLayer struct {
@@ -175,14 +279,14 @@ type Model struct {
 	layers  []*heteroLayer
 	fc1     *nn.Linear
 	fc2     *nn.Linear
-	ctxPool *sync.Pool // *nn.Ctx, reused across Predict calls
+	scratch *sync.Pool // *inferScratch, reused across predictions
 }
 
 // NewModel builds an untrained model over the vocabulary.
 func NewModel(cfg Config, vocab *graphs.Vocab, classes int) *Model {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Model{Cfg: cfg, Vocab: vocab, Classes: classes, ps: &nn.ParamSet{},
-		ctxPool: &sync.Pool{}}
+		scratch: &sync.Pool{}}
 	m.embed = nn.NewEmbedding(m.ps, rng, "embed", vocab.Size(), cfg.EmbedDim)
 	in := cfg.EmbedDim
 	for li, h := range cfg.Hidden {
@@ -263,7 +367,8 @@ func (m *Model) GobDecode(b []byte) error {
 	return nil
 }
 
-// forward computes the class logits of one prepared graph.
+// forward computes the class logits of one prepared graph, projecting
+// every row. It is the training pass; inference runs forwardBatch.
 func (m *Model) forward(c *nn.Ctx, p *prepared) *autodiff.Node {
 	var h [graphs.NumNodeKinds]*autodiff.Node
 	for k := graphs.NodeKind(0); k < graphs.NumNodeKinds; k++ {
@@ -329,33 +434,50 @@ func (m *Model) forward(c *nn.Ctx, p *prepared) *autodiff.Node {
 // in the batch contributes exactly-zero message rows to that graph — an
 // addition the unbatched pass skips, with identical results (+0 added to
 // any accumulator leaves it unchanged).
+//
+// It also multiplies only the rows the batch reads (see compactPlan):
+// layer 1 transforms each distinct token once and gathers the results
+// back per node or edge, and layers 2-3 project only the rows some edge
+// of the relation reads. A matmul output row depends on its own input row
+// alone (k ascends from +0 with the same zero skip), so projecting and
+// then gathering equals gathering and then projecting, bit for bit.
 func (m *Model) forwardBatch(c *nn.Ctx, p *preparedBatch) *autodiff.Node {
+	pl := &p.plan
+	table := c.P(m.embed.Table)
 	var h [graphs.NumNodeKinds]*autodiff.Node
-	for k := graphs.NodeKind(0); k < graphs.NumNodeKinds; k++ {
-		if len(p.tokens[k]) == 0 {
-			continue
+	for li, layer := range m.layers {
+		// Layer 1 reads embedding rows by token id, later layers read the
+		// previous layer's rows by row index.
+		in, sel := h, pl.row
+		if li == 0 {
+			for k := range in {
+				in[k] = table
+			}
+			sel = pl.tok
 		}
-		h[k] = m.embed.Forward(c, p.tokens[k])
-	}
-	for _, layer := range m.layers {
 		var next [graphs.NumNodeKinds]*autodiff.Node
 		for k := graphs.NodeKind(0); k < graphs.NumNodeKinds; k++ {
-			if h[k] == nil {
+			if len(p.tokens[k]) == 0 {
 				continue
 			}
 			var terms [maxLayerTerms]*autodiff.Node
 			n := 0
-			terms[n] = layer.self[k].Forward(c, h[k])
+			if li == 0 {
+				self := layer.self[k].Forward(c, c.T.Gather(table, pl.kindTok[k]))
+				terms[n] = c.T.Gather(self, pl.kindAt[k])
+			} else {
+				terms[n] = layer.self[k].Forward(c, h[k])
+			}
 			n++
 			for ri, rel := range relations {
-				if rel.dst != k || h[rel.src] == nil {
+				if rel.dst != k || len(p.edges[ri][0]) == 0 {
 					continue
 				}
-				if len(p.edges[ri][0]) == 0 {
-					continue
-				}
-				terms[n] = layer.convs[ri].Forward(c, h[rel.src], h[k],
-					p.edges[ri][0], p.edges[ri][1], len(p.tokens[k]))
+				conv, rs := layer.convs[ri], &sel[ri]
+				hs := conv.ProjectSrc(c, c.T.Gather(in[rel.src], rs.keys[0]))
+				hd := conv.ProjectDst(c, c.T.Gather(in[k], rs.keys[1]))
+				terms[n] = conv.Attend(c, c.T.Gather(hs, rs.at[0]), c.T.Gather(hd, rs.at[1]),
+					p.edges[ri][1], len(p.tokens[k]))
 				n++
 			}
 			next[k] = c.T.ELUAddN(terms[:n]...)
@@ -390,7 +512,7 @@ func (m *Model) Train(samples []Sample) {
 	rng := rand.New(rand.NewSource(m.Cfg.Seed + 17))
 	prep := make([]*prepared, len(samples))
 	for i, s := range samples {
-		prep[i] = m.prepare(s.G, s.Label)
+		prep[i] = m.prepare(s.G)
 	}
 	adam := nn.NewAdam(m.Cfg.LR)
 	workers := m.Cfg.Workers
@@ -404,11 +526,10 @@ func (m *Model) Train(samples []Sample) {
 		ctxs[i] = nn.NewCtx(m.ps, bufs[i])
 	}
 	trainOne := func(w, bi int, batch []int) {
-		p := prep[batch[bi]]
 		c := ctxs[w]
 		c.Reset(bufs[w])
-		logits := m.forward(c, p)
-		loss := c.T.CrossEntropyLogits(logits, p.label)
+		logits := m.forward(c, prep[batch[bi]])
+		loss := c.T.CrossEntropyLogits(logits, samples[batch[bi]].Label)
 		c.Backward(loss)
 	}
 	order := make([]int, len(prep))
@@ -454,60 +575,48 @@ func (m *Model) Train(samples []Sample) {
 	}
 }
 
-// getCtx borrows a reusable inference context (concurrent Predict calls
-// each get their own; the pool recycles tape arenas between calls). The
-// tapes run forward-only: no gradient storage, no backward closures.
-func (m *Model) getCtx() *nn.Ctx {
-	if c, ok := m.ctxPool.Get().(*nn.Ctx); ok {
-		c.Reset(nil)
-		return c
+// inferScratch is one pooled inference workspace: a forward-only context
+// and the batch preparation buffers. Concurrent calls each borrow their
+// own; the pool recycles tape arenas and plan storage between calls.
+type inferScratch struct {
+	c *nn.Ctx
+	p preparedBatch
+}
+
+func (m *Model) getScratch() *inferScratch {
+	if s, ok := m.scratch.Get().(*inferScratch); ok {
+		s.c.Reset(nil)
+		return s
 	}
 	c := nn.NewCtx(m.ps, nil)
 	c.T.SetInference(true)
-	return c
-}
-
-// logitsOf runs one inference forward pass, copying the logits out of the
-// tape arena so the context can be recycled.
-func (m *Model) logitsOf(g *graphs.Graph, dst []float64) []float64 {
-	p := m.prepare(g, 0)
-	c := m.getCtx()
-	logits := m.forward(c, p)
-	dst = append(dst[:0], logits.Val.Data...)
-	m.ctxPool.Put(c)
-	return dst
-}
-
-// Predict returns the class with the highest logit for the graph.
-func (m *Model) Predict(g *graphs.Graph) int {
-	logits := m.logitsOf(g, nil)
-	best, bi := logits[0], 0
-	for i, v := range logits {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
-}
-
-// PredictProbs returns the softmax class distribution.
-func (m *Model) PredictProbs(g *graphs.Graph) []float64 {
-	return autodiff.Softmax(m.logitsOf(g, nil))
+	return &inferScratch{c: c}
 }
 
 // logitsBatchOf runs one fused forward pass over the graphs, copying the
 // [len(gs) × classes] logits out of the tape arena.
 func (m *Model) logitsBatchOf(gs []*graphs.Graph) []float64 {
-	p := m.prepareBatch(gs)
-	c := m.getCtx()
-	logits := m.forwardBatch(c, p)
+	s := m.getScratch()
+	m.prepareBatch(&s.p, gs)
+	logits := m.forwardBatch(s.c, &s.p)
 	out := append([]float64(nil), logits.Val.Data...)
-	m.ctxPool.Put(c)
+	m.scratch.Put(s)
 	return out
 }
 
+// Predict returns the class with the highest logit for the graph: a batch
+// of one through the same pass as PredictBatch.
+func (m *Model) Predict(g *graphs.Graph) int {
+	return m.PredictBatch([]*graphs.Graph{g})[0]
+}
+
+// PredictProbs returns the softmax class distribution of one graph.
+func (m *Model) PredictProbs(g *graphs.Graph) []float64 {
+	return m.PredictProbsBatch([]*graphs.Graph{g})[0]
+}
+
 // PredictBatch classifies the graphs in one forward pass, returning the
-// argmax class per graph. Per-graph results are bit-identical to Predict.
+// argmax class per graph. Per-graph results do not depend on the batch.
 func (m *Model) PredictBatch(gs []*graphs.Graph) []int {
 	if len(gs) == 0 {
 		return nil
@@ -528,7 +637,8 @@ func (m *Model) PredictBatch(gs []*graphs.Graph) []int {
 }
 
 // PredictProbsBatch returns the softmax class distribution per graph from
-// one fused forward pass, bit-identical to per-graph PredictProbs.
+// one fused forward pass, bit-identical to per-graph PredictProbs and to
+// the dense training forward pass.
 func (m *Model) PredictProbsBatch(gs []*graphs.Graph) [][]float64 {
 	if len(gs) == 0 {
 		return nil

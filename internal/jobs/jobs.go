@@ -74,7 +74,9 @@ type Config struct {
 	Timeout time.Duration
 	// OnTransition, when set, is invoked (outside all manager locks) on
 	// every state change with the job's fresh snapshot. The serving
-	// engine publishes these to its event bus.
+	// engine publishes these to its event bus. A job's worker starts only
+	// after the StateQueued call returns, so the hook must not wait for
+	// the job to run.
 	OnTransition func(Snapshot)
 	// OnPanic, when set, is invoked after a job's RunFunc panic is
 	// recovered (the job fails; the worker survives). The serving engine
@@ -144,6 +146,7 @@ type job[R any] struct {
 	started     time.Time
 	finished    time.Time
 	changed     chan struct{} // closed and replaced on every mutation (broadcast)
+	announced   chan struct{} // closed once Submit has reported StateQueued
 }
 
 // bumpLocked wakes every Follow parked on the job. Caller holds j.mu.
@@ -214,6 +217,7 @@ func (m *Manager[R]) Submit(total int, run RunFunc[R]) (Snapshot, error) {
 	j := &job[R]{
 		total: total, run: run, ctx: ctx, cancel: cancel,
 		state: StateQueued, created: time.Now(), changed: make(chan struct{}),
+		announced: make(chan struct{}),
 	}
 	m.mu.Lock()
 	if m.closed {
@@ -221,6 +225,8 @@ func (m *Manager[R]) Submit(total int, run RunFunc[R]) (Snapshot, error) {
 		cancel()
 		return Snapshot{}, ErrClosed
 	}
+	// The id is set before the send: a worker may read it at once.
+	j.id = fmt.Sprintf("job-%d", m.seq+1)
 	select {
 	case m.queue <- j:
 	default:
@@ -229,13 +235,13 @@ func (m *Manager[R]) Submit(total int, run RunFunc[R]) (Snapshot, error) {
 		return Snapshot{}, fmt.Errorf("%w: %d jobs pending", ErrQueueFull, m.cfg.QueueDepth)
 	}
 	m.seq++
-	j.id = fmt.Sprintf("job-%d", m.seq)
 	m.jobs[j.id] = j
 	m.mu.Unlock()
 	m.submitted.Add(1)
 	m.queued.Add(1)
 	snap := Snapshot{ID: j.id, State: StateQueued, Total: total, Created: j.created}
 	m.transition(snap)
+	close(j.announced)
 	return snap, nil
 }
 
@@ -247,6 +253,8 @@ func (m *Manager[R]) worker() {
 }
 
 func (m *Manager[R]) runJob(j *job[R]) {
+	// OnTransition sees StateQueued before StateRunning.
+	<-j.announced
 	j.mu.Lock()
 	if j.state != StateQueued { // canceled while queued; already terminal
 		j.mu.Unlock()

@@ -2,6 +2,7 @@ package passes
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"mpidetect/internal/ir"
 )
@@ -62,12 +63,13 @@ func callsSelf(f *ir.Func) bool {
 	return false
 }
 
-var inlineCounter int
+// inlineCounter numbers inlined bodies; atomic because modules are
+// optimised concurrently.
+var inlineCounter atomic.Int64
 
 // inlineCall splices a clone of the callee body at the call site.
 func inlineCall(caller *ir.Func, call *ir.Instr) {
-	inlineCounter++
-	prefix := fmt.Sprintf("inl%d.", inlineCounter)
+	prefix := fmt.Sprintf("inl%d.", inlineCounter.Add(1))
 	callee := caller.Mod.FuncByName(call.Callee)
 	host := call.Parent
 
