@@ -90,7 +90,7 @@ func main() {
 	}
 
 	for _, c := range targets {
-		v, err := det.CheckProgram(c.Prog)
+		v, err := core.CheckProgram(det, c.Prog)
 		if err != nil {
 			fatal("checking %s: %v", c.Name, err)
 		}

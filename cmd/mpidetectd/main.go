@@ -13,8 +13,7 @@
 //	curl -s -X POST localhost:8080/v1/classify \
 //	  -d '{"model":"ir2vec","programs":[{"name":"p","ir":"..."}]}'
 //
-// The API is versioned under /v1/; the original unversioned paths are
-// served as deprecated aliases (Deprecation header + successor Link).
+// The API is versioned under /v1/; unversioned paths answer 404.
 //
 // A content-addressed verdict cache (-cache-size / -cache-ttl) fronts the
 // classification pipeline: identical programs — resubmitted or concurrent

@@ -26,7 +26,7 @@ func main() {
 	var ml, parcoach metrics.Confusion
 	tool := verify.PARCOACH{}
 	for _, c := range corr.Codes {
-		v, err := det.CheckProgram(c.Prog)
+		v, err := core.CheckProgram(det, c.Prog)
 		if err != nil {
 			panic(err)
 		}

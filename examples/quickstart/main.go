@@ -42,7 +42,7 @@ func main() {
 	// 3. Classify, and cross-check with the dynamic verifier.
 	hits := 0
 	for _, c := range picks {
-		v, err := det.CheckProgram(c.Prog)
+		v, err := core.CheckProgram(det, c.Prog)
 		if err != nil {
 			log.Fatal(err)
 		}

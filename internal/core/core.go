@@ -35,12 +35,13 @@ type Verdict struct {
 	Confidence float64
 }
 
-// Detector classifies MPI programs.
+// Detector classifies MPI programs. A single program is a batch of one:
+// CheckIR and CheckProgram classify through CheckModules.
 type Detector interface {
-	// CheckModule classifies an already-compiled IR module.
-	CheckModule(m *ir.Module) (Verdict, error)
-	// CheckProgram compiles and classifies an MPI-C program.
-	CheckProgram(p *ast.Program) (Verdict, error)
+	// CheckModules classifies already-optimised IR modules, returning
+	// exactly len(ms) verdicts. Each verdict is bit-identical whatever
+	// the batch around it; the error return fails the whole batch.
+	CheckModules(ms []*ir.Module) ([]Verdict, error)
 	// Name describes the detector.
 	Name() string
 	// Opt is the optimisation level the detector was trained at; callers
@@ -48,28 +49,41 @@ type Detector interface {
 	Opt() passes.OptLevel
 }
 
-// BatchDetector is implemented by detectors that can classify several
-// already-optimised modules in one fused forward pass. CheckModules must
-// return exactly len(ms) verdicts, each bit-identical to the verdict
-// CheckModule would produce for that module alone; the error return fails
-// the whole batch (callers fall back to per-module CheckModule).
-type BatchDetector interface {
-	Detector
-	CheckModules(ms []*ir.Module) ([]Verdict, error)
-}
+// BatchDetector is an alias of Detector, kept because the serving
+// benchmark (perfbench/) type-asserts loaded artifacts to this name.
+type BatchDetector = Detector
 
 // CheckIR parses textual IR, optimises it at the detector's configured
 // level, and classifies it — the one-call entrypoint for clients holding
-// textual IR (the inference server's wire format). The server itself runs
-// the same parse → Optimize(d.Opt()) → CheckModule sequence in two stages,
-// so it can report per-program parse errors before scheduling work.
+// textual IR (the inference server's wire format). The server runs the
+// same parse → Optimize → CheckModules sequence in two stages, so it can
+// report per-program parse errors before scheduling work.
 func CheckIR(d Detector, src string) (Verdict, error) {
 	m, err := ir.Parse(src)
 	if err != nil {
 		return Verdict{}, fmt.Errorf("core: parsing IR: %w", err)
 	}
 	passes.Optimize(m, d.Opt())
-	return d.CheckModule(m)
+	return checkOne(d, m)
+}
+
+// CheckProgram compiles an MPI-C program at the detector's configured
+// level and classifies it.
+func CheckProgram(d Detector, p *ast.Program) (Verdict, error) {
+	m, err := compile(p, d.Opt())
+	if err != nil {
+		return Verdict{}, err
+	}
+	return checkOne(d, m)
+}
+
+// checkOne classifies one optimised module as a batch of one.
+func checkOne(d Detector, m *ir.Module) (Verdict, error) {
+	vs, err := d.CheckModules([]*ir.Module{m})
+	if err != nil {
+		return Verdict{}, err
+	}
+	return vs[0], nil
 }
 
 // compile lowers and optimises a program.
@@ -177,16 +191,10 @@ func (d *IR2VecDetector) verdictOf(class int) Verdict {
 	return Verdict{Incorrect: label != dataset.Correct, Label: label, Confidence: 1}
 }
 
-// CheckModule implements Detector.
-func (d *IR2VecDetector) CheckModule(m *ir.Module) (Verdict, error) {
-	v := d.norm.Apply(d.enc.Encode(m))
-	return d.verdictOf(d.tree.Predict(v)), nil
-}
-
-// CheckModules implements BatchDetector: the whole batch is embedded into
-// one flat feature buffer through a single pooled scratch, then normalised
-// and classified per program. Feature arithmetic is EncodeInto's, so every
-// verdict is bit-identical to CheckModule on the same module.
+// CheckModules implements Detector: the whole batch is embedded into one
+// flat feature buffer through a single pooled scratch, then normalised and
+// classified per program. Each program's features are computed alone, so
+// its verdict does not depend on the batch around it.
 func (d *IR2VecDetector) CheckModules(ms []*ir.Module) ([]Verdict, error) {
 	feats := d.enc.EncodeBatch(ms)
 	w := 2 * d.enc.Dim
@@ -196,15 +204,6 @@ func (d *IR2VecDetector) CheckModules(ms []*ir.Module) ([]Verdict, error) {
 		out[i] = d.verdictOf(d.tree.Predict(v))
 	}
 	return out, nil
-}
-
-// CheckProgram implements Detector.
-func (d *IR2VecDetector) CheckProgram(p *ast.Program) (Verdict, error) {
-	m, err := compile(p, d.cfg.Opt)
-	if err != nil {
-		return Verdict{}, err
-	}
-	return d.CheckModule(m)
 }
 
 // ---------------------------------------------------------------------------
@@ -265,19 +264,11 @@ func gnnVerdict(probs []float64) Verdict {
 	return Verdict{Label: dataset.Correct, Confidence: probs[0]}
 }
 
-// CheckModule implements Detector. The graph is built with its tokens
-// pre-resolved against the model vocabulary (graphs.BuildResolved), which
-// skips the per-node token-string round trip; the resulting vocabulary
-// ids — and therefore the prediction — are identical to building with
-// token strings and resolving at prepare time.
-func (d *GNNDetector) CheckModule(m *ir.Module) (Verdict, error) {
-	g := graphs.BuildResolved(m, d.model.Vocab)
-	return gnnVerdict(d.model.PredictProbs(g)), nil
-}
-
-// CheckModules implements BatchDetector: all graphs run through one
-// block-diagonal GNN forward pass (gnn.PredictProbsBatch), whose per-graph
-// results are bit-identical to PredictProbs.
+// CheckModules implements Detector: each graph is built directly on the
+// model's vocabulary ids (graphs.BuildResolved, skipping the token-string
+// round trip, with identical ids), and all graphs run through one
+// block-diagonal GNN forward pass (gnn.PredictProbsBatch), whose
+// per-graph results are bit-identical to PredictProbs.
 func (d *GNNDetector) CheckModules(ms []*ir.Module) ([]Verdict, error) {
 	gs := make([]*graphs.Graph, len(ms))
 	for i, m := range ms {
@@ -289,13 +280,4 @@ func (d *GNNDetector) CheckModules(ms []*ir.Module) ([]Verdict, error) {
 		out[i] = gnnVerdict(probs[i])
 	}
 	return out, nil
-}
-
-// CheckProgram implements Detector.
-func (d *GNNDetector) CheckProgram(p *ast.Program) (Verdict, error) {
-	m, err := compile(p, d.cfg.Opt)
-	if err != nil {
-		return Verdict{}, err
-	}
-	return d.CheckModule(m)
 }

@@ -35,7 +35,7 @@ func TestIR2VecDetectorEndToEnd(t *testing.T) {
 	test := trainingSlice(2, 20)
 	correct := 0
 	for _, c := range test.Codes {
-		v, err := det.CheckProgram(c.Prog)
+		v, err := CheckProgram(det, c.Prog)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
@@ -58,7 +58,7 @@ func TestIR2VecMultiClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := det.CheckProgram(train.Codes[0].Prog)
+	v, err := CheckProgram(det, train.Codes[0].Prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestGNNDetectorEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := det.CheckProgram(train.Codes[0].Prog)
+	v, err := CheckProgram(det, train.Codes[0].Prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,15 +97,35 @@ func TestCheckModuleDirect(t *testing.T) {
 	}
 	m := irgen.MustLower(train.Codes[0].Prog)
 	passes.Optimize(m, passes.Os)
-	if _, err := det.CheckModule(m); err != nil {
+	vs, err := det.CheckModules([]*ir.Module{m})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(vs) != 1 {
+		t.Fatalf("%d verdicts for a batch of one", len(vs))
 	}
 }
 
-// TestCheckModulesMatchesCheckModule pins the batch path of both detector
-// families to the per-module path: same verdicts, bit for bit (labels and
-// confidences included), on a mixed correct/incorrect batch.
-func TestCheckModulesMatchesCheckModule(t *testing.T) {
+// strided picks n codes spread evenly across d, so a sample of a
+// generated suite mixes correct and incorrect programs.
+func strided(d *dataset.Dataset, n int) []*dataset.Code {
+	step := len(d.Codes) / n
+	if step < 1 {
+		step = 1
+	}
+	var out []*dataset.Code
+	for i := 0; i < len(d.Codes) && len(out) < n; i += step {
+		out = append(out, d.Codes[i])
+	}
+	return out
+}
+
+// TestCheckModulesBatchSizeIndependent pins both detector families'
+// batch path to the batch of one: MBI and CorrBench programs from fresh
+// generator seeds, classified in batches of every size 1–8, get the
+// verdict that module gets alone, bit for bit (labels and confidences
+// included).
+func TestCheckModulesBatchSizeIndependent(t *testing.T) {
 	train := trainingSlice(6, 24)
 	irCfg := DefaultIR2VecConfig()
 	irCfg.Dim = 48
@@ -120,27 +140,49 @@ func TestCheckModulesMatchesCheckModule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, det := range []BatchDetector{irDet, gnnDet} {
-		var mods []*ir.Module
-		for _, c := range trainingSlice(7, 6).Codes {
-			m := irgen.MustLower(c.Prog)
-			passes.Optimize(m, det.Opt())
-			mods = append(mods, m)
+	var codes []*dataset.Code
+	for _, seed := range []int64{41, 42} {
+		codes = append(codes, strided(dataset.GenerateMBI(seed), 10)...)
+		codes = append(codes, strided(dataset.GenerateCorrBench(seed, false), 10)...)
+	}
+	incorrect := 0
+	for _, c := range codes {
+		if c.Incorrect() {
+			incorrect++
 		}
-		got, err := det.CheckModules(mods)
-		if err != nil {
-			t.Fatalf("%s: CheckModules: %v", det.Name(), err)
-		}
-		if len(got) != len(mods) {
-			t.Fatalf("%s: %d verdicts for %d modules", det.Name(), len(got), len(mods))
-		}
-		for i, m := range mods {
-			want, err := det.CheckModule(m)
+	}
+	if incorrect == 0 || incorrect == len(codes) {
+		t.Fatalf("sample of %d programs has %d incorrect; want a mix", len(codes), incorrect)
+	}
+	for _, det := range []Detector{irDet, gnnDet} {
+		mods := make([]*ir.Module, len(codes))
+		alone := make([]Verdict, len(codes))
+		for i, c := range codes {
+			m, err := compile(c.Prog, det.Opt())
 			if err != nil {
-				t.Fatalf("%s module %d: %v", det.Name(), i, err)
+				t.Fatalf("%s: compiling %s: %v", det.Name(), c.Name, err)
 			}
-			if got[i] != want {
-				t.Fatalf("%s module %d: batch %+v, single %+v", det.Name(), i, got[i], want)
+			mods[i] = m
+			if alone[i], err = checkOne(det, m); err != nil {
+				t.Fatalf("%s: %s alone: %v", det.Name(), c.Name, err)
+			}
+		}
+		for size := 1; size <= 8; size++ {
+			for lo := 0; lo < len(mods); lo += size {
+				hi := min(lo+size, len(mods))
+				got, err := det.CheckModules(mods[lo:hi])
+				if err != nil {
+					t.Fatalf("%s: CheckModules(batch of %d): %v", det.Name(), hi-lo, err)
+				}
+				if len(got) != hi-lo {
+					t.Fatalf("%s: %d verdicts for %d modules", det.Name(), len(got), hi-lo)
+				}
+				for k, v := range got {
+					if v != alone[lo+k] {
+						t.Fatalf("%s: %s in a batch of %d: %+v, alone %+v",
+							det.Name(), codes[lo+k].Name, hi-lo, v, alone[lo+k])
+					}
+				}
 			}
 		}
 	}

@@ -18,10 +18,11 @@ type stubDet struct {
 	opt  passes.OptLevel
 }
 
-func (s stubDet) CheckModule(*ir.Module) (Verdict, error)    { return Verdict{}, nil }
-func (s stubDet) CheckProgram(*ast.Program) (Verdict, error) { return Verdict{}, nil }
-func (s stubDet) Name() string                               { return s.name }
-func (s stubDet) Opt() passes.OptLevel                       { return s.opt }
+func (s stubDet) CheckModules(ms []*ir.Module) ([]Verdict, error) {
+	return make([]Verdict, len(ms)), nil
+}
+func (s stubDet) Name() string         { return s.name }
+func (s stubDet) Opt() passes.OptLevel { return s.opt }
 
 func sampleIR(t *testing.T) string {
 	t.Helper()

@@ -79,7 +79,7 @@ func localize(d Detector, p *ast.Program, c *VerdictCache) ([]FunctionSuspicion,
 	scored := make([]*FunctionSuspicion, len(units))
 	par.Map(len(units), func(i int) {
 		u := units[i]
-		check := func() (Verdict, error) { return d.CheckProgram(u.prog) }
+		check := func() (Verdict, error) { return CheckProgram(d, u.prog) }
 		var v Verdict
 		var err error
 		if c != nil {

@@ -44,11 +44,11 @@ func fastGNNConfig() GNNDetectorConfig {
 func checkSameVerdicts(t *testing.T, want, got Detector, d *dataset.Dataset) {
 	t.Helper()
 	for _, c := range d.Codes {
-		vw, err := want.CheckProgram(c.Prog)
+		vw, err := CheckProgram(want, c.Prog)
 		if err != nil {
 			t.Fatalf("original detector on %s: %v", c.Name, err)
 		}
-		vg, err := got.CheckProgram(c.Prog)
+		vg, err := CheckProgram(got, c.Prog)
 		if err != nil {
 			t.Fatalf("reloaded detector on %s: %v", c.Name, err)
 		}

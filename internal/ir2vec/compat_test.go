@@ -210,8 +210,8 @@ func TestScratchRPOMatchesIR(t *testing.T) {
 }
 
 // TestEncodeBatchBitForBit pins the flat batch encoder to per-module
-// Encode, bit for bit: the batch path shares one scratch across programs,
-// which must never leak state between them.
+// Encode (a batch of one), bit for bit: the batch path shares one scratch
+// across programs, which must never leak state between them.
 func TestEncodeBatchBitForBit(t *testing.T) {
 	mods := mbiCorpus(t)
 	enc := Train(mods[:16], 64, 1, 5)
@@ -227,18 +227,6 @@ func TestEncodeBatchBitForBit(t *testing.T) {
 			if got[j] != want[j] {
 				t.Fatalf("module %d coordinate %d: batch %v, single %v", i, j, got[j], want[j])
 			}
-		}
-	}
-	// EncodeInto reuses a caller buffer without residue from prior content.
-	dirty := make([]float64, 2*enc.Dim)
-	for i := range dirty {
-		dirty[i] = 1e9
-	}
-	got := enc.EncodeInto(dirty, mods[3])
-	want := enc.Encode(mods[3])
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("EncodeInto coordinate %d: %v, want %v", j, got[j], want[j])
 		}
 	}
 }

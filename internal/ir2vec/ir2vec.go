@@ -585,29 +585,10 @@ func (e *Encoder) EncodeMode(m *ir.Module, mode Encoding) []float64 {
 }
 
 // Encode returns the concatenated [symbolic || flow-aware] vector of the
-// module (2*Dim features). The returned slice is the only allocation on a
-// vocabulary-fitted corpus; all intermediate state comes from a pooled
-// scratch buffer.
+// module (2*Dim features): EncodeBatch on a batch of one, so the returned
+// slice is the only allocation on a vocabulary-fitted corpus.
 func (e *Encoder) Encode(m *ir.Module) []float64 {
-	return e.EncodeInto(nil, m)
-}
-
-// EncodeInto encodes m into dst (reallocated when too small), returning
-// the 2*Dim feature slice. The arithmetic is exactly Encode's — callers
-// batching many programs into one flat buffer get bit-identical features.
-func (e *Encoder) EncodeInto(dst []float64, m *ir.Module) []float64 {
-	if cap(dst) < 2*e.Dim {
-		dst = make([]float64, 2*e.Dim)
-	} else {
-		dst = dst[:2*e.Dim]
-		for i := range dst {
-			dst[i] = 0
-		}
-	}
-	s := scratchPool.Get().(*scratch)
-	e.encodeInto(dst, m, s)
-	s.release()
-	return dst
+	return e.EncodeBatch([]*ir.Module{m})
 }
 
 // EncodeBatch encodes every module into one flat [len(mods) × 2*Dim]

@@ -34,19 +34,6 @@ import (
 	"mpidetect/internal/serve/rest"
 )
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeError emits the stack's unified error envelope (rest.ErrorBody),
-// so router-originated errors are indistinguishable in shape from
-// backend-originated ones.
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, rest.ErrorBody{Error: rest.ErrorDetail{Code: code, Message: msg}})
-}
-
 // forward relays a buffered backend response verbatim — status,
 // content type, body — preserving the backend's envelope for 4xx and
 // deliberate non-JSON replies alike.
@@ -64,11 +51,10 @@ func forward(w http.ResponseWriter, res proxyResult) {
 // is a 503 the client should retry against, anything else a 502.
 func shardError(w http.ResponseWriter, err error) {
 	if errors.Is(err, errNoBackend) {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "no_backend", err.Error())
+		rest.WriteError(w, http.StatusServiceUnavailable, "no_backend", err.Error())
 		return
 	}
-	writeError(w, http.StatusBadGateway, "bad_gateway", err.Error())
+	rest.WriteError(w, http.StatusBadGateway, "bad_gateway", err.Error())
 }
 
 // Handler mounts the router's v1 surface.
@@ -82,11 +68,11 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/readyz", rt.readyzHandler)
 	mux.HandleFunc("GET /v1/models", rt.modelsHandler)
 	mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, "not_routed",
+		rest.WriteError(w, http.StatusNotFound, "not_routed",
 			"this endpoint is backend-local; address a backend directly")
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, "not_found", "no such route")
+		rest.WriteError(w, http.StatusNotFound, "not_found", "no such route")
 	})
 	return mux
 }
@@ -99,11 +85,11 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			rest.WriteError(w, http.StatusRequestEntityTooLarge, "body_too_large",
 				"reading request: "+err.Error())
 			return nil, false
 		}
-		writeError(w, http.StatusBadRequest, "invalid_json",
+		rest.WriteError(w, http.StatusBadRequest, "invalid_json",
 			"reading request: "+err.Error())
 		return nil, false
 	}
@@ -119,7 +105,7 @@ func (rt *Router) decode(w http.ResponseWriter, r *http.Request, v any) ([]byte,
 		return nil, false
 	}
 	if err := json.Unmarshal(raw, v); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_json",
+		rest.WriteError(w, http.StatusBadRequest, "invalid_json",
 			"decoding request: "+err.Error())
 		return nil, false
 	}
@@ -298,7 +284,7 @@ func (rt *Router) classifyHandler(w http.ResponseWriter, r *http.Request) {
 			for i, p := range req.Programs {
 				merged[i] = serve.Result{Name: p.Name, Err: "router: " + err.Error()}
 			}
-			writeJSON(w, http.StatusOK, rest.ClassifyResponse{Model: req.Model, Results: merged})
+			rest.WriteJSON(w, http.StatusOK, rest.ClassifyResponse{Model: req.Model, Results: merged})
 			return
 		}
 		forward(w, res)
@@ -355,7 +341,7 @@ func (rt *Router) classifyHandler(w http.ResponseWriter, r *http.Request) {
 			merged[idx] = sub.Results[j]
 		}
 	}
-	writeJSON(w, http.StatusOK, rest.ClassifyResponse{Model: req.Model, Results: merged})
+	rest.WriteJSON(w, http.StatusOK, rest.ClassifyResponse{Model: req.Model, Results: merged})
 }
 
 // analyzeHandler proxies a single program to its shard owner with
@@ -383,11 +369,11 @@ func (rt *Router) analyzeHandler(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) statsHandler(w http.ResponseWriter, r *http.Request) {
 	rt.requests.Add(1)
-	writeJSON(w, http.StatusOK, rt.fanInStats(r.Context()))
+	rest.WriteJSON(w, http.StatusOK, rt.fanInStats(r.Context()))
 }
 
 func (rt *Router) healthzHandler(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	rest.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"backends": len(rt.backends),
 		"healthy":  len(rt.live.Load().Members()),
@@ -400,7 +386,7 @@ func (rt *Router) readyzHandler(w http.ResponseWriter, r *http.Request) {
 	if rep.Status == resilience.StatusDraining {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, rep)
+	rest.WriteJSON(w, status, rep)
 }
 
 // modelsHandler proxies GET /v1/models from the first live backend that

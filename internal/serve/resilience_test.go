@@ -14,24 +14,24 @@ import (
 	"mpidetect/internal/resilience"
 )
 
-// panicDetector wraps a real detector and panics on every CheckModule —
+// panicDetector wraps a real detector and panics on every CheckModules —
 // the misbehaving-model case classify panic isolation exists for.
 type panicDetector struct{ core.Detector }
 
-func (panicDetector) CheckModule(*ir.Module) (core.Verdict, error) {
+func (panicDetector) CheckModules([]*ir.Module) ([]core.Verdict, error) {
 	panic("detector exploded")
 }
 
-// blockDetector parks every CheckModule on its gate, to back the worker
+// blockDetector parks every CheckModules on its gate, to back the worker
 // queue up for admission-control tests.
 type blockDetector struct {
 	core.Detector
 	gate chan struct{}
 }
 
-func (d blockDetector) CheckModule(*ir.Module) (core.Verdict, error) {
+func (d blockDetector) CheckModules(ms []*ir.Module) ([]core.Verdict, error) {
 	<-d.gate
-	return core.Verdict{}, nil
+	return make([]core.Verdict, len(ms)), nil
 }
 
 // TestToolBreakerTripsAndRecovers walks a dynamic tool through the full
@@ -221,13 +221,17 @@ func TestAdmissionControlShedsDoomedRequests(t *testing.T) {
 	eng := NewEngine(reg, Config{Workers: 1})
 	irText := pingpongIR(t)
 
-	// Back the queue up: the single worker parks on the gate, the rest of
-	// the batch queues behind it.
+	// Back the queue up: the single worker drains at most PredictBatch
+	// jobs and parks on the gate, so the two programs beyond that queue
+	// behind it whatever the drain caught.
+	progs := make([]Program, eng.cfg.PredictBatch+2)
+	for i := range progs {
+		progs[i] = Program{IR: irText}
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		eng.Classify(context.Background(), "slow",
-			[]Program{{IR: irText}, {IR: irText}, {IR: irText}})
+		eng.Classify(context.Background(), "slow", progs)
 	}()
 	// LIFO: the gate must open and the backlogged Classify must finish its
 	// queue sends before Close tears the worker channel down.

@@ -1,5 +1,4 @@
-// Admin endpoints over the durable verdict store. These are v1-only —
-// they postdate the unversioned API, so no deprecated aliases exist:
+// Admin endpoints over the durable verdict store:
 //
 //	POST /v1/admin/snapshot      archive the live store (optional name)
 //	GET  /v1/admin/snapshots     list archives (counts, sizes, ages)
@@ -34,11 +33,11 @@ type RestoreRequest struct {
 func storeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, serve.ErrStoreDisabled):
-		writeError(w, http.StatusNotFound, "store_disabled", err.Error())
+		WriteError(w, http.StatusNotFound, "store_disabled", err.Error())
 	case errors.Is(err, store.ErrBadName):
-		writeError(w, http.StatusBadRequest, "bad_snapshot_name", err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_snapshot_name", err.Error())
 	case errors.Is(err, store.ErrUnknownSnapshot):
-		writeError(w, http.StatusNotFound, "unknown_snapshot", err.Error())
+		WriteError(w, http.StatusNotFound, "unknown_snapshot", err.Error())
 	default:
 		engineError(w, err)
 	}
@@ -59,7 +58,7 @@ func snapshotHandler(eng *serve.Engine) http.HandlerFunc {
 			storeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, info)
+		WriteJSON(w, http.StatusCreated, info)
 	}
 }
 
@@ -73,7 +72,7 @@ func snapshotsHandler(eng *serve.Engine) http.HandlerFunc {
 		if list == nil {
 			list = []store.SnapshotInfo{}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"snapshots": list})
+		WriteJSON(w, http.StatusOK, map[string]any{"snapshots": list})
 	}
 }
 
@@ -88,6 +87,6 @@ func restoreHandler(eng *serve.Engine) http.HandlerFunc {
 			storeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, info)
+		WriteJSON(w, http.StatusOK, info)
 	}
 }

@@ -167,14 +167,18 @@ func TestAdminWithoutStoreAnswers404(t *testing.T) {
 	}
 }
 
-// TestAdminRoutesAreV1Only: the admin endpoints postdate the legacy
-// surface, so the unversioned paths must not exist — a plain mux 404,
-// no deprecation alias.
-func TestAdminRoutesAreV1Only(t *testing.T) {
+// TestRoutesAreV1Only: every route lives under /v1/, so the unversioned
+// paths must not exist — a plain mux 404, no deprecation alias.
+func TestRoutesAreV1Only(t *testing.T) {
 	srv, _ := newStoredServer(t, serve.Config{})
 	for _, probe := range []struct {
 		method, path string
 	}{
+		{"POST", "/classify"},
+		{"POST", "/analyze"},
+		{"GET", "/healthz"},
+		{"GET", "/models"},
+		{"GET", "/stats"},
 		{"POST", "/admin/snapshot"},
 		{"GET", "/admin/snapshots"},
 		{"POST", "/admin/restore"},

@@ -31,7 +31,7 @@ func readyzHandler(eng *serve.Engine) http.HandlerFunc {
 		if rep.Status == resilience.StatusDraining {
 			status = http.StatusServiceUnavailable
 		}
-		writeJSON(w, status, rep)
+		WriteJSON(w, status, rep)
 	}
 }
 
@@ -61,7 +61,7 @@ func registeredFault(name string) bool {
 
 func listFaultsHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"faults": fault.List()})
+		WriteJSON(w, http.StatusOK, map[string]any{"faults": fault.List()})
 	}
 }
 
@@ -72,7 +72,7 @@ func armFaultHandler() http.HandlerFunc {
 			return
 		}
 		if !registeredFault(req.Point) {
-			writeError(w, http.StatusNotFound, "unknown_fault_point",
+			WriteError(w, http.StatusNotFound, "unknown_fault_point",
 				"no fault point "+req.Point)
 			return
 		}
@@ -83,10 +83,10 @@ func armFaultHandler() http.HandlerFunc {
 			Count:   req.Count,
 		}
 		if err := fault.Arm(req.Point, spec); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid_fault", err.Error())
+			WriteError(w, http.StatusBadRequest, "invalid_fault", err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"point": req.Point, "armed": true})
+		WriteJSON(w, http.StatusOK, map[string]any{"point": req.Point, "armed": true})
 	}
 }
 
@@ -94,17 +94,17 @@ func disarmFaultHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		point := r.PathValue("point")
 		if !registeredFault(point) {
-			writeError(w, http.StatusNotFound, "unknown_fault_point",
+			WriteError(w, http.StatusNotFound, "unknown_fault_point",
 				"no fault point "+point)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
+		WriteJSON(w, http.StatusOK, map[string]any{
 			"point": point, "disarmed": fault.Disarm(point)})
 	}
 }
 
 func disarmAllFaultsHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"disarmed": fault.DisarmAll()})
+		WriteJSON(w, http.StatusOK, map[string]any{"disarmed": fault.DisarmAll()})
 	}
 }

@@ -22,10 +22,7 @@
 //	POST /v1/admin/faults        arm a fault (chaos testing)
 //	DELETE /v1/admin/faults[/{point}]  disarm one point / everything
 //
-// The pre-versioning paths (/classify, /analyze, /healthz, /models,
-// /stats) are served as deprecated aliases: same handlers, plus a
-// "Deprecation: true" header and a Link to the successor route. The
-// admin endpoints are v1-only — no unversioned aliases.
+// Every route is versioned: an unversioned path is a plain mux 404.
 //
 // Every error leaves through one JSON envelope,
 //
@@ -112,13 +109,16 @@ type ErrorDetail struct {
 	Message string `json:"message"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, code, msg string) {
+// WriteError writes the unified error envelope. A 429 or 503 without a
+// Retry-After header set by the caller gets the static fallback hint.
+func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		// Keep a measured Retry-After set by the caller; fall back to the
 		// static hint otherwise.
@@ -126,7 +126,7 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 			w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds))
 		}
 	}
-	writeJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: msg}})
+	WriteJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: msg}})
 }
 
 // retrySeconds renders a duration as a whole-second Retry-After value,
@@ -147,21 +147,21 @@ const statusClientClosed = 499
 func engineError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, serve.ErrUnknownModel):
-		writeError(w, http.StatusNotFound, "unknown_model", err.Error())
+		WriteError(w, http.StatusNotFound, "unknown_model", err.Error())
 	case errors.Is(err, serve.ErrAnalysisDisabled):
-		writeError(w, http.StatusNotFound, "analysis_disabled", err.Error())
+		WriteError(w, http.StatusNotFound, "analysis_disabled", err.Error())
 	case errors.Is(err, serve.ErrUnknownTool):
-		writeError(w, http.StatusBadRequest, "unknown_tool", err.Error())
+		WriteError(w, http.StatusBadRequest, "unknown_tool", err.Error())
 	case errors.Is(err, serve.ErrEmptyBatch):
-		writeError(w, http.StatusBadRequest, "empty_batch", err.Error())
+		WriteError(w, http.StatusBadRequest, "empty_batch", err.Error())
 	case errors.Is(err, serve.ErrEmptyProgram):
-		writeError(w, http.StatusBadRequest, "empty_program", err.Error())
+		WriteError(w, http.StatusBadRequest, "empty_program", err.Error())
 	case errors.Is(err, serve.ErrBatchTooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", err.Error())
+		WriteError(w, http.StatusRequestEntityTooLarge, "batch_too_large", err.Error())
 	case errors.Is(err, serve.ErrTimeout):
-		writeError(w, http.StatusGatewayTimeout, "timeout", err.Error())
+		WriteError(w, http.StatusGatewayTimeout, "timeout", err.Error())
 	case errors.Is(err, serve.ErrCanceled):
-		writeError(w, statusClientClosed, "canceled", err.Error())
+		WriteError(w, statusClientClosed, "canceled", err.Error())
 	case errors.Is(err, serve.ErrJobQueueFull):
 		// The engine attaches its observed drain estimate: Retry-After
 		// tracks how fast the queue actually moves, not a constant.
@@ -169,15 +169,15 @@ func engineError(w http.ResponseWriter, err error) {
 		if errors.As(err, &qf) {
 			w.Header().Set("Retry-After", fmt.Sprint(retrySeconds(qf.RetryAfter)))
 		}
-		writeError(w, http.StatusTooManyRequests, "queue_full", err.Error())
+		WriteError(w, http.StatusTooManyRequests, "queue_full", err.Error())
 	case errors.Is(err, serve.ErrOverloaded):
 		var ov *serve.OverloadedError
 		if errors.As(err, &ov) {
 			w.Header().Set("Retry-After", fmt.Sprint(retrySeconds(ov.Wait)))
 		}
-		writeError(w, http.StatusServiceUnavailable, "overloaded", err.Error())
+		WriteError(w, http.StatusServiceUnavailable, "overloaded", err.Error())
 	default:
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		WriteError(w, http.StatusInternalServerError, "internal", err.Error())
 	}
 }
 
@@ -188,19 +188,19 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			WriteError(w, http.StatusRequestEntityTooLarge, "body_too_large",
 				"decoding request: "+err.Error())
 			return false
 		}
-		writeError(w, http.StatusBadRequest, "invalid_json",
+		WriteError(w, http.StatusBadRequest, "invalid_json",
 			"decoding request: "+err.Error())
 		return false
 	}
 	return true
 }
 
-// NewHandler wires the v1 API (plus deprecated unversioned aliases)
-// over the registry and engine with default Options.
+// NewHandler wires the v1 API over the registry and engine with default
+// Options.
 func NewHandler(reg *serve.Registry, eng *serve.Engine) http.Handler {
 	return NewHandlerOpts(reg, eng, Options{})
 }
@@ -220,7 +220,7 @@ func NewHandlerOpts(reg *serve.Registry, eng *serve.Engine, opts Options) http.H
 			engineError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, ClassifyResponse{Model: req.Model, Results: results})
+		WriteJSON(w, http.StatusOK, ClassifyResponse{Model: req.Model, Results: results})
 	}
 	analyze := func(w http.ResponseWriter, r *http.Request) {
 		var req serve.AnalyzeRequest
@@ -232,10 +232,10 @@ func NewHandlerOpts(reg *serve.Registry, eng *serve.Engine, opts Options) http.H
 			engineError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 	}
 	healthz := func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
+		WriteJSON(w, http.StatusOK, map[string]any{
 			"status": "ok",
 			"models": len(reg.Names()),
 		})
@@ -248,13 +248,12 @@ func NewHandlerOpts(reg *serve.Registry, eng *serve.Engine, opts Options) http.H
 					Detector: d.Name(), Opt: d.Opt().String()})
 			}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"models": infos})
+		WriteJSON(w, http.StatusOK, map[string]any{"models": infos})
 	}
 	stats := func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, eng.Stats())
+		WriteJSON(w, http.StatusOK, eng.Stats())
 	}
 
-	// v1 surface.
 	mux.HandleFunc("POST /v1/classify", classify)
 	mux.HandleFunc("POST /v1/analyze", analyze)
 	mux.HandleFunc("POST /v1/analyze/batch", batchHandler(eng))
@@ -275,14 +274,6 @@ func NewHandlerOpts(reg *serve.Registry, eng *serve.Engine, opts Options) http.H
 	mux.HandleFunc("POST /v1/admin/faults", armFaultHandler())
 	mux.HandleFunc("DELETE /v1/admin/faults/{point}", disarmFaultHandler())
 	mux.HandleFunc("DELETE /v1/admin/faults", disarmAllFaultsHandler())
-
-	// Deprecated unversioned aliases: same behavior, plus deprecation
-	// headers pointing at the successor route.
-	mux.HandleFunc("POST /classify", deprecated("/v1/classify", classify))
-	mux.HandleFunc("POST /analyze", deprecated("/v1/analyze", analyze))
-	mux.HandleFunc("GET /healthz", deprecated("/v1/healthz", healthz))
-	mux.HandleFunc("GET /models", deprecated("/v1/models", models))
-	mux.HandleFunc("GET /stats", deprecated("/v1/stats", stats))
 	return recoverPanics(mux)
 }
 
@@ -302,22 +293,12 @@ func recoverPanics(h http.Handler) http.Handler {
 				// Best-effort: if headers are already out this write is a
 				// no-op on the status and the connection still dies, which
 				// is the most net/http allows mid-stream.
-				writeError(w, http.StatusInternalServerError, "internal",
+				WriteError(w, http.StatusInternalServerError, "internal",
 					fmt.Sprintf("panic: %v", rec))
 			}
 		}()
 		h.ServeHTTP(w, r)
 	})
-}
-
-// deprecated wraps a handler with the RFC 9745 Deprecation header and a
-// successor-version Link.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
 }
 
 // batchHandler streams NDJSON: one VerdictEvent object per line, flushed
@@ -369,7 +350,7 @@ func submitJobHandler(eng *serve.Engine) http.HandlerFunc {
 			return
 		}
 		w.Header().Set("Location", "/v1/jobs/"+snap.ID)
-		writeJSON(w, http.StatusAccepted, snap)
+		WriteJSON(w, http.StatusAccepted, snap)
 	}
 }
 
@@ -377,11 +358,11 @@ func jobStatusHandler(eng *serve.Engine) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap, ok := eng.Job(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, "unknown_job",
+			WriteError(w, http.StatusNotFound, "unknown_job",
 				"no job "+r.PathValue("id"))
 			return
 		}
-		writeJSON(w, http.StatusOK, snap)
+		WriteJSON(w, http.StatusOK, snap)
 	}
 }
 
@@ -389,11 +370,11 @@ func jobResultsHandler(eng *serve.Engine) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		results, snap, ok := eng.JobResults(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, "unknown_job",
+			WriteError(w, http.StatusNotFound, "unknown_job",
 				"no job "+r.PathValue("id"))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
+		WriteJSON(w, http.StatusOK, map[string]any{
 			"job":     snap,
 			"results": results,
 		})
@@ -404,11 +385,11 @@ func jobCancelHandler(eng *serve.Engine) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap, ok := eng.CancelJob(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, "unknown_job",
+			WriteError(w, http.StatusNotFound, "unknown_job",
 				"no job "+r.PathValue("id"))
 			return
 		}
-		writeJSON(w, http.StatusOK, snap)
+		WriteJSON(w, http.StatusOK, snap)
 	}
 }
 
@@ -468,7 +449,7 @@ func jobEventsHandler(eng *serve.Engine, heartbeat time.Duration) http.HandlerFu
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		if _, ok := eng.Job(id); !ok {
-			writeError(w, http.StatusNotFound, "unknown_job", "no job "+id)
+			WriteError(w, http.StatusNotFound, "unknown_job", "no job "+id)
 			return
 		}
 		sse := newSSE(w)

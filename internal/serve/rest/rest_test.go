@@ -177,59 +177,6 @@ func TestStatsReportsJobsAndEvents(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasesAreDeprecated pins both route sets: every legacy path
-// still answers like its v1 successor but carries the Deprecation header
-// and a successor-version Link; v1 paths carry neither.
-func TestLegacyAliasesAreDeprecated(t *testing.T) {
-	tools, _ := stallRegistry()
-	srv, _, _ := newServer(t, serve.Config{CacheSize: 64, Tools: tools})
-	body, _ := json.Marshal(classifyBody(t, 1))
-	analyzeBody, _ := json.Marshal(serve.AnalyzeRequest{Model: "ir2vec",
-		Program: serve.Program{Name: "p", IR: servetest.PingpongIR(t, "p")}})
-
-	cases := []struct {
-		method, legacy, v1 string
-		body               []byte
-	}{
-		{"POST", "/classify", "/v1/classify", body},
-		{"POST", "/analyze", "/v1/analyze", analyzeBody},
-		{"GET", "/healthz", "/v1/healthz", nil},
-		{"GET", "/models", "/v1/models", nil},
-		{"GET", "/stats", "/v1/stats", nil},
-	}
-	do := func(method, path string, body []byte) *http.Response {
-		req, err := http.NewRequest(method, srv.URL+path, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	for _, tc := range cases {
-		legacy := do(tc.method, tc.legacy, tc.body)
-		v1 := do(tc.method, tc.v1, tc.body)
-		if legacy.StatusCode != v1.StatusCode {
-			t.Errorf("%s %s status %d != v1 %d", tc.method, tc.legacy,
-				legacy.StatusCode, v1.StatusCode)
-		}
-		if legacy.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s %s missing Deprecation header", tc.method, tc.legacy)
-		}
-		if link := legacy.Header.Get("Link"); !strings.Contains(link, tc.v1) ||
-			!strings.Contains(link, "successor-version") {
-			t.Errorf("%s %s Link %q does not point at %s", tc.method, tc.legacy, link, tc.v1)
-		}
-		if v1.Header.Get("Deprecation") != "" {
-			t.Errorf("%s %s carries a Deprecation header", tc.method, tc.v1)
-		}
-		legacy.Body.Close()
-		v1.Body.Close()
-	}
-}
-
 // TestErrorEnvelope drives every endpoint's failure modes through the
 // unified {"error":{"code","message"}} envelope.
 func TestErrorEnvelope(t *testing.T) {

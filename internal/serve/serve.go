@@ -374,7 +374,7 @@ type Engine struct {
 
 	// Pipeline observability (see PipelineStats): parse-time EWMA, the
 	// drained-batch fill histogram, and how many predictions went through
-	// the fused batch pass versus one-module CheckModule.
+	// the fused batch pass versus a batch of one.
 	avgParseNanos  atomic.Int64
 	batchFill1     atomic.Int64
 	batchFill2to4  atomic.Int64
@@ -549,31 +549,24 @@ func (e *Engine) finish(j job, res Result, err error) {
 // worker is one pool goroutine. Each turn takes a blocking receive,
 // then greedily drains whatever else is already queued — up to
 // cfg.PredictBatch jobs, never waiting — and classifies the drained
-// batch through one fused forward pass where the detector supports it.
-// An idle queue therefore costs nothing (singleton batches, same path
-// as before), while a backed-up queue amortises the per-prediction
-// model overhead across the whole drain.
+// batch through one fused forward pass. An idle queue therefore costs
+// nothing (a batch of one), while a backed-up queue amortises the
+// per-prediction model overhead across the whole drain.
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	batch := make([]job, 0, e.cfg.PredictBatch)
 	for j := range e.jobs {
 		batch = e.appendLive(batch[:0], j)
-		// Only a fusable lead job drains followers: a non-batchable
-		// detector gains nothing from the drain, and holding undone jobs
-		// in a worker-local batch would hide them from the queue length
-		// that admission control watches.
-		if _, fused := j.det.(core.BatchDetector); fused {
-		drain:
-			for len(batch) < e.cfg.PredictBatch {
-				select {
-				case j2, ok := <-e.jobs:
-					if !ok {
-						break drain // closed: finish what we hold, then exit via range
-					}
-					batch = e.appendLive(batch, j2)
-				default:
-					break drain
+	drain:
+		for len(batch) < e.cfg.PredictBatch {
+			select {
+			case j2, ok := <-e.jobs:
+				if !ok {
+					break drain // closed: finish what we hold, then exit via range
 				}
+				batch = e.appendLive(batch, j2)
+			default:
+				break drain
 			}
 		}
 		if len(batch) > 0 {
@@ -616,23 +609,13 @@ func (e *Engine) runDrained(batch []job) {
 	}
 }
 
-// runGroup classifies jobs sharing one detector. Detectors implementing
-// core.BatchDetector get the two-phase fused path: optimise each member
-// under its own panic isolation, then one CheckModules pass over the
-// survivors. A panic or error in the fused pass falls back to
-// per-member CheckModule — without re-optimising — so one poisoned
-// module fails its own request, not its batch neighbours.
+// runGroup classifies jobs sharing one detector in two phases: optimise
+// each member under its own panic isolation, then one fused CheckModules
+// pass when more than one member survives. The lone survivor, or every
+// member after a failed fused pass, is classified alone by classifyJob —
+// without re-optimising — so one poisoned module fails its own request,
+// not its batch neighbours.
 func (e *Engine) runGroup(group []job) {
-	bd, fused := group[0].det.(core.BatchDetector)
-	if !fused || len(group) == 1 {
-		for _, j := range group {
-			start := time.Now()
-			res, err := e.runPipeline(j)
-			e.observeExec(time.Since(start))
-			e.finish(j, res, err)
-		}
-		return
-	}
 	start := time.Now()
 	live := make([]job, 0, len(group))
 	for _, j := range group {
@@ -640,25 +623,26 @@ func (e *Engine) runGroup(group []job) {
 			live = append(live, j)
 		}
 	}
-	if len(live) > 0 {
+	if len(live) > 1 {
 		mods := make([]*ir.Module, len(live))
 		for i, j := range live {
 			mods[i] = j.mod
 		}
-		if vs, err := e.checkBatch(bd, mods); err == nil {
+		if vs, err := e.checkBatch(live[0].det, mods); err == nil {
 			e.batchedPreds.Add(int64(len(live)))
 			for i, j := range live {
 				e.finish(j, resultOf(vs[i]), nil)
 			}
+			live = nil
 		} else {
 			e.bus.Publish(events.FaultRecovered, FaultRecoveredData{
 				Subsystem: "classify", Detail: "batched predict; retrying per program",
 				Panic: err.Error()})
-			for _, j := range live {
-				res, jerr := e.classifyJob(j)
-				e.finish(j, res, jerr)
-			}
 		}
+	}
+	for _, j := range live {
+		res, err := e.classifyJob(j)
+		e.finish(j, res, err)
 	}
 	// Admission control wants per-program drain cost: fold the batch's
 	// wall time divided evenly across its members.
@@ -699,34 +683,12 @@ func resultOf(v core.Verdict) Result {
 		Label: v.Label.String(), Confidence: v.Confidence}
 }
 
-// runPipeline executes the optimise+classify pipeline for one job with
-// panic isolation: a panicking detector fails its own request with a
-// structured internal error (broadcast to coalesced followers, never
-// cached) instead of killing a pool worker and, eventually, the daemon.
-func (e *Engine) runPipeline(j job) (res Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.classifyPanics.Add(1)
-			err = fmt.Errorf("serve: classify panic: %v", r)
-			res = Result{Err: "internal: classify panic: " + fmt.Sprint(r)}
-			e.bus.Publish(events.FaultRecovered, FaultRecoveredData{
-				Subsystem: "classify", Panic: fmt.Sprint(r)})
-		}
-	}()
-	e.pipelineExecs.Add(1)
-	passes.Optimize(j.mod, j.det.Opt())
-	e.singletonPreds.Add(1)
-	v, err := j.det.CheckModule(j.mod)
-	if err != nil {
-		return Result{Err: err.Error()}, err
-	}
-	return resultOf(v), nil
-}
-
-// optimizeJob is phase one of the fused path: run the optimisation
-// passes for one batch member under the same panic isolation as
-// runPipeline. A panicking pass fails (and finishes) only this member;
-// the return reports whether it survived into the predict phase.
+// optimizeJob is phase one of the pipeline: run the optimisation passes
+// for one member with panic isolation. A panicking pass fails (and
+// finishes) only this member — with a structured internal error,
+// broadcast to coalesced followers and never cached — instead of killing
+// a pool worker; the return reports whether it survived into the predict
+// phase.
 func (e *Engine) optimizeJob(j job) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -744,17 +706,17 @@ func (e *Engine) optimizeJob(j job) (ok bool) {
 
 // checkBatch runs the fused forward pass with panic containment; a
 // panic converts to an error so runGroup can fall back per member.
-func (e *Engine) checkBatch(bd core.BatchDetector, mods []*ir.Module) (vs []core.Verdict, err error) {
+func (e *Engine) checkBatch(det core.Detector, mods []*ir.Module) (vs []core.Verdict, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: batch classify panic: %v", r)
 		}
 	}()
-	return bd.CheckModules(mods)
+	return det.CheckModules(mods)
 }
 
-// classifyJob is the fallback predict for one already-optimised member
-// after a failed fused pass, with per-member panic isolation.
+// classifyJob predicts one already-optimised member as a batch of one,
+// with per-member panic isolation.
 func (e *Engine) classifyJob(j job) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -766,11 +728,11 @@ func (e *Engine) classifyJob(j job) (res Result, err error) {
 		}
 	}()
 	e.singletonPreds.Add(1)
-	v, err := j.det.CheckModule(j.mod)
+	vs, err := j.det.CheckModules([]*ir.Module{j.mod})
 	if err != nil {
 		return Result{Err: err.Error()}, err
 	}
-	return resultOf(v), nil
+	return resultOf(vs[0]), nil
 }
 
 // flightWait is one batch item parked on another request's (or an earlier
@@ -961,9 +923,9 @@ type EngineStats struct {
 // where full is the configured PredictBatch) — all-singleton fills mean
 // the queue never backs up and batching is idle, full fills mean the
 // fused pass is carrying the load. BatchedPredictions counts programs
-// classified through a fused CheckModules pass; SingletonPredictions
-// counts programs classified one CheckModule at a time (idle queue,
-// non-batchable detector, or per-member fallback after a failed fused
+// classified through a fused CheckModules pass of two or more;
+// SingletonPredictions counts programs classified as a batch of one (a
+// lone drained program, or the per-member fallback after a failed fused
 // pass).
 type PipelineStats struct {
 	PredictBatch         int   `json:"predict_batch"`

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"mpidetect/internal/ast"
 	"mpidetect/internal/cache"
 	"mpidetect/internal/core"
 	"mpidetect/internal/dataset"
@@ -142,12 +141,9 @@ func TestParseErrorIsPerItem(t *testing.T) {
 // slowDetector stalls long enough to trip the engine timeout.
 type slowDetector struct{ d time.Duration }
 
-func (s slowDetector) CheckModule(*ir.Module) (core.Verdict, error) {
+func (s slowDetector) CheckModules(ms []*ir.Module) ([]core.Verdict, error) {
 	time.Sleep(s.d)
-	return core.Verdict{}, nil
-}
-func (s slowDetector) CheckProgram(*ast.Program) (core.Verdict, error) {
-	return s.CheckModule(nil)
+	return make([]core.Verdict, len(ms)), nil
 }
 func (s slowDetector) Name() string         { return "slow" }
 func (s slowDetector) Opt() passes.OptLevel { return passes.O0 }
@@ -211,23 +207,24 @@ func TestCallerCancellationIsNotATimeout(t *testing.T) {
 // Cache, coalescing, invalidation, and /stats (PR 2).
 // ---------------------------------------------------------------------------
 
-// countingDetector counts pipeline executions (CheckModule calls) and can
-// stall to hold a cache flight open.
+// countingDetector counts pipeline executions (modules passed to
+// CheckModules) and can stall to hold a cache flight open.
 type countingDetector struct {
 	name  string
 	delay time.Duration
 	execs atomic.Int64
 }
 
-func (c *countingDetector) CheckModule(*ir.Module) (core.Verdict, error) {
-	c.execs.Add(1)
+func (c *countingDetector) CheckModules(ms []*ir.Module) ([]core.Verdict, error) {
+	c.execs.Add(int64(len(ms)))
 	if c.delay > 0 {
 		time.Sleep(c.delay)
 	}
-	return core.Verdict{Incorrect: true, Label: dataset.CallOrdering, Confidence: 1}, nil
-}
-func (c *countingDetector) CheckProgram(*ast.Program) (core.Verdict, error) {
-	return c.CheckModule(nil)
+	out := make([]core.Verdict, len(ms))
+	for i := range out {
+		out[i] = core.Verdict{Incorrect: true, Label: dataset.CallOrdering, Confidence: 1}
+	}
+	return out, nil
 }
 func (c *countingDetector) Name() string         { return c.name }
 func (c *countingDetector) Opt() passes.OptLevel { return passes.O0 }

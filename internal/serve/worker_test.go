@@ -87,22 +87,21 @@ func TestWorkerDrainFusedBitForBit(t *testing.T) {
 	}
 }
 
-// chaosBatchDetector fails every fused pass and panics per-module on one
-// poisoned module, to exercise the fallback path's member isolation.
+// chaosBatchDetector fails every fused pass and panics on one poisoned
+// module, to exercise the fallback path's member isolation.
 type chaosBatchDetector struct {
 	core.Detector
 	poison *ir.Module
 }
 
-func (d chaosBatchDetector) CheckModules([]*ir.Module) ([]core.Verdict, error) {
-	panic("fused pass exploded")
-}
-
-func (d chaosBatchDetector) CheckModule(m *ir.Module) (core.Verdict, error) {
-	if m == d.poison {
+func (d chaosBatchDetector) CheckModules(ms []*ir.Module) ([]core.Verdict, error) {
+	if len(ms) > 1 {
+		panic("fused pass exploded")
+	}
+	if ms[0] == d.poison {
 		panic("poisoned module")
 	}
-	return d.Detector.CheckModule(m)
+	return d.Detector.CheckModules(ms)
 }
 
 // TestWorkerBatchFallbackIsolatesPanickingMember: a panic in the fused
