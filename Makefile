@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet perfbench-vet build test race router-test chaos fuzz bench bench-diff clean
+.PHONY: ci fmt-check vet perfbench-vet build test race router-test chaos fuzz bench bench-diff loc clean
 
 # bench-diff both gates regressions and emits the fresh numbers
 # (BENCH_diff.json), so ci does not need a second full benchmark run;
@@ -74,6 +74,14 @@ bench:
 bench-diff:
 	$(GO) run ./cmd/benchjson -benchtime 1x -count 3 -out BENCH_diff.json \
 		-baseline BENCH_serve.json -regress 20 -floor-ms 10 ./...
+
+# Go line counts, the size metric simplicity changes report: production
+# is every non-test .go file under internal/, cmd/ and examples/, test is
+# every _test.go file there. Not part of ci; it measures, it gates nothing.
+loc:
+	@prod=$$(find internal cmd examples -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	test=$$(find internal cmd examples -name '*_test.go' -exec cat {} + | wc -l); \
+	echo "production $$prod"; echo "test $$test"; echo "total $$((prod + test))"
 
 # BENCH_serve.json is the committed perf baseline (bench-diff gates
 # against it), so clean must not delete it — only the gate's scratch

@@ -106,6 +106,13 @@ func (g *Graph) EdgesByKind() [NumEdgeKinds][]Edge {
 	return out
 }
 
+// The feature-token spellings below are the single definition of the
+// program-entity vocabulary both models share: IR2Vec's (opcode, type,
+// argument) entities and the ProGraML node tokens. The Append forms write
+// to a reusable buffer without allocating, and training and serving spell
+// through the same functions, so a vocabulary fitted on one path always
+// resolves on the other.
+
 // smallConstTokens pre-renders the "const:0" … "const:16" spellings so the
 // common small-integer bucket costs neither a Sprintf nor an allocation.
 var smallConstTokens = func() [17]string {
@@ -139,24 +146,9 @@ func ConstToken(c *ir.Const) string {
 	}
 }
 
-// AppendConstToken appends ConstToken(c) to dst without allocating.
-func AppendConstToken(dst []byte, c *ir.Const) []byte {
-	return append(dst, ConstToken(c)...)
-}
-
-// InstrToken returns the instruction node token.
-func InstrToken(in *ir.Instr) string {
-	if in.Op == ir.OpCall {
-		return "call:" + in.Callee
-	}
-	if in.Op == ir.OpICmp || in.Op == ir.OpFCmp {
-		return in.Op.String() + ":" + in.Cmp.String()
-	}
-	return in.Op.String()
-}
-
-// AppendInstrToken appends InstrToken(in) to dst without allocating, for
-// resolvers that look tokens up in a reusable byte buffer.
+// AppendInstrToken appends the instruction token of in: its opcode, with
+// the callee for calls (which is what lets models see MPI operations) and
+// the predicate for comparisons.
 func AppendInstrToken(dst []byte, in *ir.Instr) []byte {
 	if in.Op == ir.OpCall {
 		return append(append(dst, "call:"...), in.Callee...)
@@ -169,25 +161,43 @@ func AppendInstrToken(dst []byte, in *ir.Instr) []byte {
 	return append(dst, in.Op.String()...)
 }
 
-// VarToken returns the variable node token (its type).
-func VarToken(t *ir.Type) string { return "var:" + t.String() }
+// AppendTypeToken appends the type entity token of t, the IR2Vec spelling
+// of an instruction's result type.
+func AppendTypeToken(dst []byte, t *ir.Type) []byte {
+	return t.AppendString(append(dst, "type:"...))
+}
 
-// AppendVarToken appends VarToken(t) to dst without allocating.
+// AppendVarToken appends the variable token of a value typed t.
 func AppendVarToken(dst []byte, t *ir.Type) []byte {
 	return t.AppendString(append(dst, "var:"...))
 }
 
+// AppendValueToken appends the token of an operand: a constant's bucket
+// (ConstToken), otherwise the variable token of its type. A global is
+// spelled from its element type, because Global.Type() allocates a fresh
+// pointer type on every call.
+func AppendValueToken(dst []byte, v ir.Value) []byte {
+	switch x := v.(type) {
+	case *ir.Const:
+		return append(dst, ConstToken(x)...)
+	case *ir.Global:
+		return append(AppendVarToken(dst, x.Elem), '*')
+	}
+	return AppendVarToken(dst, v.Type())
+}
+
 // builder is the pooled working state of one graph construction: the
-// node-identity maps and (for resolved builds) the token scratch buffer.
-// Node and edge order is fixed by the two-pass walk in build, identically
-// for Build and BuildResolved.
+// node-identity maps, the token scratch buffer and (for Build) the memo
+// of token strings. Node and edge order is fixed by the two-pass walk in
+// build, identically for Build and BuildResolved.
 type builder struct {
 	g         *Graph
 	vocab     *Vocab // nil: record Token strings; non-nil: record TokID
 	instrNode map[*ir.Instr]int
-	varNode   map[ir.Value]int // instruction results, params, globals
-	constNode map[string]int   // constants deduplicated by bucket token
-	funcEntry map[*ir.Func]int // first instruction node of a function
+	varNode   map[ir.Value]int  // instruction results, params, globals
+	constNode map[string]int    // constants deduplicated by bucket token
+	funcEntry map[*ir.Func]int  // first instruction node of a function
+	toks      map[string]string // Build's token strings, one per spelling
 	buf       []byte
 }
 
@@ -197,6 +207,7 @@ var builderPool = sync.Pool{New: func() any {
 		varNode:   map[ir.Value]int{},
 		constNode: map[string]int{},
 		funcEntry: map[*ir.Func]int{},
+		toks:      map[string]string{},
 	}
 }}
 
@@ -208,43 +219,26 @@ func (b *builder) release() {
 	clear(b.varNode)
 	clear(b.constNode)
 	clear(b.funcEntry)
+	clear(b.toks)
 	builderPool.Put(b)
 }
 
-// addInstr appends the instruction node of in.
-func (b *builder) addInstr(in *ir.Instr) int {
+// node appends a node of the given kind whose token is spelled in b.buf.
+// Build records the token string, copied once per distinct spelling per
+// graph; BuildResolved records its vocabulary id without a copy.
+func (b *builder) node(kind NodeKind) int {
+	n := Node{Kind: kind}
 	if b.vocab == nil {
-		b.g.Nodes = append(b.g.Nodes, Node{Kind: KindInstr, Token: InstrToken(in)})
+		tok, ok := b.toks[string(b.buf)]
+		if !ok {
+			tok = string(b.buf)
+			b.toks[tok] = tok
+		}
+		n.Token = tok
 	} else {
-		b.g.Nodes = append(b.g.Nodes, Node{Kind: KindInstr})
-		b.buf = AppendInstrToken(b.buf[:0], in)
 		b.g.TokID = append(b.g.TokID, int32(b.vocab.IDBytes(b.buf)))
 	}
-	return len(b.g.Nodes) - 1
-}
-
-// addVar appends a variable node typed t.
-func (b *builder) addVar(t *ir.Type) int {
-	if b.vocab == nil {
-		b.g.Nodes = append(b.g.Nodes, Node{Kind: KindVar, Token: VarToken(t)})
-	} else {
-		b.g.Nodes = append(b.g.Nodes, Node{Kind: KindVar})
-		b.buf = AppendVarToken(b.buf[:0], t)
-		b.g.TokID = append(b.g.TokID, int32(b.vocab.IDBytes(b.buf)))
-	}
-	return len(b.g.Nodes) - 1
-}
-
-// addConst appends a constant node for the bucket token tok (one of the
-// fixed ConstToken spellings, so recording it costs no allocation even on
-// the resolved path).
-func (b *builder) addConst(tok string) int {
-	if b.vocab == nil {
-		b.g.Nodes = append(b.g.Nodes, Node{Kind: KindConst, Token: tok})
-	} else {
-		b.g.Nodes = append(b.g.Nodes, Node{Kind: KindConst})
-		b.g.TokID = append(b.g.TokID, int32(b.vocab.ID(tok)))
-	}
+	b.g.Nodes = append(b.g.Nodes, n)
 	return len(b.g.Nodes) - 1
 }
 
@@ -260,25 +254,20 @@ func (b *builder) varOf(v ir.Value) (int, bool) {
 	switch x := v.(type) {
 	case *ir.Const:
 		tok := ConstToken(x)
-		if id, ok := b.constNode[tok]; ok {
-			return id, true
+		id, ok := b.constNode[tok]
+		if !ok {
+			b.buf = AppendValueToken(b.buf[:0], x)
+			id = b.node(KindConst)
+			b.constNode[tok] = id
 		}
-		id := b.addConst(tok)
-		b.constNode[tok] = id
 		return id, true
-	case *ir.Param, *ir.Global:
-		if id, ok := b.varNode[v]; ok {
-			return id, true
+	case *ir.Param, *ir.Global, *ir.Instr:
+		id, ok := b.varNode[v]
+		if !ok {
+			b.buf = AppendValueToken(b.buf[:0], v)
+			id = b.node(KindVar)
+			b.varNode[v] = id
 		}
-		id := b.addVar(v.Type())
-		b.varNode[v] = id
-		return id, true
-	case *ir.Instr:
-		if id, ok := b.varNode[v]; ok {
-			return id, true
-		}
-		id := b.addVar(x.Type())
-		b.varNode[v] = id
 		return id, true
 	}
 	return 0, false
@@ -293,7 +282,8 @@ func (b *builder) build(m *ir.Module) {
 		first := true
 		for _, bl := range f.Blocks {
 			for _, in := range bl.Instrs {
-				id := b.addInstr(in)
+				b.buf = AppendInstrToken(b.buf[:0], in)
+				id := b.node(KindInstr)
 				b.instrNode[in] = id
 				if first {
 					b.funcEntry[f] = id
@@ -360,12 +350,11 @@ func Build(m *ir.Module) *Graph {
 
 // BuildResolved constructs the program graph of a module with every node
 // token resolved against v into Graph.TokID, skipping the token-string
-// round trip entirely: instruction and variable spellings are assembled in
-// a reusable byte buffer and looked up with the intern table's
-// zero-allocation byte resolver. Node order, edge order and the resulting
-// vocabulary ids are identical to Build followed by per-node Vocab.ID —
-// only Node.Token is left empty, so resolved graphs are for inference, not
-// for BuildVocab.
+// round trip entirely: each spelling is assembled in a reusable byte
+// buffer and looked up with the intern table's zero-allocation byte
+// resolver. Node order, edge order and the resulting vocabulary ids are
+// identical to Build followed by per-node Vocab.ID — only Node.Token is
+// left empty, so resolved graphs are for inference, not for BuildVocab.
 func BuildResolved(m *ir.Module, v *Vocab) *Graph {
 	b := builderPool.Get().(*builder)
 	b.g, b.vocab = &Graph{}, v

@@ -3,8 +3,11 @@ package graphs
 import (
 	"testing"
 
+	"mpidetect/internal/dataset"
 	"mpidetect/internal/intern"
 	"mpidetect/internal/ir"
+	"mpidetect/internal/irgen"
+	"mpidetect/internal/passes"
 )
 
 func fixtureModule() *ir.Module {
@@ -68,18 +71,30 @@ func TestTokens(t *testing.T) {
 	}
 }
 
+// TestConstBuckets pins every constant bucket, as ConstToken spells it and
+// as AppendValueToken spells a constant operand.
 func TestConstBuckets(t *testing.T) {
-	cases := map[*ir.Const]string{
-		ir.ConstInt(ir.I32, 5):        "const:5",
-		ir.ConstInt(ir.I32, -3):       "const:neg",
-		ir.ConstInt(ir.I32, 100):      "const:medium",
-		ir.ConstInt(ir.I32, 99999):    "const:large",
-		ir.ConstFloat(1.5):            "const:float",
-		ir.ConstNull(ir.PtrTo(ir.I8)): "const:null",
+	cases := []struct {
+		c    *ir.Const
+		want string
+	}{
+		{ir.ConstUndef(ir.I32), "const:undef"},
+		{ir.ConstNull(ir.PtrTo(ir.I8)), "const:null"},
+		{ir.ConstFloat(1.5), "const:float"},
+		{ir.ConstInt(ir.I32, -3), "const:neg"},
+		{ir.ConstInt(ir.I32, 0), "const:0"},
+		{ir.ConstInt(ir.I64, 5), "const:5"},
+		{ir.ConstInt(ir.I32, 16), "const:16"},
+		{ir.ConstInt(ir.I32, 17), "const:medium"},
+		{ir.ConstInt(ir.I32, 256), "const:medium"},
+		{ir.ConstInt(ir.I32, 257), "const:large"},
 	}
-	for c, want := range cases {
-		if got := ConstToken(c); got != want {
-			t.Errorf("ConstToken = %q, want %q", got, want)
+	for _, c := range cases {
+		if got := ConstToken(c.c); got != c.want {
+			t.Errorf("ConstToken = %q, want %q", got, c.want)
+		}
+		if got := AppendValueToken(nil, c.c); string(got) != c.want {
+			t.Errorf("AppendValueToken = %q, want %q", got, c.want)
 		}
 	}
 }
@@ -103,42 +118,61 @@ func TestConstantsDeduplicated(t *testing.T) {
 	}
 }
 
-// TestAppendTokensMatchStringTokens pins the zero-alloc appenders to the
-// string builders byte-for-byte — interned vocabularies depend on both
-// paths producing identical spellings.
-func TestAppendTokensMatchStringTokens(t *testing.T) {
-	consts := []*ir.Const{
-		ir.ConstInt(ir.I32, 0), ir.ConstInt(ir.I32, 7), ir.ConstInt(ir.I32, 16),
-		ir.ConstInt(ir.I32, 17), ir.ConstInt(ir.I32, 300), ir.ConstInt(ir.I32, -2),
-		ir.ConstFloat(2.5), ir.ConstNull(ir.PtrTo(ir.I8)),
-	}
-	buf := make([]byte, 0, 64)
-	for _, c := range consts {
-		buf = AppendConstToken(buf[:0], c)
-		if string(buf) != ConstToken(c) {
-			t.Errorf("AppendConstToken = %q, ConstToken = %q", buf, ConstToken(c))
-		}
-	}
-	for _, typ := range []*ir.Type{ir.I32, ir.PtrTo(ir.I8), ir.ArrayOf(4, ir.I32)} {
-		buf = AppendVarToken(buf[:0], typ)
-		if string(buf) != VarToken(typ) {
-			t.Errorf("AppendVarToken = %q, VarToken = %q", buf, VarToken(typ))
-		}
-	}
+// TestTokenSpellings pins the instruction, type and operand token
+// spellings to their literal bytes (TestConstBuckets pins the constant
+// ones): both models' trained vocabularies are keyed on them, so a drift
+// here would silently turn trained entities into out-of-vocabulary ones.
+func TestTokenSpellings(t *testing.T) {
 	m := ir.NewModule("tok")
-	f := m.AddFunc(&ir.Func{Name: "f", Sig: ir.FuncOf(ir.I32)})
+	g := m.AddGlobal(&ir.Global{Name: "buf", Elem: ir.ArrayOf(4, ir.I32)})
+	f := m.AddFunc(&ir.Func{Name: "f", Sig: ir.FuncOf(ir.I32, ir.PtrTo(ir.I8)),
+		Params: []*ir.Param{{Name: "p", Typ: ir.PtrTo(ir.I8)}}})
 	b := ir.NewBuilder(f)
-	x := b.Bin(ir.OpAdd, ir.ConstInt(ir.I32, 1), ir.ConstInt(ir.I32, 2))
-	b.ICmp(ir.PredSLT, x, ir.ConstInt(ir.I32, 5))
-	b.Call("MPI_Finalize", ir.Void)
-	b.Ret(x)
-	for _, blk := range f.Blocks {
-		for _, in := range blk.Instrs {
-			buf = AppendInstrToken(buf[:0], in)
-			if string(buf) != InstrToken(in) {
-				t.Errorf("AppendInstrToken = %q, InstrToken = %q", buf, InstrToken(in))
-			}
+	add := b.Bin(ir.OpAdd, ir.ConstInt(ir.I32, 1), ir.ConstInt(ir.I32, 2))
+	icmp := b.ICmp(ir.PredSLT, add, ir.ConstInt(ir.I32, 5))
+	fcmp := b.FCmp(ir.PredSLT, ir.ConstFloat(1.5), ir.ConstFloat(2.5))
+	call := b.Call("MPI_Send", ir.I32, g, f.Params[0])
+	fin := b.Call("MPI_Finalize", ir.Void)
+	ret := b.Ret(add)
+
+	buf := make([]byte, 0, 64)
+	check := func(what string, got []byte, want string) {
+		t.Helper()
+		if string(got) != want {
+			t.Errorf("%s = %q, want %q", what, got, want)
 		}
+	}
+	for _, c := range []struct {
+		in       *ir.Instr
+		opc, typ string
+	}{
+		{add, "add", "type:i32"},
+		{icmp, "icmp:slt", "type:i1"},
+		{fcmp, "fcmp:slt", "type:i1"},
+		{call, "call:MPI_Send", "type:i32"},
+		{fin, "call:MPI_Finalize", "type:void"},
+		{ret, "ret", "type:void"},
+	} {
+		check("AppendInstrToken", AppendInstrToken(buf[:0], c.in), c.opc)
+		check("AppendTypeToken", AppendTypeToken(buf[:0], c.in.Type()), c.typ)
+	}
+
+	for _, c := range []struct {
+		v    ir.Value
+		want string
+	}{
+		{g, "var:[4 x i32]*"},
+		{f.Params[0], "var:i8*"},
+		{add, "var:i32"},
+		{icmp, "var:i1"},
+	} {
+		check("AppendValueToken", AppendValueToken(buf[:0], c.v), c.want)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		buf = AppendValueToken(buf[:0], g)
+		buf = AppendInstrToken(buf[:0], icmp)
+	}); n != 0 {
+		t.Errorf("appending tokens allocates %v times, want 0", n)
 	}
 }
 
@@ -197,37 +231,52 @@ func TestVocabFromTokenIDsRejectsCorruptMaps(t *testing.T) {
 // kinds, identical edges, and a TokID per node equal to resolving the
 // Build-side token against the same vocabulary — including out-of-vocabulary
 // tokens, which must stay distinct nodes (dedup is by bucket, never by id).
+// Inputs are the fixture plus MBI and CorrBench programs from two fresh
+// generator seeds, at -O0 and -Os.
 func TestBuildResolvedMatchesBuild(t *testing.T) {
-	m := fixtureModule()
-	ref := Build(m)
+	mods := []*ir.Module{fixtureModule()}
+	for _, seed := range []int64{61, 62} {
+		d := dataset.Merge("fresh", dataset.GenerateMBI(seed), dataset.GenerateCorrBench(seed, false))
+		for i, c := range d.Shuffled(seed)[:24] {
+			m := irgen.MustLower(c.Prog)
+			if i%2 == 1 {
+				passes.Optimize(m, passes.Os)
+			}
+			mods = append(mods, m)
+		}
+	}
 	// A vocabulary that deliberately misses some tokens: build it from a
-	// smaller module so the fixture has OOV instruction and const tokens.
+	// smaller module so every input has OOV instruction and const tokens.
 	small := ir.NewModule("small")
 	f := small.AddFunc(&ir.Func{Name: "f", Sig: ir.FuncOf(ir.I32)})
 	b := ir.NewBuilder(f)
 	b.Ret(b.Bin(ir.OpMul, ir.ConstInt(ir.I32, 3), ir.ConstInt(ir.I32, 3)))
-	for _, v := range []*Vocab{BuildVocab([]*Graph{ref}), BuildVocab([]*Graph{Build(small)})} {
-		got := BuildResolved(m, v)
-		if len(got.Nodes) != len(ref.Nodes) {
-			t.Fatalf("node count %d, want %d", len(got.Nodes), len(ref.Nodes))
-		}
-		if len(got.TokID) != len(got.Nodes) {
-			t.Fatalf("TokID length %d, want %d", len(got.TokID), len(got.Nodes))
-		}
-		for i, n := range ref.Nodes {
-			if got.Nodes[i].Kind != n.Kind {
-				t.Fatalf("node %d kind %v, want %v", i, got.Nodes[i].Kind, n.Kind)
+	smallVocab := BuildVocab([]*Graph{Build(small)})
+	for mi, m := range mods {
+		ref := Build(m)
+		for _, v := range []*Vocab{BuildVocab([]*Graph{ref}), smallVocab} {
+			got := BuildResolved(m, v)
+			if len(got.Nodes) != len(ref.Nodes) {
+				t.Fatalf("module %d: node count %d, want %d", mi, len(got.Nodes), len(ref.Nodes))
 			}
-			if want := v.ID(n.Token); int(got.TokID[i]) != want {
-				t.Fatalf("node %d (%q) TokID %d, want %d", i, n.Token, got.TokID[i], want)
+			if len(got.TokID) != len(got.Nodes) {
+				t.Fatalf("module %d: TokID length %d, want %d", mi, len(got.TokID), len(got.Nodes))
 			}
-		}
-		if len(got.Edges) != len(ref.Edges) {
-			t.Fatalf("edge count %d, want %d", len(got.Edges), len(ref.Edges))
-		}
-		for i, e := range ref.Edges {
-			if got.Edges[i] != e {
-				t.Fatalf("edge %d = %+v, want %+v", i, got.Edges[i], e)
+			for i, n := range ref.Nodes {
+				if got.Nodes[i].Kind != n.Kind {
+					t.Fatalf("module %d: node %d kind %v, want %v", mi, i, got.Nodes[i].Kind, n.Kind)
+				}
+				if want := v.ID(n.Token); int(got.TokID[i]) != want {
+					t.Fatalf("module %d: node %d (%q) TokID %d, want %d", mi, i, n.Token, got.TokID[i], want)
+				}
+			}
+			if len(got.Edges) != len(ref.Edges) {
+				t.Fatalf("module %d: edge count %d, want %d", mi, len(got.Edges), len(ref.Edges))
+			}
+			for i, e := range ref.Edges {
+				if got.Edges[i] != e {
+					t.Fatalf("module %d: edge %d = %+v, want %+v", mi, i, got.Edges[i], e)
+				}
 			}
 		}
 	}

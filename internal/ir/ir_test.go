@@ -66,39 +66,51 @@ func TestPrintParseRoundTrip(t *testing.T) {
 	}
 }
 
+// typeSpellings pins the one type rendering to literal spellings, one
+// type of every Kind plus the nil, anonymous-struct and func corners: the
+// IR text format and every interned feature vocabulary are keyed on them,
+// so a drift here would silently orphan trained embeddings.
+var typeSpellings = []struct {
+	t    *Type
+	want string
+}{
+	{nil, "<nil-type>"},
+	{Void, "void"},
+	{I1, "i1"},
+	{I8, "i8"},
+	{I32, "i32"},
+	{I64, "i64"},
+	{F64, "double"},
+	{LabelTy, "label"},
+	{PtrTo(I8), "i8*"},
+	{PtrTo(PtrTo(I32)), "i32**"},
+	{ArrayOf(10, F64), "[10 x double]"},
+	{ArrayOf(3, PtrTo(I8)), "[3 x i8*]"},
+	{StatusType, "%struct.MPI_Status"},
+	{PtrTo(StatusType), "%struct.MPI_Status*"},
+	{&Type{Kind: KStruct, Fields: []*Type{I32, PtrTo(I8)}}, "{i32, i8*}"},
+	{&Type{Kind: KStruct}, "{}"},
+	{FuncOf(Void, I32, PtrTo(I8)), "void (i32, i8*)"},
+	{FuncOf(I64), "i64 ()"},
+	{&Type{Kind: Kind(99)}, "<?>"},
+}
+
 func TestTypeString(t *testing.T) {
-	cases := []struct {
-		t    *Type
-		want string
-	}{
-		{I32, "i32"},
-		{PtrTo(I8), "i8*"},
-		{ArrayOf(10, F64), "[10 x double]"},
-		{PtrTo(PtrTo(I32)), "i32**"},
-		{StatusType, "%struct.MPI_Status"},
-		{FuncOf(Void, I32, PtrTo(I8)), "void (i32, i8*)"},
-	}
-	for _, c := range cases {
+	for _, c := range typeSpellings {
 		if got := c.t.String(); got != c.want {
 			t.Errorf("Type.String() = %q, want %q", got, c.want)
 		}
 	}
+	if n := testing.AllocsPerRun(100, func() { _ = I32.String() }); n != 0 {
+		t.Errorf("I32.String allocates %v times, want 0", n)
+	}
 }
 
-// TestTypeAppendString pins AppendString to String byte-for-byte: the
-// tokeniser's zero-alloc path must produce the exact vocabulary strings the
-// map-based path produced, or interned ids would not match trained tables.
 func TestTypeAppendString(t *testing.T) {
-	var nilType *Type
-	types := []*Type{nilType, Void, I1, I8, I32, I64, F64, LabelTy,
-		PtrTo(I8), PtrTo(PtrTo(I32)), ArrayOf(10, F64), ArrayOf(3, PtrTo(I8)),
-		StatusType, &Type{Kind: KStruct, Fields: []*Type{I32, PtrTo(I8)}},
-		FuncOf(Void, I32, PtrTo(I8)), FuncOf(I64)}
 	buf := make([]byte, 0, 64)
-	for _, typ := range types {
-		buf = typ.AppendString(buf[:0])
-		if string(buf) != typ.String() {
-			t.Errorf("AppendString = %q, String = %q", buf, typ.String())
+	for _, c := range typeSpellings {
+		if got := string(c.t.AppendString(buf[:0])); got != c.want {
+			t.Errorf("AppendString = %q, want %q", got, c.want)
 		}
 	}
 }

@@ -10,13 +10,15 @@ import (
 )
 
 // The parser is the zero-copy rewrite of the original line-slice
-// implementation retained in parse_reference.go. It scans the source string
-// directly (no strings.Split line slice), every token is a substring of the
-// input (no per-token copies), opcode dispatch resolves against an interned
-// keyword table instead of scanning opcodeNames, and instructions, operand
-// slices, constants, and blocks are bump-allocated from pooled per-module
-// arena chunks. Diagnostics — messages and line numbers — are byte-identical
-// to ParseReference; FuzzParse and TestParseMatchesReference enforce that.
+// implementation, which survives only as the test-only differential oracle
+// in parse_reference_test.go. It scans the source string directly (no
+// strings.Split line slice), every token is a substring of the input (no
+// per-token copies), opcode dispatch resolves against an interned keyword
+// table instead of scanning opcodeNames, and instructions, operand slices,
+// constants, and blocks are bump-allocated from pooled per-module arena
+// chunks. Modules and diagnostics — messages and line numbers — are
+// byte-identical to the reference parser's; FuzzParse and
+// TestParseMatchesReference enforce that.
 //
 // Tokens (instruction names, callees, block labels) alias the source string,
 // so a parsed module keeps its source text alive. Modules and their sources

@@ -7,19 +7,20 @@ import (
 )
 
 // This file retains the pre-rewrite line-slice parser verbatim (identifiers
-// renamed) as the differential oracle for the zero-copy lexer in parse.go:
-// FuzzParse and the compatibility tests assert that Parse and ParseReference
-// agree on every input — same module (byte-identical Print) and
-// byte-identical diagnostics. It deliberately shares nothing with the new
-// parser except the IR data structures and the named-struct registry (which
-// is global state both must see).
+// renamed) as the differential oracle for the zero-copy lexer in parse.go.
+// It is compiled into test binaries only: FuzzParse and the compatibility
+// tests (through export_test.go's ParseReference) assert that Parse and
+// parseReference agree on every input — same module (byte-identical Print)
+// and byte-identical diagnostics. It deliberately shares nothing with the
+// new parser except the IR data structures and the named-struct registry
+// (which is global state both must see).
 //
 // Do not "optimise" this file; its value is that it does not change.
 
-// ParseReference parses the textual IR syntax with the retained reference
+// parseReference parses the textual IR syntax with the retained reference
 // implementation. Semantics and diagnostics define the contract Parse must
 // reproduce byte-for-byte.
-func ParseReference(src string) (*Module, error) {
+func parseReference(src string) (*Module, error) {
 	p := &refParser{lines: strings.Split(src, "\n")}
 	return p.parseModule()
 }

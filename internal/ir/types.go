@@ -11,11 +11,7 @@
 // a printer and parser that round-trip.
 package ir
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Kind enumerates the type constructors of the IR type system.
 type Kind int
@@ -147,28 +143,32 @@ func (t *Type) Equal(o *Type) bool {
 	return false
 }
 
-// AppendString appends t's String() rendering to dst without any interior
-// allocation, for hot paths that assemble type-derived tokens in a
-// reusable buffer (the IR2Vec tokeniser, the ProGraML vocabulary).
+// scalarNames spells the scalar kinds; AppendString and String share it,
+// so rendering a scalar type allocates nothing on either path.
+var scalarNames = [...]string{
+	KVoid: "void", KInt1: "i1", KInt8: "i8", KInt32: "i32", KInt64: "i64",
+	KFloat64: "double", KLabel: "label",
+}
+
+// scalarName returns the spelling of a scalar kind, "" for the others.
+func (k Kind) scalarName() string {
+	if k >= 0 && int(k) < len(scalarNames) {
+		return scalarNames[k]
+	}
+	return ""
+}
+
+// AppendString appends t's rendering in LLVM-like syntax to dst without
+// any interior allocation, for hot paths that assemble type-derived tokens
+// in a reusable buffer (the feature-token spellings in graphs).
 func (t *Type) AppendString(dst []byte) []byte {
 	if t == nil {
 		return append(dst, "<nil-type>"...)
 	}
+	if name := t.Kind.scalarName(); name != "" {
+		return append(dst, name...)
+	}
 	switch t.Kind {
-	case KVoid:
-		return append(dst, "void"...)
-	case KInt1:
-		return append(dst, "i1"...)
-	case KInt8:
-		return append(dst, "i8"...)
-	case KInt32:
-		return append(dst, "i32"...)
-	case KInt64:
-		return append(dst, "i64"...)
-	case KFloat64:
-		return append(dst, "double"...)
-	case KLabel:
-		return append(dst, "label"...)
 	case KPtr:
 		return append(t.Elem.AppendString(dst), '*')
 	case KArray:
@@ -203,47 +203,16 @@ func (t *Type) AppendString(dst []byte) []byte {
 	return append(dst, "<?>"...)
 }
 
-// String renders the type in LLVM-like syntax.
+// String renders the type in LLVM-like syntax: AppendString's spelling,
+// returned without allocating for the scalar kinds.
 func (t *Type) String() string {
-	if t == nil {
-		return "<nil-type>"
+	if t != nil {
+		if name := t.Kind.scalarName(); name != "" {
+			return name
+		}
 	}
-	switch t.Kind {
-	case KVoid:
-		return "void"
-	case KInt1:
-		return "i1"
-	case KInt8:
-		return "i8"
-	case KInt32:
-		return "i32"
-	case KInt64:
-		return "i64"
-	case KFloat64:
-		return "double"
-	case KLabel:
-		return "label"
-	case KPtr:
-		return t.Elem.String() + "*"
-	case KArray:
-		return fmt.Sprintf("[%d x %s]", t.Len, t.Elem)
-	case KStruct:
-		if t.SName != "" {
-			return "%struct." + t.SName
-		}
-		parts := make([]string, len(t.Fields))
-		for i, f := range t.Fields {
-			parts[i] = f.String()
-		}
-		return "{" + strings.Join(parts, ", ") + "}"
-	case KFunc:
-		parts := make([]string, len(t.Params))
-		for i, p := range t.Params {
-			parts[i] = p.String()
-		}
-		return fmt.Sprintf("%s (%s)", t.Ret, strings.Join(parts, ", "))
-	}
-	return "<?>"
+	var buf [64]byte
+	return string(t.AppendString(buf[:0]))
 }
 
 // SizeOf returns the abstract size in bytes of a value of type t, used by

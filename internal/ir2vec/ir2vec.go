@@ -179,25 +179,6 @@ func (e *Encoder) GobDecode(b []byte) error {
 	return nil
 }
 
-// instrTokens extracts the (opcode, type, args) entity tokens of an
-// instruction, shared with the ProGraML tokeniser so both models see the
-// same vocabulary of program entities. Used on the mutating (fit) paths;
-// the read-only Encode path assembles the same spellings in a scratch
-// buffer instead.
-func instrTokens(in *ir.Instr) (opc, typ string, args []string) {
-	opc = graphs.InstrToken(in)
-	typ = "type:" + in.Type().String()
-	for _, a := range in.Args {
-		switch x := a.(type) {
-		case *ir.Const:
-			args = append(args, graphs.ConstToken(x))
-		default:
-			args = append(args, graphs.VarToken(x.Type()))
-		}
-	}
-	return
-}
-
 // triple is one (head, relation, tail) fact for TransE, in interned ids.
 type triple struct {
 	h, t intern.ID
@@ -221,6 +202,7 @@ func (e *Encoder) extractTriples(mods []*ir.Module) []triple {
 	relTypeof := e.relTab.Intern("typeof")
 	relArg := e.relTab.Intern("arg")
 	relNext := e.relTab.Intern("next")
+	var buf []byte
 	for _, m := range mods {
 		for _, f := range m.Funcs {
 			if f.Decl {
@@ -229,11 +211,13 @@ func (e *Encoder) extractTriples(mods []*ir.Module) []triple {
 			for _, b := range f.Blocks {
 				prev := intern.ID(-1)
 				for _, in := range b.Instrs {
-					opc, typ, args := instrTokens(in)
-					opcID := e.tab.Intern(opc)
-					add(triple{h: opcID, r: relTypeof, t: e.tab.Intern(typ)})
-					for _, a := range args {
-						add(triple{h: opcID, r: relArg, t: e.tab.Intern(a)})
+					buf = graphs.AppendInstrToken(buf[:0], in)
+					opcID := e.tab.InternBytes(buf)
+					buf = graphs.AppendTypeToken(buf[:0], in.Type())
+					add(triple{h: opcID, r: relTypeof, t: e.tab.InternBytes(buf)})
+					for _, a := range in.Args {
+						buf = graphs.AppendValueToken(buf[:0], a)
+						add(triple{h: opcID, r: relArg, t: e.tab.InternBytes(buf)})
 					}
 					if prev >= 0 {
 						add(triple{h: prev, r: relNext, t: opcID})
@@ -348,22 +332,11 @@ func fillRandUnit(rng *rand.Rand, v []float64) {
 
 // fallback derives the deterministic embedding of an out-of-vocabulary
 // entity from its FNV hash and the encoder seed.
-func (e *Encoder) fallback(tok string) []float64 {
+func (e *Encoder) fallback(tok []byte) []float64 {
 	hash := fnv.New64a()
-	_, _ = hash.Write([]byte(tok))
+	_, _ = hash.Write(tok)
 	rng := rand.New(rand.NewSource(int64(hash.Sum64()) ^ e.Seed))
 	return randUnit(rng, e.Dim)
-}
-
-// lookupToken resolves a token to its embedding: the interned row when
-// present, a freshly derived deterministic fallback otherwise. Fit-phase
-// and test helper; the Encode hot path uses the scratch-memoised
-// lookupBytes instead.
-func (e *Encoder) lookupToken(tok string) []float64 {
-	if id, ok := e.tab.Resolve(tok); ok {
-		return e.vec(id)
-	}
-	return e.fallback(tok)
 }
 
 // FitVocab precomputes fallback embeddings for every entity of the corpus
@@ -373,10 +346,11 @@ func (e *Encoder) lookupToken(tok string) []float64 {
 // vocabulary once, then encode lock-free from any number of goroutines.
 // FitVocab mutates the encoder and must not run concurrently with Encode.
 func (e *Encoder) FitVocab(mods []*ir.Module) {
-	fit := func(tok string) {
-		if _, ok := e.tab.Resolve(tok); !ok {
+	var buf []byte
+	fit := func(tok []byte) {
+		if _, ok := e.tab.ResolveBytes(tok); !ok {
 			v := e.fallback(tok)
-			e.tab.Intern(tok)
+			e.tab.InternBytes(tok)
 			e.vecs = append(e.vecs, v...)
 		}
 	}
@@ -387,12 +361,14 @@ func (e *Encoder) FitVocab(mods []*ir.Module) {
 			}
 			for _, b := range f.Blocks {
 				for _, in := range b.Instrs {
-					opc, typ, args := instrTokens(in)
-					for _, tok := range args {
-						fit(tok)
+					for _, a := range in.Args {
+						buf = graphs.AppendValueToken(buf[:0], a)
+						fit(buf)
 					}
-					fit(opc)
-					fit(typ)
+					buf = graphs.AppendInstrToken(buf[:0], in)
+					fit(buf)
+					buf = graphs.AppendTypeToken(buf[:0], in.Type())
+					fit(buf)
 				}
 			}
 		}
@@ -520,7 +496,7 @@ func (e *Encoder) lookupBytes(tok []byte, s *scratch) []float64 {
 	if v, ok := s.oov[string(tok)]; ok {
 		return v
 	}
-	v := e.fallback(string(tok))
+	v := e.fallback(tok)
 	s.oov[string(tok)] = v
 	return v
 }
@@ -530,20 +506,10 @@ func (e *Encoder) lookupBytes(tok []byte, s *scratch) []float64 {
 func (e *Encoder) addInstrTokens(v []float64, in *ir.Instr, s *scratch) {
 	s.buf = graphs.AppendInstrToken(s.buf[:0], in)
 	tensor.VecAddScaled(v, wOpc, e.lookupBytes(s.buf, s))
-	s.buf = in.Type().AppendString(append(s.buf[:0], "type:"...))
+	s.buf = graphs.AppendTypeToken(s.buf[:0], in.Type())
 	tensor.VecAddScaled(v, wType, e.lookupBytes(s.buf, s))
 	for _, a := range in.Args {
-		switch x := a.(type) {
-		case *ir.Const:
-			s.buf = graphs.AppendConstToken(s.buf[:0], x)
-		case *ir.Global:
-			// Global.Type() materialises a fresh pointer type; spell the
-			// token directly ("var:" + elem + "*") to keep encode
-			// allocation-free.
-			s.buf = append(x.Elem.AppendString(append(s.buf[:0], "var:"...)), '*')
-		default:
-			s.buf = graphs.AppendVarToken(s.buf[:0], a.Type())
-		}
+		s.buf = graphs.AppendValueToken(s.buf[:0], a)
 		tensor.VecAddScaled(v, wArg, e.lookupBytes(s.buf, s))
 	}
 }
@@ -569,19 +535,6 @@ func (e Encoding) String() string {
 	default:
 		return "concat"
 	}
-}
-
-// EncodeMode returns the module vector under the chosen encoding mode:
-// Dim features for a single encoding, 2*Dim for the concatenation.
-func (e *Encoder) EncodeMode(m *ir.Module, mode Encoding) []float64 {
-	full := e.Encode(m)
-	switch mode {
-	case EncSymbolic:
-		return full[:e.Dim]
-	case EncFlowAware:
-		return full[e.Dim:]
-	}
-	return full
 }
 
 // Encode returns the concatenated [symbolic || flow-aware] vector of the

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	. "mpidetect/internal/ast"
+	"mpidetect/internal/dataset"
 	"mpidetect/internal/ir"
 	"mpidetect/internal/irgen"
+	"mpidetect/internal/passes"
 	"mpidetect/internal/tensor"
 )
 
@@ -66,14 +68,50 @@ func TestSeedChangesEmbedding(t *testing.T) {
 func TestFallbackLookupIsDeterministic(t *testing.T) {
 	e1 := Train(nil, 16, 5, 1)
 	e2 := Train(nil, 16, 5, 1)
-	a := e1.lookupToken("some-unseen-token")
-	b := e2.lookupToken("some-unseen-token")
+	a := e1.fallback([]byte("some-unseen-token"))
+	b := e2.fallback([]byte("some-unseen-token"))
 	if tensor.VecDist(a, b) != 0 {
 		t.Error("fallback embedding not deterministic across encoders")
 	}
-	c := e1.lookupToken("other-token")
+	c := e1.fallback([]byte("other-token"))
 	if tensor.VecDist(a, c) == 0 {
 		t.Error("distinct tokens share a fallback embedding")
+	}
+}
+
+// TestFitVocabCoversEncode checks on generated programs that FitVocab and
+// Encode spell every entity token identically: after fitting the corpus,
+// encoding it derives no fallback embedding (the scratch's OOV memo stays
+// empty). Before the fit, the same programs must miss the trained table,
+// so the check is not vacuous.
+func TestFitVocabCoversEncode(t *testing.T) {
+	var mods []*ir.Module
+	for _, seed := range []int64{71, 72} {
+		d := dataset.Merge("fresh", dataset.GenerateMBI(seed), dataset.GenerateCorrBench(seed, false))
+		for i, c := range d.Shuffled(seed)[:32] {
+			m := irgen.MustLower(c.Prog)
+			if i%2 == 1 {
+				passes.Optimize(m, passes.Os)
+			}
+			mods = append(mods, m)
+		}
+	}
+	enc := Train(mods[:4], 16, 1, 2)
+	encodeAll := func() int {
+		s := scratchPool.Get().(*scratch)
+		defer s.release()
+		out := make([]float64, 2*enc.Dim)
+		for _, m := range mods {
+			enc.encodeInto(out, m, s)
+		}
+		return len(s.oov)
+	}
+	if n := encodeAll(); n == 0 {
+		t.Fatal("unfitted encoder derived no fallback embeddings; the check below would be vacuous")
+	}
+	enc.FitVocab(mods)
+	if n := encodeAll(); n != 0 {
+		t.Errorf("encoding the fitted corpus derived %d fallback embeddings, want 0", n)
 	}
 }
 

@@ -255,15 +255,6 @@ func (e *Engine) compiledProgram(lm *lazyModule) (*mpisim.Program, error) {
 	return e.progCache.GetOrCompute(progKey(lm.digest), compile)
 }
 
-// ProgCacheStats snapshots the compiled-program-cache counters; ok is
-// false when the analysis tier runs uncached or is disabled.
-func (e *Engine) ProgCacheStats() (cache.Stats, bool) {
-	if e.progCache == nil {
-		return cache.Stats{}, false
-	}
-	return e.progCache.Stats(), true
-}
-
 // toolKey addresses one (tool, configuration, program) verdict: the
 // key carries the tool name, every configuration axis that can change
 // the verdict, and the program's canonical digest. The digest is

@@ -109,34 +109,6 @@ func nameTag(name string) int64 {
 	return int64(h.Sum32() & 0x3fffffff)
 }
 
-// HeadToHeadIR deadlocks: both ranks Recv before Send.
-func HeadToHeadIR(t testing.TB) string {
-	stmts := ast.MPIBoilerplate()
-	stmts = append(stmts,
-		ast.DeclArr("buf", 4, ast.Int),
-		ast.CallS("MPI_Recv", ast.Id("buf"), ast.I(4), ast.Id("MPI_INT"),
-			ast.Sub(ast.I(1), ast.Id("rank")), ast.I(3), ast.Id("MPI_COMM_WORLD"),
-			ast.Id("MPI_STATUS_IGNORE")),
-		ast.CallS("MPI_Send", ast.Id("buf"), ast.I(4), ast.Id("MPI_INT"),
-			ast.Sub(ast.I(1), ast.Id("rank")), ast.I(3), ast.Id("MPI_COMM_WORLD")),
-		ast.Finalize(),
-	)
-	return ProgIR(t, ast.MainProgram("headtohead", stmts...))
-}
-
-// SpinIR burns billions of interpreter steps without blocking — the
-// cancellation worst case.
-func SpinIR(t testing.TB) string {
-	stmts := ast.MPIBoilerplate()
-	stmts = append(stmts,
-		ast.Decl("x", ast.Int, ast.I(0)),
-		ast.While(ast.Lt(ast.Id("x"), ast.I(2_000_000_000)),
-			ast.Assign(ast.Id("x"), ast.Add(ast.Id("x"), ast.I(1)))),
-		ast.Finalize(),
-	)
-	return ProgIR(t, ast.MainProgram("spin", stmts...))
-}
-
 // StallTool is a registerable static tool that blocks on Gate for
 // modules whose name has the given prefix and answers "clean" instantly
 // for everything else. Streaming tests inject it to hold exactly one

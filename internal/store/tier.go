@@ -163,9 +163,6 @@ func NewTier[V any](st *Store, namespace string, opts TierOptions) *Tier[V] {
 
 func (t *Tier[V]) storeKey(key string) string { return t.ns + nsSep + key }
 
-// Namespace reports the tier's store-key namespace.
-func (t *Tier[V]) Namespace() string { return t.ns }
-
 // Mode reports the tier's degraded-mode state: "ok" (both breakers
 // closed), "read-only" (append breaker tripped: loads serve, persists
 // drop), or "disabled" (load breaker tripped: the in-memory LRU serves
