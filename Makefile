@@ -49,12 +49,20 @@ router-test:
 chaos:
 	$(GO) test -race -run 'Chaos' -count 1 ./internal/serve/... ./internal/router/...
 
-# Differential fuzz smoke: 15 seconds of the zero-copy parser against the
-# retained reference parser (identical modules, identical diagnostics,
-# byte for byte). The corpus seeds plus whatever the fuzzer grows locally;
-# a longer soak is `go test -fuzz FuzzParse -fuzztime 10m ./internal/ir/`.
+# Fuzz smokes, 15 seconds each (go test fuzzes one target per run):
+# - FuzzParse: the zero-copy parser against the test-only reference
+#   parser (identical modules, identical diagnostics, byte for byte);
+# - FuzzNormalizeIR: the digest normalizer against its byte-at-a-time
+#   reference (digests key the store, so they must never move);
+# - FuzzOptimize: -O2 and -Os over any IR that parses and verifies (no
+#   panic, the result verifies and re-parses, the same input always
+#   prints the same output).
+# The corpus seeds plus whatever the fuzzer grows locally; a longer soak
+# is e.g. `go test -run '^$$' -fuzz FuzzOptimize -fuzztime 10m ./internal/passes/`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 15s ./internal/ir/
+	$(GO) test -run '^$$' -fuzz FuzzNormalizeIR -fuzztime 15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzOptimize -fuzztime 15s ./internal/passes/
 
 # One iteration of every benchmark — catches bit-rot in the bench harness
 # without paying for a full measurement run — and emits machine-readable

@@ -19,6 +19,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 
 	"mpidetect/internal/ast"
 )
@@ -31,33 +32,54 @@ func NormalizeIR(src string) string {
 	return string(appendNormalizedIR(make([]byte, 0, len(src)), src))
 }
 
-// appendNormalizedIR is a single-pass, allocation-free (modulo dst
-// growth) normalizer; digesting runs on the serving hot path for every
+// appendNormalizedIR is an allocation-free (modulo dst growth)
+// normalizer; digesting runs on the serving hot path for every
 // program of every request, so it must stay cheap next to a map lookup.
-// Bytes inside double-quoted literals (IR c"..." constants, C string
-// literals) are copied verbatim — whitespace there is program content,
-// not formatting — with backslash escapes honoured so an escaped quote
-// cannot end the literal. Quote state resets at end of line, since
-// neither representation carries a literal across lines.
+// It works a line at a time: leading blanks are trimmed and comment
+// lines skipped, and a line that has no quote, tab, carriage return,
+// double space or trailing blank — nearly every line of printed IR — is
+// already normal and is copied whole. Any other line goes through
+// appendNormalizedLine.
 func appendNormalizedIR(dst []byte, src string) []byte {
-	atLineStart := true   // no non-blank byte seen on this line yet
-	skipLine := false     // comment line: discard until '\n'
-	pendingSpace := false // a whitespace run awaits the next non-blank byte
-	wrote := false        // this line contributed output
-	inQuote := false      // inside a "..." literal: copy verbatim
-	escaped := false      // previous in-quote byte was a backslash
-	for i := 0; i < len(src); i++ {
-		ch := src[i]
-		if ch == '\n' {
-			if wrote {
-				dst = append(dst, '\n')
-			}
-			atLineStart, skipLine, pendingSpace, wrote = true, false, false, false
-			inQuote, escaped = false, false
+	for len(src) > 0 {
+		line := src
+		if i := strings.IndexByte(src, '\n'); i >= 0 {
+			line, src = src[:i], src[i+1:]
+		} else {
+			src = ""
+		}
+		for len(line) > 0 && (line[0] == ' ' || line[0] == '\t' || line[0] == '\r') {
+			line = line[1:]
+		}
+		if line == "" || line[0] == ';' {
 			continue
 		}
+		if line[len(line)-1] != ' ' && strings.IndexByte(line, '"') < 0 &&
+			strings.IndexByte(line, '\t') < 0 && strings.IndexByte(line, '\r') < 0 &&
+			!strings.Contains(line, "  ") {
+			dst = append(dst, line...)
+		} else {
+			dst = appendNormalizedLine(dst, line)
+		}
+		dst = append(dst, '\n')
+	}
+	return dst
+}
+
+// appendNormalizedLine normalizes one line that starts with a byte other
+// than a blank or ';': every run of spaces, tabs and carriage returns
+// collapses to one space, and trailing blanks are dropped. Bytes inside
+// double-quoted literals (IR c"..." constants, C string literals) are
+// copied verbatim — whitespace there is program content, not formatting
+// — with backslash escapes honoured so an escaped quote cannot end the
+// literal. Neither representation carries a literal across lines.
+func appendNormalizedLine(dst []byte, line string) []byte {
+	pendingSpace := false // a whitespace run awaits the next non-blank byte
+	inQuote := false      // inside a "..." literal: copy verbatim
+	escaped := false      // previous in-quote byte was a backslash
+	for i := 0; i < len(line); i++ {
+		ch := line[i]
 		switch {
-		case skipLine:
 		case inQuote:
 			dst = append(dst, ch)
 			switch {
@@ -69,27 +91,18 @@ func appendNormalizedIR(dst []byte, src string) []byte {
 				inQuote = false
 			}
 		case ch == ' ' || ch == '\t' || ch == '\r':
-			pendingSpace = wrote
+			pendingSpace = true
 		default:
-			if atLineStart && ch == ';' {
-				skipLine = true
-				continue
-			}
-			atLineStart = false
 			if pendingSpace {
 				dst = append(dst, ' ')
 				pendingSpace = false
 			}
 			dst = append(dst, ch)
-			wrote = true
 			if ch == '"' {
 				inQuote = true
 				escaped = false
 			}
 		}
-	}
-	if wrote { // final line without trailing newline
-		dst = append(dst, '\n')
 	}
 	return dst
 }

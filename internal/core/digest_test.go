@@ -137,3 +137,110 @@ func TestDigestPreservesQuotedLiterals(t *testing.T) {
 		t.Fatalf("NormalizeIR quoted handling = %q", got)
 	}
 }
+
+// referenceNormalizeIR is the byte-at-a-time normalizer that
+// appendNormalizedIR replaced, kept as the oracle the line-at-a-time
+// version must match byte for byte: the store is keyed by digests, so a
+// single differing byte would orphan every stored verdict.
+func referenceNormalizeIR(dst []byte, src string) []byte {
+	atLineStart := true   // no non-blank byte seen on this line yet
+	skipLine := false     // comment line: discard until '\n'
+	pendingSpace := false // a whitespace run awaits the next non-blank byte
+	wrote := false        // this line contributed output
+	inQuote := false      // inside a "..." literal: copy verbatim
+	escaped := false      // previous in-quote byte was a backslash
+	for i := 0; i < len(src); i++ {
+		ch := src[i]
+		if ch == '\n' {
+			if wrote {
+				dst = append(dst, '\n')
+			}
+			atLineStart, skipLine, pendingSpace, wrote = true, false, false, false
+			inQuote, escaped = false, false
+			continue
+		}
+		switch {
+		case skipLine:
+		case inQuote:
+			dst = append(dst, ch)
+			switch {
+			case escaped:
+				escaped = false
+			case ch == '\\':
+				escaped = true
+			case ch == '"':
+				inQuote = false
+			}
+		case ch == ' ' || ch == '\t' || ch == '\r':
+			pendingSpace = wrote
+		default:
+			if atLineStart && ch == ';' {
+				skipLine = true
+				continue
+			}
+			atLineStart = false
+			if pendingSpace {
+				dst = append(dst, ' ')
+				pendingSpace = false
+			}
+			dst = append(dst, ch)
+			wrote = true
+			if ch == '"' {
+				inQuote = true
+				escaped = false
+			}
+		}
+	}
+	if wrote { // final line without trailing newline
+		dst = append(dst, '\n')
+	}
+	return dst
+}
+
+// normalizeCorpus is every MBI and CorrBench program of one generator
+// seed as printed IR and as rendered C, the two texts serving digests.
+func normalizeCorpus(tb testing.TB) []string {
+	tb.Helper()
+	d := dataset.Merge("digest", dataset.GenerateMBI(1), dataset.GenerateCorrBench(1, true))
+	var out []string
+	for _, c := range d.Codes {
+		out = append(out, ir.Print(irgen.MustLower(c.Prog)), ast.RenderC(c.Prog))
+	}
+	return out
+}
+
+// TestNormalizeIRMatchesReference: the line-at-a-time normalizer agrees
+// with the reference on the whole corpus, printed as is and reformatted.
+func TestNormalizeIRMatchesReference(t *testing.T) {
+	for i, src := range normalizeCorpus(t) {
+		messy := "; c\n\t" + strings.ReplaceAll(src, "\n", " \r\n  ") + "\t"
+		spaced := strings.ReplaceAll(src, " ", "  ")
+		for _, s := range []string{src, messy, spaced} {
+			got := appendNormalizedIR(nil, s)
+			if want := referenceNormalizeIR(nil, s); string(got) != string(want) {
+				t.Fatalf("program %d: normalized text differs from the reference:\n got %q\nwant %q", i, got, want)
+			}
+		}
+	}
+}
+
+// FuzzNormalizeIR compares the normalizer with the reference byte for
+// byte on arbitrary text.
+func FuzzNormalizeIR(f *testing.F) {
+	for _, c := range dataset.GenerateCorrBench(1, true).Codes[:8] {
+		f.Add(ir.Print(irgen.MustLower(c.Prog)))
+		f.Add(ast.RenderC(c.Prog))
+	}
+	for _, s := range []string{
+		"", "\n", ";", "  ; c\n", "a  b", "a  b \n", "\ta\tb\r\n", "x \"a  b\" y", "x \"a\\\" b\"  z",
+		"\"unterminated  \n  next", "a\\\"  b", " \r;x\ny", "a ;b  \"\"  c ",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		got := appendNormalizedIR(nil, src)
+		if want := referenceNormalizeIR(nil, src); string(got) != string(want) {
+			t.Fatalf("normalized %q:\n got %q\nwant %q", src, got, want)
+		}
+	})
+}

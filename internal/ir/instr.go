@@ -260,20 +260,6 @@ func ReplaceUses(f *Func, old, new Value) {
 	}
 }
 
-// CollectUses returns the number of uses of each instruction-produced value
-// in the function.
-func CollectUses(f *Func) map[Value]int {
-	uses := make(map[Value]int)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for _, a := range in.Args {
-				uses[a]++
-			}
-		}
-	}
-	return uses
-}
-
 // MPICallName returns the callee name if the instruction is a call to an
 // MPI routine (identified by the "MPI_" prefix), else "".
 func (in *Instr) MPICallName() string {

@@ -223,6 +223,20 @@ func TestVerifyCatchesMisplacedPhi(t *testing.T) {
 	}
 }
 
+// TestVerifyCatchesValuelessOperand: the parser lets any instruction
+// carry a name, so textual IR can use a branch or a store as an operand.
+// Such a module is malformed; the optimiser, which may delete the
+// branch, printed IR naming an undefined value for it.
+func TestVerifyCatchesValuelessOperand(t *testing.T) {
+	m, err := Parse("define void @f(i32 %x) {\nentry:\n  %t = br label %next\nnext:\n  store i32 %x, i32* %t\n  ret void\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Verify(); err == nil || !strings.Contains(err.Error(), "has no value") {
+		t.Errorf("Verify = %v, want an operand-without-value error", err)
+	}
+}
+
 func TestReplaceUses(t *testing.T) {
 	m := buildFixture()
 	f := m.FuncByName("main")
@@ -240,19 +254,6 @@ func TestReplaceUses(t *testing.T) {
 				if a == Value(load) {
 					t.Fatal("stale use of replaced value")
 				}
-			}
-		}
-	}
-}
-
-func TestCollectUses(t *testing.T) {
-	m := buildFixture()
-	f := m.FuncByName("main")
-	uses := CollectUses(f)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == OpAdd && uses[in] < 2 {
-				t.Errorf("add has %d uses, want >= 2", uses[in])
 			}
 		}
 	}

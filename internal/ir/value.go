@@ -149,6 +149,11 @@ type Block struct {
 	Name   string
 	Instrs []*Instr
 	Parent *Func
+
+	// Index is scratch space for CFG analyses: the block's position in
+	// Parent.Blocks, set by each analysis that reads it. It is never
+	// trusted across passes, since any pass may reorder or drop blocks.
+	Index int
 }
 
 // Type implements Value (blocks are label-typed, usable as branch targets).
@@ -170,7 +175,9 @@ func (b *Block) Term() *Instr {
 	return nil
 }
 
-// Succs returns the block's successor blocks in terminator order.
+// Succs returns the block's successor blocks in terminator order. The
+// result aliases the terminator's target list, so it costs no
+// allocation; callers must not modify it.
 func (b *Block) Succs() []*Block {
 	t := b.Term()
 	if t == nil {
@@ -178,9 +185,9 @@ func (b *Block) Succs() []*Block {
 	}
 	switch t.Op {
 	case OpBr:
-		return []*Block{t.Blocks[0]}
+		return t.Blocks[:1]
 	case OpCondBr:
-		return []*Block{t.Blocks[0], t.Blocks[1]}
+		return t.Blocks[:2]
 	}
 	return nil
 }
@@ -196,7 +203,9 @@ func (b *Block) Append(in *Instr) *Instr {
 // phi placement).
 func (b *Block) InsertFront(in *Instr) *Instr {
 	in.Parent = b
-	b.Instrs = append([]*Instr{in}, b.Instrs...)
+	b.Instrs = append(b.Instrs, nil)
+	copy(b.Instrs[1:], b.Instrs)
+	b.Instrs[0] = in
 	return in
 }
 
@@ -287,8 +296,9 @@ func (m *Module) Defined() []*Func {
 
 // Verify checks structural invariants of the module: every block is
 // terminated, branch targets belong to the same function, phi incoming
-// blocks are predecessors, and instruction operand types are sane. It
-// returns the first violation found.
+// blocks are predecessors, and instruction operand types are sane (no
+// operand is an instruction without a result, such as a named store or
+// branch). It returns the first violation found.
 func (m *Module) Verify() error {
 	for _, f := range m.Funcs {
 		if f.Decl {
@@ -335,6 +345,9 @@ func (m *Module) Verify() error {
 				for ai, a := range in.Args {
 					if a == nil {
 						return fmt.Errorf("ir: nil operand %d of %s in @%s", ai, in.Op, f.Name)
+					}
+					if def, ok := a.(*Instr); ok && def.Type().Kind == KVoid {
+						return fmt.Errorf("ir: operand %d of %s in @%s is %%%s, which has no value", ai, in.Op, f.Name, def.Name)
 					}
 				}
 			}

@@ -46,7 +46,7 @@ func ConstFold(f *ir.Func) bool {
 
 // removePhiEdge drops the incoming edge from pred in every phi of b.
 func removePhiEdge(b, pred *ir.Block) {
-	for _, phi := range b.Phis() {
+	for _, phi := range leadingPhis(b) {
 		for i := 0; i < len(phi.Blocks); {
 			if phi.Blocks[i] == pred {
 				phi.Blocks = append(phi.Blocks[:i], phi.Blocks[i+1:]...)

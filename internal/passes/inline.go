@@ -2,7 +2,8 @@ package passes
 
 import (
 	"fmt"
-	"sync/atomic"
+	"strconv"
+	"strings"
 
 	"mpidetect/internal/ir"
 )
@@ -10,8 +11,13 @@ import (
 // Inline performs bottom-up function inlining: direct calls to defined,
 // non-recursive functions whose size is at most maxSize instructions are
 // replaced by a clone of the callee body. Returns whether anything changed.
+//
+// Inlined bodies are numbered per call, from one past the highest inl<n>.
+// prefix already in the module, so the output depends only on the input
+// and stays free of name clashes when the input was itself optimised.
 func Inline(m *ir.Module, maxSize int) bool {
 	changed := false
+	next := lastInlineID(m) + 1
 	for _, f := range m.Funcs {
 		if f.Decl {
 			continue
@@ -23,7 +29,8 @@ func Inline(m *ir.Module, maxSize int) bool {
 			if site == nil {
 				break
 			}
-			inlineCall(f, site)
+			inlineCall(f, site, next)
+			next++
 			changed = true
 		}
 	}
@@ -63,13 +70,44 @@ func callsSelf(f *ir.Func) bool {
 	return false
 }
 
-// inlineCounter numbers inlined bodies; atomic because modules are
-// optimised concurrently.
-var inlineCounter atomic.Int64
+// lastInlineID returns the highest n of any inl<n>. name prefix on a
+// parameter, block or instruction of m's defined functions, or 0.
+func lastInlineID(m *ir.Module) int {
+	last := 0
+	see := func(name string) {
+		rest, ok := strings.CutPrefix(name, "inl")
+		if !ok {
+			return
+		}
+		digits, _, ok := strings.Cut(rest, ".")
+		if !ok {
+			return
+		}
+		if n, err := strconv.Atoi(digits); err == nil && n > last {
+			last = n
+		}
+	}
+	for _, f := range m.Funcs {
+		if f.Decl {
+			continue
+		}
+		for _, p := range f.Params {
+			see(p.Name)
+		}
+		for _, b := range f.Blocks {
+			see(b.Name)
+			for _, in := range b.Instrs {
+				see(in.Name)
+			}
+		}
+	}
+	return last
+}
 
-// inlineCall splices a clone of the callee body at the call site.
-func inlineCall(caller *ir.Func, call *ir.Instr) {
-	prefix := fmt.Sprintf("inl%d.", inlineCounter.Add(1))
+// inlineCall splices a clone of the callee body at the call site, naming
+// its blocks and values with the prefix inl<id>.
+func inlineCall(caller *ir.Func, call *ir.Instr, id int) {
+	prefix := fmt.Sprintf("inl%d.", id)
 	callee := caller.Mod.FuncByName(call.Callee)
 	host := call.Parent
 

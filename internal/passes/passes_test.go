@@ -43,8 +43,8 @@ func TestDomTreeDiamond(t *testing.T) {
 	then := f.BlockByName("then")
 	els := f.BlockByName("else")
 	exit := f.BlockByName("exit")
-	if dt.Idom[then] != entry || dt.Idom[els] != entry || dt.Idom[exit] != entry {
-		t.Errorf("idoms wrong: then=%v else=%v exit=%v", dt.Idom[then].Name, dt.Idom[els].Name, dt.Idom[exit].Name)
+	if dt.Idom(then) != entry || dt.Idom(els) != entry || dt.Idom(exit) != entry {
+		t.Errorf("idoms wrong: then=%v else=%v exit=%v", dt.Idom(then).Name, dt.Idom(els).Name, dt.Idom(exit).Name)
 	}
 	if !dt.Dominates(entry, exit) {
 		t.Error("entry should dominate exit")
@@ -53,8 +53,8 @@ func TestDomTreeDiamond(t *testing.T) {
 		t.Error("then should not dominate exit")
 	}
 	// DF(then) = DF(else) = {exit}
-	if len(dt.Frontier[then]) != 1 || dt.Frontier[then][0] != exit {
-		t.Errorf("DF(then) = %v", names(dt.Frontier[then]))
+	if len(dt.Frontier(then)) != 1 || dt.Frontier(then)[0] != exit {
+		t.Errorf("DF(then) = %v", names(dt.Frontier(then)))
 	}
 }
 
@@ -97,6 +97,12 @@ func TestMem2RegInsertsPhi(t *testing.T) {
 	}
 	if !got[2] || !got[3] {
 		t.Errorf("phi args = %v, want {2,3}", got)
+	}
+	// Renaming visits dominator-tree siblings in block order, so the
+	// operand from "then" comes first. The corpus golden never sees a
+	// surviving phi whose operand order depends on that.
+	if text := ir.FormatInstr(phis[0]); text != "%m2r1 = phi i32 [ 2, %then ], [ 3, %else ]" {
+		t.Errorf("phi = %q, want operands in block order", text)
 	}
 }
 
@@ -341,12 +347,12 @@ func TestDomTreeLoop(t *testing.T) {
 	b.SetBlock(exit)
 	b.Ret(nil)
 	dt := BuildDomTree(f)
-	if dt.Idom[body] != header || dt.Idom[exit] != header {
+	if dt.Idom(body) != header || dt.Idom(exit) != header {
 		t.Error("loop idoms wrong")
 	}
 	// DF(body) = {header}; DF(header) = {header}
-	if len(dt.Frontier[body]) != 1 || dt.Frontier[body][0] != header {
-		t.Errorf("DF(body) = %v", names(dt.Frontier[body]))
+	if len(dt.Frontier(body)) != 1 || dt.Frontier(body)[0] != header {
+		t.Errorf("DF(body) = %v", names(dt.Frontier(body)))
 	}
 }
 
@@ -382,5 +388,40 @@ func TestMem2RegLoopVariable(t *testing.T) {
 	phis := f.BlockByName("header").Phis()
 	if len(phis) != 1 {
 		t.Fatalf("header has %d phis, want 1\n%s", len(phis), ir.Print(m))
+	}
+}
+
+func TestMem2RegPrunesCopyLoop(t *testing.T) {
+	// x = 0; while (p) x = x; return x — the loop stores back what it
+	// loaded, so the header phi only merges itself with 0 and is pruned.
+	// Its operand from the body is the loaded value, which renaming has
+	// replaced by the phi: pruning must read operands through that.
+	m := ir.NewModule("t")
+	f := m.AddFunc(&ir.Func{Name: "f", Sig: ir.FuncOf(ir.I32, ir.I1),
+		Params: []*ir.Param{{Name: "p", Typ: ir.I1}}})
+	b := ir.NewBuilder(f)
+	x := b.Alloca(ir.I32, 1)
+	b.Store(ir.ConstInt(ir.I32, 0), x)
+	header := b.NewBlock("header")
+	body := b.NewBlock("body")
+	exit := b.NewBlock("exit")
+	b.Br(header)
+	b.SetBlock(header)
+	b.CondBr(f.Params[0], body, exit)
+	b.SetBlock(body)
+	b.Store(b.Load(x), x)
+	b.Br(header)
+	b.SetBlock(exit)
+	b.Ret(b.Load(x))
+
+	Mem2Reg(f)
+	if err := m.Verify(); err != nil {
+		t.Fatalf("Verify: %v\n%s", err, ir.Print(m))
+	}
+	if phis := header.Phis(); len(phis) != 0 {
+		t.Fatalf("header keeps %d phis, want 0\n%s", len(phis), ir.Print(m))
+	}
+	if c, ok := exit.Term().Args[0].(*ir.Const); !ok || c.Int != 0 {
+		t.Fatalf("returns %s, want 0\n%s", exit.Term().Args[0].Ident(), ir.Print(m))
 	}
 }

@@ -53,15 +53,21 @@ func Optimize(m *ir.Module, level OptLevel) {
 	}
 }
 
+// optimize runs the pipeline with one pooled scratch for the whole run.
 func optimize(m *ir.Module, inlineThreshold int) {
+	s := getScratch()
+	defer scratchPool.Put(s)
 	scalarRound := func() {
-		for _, f := range m.Defined() {
-			Mem2Reg(f)
+		for _, f := range m.Funcs {
+			if f.Decl {
+				continue
+			}
+			s.mem2reg(f)
 			for i := 0; i < 8; i++ {
 				c1 := ConstFold(f)
 				c2 := CondBrSameTarget(f)
-				c3 := SimplifyCFG(f)
-				c4 := DCE(f)
+				c3 := s.simplifyCFG(f)
+				c4 := s.dce(f)
 				if !c1 && !c2 && !c3 && !c4 {
 					break
 				}
