@@ -3,12 +3,12 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet perfbench-vet build test race router-test chaos fuzz bench bench-diff loc clean
+.PHONY: ci fmt-check vet perfbench-vet build test test-purego race router-test chaos fuzz bench bench-diff loc clean
 
 # bench-diff both gates regressions and emits the fresh numbers
 # (BENCH_diff.json), so ci does not need a second full benchmark run;
 # `make bench` is the deliberate act of rebaselining BENCH_serve.json.
-ci: fmt-check vet perfbench-vet build race router-test chaos fuzz bench-diff
+ci: fmt-check vet perfbench-vet build race test-purego router-test chaos fuzz bench-diff
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -35,6 +35,13 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The numeric packages again with the AVX2 assembly compiled out, so the
+# generic Go kernels that every non-amd64 host runs also pass the golden
+# artifacts (logits_v1.gob, encoder_v1.gob) bit for bit.
+test-purego:
+	$(GO) test -tags purego ./internal/tensor ./internal/autodiff ./internal/nn \
+		./internal/gnn ./internal/ir2vec ./internal/core
+
 # Router failover suite under the race detector: the ring/retry/hedge
 # unit tests plus the three-backend kill/restart integration test
 # (skipped under -short, so it only runs here and in `make ci`).
@@ -56,13 +63,17 @@ chaos:
 #   reference (digests key the store, so they must never move);
 # - FuzzOptimize: -O2 and -Os over any IR that parses and verifies (no
 #   panic, the result verifies and re-parses, the same input always
-#   prints the same output).
+#   prints the same output);
+# - FuzzVecKernels: each AVX2 assembly kernel against its generic Go
+#   twin, bit for bit, over odd lengths, misaligned slices, NaN payloads,
+#   infinities, signed zeros and subnormals (skipped without AVX2).
 # The corpus seeds plus whatever the fuzzer grows locally; a longer soak
 # is e.g. `go test -run '^$$' -fuzz FuzzOptimize -fuzztime 10m ./internal/passes/`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 15s ./internal/ir/
 	$(GO) test -run '^$$' -fuzz FuzzNormalizeIR -fuzztime 15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzOptimize -fuzztime 15s ./internal/passes/
+	$(GO) test -run '^$$' -fuzz FuzzVecKernels -fuzztime 15s ./internal/tensor/
 
 # One iteration of every benchmark — catches bit-rot in the bench harness
 # without paying for a full measurement run — and emits machine-readable

@@ -1,0 +1,241 @@
+package tensor
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// kernelPath is one kernel implementation a test can select.
+type kernelPath struct {
+	name string
+	avx2 bool
+}
+
+// kernelPaths lists the paths this host can run: the generic Go kernels
+// always, the AVX2 assembly when the CPU supports it.
+func kernelPaths() []kernelPath {
+	paths := []kernelPath{{"generic", false}}
+	if cpuHasAVX2() {
+		paths = append(paths, kernelPath{"avx2", true})
+	}
+	return paths
+}
+
+// withKernels runs f with the AVX2 kernels on or off, restoring the
+// selection afterwards.
+func withKernels(avx2 bool, f func()) {
+	old := useAVX2
+	useAVX2 = avx2
+	defer func() { useAVX2 = old }()
+	f()
+}
+
+// forEachKernelPath runs f as one subtest per kernel path.
+func forEachKernelPath(t *testing.T, f func(t *testing.T)) {
+	for _, p := range kernelPaths() {
+		t.Run(p.name, func(t *testing.T) { withKernels(p.avx2, func() { f(t) }) })
+	}
+}
+
+// kernelSpecials are values whose bits the assembly must reproduce: both
+// zeros (the zero-skip), both infinities (0·Inf and Inf−Inf make NaN),
+// NaNs of distinct signs and payloads (which operand's payload survives
+// depends on operand order), subnormals and the overflow edge.
+var kernelSpecials = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.NaN(),
+	math.Float64frombits(0xfff8_0000_dead_beef), // quiet, negative, payload
+	math.Float64frombits(0x7ff0_0000_0000_0bad), // signalling
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	math.Float64frombits(0x000f_ffff_ffff_ffff), // largest subnormal
+	math.MaxFloat64, -math.MaxFloat64, 1, -1,
+}
+
+// kernelInput draws the values of one fuzz case. The fuzzer sets the
+// bits of the first values directly through raw, eight bytes each; rng
+// draws the rest: a quarter specials, a quarter signed zeros, and the
+// rest normals scaled across the whole exponent range, so sums and
+// products overflow and underflow.
+type kernelInput struct {
+	raw []byte
+	rng *rand.Rand
+}
+
+func (in *kernelInput) next() float64 {
+	if len(in.raw) >= 8 {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(in.raw))
+		in.raw = in.raw[8:]
+		return v
+	}
+	switch in.rng.Intn(4) {
+	case 0:
+		return kernelSpecials[in.rng.Intn(len(kernelSpecials))]
+	case 1:
+		return math.Copysign(0, in.rng.NormFloat64())
+	default:
+		return math.Ldexp(in.rng.NormFloat64(), in.rng.Intn(1300)-650)
+	}
+}
+
+// slice returns n drawn values starting off elements into a fresh
+// backing array, so the kernels see sub-slices at every alignment.
+func (in *kernelInput) slice(n, off int) []float64 {
+	s := make([]float64, off+n)[off:]
+	for i := range s {
+		s[i] = in.next()
+	}
+	return s
+}
+
+// bothPaths runs op on two copies of dst (at the same alignment), one
+// under the generic kernels and one under AVX2, and fails unless the
+// copies end bit-identical. Under the race detector two NaNs count as
+// equal whatever their payloads (see raceBuild); every other bit must
+// still match.
+func bothPaths(t *testing.T, name string, dst []float64, off int, op func(dst []float64)) {
+	t.Helper()
+	want := append(make([]float64, off, off+len(dst)), dst...)[off:]
+	got := append(make([]float64, off, off+len(dst)), dst...)[off:]
+	withKernels(false, func() { op(want) })
+	withKernels(true, func() { op(got) })
+	for i := range want {
+		if raceBuild && math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+			continue
+		}
+		if g, w := math.Float64bits(got[i]), math.Float64bits(want[i]); g != w {
+			t.Fatalf("%s: element %d of %d: avx2 %v (%#x), generic %v (%#x)",
+				name, i, len(want), got[i], g, want[i], w)
+		}
+	}
+}
+
+// FuzzVecKernels checks each assembly kernel bit for bit against its
+// generic twin: axpy (also behind VecAddScaled), VecAdd, and the matmul
+// row kernel through MatMulInto. n%68 is the vector length and the
+// matmul's column count (16-column stripes, 4-column stripes and the
+// scalar tail), off%4 the misalignment of every slice, and 1+k%320 the
+// matmul's inner dimension, which crosses matmulBlockK. The matmul's
+// three a-rows are all zeros, dense and mixed.
+func FuzzVecKernels(f *testing.F) {
+	if !cpuHasAVX2() {
+		f.Skip("no AVX2 kernels on this host")
+	}
+	for n := 0; n < 68; n++ {
+		f.Add(int64(n), uint8(n), uint8(n%4), uint16(5*n), []byte(nil))
+	}
+	// Both operands of every multiply and add NaN, each with its own
+	// payload (five payloads cycle, so for these lengths no two operands
+	// of one operation share one): only the compiler's operand order
+	// reproduces the result.
+	var nans []byte
+	for _, bits := range []uint64{0x7ff8_0000_0000_0001, 0xfff8_0000_0000_0002, 0x7ff8_0000_0000_0003, 0x7ff0_0000_0000_0004, 0xfff0_0000_0000_0005} {
+		nans = binary.LittleEndian.AppendUint64(nans, bits)
+	}
+	for _, n := range []uint8{1, 4, 16} {
+		raw := nans
+		for len(raw) < 8*(1+3*int(n)) {
+			raw = append(raw, nans...)
+		}
+		f.Add(int64(n), n, uint8(0), uint16(3), raw)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n, off uint8, k uint16, raw []byte) {
+		in := &kernelInput{raw: raw, rng: rand.New(rand.NewSource(seed))}
+		cols, o := int(n)%68, int(off)%4
+
+		a := in.next()
+		x := in.slice(cols, o)
+		bothPaths(t, "axpy", in.slice(cols, o), o, func(y []float64) { axpy(a, x, y) })
+		bothPaths(t, "VecAdd", in.slice(cols, o), o, func(dst []float64) { VecAdd(dst, x) })
+		bothPaths(t, "VecAddScaled", in.slice(cols, o), o, func(dst []float64) { VecAddScaled(dst, a, x) })
+
+		const rows = 3
+		kdim := 1 + int(k)%(matmulBlockK+64)
+		am := FromSlice(rows, kdim, in.slice(rows*kdim, o))
+		for j, v := range am.Row(0) {
+			am.Row(0)[j] = math.Copysign(0, v)
+		}
+		for j, v := range am.Row(1) {
+			if v == 0 {
+				am.Row(1)[j] = 1
+			}
+		}
+		bm := FromSlice(kdim, cols, in.slice(kdim*cols, o))
+		bothPaths(t, "MatMulInto", in.slice(rows*cols, o), o, func(out []float64) {
+			MatMulInto(FromSlice(rows, cols, out), am, bm)
+		})
+	})
+}
+
+// TestKernelsRejectShortSlices pins that every wrapper checks its
+// lengths in Go before the kernel runs: a slice too short for the
+// operation panics on both paths instead of reaching the assembly.
+func TestKernelsRejectShortSlices(t *testing.T) {
+	forEachKernelPath(t, func(t *testing.T) {
+		long := make([]float64, 5)
+		short := make([]float64, 3)
+		shortRoomy := make([]float64, 3, 8) // long enough only by capacity
+		for _, c := range []struct {
+			name string
+			op   func()
+		}{
+			{"axpy", func() { axpy(1, short, long) }},
+			{"VecAdd", func() { VecAdd(short, long) }},
+			{"VecAdd/cap", func() { VecAdd(shortRoomy, long) }},
+			{"VecAddScaled", func() { VecAddScaled(short, 2, long) }},
+			{"VecAddScaled/cap", func() { VecAddScaled(shortRoomy, 2, long) }},
+			{"matmulRow/b", func() {
+				matmulRow(make([]float64, 4), []float64{1, 1}, make([]float64, 7), make([]int, 2), make([]float64, 2))
+			}},
+			{"matmulRow/scratch", func() {
+				matmulRow(make([]float64, 4), []float64{1, 1}, make([]float64, 8), make([]int, 1), make([]float64, 1))
+			}},
+			{"MatMulInto/b.Data", func() {
+				MatMulInto(New(2, 4), New(2, 3), &Mat{R: 3, C: 4, Data: make([]float64, 11)})
+			}},
+		} {
+			if !panics(c.op) {
+				t.Errorf("%s with a short slice did not panic", c.name)
+			}
+		}
+	})
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// BenchmarkKernels times each kernel path at serving shapes: MatMulInto
+// for the three GATv2 layers of gnn.Default() over a 512-node batch, and
+// VecAddScaled at ir2vec.Dim (256).
+func BenchmarkKernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	for _, p := range kernelPaths() {
+		b.Run(p.name, func(b *testing.B) {
+			for _, sh := range []struct{ m, k, n int }{{512, 16, 32}, {512, 32, 24}, {512, 24, 16}} {
+				x, w := Randn(rng, sh.m, sh.k, 1), Randn(rng, sh.k, sh.n, 1)
+				out := New(sh.m, sh.n)
+				b.Run(fmt.Sprintf("MatMulInto_%dx%dx%d", sh.m, sh.k, sh.n), func(b *testing.B) {
+					withKernels(p.avx2, func() {
+						for b.Loop() {
+							out.Zero()
+							MatMulInto(out, x, w)
+						}
+					})
+				})
+			}
+			dst, src := make([]float64, 256), Randn(rng, 1, 256, 1).Data
+			b.Run("VecAddScaled_256", func(b *testing.B) {
+				withKernels(p.avx2, func() {
+					for b.Loop() {
+						VecAddScaled(dst, 0.5, src)
+					}
+				})
+			})
+		})
+	}
+}

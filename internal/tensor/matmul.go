@@ -11,7 +11,10 @@
 // order from +0, with the same zero-skip tests, and parallel dispatch
 // partitions output rows so no element is touched by two goroutines.
 // Results are therefore bit-identical across serial, blocked and parallel
-// paths — training runs stay reproducible no matter the host.
+// paths — training runs stay reproducible no matter the host. The AVX2
+// kernels (kernels.go) keep that contract: one rounded multiply and one
+// rounded add per term, never FMA, with every VEX operand in the order the
+// compiler emits for the scalar loops (x·a, then product + accumulator).
 package tensor
 
 import (
@@ -33,10 +36,6 @@ const (
 // path on small shapes).
 var matmulWorkers = runtime.GOMAXPROCS(0)
 
-// axpy computes y[j] += a*x[j], 4-way unrolled. Every y element keeps its
-// single accumulator and one product, so the result is bit-identical to
-// the plain loop — elements are independent; only loop bookkeeping is
-// amortised.
 // dotSeq computes the dot product with ONE sequential accumulator (s
 // grows strictly in k order, exactly like the plain loop — multi-
 // accumulator unrolling would reorder the sum and change bits). Only the
@@ -55,20 +54,6 @@ func dotSeq(x, y []float64) float64 {
 		s += x[j] * y[j]
 	}
 	return s
-}
-
-func axpy(a float64, x, y []float64) {
-	x = x[:len(y)]
-	j := 0
-	for ; j+4 <= len(y); j += 4 {
-		y[j] += a * x[j]
-		y[j+1] += a * x[j+1]
-		y[j+2] += a * x[j+2]
-		y[j+3] += a * x[j+3]
-	}
-	for ; j < len(y); j++ {
-		y[j] += a * x[j]
-	}
 }
 
 // matmulSpan partitions rows into contiguous chunks of at least
@@ -142,20 +127,13 @@ func MatMulInto(out, a, b *Mat) {
 		// k-blocked i-k-j: each tile of b stays cache-resident while the
 		// a rows of this span stream past it. k still ascends per output
 		// element, so blocking does not reorder any accumulation.
+		var ks [matmulBlockK]int
+		var vs [matmulBlockK]float64
 		for k0 := 0; k0 < a.C; k0 += matmulBlockK {
-			k1 := k0 + matmulBlockK
-			if k1 > a.C {
-				k1 = a.C
-			}
+			k1 := min(k0+matmulBlockK, a.C)
+			bblk := b.Data[k0*b.C : k1*b.C]
 			for i := lo; i < hi; i++ {
-				arow := a.Row(i)[k0:k1]
-				orow := out.Row(i)
-				for kk, av := range arow {
-					if av == 0 {
-						continue
-					}
-					axpy(av, b.Row(k0+kk), orow)
-				}
+				matmulRow(out.Row(i), a.Row(i)[k0:k1], bblk, ks[:], vs[:])
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -82,16 +83,22 @@ func bitEqual(t *testing.T, name string, got, want *Mat) {
 		t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.R, got.C, want.R, want.C)
 	}
 	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("%s: element %d = %v, want %v (not bit-identical)", name, i, got.Data[i], want.Data[i])
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: element %d = %v (%#x), want %v (%#x) (not bit-identical)", name, i,
+				got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
 		}
 	}
 }
 
 // TestMatMulBitExact drives every kernel over shapes that hit the fast
 // column paths, the blocked path (k > matmulBlockK) and ragged tails, and
-// requires exact equality with the reference kernels.
+// requires exact equality with the reference kernels, on every kernel
+// path this host runs.
 func TestMatMulBitExact(t *testing.T) {
+	forEachKernelPath(t, testMatMulBitExact)
+}
+
+func testMatMulBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {3, 5, 4}, {7, 16, 1}, {1, 9, 8},
@@ -114,6 +121,10 @@ func TestMatMulBitExact(t *testing.T) {
 // worker cap) and checks the fan-out changes nothing — each output row is
 // owned by one goroutine, so results must stay bit-identical.
 func TestMatMulParallelBitExact(t *testing.T) {
+	forEachKernelPath(t, testMatMulParallelBitExact)
+}
+
+func testMatMulParallelBitExact(t *testing.T) {
 	old := matmulWorkers
 	matmulWorkers = 8
 	defer func() { matmulWorkers = old }()

@@ -2,6 +2,13 @@
 // autodiff engine and the neural layers. The kernels are written for cache
 // friendliness (row-major, k-loop hoisting) since the GNN training loop is
 // dominated by small dense matmuls.
+//
+// Every result is bit-identical on every host. On amd64 CPUs with AVX2
+// the axpy, vector-add and matmul row kernels run as assembly; elsewhere,
+// and under -tags purego, as plain Go. The assembly uses no FMA (each term
+// is one rounded multiply and one rounded add, as in Go) and orders each
+// VEX operand pair as the compiler does for the scalar loops, so even NaN
+// payloads match. See kernels.go.
 package tensor
 
 import (
@@ -101,18 +108,20 @@ func Equalish(a, b *Mat, tol float64) bool {
 // Vector helpers used by IR2Vec (plain []float64 embeddings).
 // ---------------------------------------------------------------------------
 
-// VecAdd accumulates src into dst.
+// VecAdd accumulates src into dst. It panics when dst is shorter than
+// src. dst must not partially overlap src.
 func VecAdd(dst, src []float64) {
-	for i := range src {
-		dst[i] += src[i]
+	dst = dst[:len(src):len(dst)]
+	if useAVX2 {
+		vecAddAVX2(dst, src)
+		return
 	}
+	vecAddGeneric(dst, src)
 }
 
-// VecAddScaled accumulates s*src into dst.
+// VecAddScaled accumulates s*src into dst, with VecAdd's length rules.
 func VecAddScaled(dst []float64, s float64, src []float64) {
-	for i := range src {
-		dst[i] += s * src[i]
-	}
+	axpy(s, src, dst[:len(src):len(dst)])
 }
 
 // VecScale multiplies v by s in place.
