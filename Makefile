@@ -3,12 +3,12 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet perfbench-vet build test test-purego race router-test chaos fuzz bench bench-diff loc clean
+.PHONY: ci fmt-check vet perfbench-vet build test test-purego test-procs race router-test chaos fuzz bench bench-diff loc clean
 
 # bench-diff both gates regressions and emits the fresh numbers
 # (BENCH_diff.json), so ci does not need a second full benchmark run;
 # `make bench` is the deliberate act of rebaselining BENCH_serve.json.
-ci: fmt-check vet perfbench-vet build race test-purego router-test chaos fuzz bench-diff
+ci: fmt-check vet perfbench-vet build race test-purego test-procs router-test chaos fuzz bench-diff
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -41,6 +41,15 @@ race:
 test-purego:
 	$(GO) test -tags purego ./internal/tensor ./internal/autodiff ./internal/nn \
 		./internal/gnn ./internal/ir2vec ./internal/core
+
+# The kernel bit tests, the GNN golden, the inference allocation ceiling
+# and the worker-count check under one and four procs: none of their
+# results may depend on the core count. -count 1 so each run really
+# executes under its own GOMAXPROCS instead of replaying a cached pass.
+PROCS_TESTS = BitExact|LogitsGolden|PredictBatchAllocs|WorkerCount
+test-procs:
+	GOMAXPROCS=1 $(GO) test -count 1 -run '$(PROCS_TESTS)' ./internal/tensor ./internal/gnn
+	GOMAXPROCS=4 $(GO) test -count 1 -run '$(PROCS_TESTS)' ./internal/tensor ./internal/gnn
 
 # Router failover suite under the race detector: the ring/retry/hedge
 # unit tests plus the three-backend kill/restart integration test

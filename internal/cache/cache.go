@@ -24,8 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"mpidetect/internal/par"
 )
 
 // Config sizes a cache; zero values take the documented defaults.
@@ -375,28 +373,6 @@ func (c *Cache[V]) GetOrCompute(key string, fn func() (V, error)) (V, error) {
 	v, err := fn()
 	c.Complete(f, v, err)
 	return v, err
-}
-
-// Prime warms the cache across cores (par.Map): compute(key) runs once
-// for every distinct key not already cached, and concurrent identical
-// keys coalesce like any other lookup. Returns the number of entries
-// actually computed and stored (hits and failed computes don't count).
-func (c *Cache[V]) Prime(keys []string, compute func(key string) (V, error)) int {
-	var stored atomic.Int64
-	par.Map(len(keys), func(i int) {
-		_, f, st := c.Join(keys[i])
-		switch st {
-		case Lead:
-			v, err := compute(keys[i])
-			c.Complete(f, v, err)
-			if err == nil {
-				stored.Add(1)
-			}
-		case Wait:
-			_, _ = f.Result()
-		}
-	})
-	return int(stored.Load())
 }
 
 // InvalidatePrefix removes every cached entry whose key starts with

@@ -183,29 +183,3 @@ func TestInvalidationDoomsInflight(t *testing.T) {
 		t.Fatal("invalidated in-flight value was stored")
 	}
 }
-
-func TestPrime(t *testing.T) {
-	c := New[int](Config{Capacity: 64})
-	c.Put("key-0", 0)
-	keys := make([]string, 8)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%d", i)
-	}
-	var execs atomic.Int32
-	stored := c.Prime(keys, func(key string) (int, error) {
-		execs.Add(1)
-		if key == "key-7" {
-			return 0, errors.New("nope")
-		}
-		return len(key), nil
-	})
-	if stored != 6 { // 8 keys - 1 pre-cached - 1 failed
-		t.Fatalf("Prime stored %d, want 6", stored)
-	}
-	if execs.Load() != 7 { // pre-cached key-0 must not recompute
-		t.Fatalf("Prime computed %d keys, want 7", execs.Load())
-	}
-	if _, ok := c.Get("key-3"); !ok {
-		t.Fatal("primed entry missing")
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"mpidetect/internal/dtree"
 	"mpidetect/internal/ir2vec"
 	"mpidetect/internal/metrics"
+	"mpidetect/internal/par"
 	"mpidetect/internal/passes"
 )
 
@@ -38,7 +39,7 @@ func EncodingAblation(e *Extractor, d *dataset.Dataset, p PipelineConfig) map[st
 		f := &Features{X: x, Codes: full.Codes}
 		folds := stratifiedFolds(f.Codes, p.folds(), 48)
 		confs := make([]metrics.Confusion, len(folds))
-		parallelFolds(len(folds), func(k int) {
+		par.Map(len(folds), func(k int) {
 			var train []int
 			for j, fold := range folds {
 				if j != k {
@@ -69,7 +70,7 @@ func DepthAblation(e *Extractor, d *dataset.Dataset, p PipelineConfig, depths []
 		folds := stratifiedFolds(f.Codes, p.folds(), 49)
 		confs := make([]metrics.Confusion, len(folds))
 		depth := depth
-		parallelFolds(len(folds), func(k int) {
+		par.Map(len(folds), func(k int) {
 			var train []int
 			for j, fold := range folds {
 				if j != k {

@@ -2,8 +2,6 @@ package eval
 
 import (
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"mpidetect/internal/dataset"
 	"mpidetect/internal/dtree"
@@ -12,6 +10,7 @@ import (
 	"mpidetect/internal/graphs"
 	"mpidetect/internal/ir2vec"
 	"mpidetect/internal/metrics"
+	"mpidetect/internal/par"
 	"mpidetect/internal/passes"
 )
 
@@ -169,7 +168,7 @@ func IR2VecIntra(e *Extractor, d *dataset.Dataset, p PipelineConfig) metrics.Con
 	y := binaryLabels(f.Codes)
 	folds := stratifiedFolds(f.Codes, p.folds(), 42)
 	confs := make([]metrics.Confusion, len(folds))
-	parallelFolds(len(folds), func(k int) {
+	par.Map(len(folds), func(k int) {
 		var train []int
 		for j, fold := range folds {
 			if j != k {
@@ -216,30 +215,6 @@ func IR2VecCross(e *Extractor, train, val *dataset.Dataset, p PipelineConfig) me
 func IR2VecMix(e *Extractor, mbi, corr *dataset.Dataset, p PipelineConfig) metrics.Confusion {
 	mix := dataset.Merge("Mix", mbi, corr)
 	return IR2VecIntra(e, mix, p)
-}
-
-// parallelFolds runs fn(k) for each fold concurrently.
-func parallelFolds(k int, fn func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > k {
-		workers = k
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < k; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import (
 	"mpidetect/internal/dtree"
 	"mpidetect/internal/ir2vec"
 	"mpidetect/internal/metrics"
+	"mpidetect/internal/par"
 )
 
 // PerLabelAccuracy trains the DT to predict the error label itself
@@ -30,7 +31,7 @@ func PerLabelAccuracy(e *Extractor, d *dataset.Dataset, p PipelineConfig) map[da
 	folds := stratifiedFolds(f.Codes, p.folds(), 44)
 	type foldRes struct{ correct, total map[dataset.Label]int }
 	results := make([]foldRes, len(folds))
-	parallelFolds(len(folds), func(k int) {
+	par.Map(len(folds), func(k int) {
 		res := foldRes{correct: map[dataset.Label]int{}, total: map[dataset.Label]int{}}
 		var trainIdx []int
 		for j, fold := range folds {
@@ -89,7 +90,7 @@ func Ablation(e *Extractor, d *dataset.Dataset, p PipelineConfig, excluded []dat
 	total := map[dataset.Label]int{}
 	type foldRes struct{ caught, total map[dataset.Label]int }
 	results := make([]foldRes, len(folds))
-	parallelFolds(len(folds), func(k int) {
+	par.Map(len(folds), func(k int) {
 		res := foldRes{caught: map[dataset.Label]int{}, total: map[dataset.Label]int{}}
 		var trainIdx []int
 		for j, fold := range folds {
@@ -154,7 +155,7 @@ func SeedStudy(e *Extractor, d *dataset.Dataset, p PipelineConfig, newSeed int64
 	y := binaryLabels(fOld.Codes)
 	folds := stratifiedFolds(fOld.Codes, p.folds(), 46)
 	confs := make([]metrics.Confusion, len(folds))
-	parallelFolds(len(folds), func(k int) {
+	par.Map(len(folds), func(k int) {
 		var trainIdx []int
 		for j, fold := range folds {
 			if j != k {

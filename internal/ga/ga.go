@@ -8,9 +8,9 @@ package ga
 
 import (
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
+
+	"mpidetect/internal/par"
 )
 
 // Config holds the GA hyper-parameters; Default matches the paper.
@@ -22,7 +22,6 @@ type Config struct {
 	GenomeSize     int // coordinates per individual
 	NumFeatures    int // total feature dimensionality
 	Seed           int64
-	Workers        int
 	Elitism        bool
 }
 
@@ -36,7 +35,6 @@ func Default(numFeatures int) Config {
 		GenomeSize:     5,
 		NumFeatures:    numFeatures,
 		Seed:           1,
-		Workers:        runtime.GOMAXPROCS(0),
 		Elitism:        true,
 	}
 }
@@ -68,14 +66,11 @@ type Result struct {
 // Run executes the genetic search.
 func Run(cfg Config, fitness Fitness) *Result {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
 	pop := make([]*individual, cfg.PopulationSize)
 	for i := range pop {
 		pop[i] = &individual{genes: randomGenome(rng, cfg)}
 	}
-	evaluate(pop, fitness, cfg.Workers)
+	evaluate(pop, fitness)
 	sortPop(pop)
 	res := &Result{}
 	for gen := 0; gen < cfg.Generations; gen++ {
@@ -102,7 +97,7 @@ func Run(cfg Config, fitness Fitness) *Result {
 			}
 		}
 		pop = next
-		evaluate(pop, fitness, cfg.Workers)
+		evaluate(pop, fitness)
 		sortPop(pop)
 		res.History = append(res.History, pop[0].fit)
 	}
@@ -125,20 +120,14 @@ func randomGenome(rng *rand.Rand, cfg Config) []int {
 	return genes
 }
 
-func evaluate(pop []*individual, fitness Fitness, workers int) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(pop); i += workers {
-				if pop[i].fit == 0 {
-					pop[i].fit = fitness(pop[i].genes)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+// evaluate scores every individual not yet scored, across cores. Each
+// score depends only on its own genes, so the order does not matter.
+func evaluate(pop []*individual, fitness Fitness) {
+	par.Map(len(pop), func(i int) {
+		if pop[i].fit == 0 {
+			pop[i].fit = fitness(pop[i].genes)
+		}
+	})
 }
 
 func sortPop(pop []*individual) {

@@ -18,6 +18,7 @@ import (
 	"mpidetect/internal/autodiff"
 	"mpidetect/internal/graphs"
 	"mpidetect/internal/nn"
+	"mpidetect/internal/par"
 	"mpidetect/internal/tensor"
 )
 
@@ -33,7 +34,10 @@ type Config struct {
 	Epochs    int
 	BatchSize int
 	Seed      int64
-	Workers   int
+	// Workers is how many gradient buffers Train splits each batch
+	// across (run through par.Map). It groups the gradient sum, so the
+	// trained weights' bits depend on it.
+	Workers int
 }
 
 // Default returns the throughput-oriented configuration.
@@ -544,24 +548,14 @@ func (m *Model) Train(samples []Sample) {
 				end = len(order)
 			}
 			batch := order[start:end]
-			if workers == 1 {
-				// Single-worker hosts skip the goroutine fan-out entirely.
-				for bi := range batch {
-					trainOne(0, bi, batch)
+			// Worker w takes samples bi ≡ w (mod workers) into its own
+			// buffer; the buffers are reduced in worker order below, so
+			// the sum does not depend on which goroutine ran which worker.
+			par.Map(workers, func(w int) {
+				for bi := w; bi < len(batch); bi += workers {
+					trainOne(w, bi, batch)
 				}
-			} else {
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for bi := w; bi < len(batch); bi += workers {
-							trainOne(w, bi, batch)
-						}
-					}(w)
-				}
-				wg.Wait()
-			}
+			})
 			for _, gb := range bufs {
 				m.ps.ReduceInto(gb)
 				gb.Zero()

@@ -88,7 +88,7 @@ func (rt *Runtime) doSend(p *proc, op mpi.Op, args []RV) (RV, error) {
 	msg := rt.ar.newMessage()
 	*msg = message{src: p.rank, dst: dst, tag: tag, comm: comm, dtype: dt,
 		count: count, data: bytes}
-	msg.synchronous = op == mpi.OpSsend || op == mpi.OpRsend || len(bytes) > rt.cfg.EagerLimit
+	msg.synchronous = op == mpi.OpSsend || op == mpi.OpRsend || len(bytes) > eagerLimit
 	rt.postSend(msg)
 	if msg.synchronous {
 		if err := rt.block(p, op, func() bool { return msg.matched }); err != nil {
@@ -198,7 +198,7 @@ func (rt *Runtime) activateRequest(p *proc, r *request) {
 	msg := rt.ar.newMessage()
 	*msg = message{src: p.rank, dst: peer, tag: tag, comm: comm, dtype: dt,
 		count: count, data: bytes, sendReq: r}
-	msg.synchronous = r.op == mpi.OpIssend || len(bytes) > rt.cfg.EagerLimit
+	msg.synchronous = r.op == mpi.OpIssend || len(bytes) > eagerLimit
 	r.msg = msg
 	rt.postSend(msg)
 	if buf != nil {

@@ -12,11 +12,15 @@ import (
 	"mpidetect/internal/mpi"
 )
 
+// eagerLimit is the standard-send eager threshold in bytes. A larger
+// standard-mode send is synchronous: it completes only once the matching
+// receive is posted, like a real MPI's rendezvous protocol.
+const eagerLimit = 64
+
 // Config parameterises a simulated run.
 type Config struct {
-	Ranks      int   // number of MPI processes (default 2)
-	MaxSteps   int64 // per-rank interpreter step budget (default 200k)
-	EagerLimit int   // standard-send eager threshold in bytes (default 64)
+	Ranks    int   // number of MPI processes (default 2)
+	MaxSteps int64 // per-rank interpreter step budget (default 200k)
 
 	// WallBudget caps the wall-clock time of the whole run; 0 means no
 	// cap. A tripped budget surfaces as Result.Timeout, exactly like the
@@ -31,9 +35,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = 200_000
-	}
-	if c.EagerLimit <= 0 {
-		c.EagerLimit = 64
 	}
 	return c
 }

@@ -1,7 +1,9 @@
-// Package par holds the repo's one shared worker-pool primitive. It was
-// extracted from internal/eval so every subsystem that fans indexed work
-// across cores (feature extraction, cache warm-up, error localisation)
-// uses the same strided loop instead of re-rolling goroutine scaffolding.
+// Package par holds the repo's one shared worker-pool primitive. Every
+// numeric, training and evaluation fan-out (feature extraction,
+// cross-validation folds, GA fitness, GNN training workers, static-tool
+// evaluation, error localisation) uses this strided loop instead of
+// re-rolling goroutine scaffolding. The tensor kernels below it are
+// serial; only the serving tiers' own pools run above it.
 package par
 
 import (

@@ -144,8 +144,19 @@ func TestRouterKillRestartWarmFailover(t *testing.T) {
 
 	// Phase 2: hard-kill one backend and immediately keep serving. The
 	// first post-kill rounds hit dead sockets; retries must absorb every
-	// one of them — zero failed requests is the criterion.
-	victim := backends[1]
+	// one of them — zero failed requests is the criterion. The victim is
+	// the backend that computed the largest slice in phase 1: ring
+	// ownership follows the ephemeral ports, and a fixed pick can own no
+	// program of an 18-program corpus, leaving nothing to fail over.
+	victim := backends[0]
+	for _, b := range backends[1:] {
+		if b.eng.Stats().Engine.PipelineExecs > victim.eng.Stats().Engine.PipelineExecs {
+			victim = b
+		}
+	}
+	if victim.eng.Stats().Engine.PipelineExecs == 0 {
+		t.Fatal("no backend computed any program in the full-fleet phase")
+	}
 	victim.kill()
 	for round := 0; round < 4; round++ {
 		workload(fmt.Sprintf("post-kill-%d", round))

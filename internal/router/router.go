@@ -96,14 +96,6 @@ type Config struct {
 	// adapts it to the observed latency EWMA + 3 deviations; negative
 	// disables hedging.
 	HedgeAfter time.Duration
-
-	// Bus receives router events (router.ejected, router.readmitted).
-	// Nil creates a private bus.
-	Bus *events.Bus
-
-	// Client overrides the proxy HTTP client (tests); nil builds one
-	// with keep-alive pooling per backend.
-	Client *http.Client
 }
 
 func (c Config) withDefaults() Config {
@@ -127,16 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 10 * time.Millisecond
-	}
-	if c.Bus == nil {
-		c.Bus = events.NewBus()
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        64,
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     90 * time.Second,
-		}}
 	}
 	return c
 }
@@ -204,9 +186,15 @@ func New(cfg Config) (*Router, error) {
 		return nil, errors.New("router: at least one backend is required")
 	}
 	rt := &Router{
-		cfg:      cfg,
-		bus:      cfg.Bus,
-		client:   cfg.Client,
+		cfg: cfg,
+		bus: events.NewBus(),
+		// One keep-alive pooled client for every proxied request and
+		// health probe.
+		client: &http.Client{Transport: &http.Transport{
+			MaxIdleConns:        64,
+			MaxIdleConnsPerHost: 16,
+			IdleConnTimeout:     90 * time.Second,
+		}},
 		backends: make(map[string]*backend, len(cfg.Backends)),
 		stop:     make(chan struct{}),
 	}

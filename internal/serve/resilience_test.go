@@ -221,10 +221,10 @@ func TestAdmissionControlShedsDoomedRequests(t *testing.T) {
 	eng := NewEngine(reg, Config{Workers: 1})
 	irText := pingpongIR(t)
 
-	// Back the queue up: the single worker drains at most PredictBatch
+	// Back the queue up: the single worker drains at most predictBatch
 	// jobs and parks on the gate, so the two programs beyond that queue
 	// behind it whatever the drain caught.
-	progs := make([]Program, eng.cfg.PredictBatch+2)
+	progs := make([]Program, predictBatch+2)
 	for i := range progs {
 		progs[i] = Program{IR: irText}
 	}

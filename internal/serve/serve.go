@@ -167,18 +167,22 @@ func (r *Registry) Names() []string {
 // Engine.
 // ---------------------------------------------------------------------------
 
+const (
+	// predictBatch caps how many queued programs one worker turn drains
+	// into a single fused forward pass. Workers never wait to fill a
+	// batch: an idle queue means singleton batches, a backed-up queue
+	// means full ones, so batching costs no latency when the server is
+	// idle and buys throughput exactly when it is loaded.
+	predictBatch = 8
+	// jobMaxRetained caps the finished async jobs kept pollable.
+	jobMaxRetained = 256
+)
+
 // Config sizes the engine; zero values take the documented defaults.
 type Config struct {
 	Workers  int           // classification goroutines (default GOMAXPROCS)
 	MaxBatch int           // max programs per request (default 64)
 	Timeout  time.Duration // per-request budget (default 30s)
-
-	// PredictBatch caps how many queued programs one worker turn drains
-	// into a single fused forward pass (default 8). Workers never wait to
-	// fill a batch: an idle queue means singleton batches, a backed-up
-	// queue means full ones, so batching costs no latency when the server
-	// is idle and buys throughput exactly when it is loaded.
-	PredictBatch int
 
 	// CacheSize is the verdict-cache capacity in entries; 0 disables the
 	// cache (every program pays the full pipeline, no coalescing).
@@ -214,17 +218,11 @@ type Config struct {
 	// JobWorkers is the async-job worker count (default 2); JobQueueDepth
 	// bounds the accepted-but-not-running jobs (default 16; a full queue
 	// is backpressure, surfaced as 429 by the transport). JobTimeout
-	// bounds one job's run (default 5m); JobMaxRetained caps finished
-	// jobs kept pollable (default 256).
-	JobWorkers     int
-	JobQueueDepth  int
-	JobTimeout     time.Duration
-	JobMaxRetained int
-
-	// Bus receives the engine's events (verdict completions, cache
-	// invalidations, model reloads, job transitions). Nil creates a
-	// private bus; inject one to share it across components.
-	Bus *events.Bus
+	// bounds one job's run (default 5m). The last jobMaxRetained finished
+	// jobs stay pollable.
+	JobWorkers    int
+	JobQueueDepth int
+	JobTimeout    time.Duration
 
 	// Store is the durable verdict tier: an opened segment store mounted
 	// under the classify and tool caches as write-behind backing. Nil
@@ -254,9 +252,6 @@ func (c Config) withDefaults() Config {
 	if c.Timeout <= 0 {
 		c.Timeout = 30 * time.Second
 	}
-	if c.PredictBatch <= 0 {
-		c.PredictBatch = 8
-	}
 	if c.SimWorkers <= 0 {
 		c.SimWorkers = 2
 	}
@@ -280,12 +275,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 5 * time.Minute
-	}
-	if c.JobMaxRetained <= 0 {
-		c.JobMaxRetained = 256
-	}
-	if c.Bus == nil {
-		c.Bus = events.NewBus()
 	}
 	if c.BreakerFailures <= 0 {
 		c.BreakerFailures = 5
@@ -413,8 +402,7 @@ type Engine struct {
 // model's entries. Every model reload, cache sweep and async-job
 // transition is also published on the engine's event bus.
 func NewEngine(reg *Registry, cfg Config) *Engine {
-	e := &Engine{cfg: cfg.withDefaults(), reg: reg}
-	e.bus = e.cfg.Bus
+	e := &Engine{cfg: cfg.withDefaults(), reg: reg, bus: events.NewBus()}
 	e.breakers = map[string]*resilience.Breaker{}
 	// tierOpts threads the breaker sizing into each write-behind tier and
 	// surfaces its degraded-mode changes on the bus.
@@ -482,7 +470,7 @@ func NewEngine(reg *Registry, cfg Config) *Engine {
 	e.jobMgr = jobs.New[VerdictEvent](jobs.Config{
 		Workers:     e.cfg.JobWorkers,
 		QueueDepth:  e.cfg.JobQueueDepth,
-		MaxRetained: e.cfg.JobMaxRetained,
+		MaxRetained: jobMaxRetained,
 		Timeout:     e.cfg.JobTimeout,
 		OnTransition: func(s jobs.Snapshot) {
 			e.bus.Publish(events.JobUpdated, s)
@@ -548,17 +536,17 @@ func (e *Engine) finish(j job, res Result, err error) {
 
 // worker is one pool goroutine. Each turn takes a blocking receive,
 // then greedily drains whatever else is already queued — up to
-// cfg.PredictBatch jobs, never waiting — and classifies the drained
+// predictBatch jobs, never waiting — and classifies the drained
 // batch through one fused forward pass. An idle queue therefore costs
 // nothing (a batch of one), while a backed-up queue amortises the
 // per-prediction model overhead across the whole drain.
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	batch := make([]job, 0, e.cfg.PredictBatch)
+	batch := make([]job, 0, predictBatch)
 	for j := range e.jobs {
 		batch = e.appendLive(batch[:0], j)
 	drain:
-		for len(batch) < e.cfg.PredictBatch {
+		for len(batch) < predictBatch {
 			select {
 			case j2, ok := <-e.jobs:
 				if !ok {
@@ -663,10 +651,10 @@ func (e *Engine) observeParse(d time.Duration) {
 }
 
 // noteBatchFill buckets one drained batch's size into the fill
-// histogram ("full" means the configured PredictBatch, whatever it is).
+// histogram ("full" means predictBatch).
 func (e *Engine) noteBatchFill(n int) {
 	switch {
-	case n >= e.cfg.PredictBatch:
+	case n >= predictBatch:
 		e.batchFillFull.Add(1)
 	case n <= 1:
 		e.batchFill1.Add(1)
@@ -920,7 +908,7 @@ type EngineStats struct {
 // optimise → predict pipeline is actually behaving. AvgParseNanos is an
 // EWMA of front-door ir.Parse wall time. The BatchFill counters
 // histogram the sizes of worker-drained batches (1 / 2–4 / 5–8 / full,
-// where full is the configured PredictBatch) — all-singleton fills mean
+// where full is predictBatch) — all-singleton fills mean
 // the queue never backs up and batching is idle, full fills mean the
 // fused pass is carrying the load. BatchedPredictions counts programs
 // classified through a fused CheckModules pass of two or more;
@@ -991,7 +979,7 @@ func (e *Engine) Stats() StatsSnapshot {
 			MaxBatch:      e.cfg.MaxBatch,
 		},
 		Pipeline: PipelineStats{
-			PredictBatch:         e.cfg.PredictBatch,
+			PredictBatch:         predictBatch,
 			AvgParseNanos:        e.avgParseNanos.Load(),
 			BatchFill1:           e.batchFill1.Load(),
 			BatchFill2to4:        e.batchFill2to4.Load(),

@@ -75,7 +75,7 @@ func TestWorkerDrainFusedBitForBit(t *testing.T) {
 	js, out = mkJobs(t, det, progs[:1])
 	eng.runDrained(js)
 	<-out
-	full, _ := corpusIR(t, eng.cfg.PredictBatch)
+	full, _ := corpusIR(t, predictBatch)
 	js, out = mkJobs(t, det, full)
 	eng.runDrained(js)
 	for range full {

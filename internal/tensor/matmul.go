@@ -3,38 +3,27 @@
 // a@bᵀ. Each has an Into variant writing a caller-provided output (the
 // tape arena's reuse path), a column-vector fast path (the GATv2 attention
 // score and its backward are E×1 shapes where generic row indexing costs
-// more than the arithmetic), k-blocked tiling for panels that overflow
-// cache, and a row-parallel dispatch above a flop cutover.
+// more than the arithmetic), and k-blocked tiling for panels that overflow
+// cache. The kernels are serial: callers that want more cores run whole
+// programs or samples side by side (the serve workers, par.Map).
 //
-// Every variant preserves the serial kernels' exact floating-point
+// Every variant preserves the reference kernels' exact floating-point
 // behaviour: each output element accumulates its k-terms in ascending
-// order from +0, with the same zero-skip tests, and parallel dispatch
-// partitions output rows so no element is touched by two goroutines.
-// Results are therefore bit-identical across serial, blocked and parallel
-// paths — training runs stay reproducible no matter the host. The AVX2
-// kernels (kernels.go) keep that contract: one rounded multiply and one
-// rounded add per term, never FMA, with every VEX operand in the order the
-// compiler emits for the scalar loops (x·a, then product + accumulator).
+// order from +0, with the same zero-skip tests, so blocking changes no
+// bit. The AVX2 kernels (kernels.go) keep that contract: one rounded
+// multiply and one rounded add per term, never FMA, with every VEX operand
+// in the order the compiler emits for the scalar loops (x·a, then
+// product + accumulator). A matmul therefore gives the same bits on every
+// host and kernel path. Training is reproducible for a fixed
+// gnn.Config.Workers, which decides how per-sample gradients are grouped
+// before they are summed; a different worker count regroups that sum.
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
-const (
-	// matmulBlockK is the k-tile: one tile of b (matmulBlockK rows) stays
-	// resident in cache while a streams past it.
-	matmulBlockK = 256
-	// matmulParallelFlops is the minimum multiply-accumulate count per
-	// goroutine; below ~64k flops the fan-out overhead beats the win.
-	matmulParallelFlops = 1 << 16
-)
-
-// matmulWorkers caps the fan-out (tests override it to force the parallel
-// path on small shapes).
-var matmulWorkers = runtime.GOMAXPROCS(0)
+// matmulBlockK is the k-tile: one tile of b (matmulBlockK rows) stays
+// resident in cache while a streams past it.
+const matmulBlockK = 256
 
 // dotSeq computes the dot product with ONE sequential accumulator (s
 // grows strictly in k order, exactly like the plain loop — multi-
@@ -56,40 +45,6 @@ func dotSeq(x, y []float64) float64 {
 	return s
 }
 
-// matmulSpan partitions rows into contiguous chunks of at least
-// minRowsPer and runs body(lo, hi) for each, in parallel when more than
-// one chunk results. Each output row belongs to exactly one chunk, so
-// per-element accumulation order is unchanged.
-func matmulSpan(rows int, flopsPerRow int, body func(lo, hi int)) {
-	workers := matmulWorkers
-	if flopsPerRow > 0 {
-		if byFlops := rows * flopsPerRow / matmulParallelFlops; byFlops < workers {
-			workers = byFlops
-		}
-	}
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 {
-		body(0, rows)
-		return
-	}
-	chunk := (rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // MatMul computes a @ b into a new matrix.
 func MatMul(a, b *Mat) *Mat {
 	out := New(a.R, b.C)
@@ -108,35 +63,31 @@ func MatMulInto(out, a, b *Mat) {
 	if b.C == 1 {
 		// Column-vector product: a dot per output row, b.Data contiguous.
 		bcol := b.Data
-		matmulSpan(a.R, a.C, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				arow := a.Row(i)
-				s := 0.0
-				for k, av := range arow {
-					if av == 0 {
-						continue
-					}
-					s += av * bcol[k]
+		for i := 0; i < a.R; i++ {
+			arow := a.Row(i)
+			s := 0.0
+			for k, av := range arow {
+				if av == 0 {
+					continue
 				}
-				out.Data[i] = s
+				s += av * bcol[k]
 			}
-		})
+			out.Data[i] = s
+		}
 		return
 	}
-	matmulSpan(a.R, 2*a.C*b.C, func(lo, hi int) {
-		// k-blocked i-k-j: each tile of b stays cache-resident while the
-		// a rows of this span stream past it. k still ascends per output
-		// element, so blocking does not reorder any accumulation.
-		var ks [matmulBlockK]int
-		var vs [matmulBlockK]float64
-		for k0 := 0; k0 < a.C; k0 += matmulBlockK {
-			k1 := min(k0+matmulBlockK, a.C)
-			bblk := b.Data[k0*b.C : k1*b.C]
-			for i := lo; i < hi; i++ {
-				matmulRow(out.Row(i), a.Row(i)[k0:k1], bblk, ks[:], vs[:])
-			}
+	// k-blocked i-k-j: each tile of b stays cache-resident while the a
+	// rows stream past it. k still ascends per output element, so
+	// blocking does not reorder any accumulation.
+	var ks [matmulBlockK]int
+	var vs [matmulBlockK]float64
+	for k0 := 0; k0 < a.C; k0 += matmulBlockK {
+		k1 := min(k0+matmulBlockK, a.C)
+		bblk := b.Data[k0*b.C : k1*b.C]
+		for i := 0; i < a.R; i++ {
+			matmulRow(out.Row(i), a.Row(i)[k0:k1], bblk, ks[:], vs[:])
 		}
-	})
+	}
 }
 
 // MatMulATB computes aᵀ @ b (used by backward passes without
@@ -160,39 +111,31 @@ func MatMulATBInto(out, a, b *Mat) {
 	if b.C == 1 {
 		// Columns of a against one b column: out is a.C×1.
 		bcol := b.Data
-		matmulSpan(a.C, a.R, func(lo, hi int) {
-			for k := 0; k < a.R; k++ {
-				arow := a.Row(k)
-				bv := bcol[k]
-				for i := lo; i < hi; i++ {
-					av := arow[i]
-					if av == 0 {
-						continue
-					}
-					out.Data[i] += av * bv
-				}
-			}
-		})
-		return
-	}
-	matmulSpan(a.C, 2*a.R*b.C, func(lo, hi int) {
 		for k := 0; k < a.R; k++ {
-			brow := b.Row(k)
-			if allZero(brow) {
-				// ±0-only contributions; skipping is bit-neutral (see
-				// allZero) and backward passes hit many zero grad rows.
-				continue
-			}
-			arow := a.Row(k)
-			for i := lo; i < hi; i++ {
-				av := arow[i]
+			bv := bcol[k]
+			for i, av := range a.Row(k) {
 				if av == 0 {
 					continue
 				}
-				axpy(av, brow, out.Row(i)[:len(brow)])
+				out.Data[i] += av * bv
 			}
 		}
-	})
+		return
+	}
+	for k := 0; k < a.R; k++ {
+		brow := b.Row(k)
+		if allZero(brow) {
+			// ±0-only contributions; skipping is bit-neutral (see
+			// allZero) and backward passes hit many zero grad rows.
+			continue
+		}
+		for i, av := range a.Row(k) {
+			if av == 0 {
+				continue
+			}
+			axpy(av, brow, out.Row(i)[:len(brow)])
+		}
+	}
 }
 
 // MatMulABT computes a @ bᵀ.
@@ -217,48 +160,43 @@ func MatMulABTAddInto(out, a, b *Mat) {
 	if a.C == 1 {
 		// Outer product of two columns; keep the explicit +0 start so a
 		// -0 product lands as +0, matching the generic dot loop.
-		acol, bcol := a.Data, b.Data
-		matmulSpan(a.R, b.R, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				av := acol[i]
-				orow := out.Row(i)
-				for j, bv := range bcol {
-					s := 0.0
-					s += av * bv
-					orow[j] += s
-				}
+		bcol := b.Data
+		for i, av := range a.Data[:a.R] {
+			orow := out.Row(i)
+			for j, bv := range bcol {
+				s := 0.0
+				s += av * bv
+				orow[j] += s
 			}
-		})
+		}
 		return
 	}
-	matmulSpan(a.R, 2*a.C*b.R, func(lo, hi int) {
-		// Hoist b's row slices out of the (i, j) loop: the backward pass
-		// calls this kernel with small b (a weight matrix), so the row
-		// slicing would otherwise dominate the short dots.
-		var browStack [64][]float64
-		var brows [][]float64
-		if b.R <= len(browStack) {
-			brows = browStack[:b.R]
-		} else {
-			brows = make([][]float64, b.R)
+	// Hoist b's row slices out of the (i, j) loop: the backward pass
+	// calls this kernel with small b (a weight matrix), so the row
+	// slicing would otherwise dominate the short dots.
+	var browStack [64][]float64
+	var brows [][]float64
+	if b.R <= len(browStack) {
+		brows = browStack[:b.R]
+	} else {
+		brows = make([][]float64, b.R)
+	}
+	for j := range brows {
+		brows[j] = b.Row(j)
+	}
+	for i := 0; i < a.R; i++ {
+		arow := a.Row(i)
+		if allZero(arow) {
+			// A zero row contributes dots that are exactly +0 (every
+			// product is ±0, summed from +0), and adding +0 never
+			// changes an accumulator — skipping is bit-neutral.
+			continue
 		}
-		for j := range brows {
-			brows[j] = b.Row(j)
+		orow := out.Row(i)[:b.R]
+		for j := range orow {
+			orow[j] += dotSeq(arow, brows[j])
 		}
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			if allZero(arow) {
-				// A zero row contributes dots that are exactly +0 (every
-				// product is ±0, summed from +0), and adding +0 never
-				// changes an accumulator — skipping is bit-neutral.
-				continue
-			}
-			orow := out.Row(i)[:b.R]
-			for j := range orow {
-				orow[j] += dotSeq(arow, brows[j])
-			}
-		}
-	})
+	}
 }
 
 // allZero reports whether every element of v is zero (either sign). Used

@@ -3,12 +3,13 @@ package tensor
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
+
+	"mpidetect/internal/par"
 )
 
 // refMatMul is the pre-blocking serial kernel, kept verbatim as the
-// bit-exactness reference: every dispatch path (fast, blocked, parallel)
+// bit-exactness reference: every dispatch path (column-vector, blocked)
 // must reproduce it exactly, not approximately.
 func refMatMul(a, b *Mat) *Mat {
 	out := New(a.R, b.C)
@@ -103,6 +104,10 @@ func testMatMulBitExact(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {3, 5, 4}, {7, 16, 1}, {1, 9, 8},
 		{65, matmulBlockK + 37, 31}, {16, 3, 300}, {300, 5, 2},
+		// Larger panels, and the column-vector paths at 200, 300 and
+		// 150 rows: MatMul and MatMulATB against a 300×1 b, MatMulABT
+		// as the outer product of a 200×1 and a 150×1 column.
+		{200, 300, 150}, {200, 300, 1}, {200, 1, 150},
 	}
 	for _, sh := range shapes {
 		a := sparseRandn(rng, sh.m, sh.k)
@@ -117,32 +122,44 @@ func testMatMulBitExact(t *testing.T) {
 	}
 }
 
-// TestMatMulParallelBitExact forces the parallel dispatch (overriding the
-// worker cap) and checks the fan-out changes nothing — each output row is
-// owned by one goroutine, so results must stay bit-identical.
+// TestMatMulParallelBitExact runs the serial kernels from concurrent
+// callers, the way par.Map workers and the serve pool use them, on the
+// larger panels and column-vector shapes: every call owns its output and
+// shares no kernel state, so each concurrent result must stay
+// bit-identical to the serial reference.
 func TestMatMulParallelBitExact(t *testing.T) {
 	forEachKernelPath(t, testMatMulParallelBitExact)
 }
 
 func testMatMulParallelBitExact(t *testing.T) {
-	old := matmulWorkers
-	matmulWorkers = 8
-	defer func() { matmulWorkers = old }()
 	rng := rand.New(rand.NewSource(23))
 	a := sparseRandn(rng, 200, 300)
 	b := sparseRandn(rng, 300, 150)
-	bitEqual(t, "MatMul", MatMul(a, b), refMatMul(a, b))
 	at := sparseRandn(rng, 300, 200)
-	bitEqual(t, "MatMulATB", MatMulATB(at, b), refMatMulATB(at, b))
 	bt := sparseRandn(rng, 150, 300)
-	bitEqual(t, "MatMulABT", MatMulABT(a, bt), refMatMulABT(a, bt))
-	// Column-vector fast paths under parallel dispatch.
 	col := sparseRandn(rng, 300, 1)
-	bitEqual(t, "MatMul(col)", MatMul(a, col), refMatMul(a, col))
-	bitEqual(t, "MatMulATB(col)", MatMulATB(at, col), refMatMulATB(at, col))
 	acol := sparseRandn(rng, 200, 1)
 	bcol := sparseRandn(rng, 150, 1)
-	bitEqual(t, "MatMulABT(col)", MatMulABT(acol, bcol), refMatMulABT(acol, bcol))
+	cases := []struct {
+		name      string
+		got, want func() *Mat
+	}{
+		{"MatMul", func() *Mat { return MatMul(a, b) }, func() *Mat { return refMatMul(a, b) }},
+		{"MatMulATB", func() *Mat { return MatMulATB(at, b) }, func() *Mat { return refMatMulATB(at, b) }},
+		{"MatMulABT", func() *Mat { return MatMulABT(a, bt) }, func() *Mat { return refMatMulABT(a, bt) }},
+		{"MatMul(col)", func() *Mat { return MatMul(a, col) }, func() *Mat { return refMatMul(a, col) }},
+		{"MatMulATB(col)", func() *Mat { return MatMulATB(at, col) }, func() *Mat { return refMatMulATB(at, col) }},
+		{"MatMulABT(col)", func() *Mat { return MatMulABT(acol, bcol) }, func() *Mat { return refMatMulABT(acol, bcol) }},
+	}
+	const callers = 4
+	got := make([]*Mat, callers*len(cases))
+	par.Map(len(got), func(i int) { got[i] = cases[i%len(cases)].got() })
+	for j, c := range cases {
+		want := c.want()
+		for i := j; i < len(got); i += len(cases) {
+			bitEqual(t, c.name, got[i], want)
+		}
+	}
 }
 
 // TestMatMulABTAddIntoAccumulates checks the fused accumulate matches the
@@ -164,22 +181,8 @@ func benchPair(n int) (*Mat, *Mat) {
 }
 
 // BenchmarkMatMulLarge measures the blocked kernel on a cache-overflowing
-// square matmul; BenchmarkMatMulLargeParallel adds the row fan-out (equal
-// on 1-core hosts, scaling with GOMAXPROCS beyond that).
+// 512×512 square matmul, a shape larger than any the GNN runs.
 func BenchmarkMatMulLarge(b *testing.B) {
-	x, y := benchPair(512)
-	out := New(512, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out.Zero()
-		MatMulInto(out, x, y)
-	}
-}
-
-func BenchmarkMatMulLargeParallel(b *testing.B) {
-	old := matmulWorkers
-	matmulWorkers = runtime.GOMAXPROCS(0)
-	defer func() { matmulWorkers = old }()
 	x, y := benchPair(512)
 	out := New(512, 512)
 	b.ResetTimer()
