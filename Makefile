@@ -42,14 +42,20 @@ test-purego:
 	$(GO) test -tags purego ./internal/tensor ./internal/autodiff ./internal/nn \
 		./internal/gnn ./internal/ir2vec ./internal/core
 
-# The kernel bit tests, the GNN golden, the inference allocation ceiling
-# and the worker-count check under one and four procs: none of their
-# results may depend on the core count. -count 1 so each run really
-# executes under its own GOMAXPROCS instead of replaying a cached pass.
-PROCS_TESTS = BitExact|LogitsGolden|PredictBatchAllocs|WorkerCount
+# The kernel bit tests, the GNN golden, the inference allocation and
+# arena ceilings, the worker-count check and the training checks under
+# one and four procs: none of their results may depend on the core count.
+# TrainDigest trains the GNN (Default config) and the decision tree and
+# compares each model's parameter digest with the committed one;
+# LegacyArtifact retrains the IR2Vec encoder and requires the vectors of
+# the committed encoder_v1.gob. So both runs must train identical
+# parameters. -count 1 so each run really executes under its own
+# GOMAXPROCS instead of replaying a cached pass.
+PROCS_TESTS = BitExact|LogitsGolden|PredictBatchAllocs|PredictBatchArena|WorkerCount|TrainDigest|LegacyArtifact
+PROCS_PKGS = ./internal/tensor ./internal/gnn ./internal/ir2vec ./internal/dtree
 test-procs:
-	GOMAXPROCS=1 $(GO) test -count 1 -run '$(PROCS_TESTS)' ./internal/tensor ./internal/gnn
-	GOMAXPROCS=4 $(GO) test -count 1 -run '$(PROCS_TESTS)' ./internal/tensor ./internal/gnn
+	GOMAXPROCS=1 $(GO) test -count 1 -run '$(PROCS_TESTS)' $(PROCS_PKGS)
+	GOMAXPROCS=4 $(GO) test -count 1 -run '$(PROCS_TESTS)' $(PROCS_PKGS)
 
 # Router failover suite under the race detector: the ring/retry/hedge
 # unit tests plus the three-backend kill/restart integration test
@@ -75,7 +81,12 @@ chaos:
 #   prints the same output);
 # - FuzzVecKernels: each AVX2 assembly kernel against its generic Go
 #   twin, bit for bit, over odd lengths, misaligned slices, NaN payloads,
-#   infinities, signed zeros and subnormals (skipped without AVX2).
+#   infinities, signed zeros and subnormals, the matmul row kernel in
+#   both its accumulating and zero-start forms (skipped without AVX2);
+# - FuzzEdgeAttend: the inference-only GATv2 ops (MatMulRows,
+#   MatMulRowsAddRow, EdgeAttend) against the differentiable composition
+#   training runs, bit for bit, over the same special values, repeated
+#   rows, empty edge lists and destinations that receive no edge.
 # The corpus seeds plus whatever the fuzzer grows locally; a longer soak
 # is e.g. `go test -run '^$$' -fuzz FuzzOptimize -fuzztime 10m ./internal/passes/`.
 fuzz:
@@ -83,6 +94,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzNormalizeIR -fuzztime 15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzOptimize -fuzztime 15s ./internal/passes/
 	$(GO) test -run '^$$' -fuzz FuzzVecKernels -fuzztime 15s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz FuzzEdgeAttend -fuzztime 15s ./internal/autodiff/
 
 # One iteration of every benchmark — catches bit-rot in the bench harness
 # without paying for a full measurement run — and emits machine-readable

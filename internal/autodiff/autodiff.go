@@ -37,9 +37,10 @@ type Tape struct {
 	mats     []*tensor.Mat
 	matsUsed int
 
-	slabs [][]float64
-	slab  int
-	off   int
+	slabs  [][]float64
+	slab   int
+	off    int
+	handed int // floats handed out since Reset
 
 	// inference skips gradient storage and backward closures: forward-only
 	// passes (Predict) do half the arena traffic and no closure allocation.
@@ -59,7 +60,13 @@ func (t *Tape) Reset() {
 	t.matsUsed = 0
 	t.slab = 0
 	t.off = 0
+	t.handed = 0
 }
+
+// ArenaFloats reports how many floats of arena storage the tape has
+// handed out since the last Reset: the pass's arena high-water, which
+// bounds the slab memory a pooled tape keeps.
+func (t *Tape) ArenaFloats() int { return t.handed }
 
 // slabFloats is the arena granularity (64k floats = 512KiB per slab).
 const slabFloats = 1 << 16
@@ -70,6 +77,7 @@ func (t *Tape) alloc(n int, clearMem bool) []float64 {
 	if n == 0 {
 		return nil
 	}
+	t.handed += n
 	for {
 		if t.slab < len(t.slabs) {
 			s := t.slabs[t.slab]
@@ -145,6 +153,14 @@ func (t *Tape) Input(val *tensor.Mat) *Node {
 // Backward panics on an inference tape.
 func (t *Tape) SetInference(on bool) { t.inference = on }
 
+// inferenceOnly panics unless t is an inference tape: the op it guards
+// records no backward pass.
+func (t *Tape) inferenceOnly(op string) {
+	if !t.inference {
+		panic("autodiff: " + op + " on a training tape")
+	}
+}
+
 // Backward seeds d(loss)=1 and propagates gradients to every node.
 func (t *Tape) Backward(loss *Node) {
 	if t.inference {
@@ -163,7 +179,7 @@ func (t *Tape) Backward(loss *Node) {
 
 // MatMul returns a @ b.
 func (t *Tape) MatMul(a, b *Node) *Node {
-	val := t.newMat(a.Val.R, b.Val.C, true)
+	val := t.newMat(a.Val.R, b.Val.C, false) // MatMulInto overwrites
 	tensor.MatMulInto(val, a.Val, b.Val)
 	out := t.node(val)
 	if !t.inference {
@@ -197,12 +213,7 @@ func (t *Tape) AddRow(a, b *Node) *Node {
 		panic("autodiff: AddRow shape mismatch")
 	}
 	val := t.cloneMat(a.Val)
-	for i := 0; i < val.R; i++ {
-		row := val.Row(i)
-		for j, v := range b.Val.Data {
-			row[j] += v
-		}
-	}
+	addRowInPlace(val, b.Val.Data)
 	out := t.node(val)
 	if !t.inference {
 		out.back = func() {
@@ -341,27 +352,8 @@ func (t *Tape) SegmentSoftmax(a *Node, seg []int, nSeg int) *Node {
 	if a.Val.C != 1 {
 		panic("autodiff: SegmentSoftmax needs an E×1 column")
 	}
-	maxs := t.alloc(nSeg, false)
-	for i := range maxs {
-		maxs[i] = math.Inf(-1)
-	}
-	for i, s := range seg {
-		if v := a.Val.Data[i]; v > maxs[s] {
-			maxs[s] = v
-		}
-	}
-	sums := t.alloc(nSeg, true)
 	val := t.newMat(a.Val.R, 1, false)
-	for i, s := range seg {
-		e := math.Exp(a.Val.Data[i] - maxs[s])
-		val.Data[i] = e
-		sums[s] += e
-	}
-	for i, s := range seg {
-		if sums[s] > 0 {
-			val.Data[i] /= sums[s]
-		}
-	}
+	segmentSoftmax(val.Data, a.Val.Data, seg, t.alloc(nSeg, false), t.alloc(nSeg, false))
 	out := t.node(val)
 	if !t.inference {
 		out.back = func() {
@@ -376,6 +368,32 @@ func (t *Tape) SegmentSoftmax(a *Node, seg []int, nSeg int) *Node {
 		}
 	}
 	return out
+}
+
+// segmentSoftmax writes to dst[i] the softmax of src[i] within segment
+// seg[i]: the segment's maximum is subtracted before exponentiating, and
+// a segment whose exponentials sum to zero keeps them unnormalised. dst
+// may be src. maxs and sums are scratch, one entry per segment.
+func segmentSoftmax(dst, src []float64, seg []int, maxs, sums []float64) {
+	for i := range maxs {
+		maxs[i] = math.Inf(-1)
+	}
+	for i, s := range seg {
+		if v := src[i]; v > maxs[s] {
+			maxs[s] = v
+		}
+	}
+	clear(sums)
+	for i, s := range seg {
+		e := math.Exp(src[i] - maxs[s])
+		dst[i] = e
+		sums[s] += e
+	}
+	for i, s := range seg {
+		if sums[s] > 0 {
+			dst[i] /= sums[s]
+		}
+	}
 }
 
 // MulCol multiplies each row i of a (R×C) by the scalar col.Data[i] (R×1).
@@ -638,14 +656,9 @@ func (t *Tape) MatMulAddRow(a, w, bias *Node) *Node {
 	if bias.Val.R != 1 || bias.Val.C != w.Val.C {
 		panic("autodiff: MatMulAddRow bias shape mismatch")
 	}
-	val := t.newMat(a.Val.R, w.Val.C, true)
+	val := t.newMat(a.Val.R, w.Val.C, false) // MatMulInto overwrites
 	tensor.MatMulInto(val, a.Val, w.Val)
-	for i := 0; i < val.R; i++ {
-		row := val.Row(i)
-		for j, v := range bias.Val.Data {
-			row[j] += v
-		}
-	}
+	addRowInPlace(val, bias.Val.Data)
 	out := t.node(val)
 	if !t.inference {
 		out.back = func() {
@@ -787,4 +800,99 @@ func (t *Tape) ELUAddN(ins ...*Node) *Node {
 		}
 	}
 	return out
+}
+
+// addRowInPlace adds the row bias to every row of m.
+func addRowInPlace(m *tensor.Mat, bias []float64) {
+	for i := 0; i < m.R; i++ {
+		row := m.Row(i)[:len(bias)]
+		for j, v := range bias {
+			row[j] += v
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Inference-only operations. They read their inputs through row indices
+// instead of gathered copies and record no backward pass, so they panic
+// on a training tape. Each equals, bit for bit, the composition of the
+// differentiable ops that training runs in its place.
+// ---------------------------------------------------------------------------
+
+// MatMulRows returns Gather(a, rows) @ b without the gathered copy: row i
+// is a's row rows[i] times b.
+func (t *Tape) MatMulRows(a *Node, rows []int, b *Node) *Node {
+	t.inferenceOnly("MatMulRows")
+	val := t.newMat(len(rows), b.Val.C, false) // MatMulRowsInto overwrites
+	tensor.MatMulRowsInto(val, a.Val, rows, b.Val)
+	return t.node(val)
+}
+
+// MatMulRowsAddRow returns MatMulAddRow(Gather(a, rows), w, bias) without
+// the gathered copy.
+func (t *Tape) MatMulRowsAddRow(a *Node, rows []int, w, bias *Node) *Node {
+	t.inferenceOnly("MatMulRowsAddRow")
+	if bias.Val.R != 1 || bias.Val.C != w.Val.C {
+		panic("autodiff: MatMulRowsAddRow bias shape mismatch")
+	}
+	val := t.newMat(len(rows), w.Val.C, false) // MatMulRowsInto overwrites
+	tensor.MatMulRowsInto(val, a.Val, rows, w.Val)
+	addRowInPlace(val, bias.Val.Data)
+	return t.node(val)
+}
+
+// EdgeAttend is GATv2 attention over projected rows read in place. Edge
+// i joins source row srcAt[i] of hs to destination row dstAt[i] of hd
+// and delivers into row dst[i] of the nDst-row result. It returns
+//
+//	es := Gather(hs, srcAt)
+//	e := MatMul(AddLeakyReLU(es, Gather(hd, dstAt), slope), att)
+//	SegmentSumMulCol(es, SegmentSoftmax(e, dst, nDst), dst, nDst)
+//
+// bit for bit: each edge's score sums lrelu(hs+hd)·att over ascending
+// columns from +0, skipping exactly-zero activations as the column
+// MatMul does, and the softmax and weighted sum visit the edges in
+// their ops' order. It materialises no edge-by-width matrix: its only
+// edge-sized storage is the score column, which the softmax normalises
+// in place.
+func (t *Tape) EdgeAttend(hs, hd, att *Node, srcAt, dstAt, dst []int, nDst int, slope float64) *Node {
+	t.inferenceOnly("EdgeAttend")
+	w := hs.Val.C
+	if hd.Val.C != w || att.Val.R != w || att.Val.C != 1 {
+		panic("autodiff: EdgeAttend shape mismatch")
+	}
+	if len(dstAt) != len(srcAt) || len(dst) != len(srcAt) {
+		panic("autodiff: EdgeAttend edge list length mismatch")
+	}
+	a := att.Val.Data[:w]
+	score := t.alloc(len(srcAt), false)
+	for i, r := range srcAt {
+		xs := hs.Val.Row(r)
+		xd := hd.Val.Row(dstAt[i])[:len(xs)]
+		ak := a[:len(xs)]
+		s := 0.0
+		for k, x := range xs {
+			v := x + xd[k]
+			if v < 0 {
+				v = slope * v
+			}
+			if v == 0 {
+				continue
+			}
+			s += v * ak[k]
+		}
+		score[i] = s
+	}
+	segmentSoftmax(score, score, dst, t.alloc(nDst, false), t.alloc(nDst, false))
+	// SegmentSumMulCol's weighted sum, reading each source row in place.
+	val := t.newMat(nDst, w, true)
+	for i, sg := range dst {
+		s := score[i]
+		src := hs.Val.Row(srcAt[i])
+		out := val.Row(sg)[:len(src)]
+		for j, v := range src {
+			out[j] += v * s
+		}
+	}
+	return t.node(val)
 }

@@ -2,7 +2,11 @@ package dtree
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"encoding/hex"
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -97,5 +101,36 @@ func TestMaxFeature(t *testing.T) {
 	tr := Train(x, []int{0, 1}, Config{})
 	if got := tr.MaxFeature(); got != 2 {
 		t.Fatalf("MaxFeature = %d, want 2", got)
+	}
+}
+
+// trainDigest is the SHA-256 of the encoded tree TestTrainDigest grows.
+// make test-procs runs the test at GOMAXPROCS 1 and 4.
+const trainDigest = "19362b1780a0d14689d4c004f01be977635abd2bf2732ddbccdb94db52b448df"
+
+// TestTrainDigest pins a tree grown on fixed pseudo-random data (three
+// classes, 24 features, some splits tied) to a committed digest of its
+// encoding: growth must give the same tree whatever the core count.
+func TestTrainDigest(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	x := make([][]float64, 300)
+	y := make([]int, len(x))
+	for i := range x {
+		x[i] = make([]float64, 24)
+		for j := range x[i] {
+			x[i][j] = math.Round(rng.NormFloat64()*8) / 8
+		}
+		y[i] = rng.Intn(3)
+		if x[i][0]+x[i][3]*x[i][5] > 0.1 {
+			y[i] = 0
+		}
+	}
+	raw, err := Train(x, y, Config{}).GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	if got := hex.EncodeToString(sum[:]); got != trainDigest {
+		t.Fatalf("tree training digest %s, want %s", got, trainDigest)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 
 	"mpidetect/internal/autodiff"
@@ -35,21 +34,29 @@ type Config struct {
 	BatchSize int
 	Seed      int64
 	// Workers is how many gradient buffers Train splits each batch
-	// across (run through par.Map). It groups the gradient sum, so the
-	// trained weights' bits depend on it.
+	// across. It groups the gradient sum, so the trained weights' bits
+	// depend on it; it is part of the configuration, never the host's
+	// core count, and par.Map spreads the buffers over whatever cores
+	// exist.
 	Workers int
 }
+
+// defaultWorkers is the gradient grouping Default and Paper fix, so the
+// weights they train are the same on every host. Two is the grouping of
+// the 2-CPU hosts the repository's models are trained and benchmarked
+// on, so those models keep their bits.
+const defaultWorkers = 2
 
 // Default returns the throughput-oriented configuration.
 func Default() Config {
 	return Config{EmbedDim: 16, Hidden: []int{32, 24, 16}, LR: 2e-3,
-		Epochs: 4, BatchSize: 32, Seed: 1, Workers: runtime.GOMAXPROCS(0)}
+		Epochs: 4, BatchSize: 32, Seed: 1, Workers: defaultWorkers}
 }
 
 // Paper returns the paper-faithful configuration (§IV-B).
 func Paper() Config {
 	return Config{EmbedDim: 32, Hidden: []int{128, 64, 32}, LR: 4e-4,
-		Epochs: 10, BatchSize: 32, Seed: 1, Workers: runtime.GOMAXPROCS(0)}
+		Epochs: 10, BatchSize: 32, Seed: 1, Workers: defaultWorkers}
 }
 
 // Sample is one labelled graph.
@@ -341,9 +348,9 @@ func (m *Model) GobEncode() ([]byte, error) {
 }
 
 // GobDecode implements gob.GobDecoder: it rebuilds an untrained model with
-// the encoded shape, then restores the trained weights into it. Workers is
-// re-derived from the decoding host so an artifact trained elsewhere uses
-// this machine's parallelism.
+// the encoded shape, then restores the trained weights into it. The
+// encoded configuration, Workers included, is kept as it was trained, so
+// retraining a decoded model gives the same weights on every host.
 func (m *Model) GobDecode(b []byte) error {
 	var st modelState
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
@@ -357,7 +364,6 @@ func (m *Model) GobDecode(b []byte) error {
 			return errGobShape
 		}
 	}
-	st.Cfg.Workers = runtime.GOMAXPROCS(0)
 	vocab, err := graphs.VocabFromTokenIDs(st.VocabIDs)
 	if err != nil {
 		return fmt.Errorf("gnn: corrupt model encoding: %w", err)
@@ -441,10 +447,16 @@ func (m *Model) forward(c *nn.Ctx, p *prepared) *autodiff.Node {
 //
 // It also multiplies only the rows the batch reads (see compactPlan):
 // layer 1 transforms each distinct token once and gathers the results
-// back per node or edge, and layers 2-3 project only the rows some edge
-// of the relation reads. A matmul output row depends on its own input row
-// alone (k ascends from +0 with the same zero skip), so projecting and
-// then gathering equals gathering and then projecting, bit for bit.
+// back per node, and layers 2-3 project only the rows some edge of the
+// relation reads. A matmul output row depends on its own input row
+// alone (k ascends from +0 with the same zero skip), so projecting a
+// chosen row equals projecting every row and picking it, bit for bit.
+// The projections read their input rows through the plan's index lists
+// (MatMulRows), and each relation's attention reads the projected rows
+// through the edges' row indices (EdgeAttend), so no edge-by-width
+// matrix is ever copied out: the GATv2 ops that training composes from
+// Gather, AddLeakyReLU, MatMul, SegmentSoftmax and SegmentSumMulCol run
+// here as those two inference-only ops, with the same bits.
 func (m *Model) forwardBatch(c *nn.Ctx, p *preparedBatch) *autodiff.Node {
 	pl := &p.plan
 	table := c.P(m.embed.Table)
@@ -466,11 +478,12 @@ func (m *Model) forwardBatch(c *nn.Ctx, p *preparedBatch) *autodiff.Node {
 			}
 			var terms [maxLayerTerms]*autodiff.Node
 			n := 0
+			self := layer.self[k]
 			if li == 0 {
-				self := layer.self[k].Forward(c, c.T.Gather(table, pl.kindTok[k]))
-				terms[n] = c.T.Gather(self, pl.kindAt[k])
+				x := c.T.MatMulRowsAddRow(table, pl.kindTok[k], c.P(self.W), c.P(self.B))
+				terms[n] = c.T.Gather(x, pl.kindAt[k])
 			} else {
-				terms[n] = layer.self[k].Forward(c, h[k])
+				terms[n] = self.Forward(c, h[k])
 			}
 			n++
 			for ri, rel := range relations {
@@ -478,10 +491,10 @@ func (m *Model) forwardBatch(c *nn.Ctx, p *preparedBatch) *autodiff.Node {
 					continue
 				}
 				conv, rs := layer.convs[ri], &sel[ri]
-				hs := conv.ProjectSrc(c, c.T.Gather(in[rel.src], rs.keys[0]))
-				hd := conv.ProjectDst(c, c.T.Gather(in[k], rs.keys[1]))
-				terms[n] = conv.Attend(c, c.T.Gather(hs, rs.at[0]), c.T.Gather(hd, rs.at[1]),
-					p.edges[ri][1], len(p.tokens[k]))
+				hs := c.T.MatMulRows(in[rel.src], rs.keys[0], c.P(conv.WSrc))
+				hd := c.T.MatMulRows(in[k], rs.keys[1], c.P(conv.WDst))
+				terms[n] = c.T.EdgeAttend(hs, hd, c.P(conv.Att), rs.at[0], rs.at[1],
+					p.edges[ri][1], len(p.tokens[k]), nn.AttentionSlope)
 				n++
 			}
 			next[k] = c.T.ELUAddN(terms[:n]...)

@@ -133,3 +133,21 @@ func TestLogitsGolden(t *testing.T) {
 		check("single", i, probBits([][]float64{m.PredictProbs(g)})[0])
 	}
 }
+
+// defaultTrainDigest is paramDigest of a Default() model trained on
+// corpusSample(6). Default fixes the gradient grouping (Workers), so the
+// digest must not depend on the host's core count: make test-procs runs
+// this test at GOMAXPROCS 1 and 4.
+const defaultTrainDigest = "0cbfda1208ffad0ee03a4601e91fd63b4fffc9747a0f21c5739e4c8fdf7a838e"
+
+// TestTrainDigest pins the weights Default() trains to a committed
+// digest, so a configuration that reads the core count again fails on
+// any host whose count differs from the one that wrote the digest.
+func TestTrainDigest(t *testing.T) {
+	train, _, vocab := corpusSample(t, 6)
+	m := NewModel(Default(), vocab, 2)
+	m.Train(train)
+	if got := paramDigest(m); got != defaultTrainDigest {
+		t.Fatalf("Default() training digest %s, want %s", got, defaultTrainDigest)
+	}
+}

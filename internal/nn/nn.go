@@ -240,9 +240,20 @@ func (e *Embedding) Forward(c *Ctx, ids []int) *autodiff.Node {
 // (Brody, Alon, Yahav: "How Attentive Are Graph Attention Networks?").
 // Attention scores are aᵀ·LeakyReLU(W_s h_src + W_d h_dst), normalised per
 // destination with a segment softmax.
+//
+// Forward is the differentiable composition training runs. Inference
+// (gnn's batched pass) reads the same parameters through the tape's
+// inference-only ops instead: MatMulRows projects only the rows some
+// edge reads, and EdgeAttend scores, normalises and sums the edges
+// through their row indices, without the per-edge copies Forward
+// gathers. Both give Forward's bits.
 type GATv2 struct {
 	WSrc, WDst, Att *Param
 }
+
+// AttentionSlope is the negative slope of the LeakyReLU inside the GATv2
+// attention score.
+const AttentionSlope = 0.2
 
 // NewGATv2 creates the relation's parameters.
 func NewGATv2(ps *ParamSet, rng *rand.Rand, name string, in, out int) *GATv2 {
@@ -254,41 +265,12 @@ func NewGATv2(ps *ParamSet, rng *rand.Rand, name string, in, out int) *GATv2 {
 }
 
 // Forward computes the messages into nDst destination nodes. srcIdx/dstIdx
-// are the edge lists (source row in hSrc, destination row index). It
-// projects every row of hSrc and hDst. A caller that knows which rows the
-// edges read can instead project only those with ProjectSrc/ProjectDst,
-// gather the results per edge and call Attend, bit-identically.
+// are the edge lists (source row in hSrc, destination row index). With no
+// edges every message row is exactly zero.
 func (g *GATv2) Forward(c *Ctx, hSrc, hDst *autodiff.Node, srcIdx, dstIdx []int, nDst int) *autodiff.Node {
-	hs := g.ProjectSrc(c, hSrc)
-	if len(srcIdx) == 0 {
-		// No edges of this relation: zero contribution.
-		return c.T.Scale(c.T.SegmentSum(c.T.Gather(hs, nil), nil, nDst), 0)
-	}
-	hd := g.ProjectDst(c, hDst)
-	es := c.T.Gather(hs, srcIdx)
-	ed := c.T.Gather(hd, dstIdx)
-	return g.Attend(c, es, ed, dstIdx, nDst)
-}
-
-// ProjectSrc returns x·W_s. Each output row depends only on the same
-// input row, so projecting a subset of rows yields exactly those rows of
-// the full projection.
-func (g *GATv2) ProjectSrc(c *Ctx, x *autodiff.Node) *autodiff.Node {
-	return c.T.MatMul(x, c.P(g.WSrc))
-}
-
-// ProjectDst returns x·W_d, row-independent like ProjectSrc.
-func (g *GATv2) ProjectDst(c *Ctx, x *autodiff.Node) *autodiff.Node {
-	return c.T.MatMul(x, c.P(g.WDst))
-}
-
-// Attend is the attention step: es and ed hold the projected source and
-// destination row of every edge, dstIdx the edge destinations. It scores
-// each edge as aᵀ·LeakyReLU(es + ed), normalises per destination and sums
-// the attention-weighted source rows into nDst rows.
-func (g *GATv2) Attend(c *Ctx, es, ed *autodiff.Node, dstIdx []int, nDst int) *autodiff.Node {
-	s := c.T.AddLeakyReLU(es, ed, 0.2)
-	e := c.T.MatMul(s, c.P(g.Att))
-	alpha := c.T.SegmentSoftmax(e, dstIdx, nDst)
+	es := c.T.Gather(c.T.MatMul(hSrc, c.P(g.WSrc)), srcIdx)
+	ed := c.T.Gather(c.T.MatMul(hDst, c.P(g.WDst)), dstIdx)
+	s := c.T.AddLeakyReLU(es, ed, AttentionSlope)
+	alpha := c.T.SegmentSoftmax(c.T.MatMul(s, c.P(g.Att)), dstIdx, nDst)
 	return c.T.SegmentSumMulCol(es, alpha, dstIdx, nDst)
 }

@@ -59,13 +59,16 @@ func vecAddGeneric(dst, src []float64) {
 	}
 }
 
-// matmulRow accumulates arow @ b into orow, where b holds len(arow) rows
-// of len(orow) columns, row-major: for each nonzero arow[k] in ascending
-// k, orow[j] += arow[k]*b[k,j]. Exactly-zero entries of either sign are
-// skipped, as in the scalar i-k-j loop. ks and vs, each at least
-// len(arow) long, are scratch for the b-row offsets and values of the
-// nonzero entries.
-func matmulRow(orow, arow, b []float64, ks []int, vs []float64) {
+// matmulRow computes arow @ b into orow, where b holds len(arow) rows of
+// len(orow) columns, row-major: for each nonzero arow[k] in ascending k,
+// orow[j] += arow[k]*b[k,j]. Exactly-zero entries of either sign are
+// skipped, as in the scalar i-k-j loop. With fresh set, every orow[j]
+// starts at +0 instead of its current value, so orow need not be zeroed
+// first; a row with no nonzero term is then written as +0. Both starts
+// give the same bits as accumulating into a zeroed row. ks and vs, each
+// at least len(arow) long, are scratch for the b-row offsets and values
+// of the nonzero entries.
+func matmulRow(orow, arow, b []float64, ks []int, vs []float64, fresh bool) {
 	n := len(orow)
 	b = b[:len(arow)*n]
 	m := 0
@@ -76,17 +79,27 @@ func matmulRow(orow, arow, b []float64, ks []int, vs []float64) {
 		ks[m], vs[m] = k*n, av
 		m++
 	}
-	if useAVX2 {
-		// The assembly keeps each 16-column stripe of orow in registers
-		// across all m terms, so orow is loaded and stored once per
-		// stripe instead of once per term.
-		matmulRowAVX2(orow, b, ks[:m], vs[:m])
+	if m == 0 {
+		if fresh {
+			clear(orow)
+		}
 		return
 	}
-	matmulRowGeneric(orow, b, ks[:m], vs[:m])
+	if useAVX2 {
+		// The assembly keeps each 16-column stripe of orow in registers
+		// across all m terms, so orow is loaded (or, when fresh, zeroed
+		// in registers) and stored once per stripe instead of once per
+		// term.
+		matmulRowAVX2(orow, b, ks[:m], vs[:m], fresh)
+		return
+	}
+	matmulRowGeneric(orow, b, ks[:m], vs[:m], fresh)
 }
 
-func matmulRowGeneric(orow, b []float64, ks []int, vs []float64) {
+func matmulRowGeneric(orow, b []float64, ks []int, vs []float64, fresh bool) {
+	if fresh {
+		clear(orow)
+	}
 	for i, off := range ks {
 		axpyGeneric(vs[i], b[off:off+len(orow)], orow)
 	}

@@ -118,29 +118,43 @@ adddone:
 	VZEROUPPER
 	RET
 
-// func matmulRowAVX2(orow, b []float64, ks []int, vs []float64)
+// func matmulRowAVX2(orow, b []float64, ks []int, vs []float64, fresh bool)
 //
 // For each stripe of orow (16 columns in Y0-Y3, then 4 in Y0, then one in
-// X0), load the stripe once, apply every term n in order as
-// stripe += (b[ks[n]+j:] * vs[n]), and store it once.
-TEXT ·matmulRowAVX2(SB), NOSPLIT, $0-96
-	MOVQ  orow_base+0(FP), DI
-	MOVQ  orow_len+8(FP), CX
-	MOVQ  b_base+24(FP), SI
-	MOVQ  ks_base+48(FP), R8
-	MOVQ  ks_len+56(FP), R9
-	MOVQ  vs_base+72(FP), R10
-	TESTQ R9, R9
-	JE    rowdone
+// X0), start the stripe from orow (or from +0 in registers when fresh,
+// so orow need not be zeroed), apply every term n in order as
+// stripe += (b[ks[n]+j:] * vs[n]), and store it once. The Go wrapper
+// only calls it with at least one term.
+TEXT ·matmulRowAVX2(SB), NOSPLIT, $0-97
+	MOVQ    orow_base+0(FP), DI
+	MOVQ    orow_len+8(FP), CX
+	MOVQ    b_base+24(FP), SI
+	MOVQ    ks_base+48(FP), R8
+	MOVQ    ks_len+56(FP), R9
+	MOVQ    vs_base+72(FP), R10
+	MOVBLZX fresh+96(FP), DX
+	TESTQ   R9, R9
+	JE      rowdone
 
 row16:
 	CMPQ    CX, $16
 	JL      row4
+	TESTQ   DX, DX
+	JNE     row16zero
 	VMOVUPD 0(DI), Y0
 	VMOVUPD 32(DI), Y1
 	VMOVUPD 64(DI), Y2
 	VMOVUPD 96(DI), Y3
-	XORQ    AX, AX
+	JMP     row16start
+
+row16zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+row16start:
+	XORQ AX, AX
 
 row16k:
 	MOVQ         (R8)(AX*8), BX
@@ -173,8 +187,16 @@ row16k:
 row4:
 	CMPQ    CX, $4
 	JL      row1
+	TESTQ   DX, DX
+	JNE     row4zero
 	VMOVUPD (DI), Y0
-	XORQ    AX, AX
+	JMP     row4start
+
+row4zero:
+	VXORPD Y0, Y0, Y0
+
+row4start:
+	XORQ AX, AX
 
 row4k:
 	MOVQ         (R8)(AX*8), BX
@@ -194,8 +216,16 @@ row4k:
 row1:
 	TESTQ  CX, CX
 	JE     rowdone
+	TESTQ  DX, DX
+	JNE    row1zero
 	VMOVSD (DI), X0
-	XORQ   AX, AX
+	JMP    row1start
+
+row1zero:
+	VXORPD X0, X0, X0
+
+row1start:
+	XORQ AX, AX
 
 row1k:
 	MOVQ   (R8)(AX*8), BX

@@ -114,11 +114,14 @@ func bothPaths(t *testing.T, name string, dst []float64, off int, op func(dst []
 
 // FuzzVecKernels checks each assembly kernel bit for bit against its
 // generic twin: axpy (also behind VecAddScaled), VecAdd, and the matmul
-// row kernel through MatMulInto. n%68 is the vector length and the
-// matmul's column count (16-column stripes, 4-column stripes and the
-// scalar tail), off%4 the misalignment of every slice, and 1+k%320 the
-// matmul's inner dimension, which crosses matmulBlockK. The matmul's
-// three a-rows are all zeros, dense and mixed.
+// row kernel in both starts, accumulating into orow and zero-start
+// (fresh). n%68 is the vector length and the matmul's column count
+// (16-column stripes, 4-column stripes and the scalar tail), off%4 the
+// misalignment of every slice, and 1+k%320 the matmul's inner dimension,
+// which crosses matmulBlockK. The matmul's three a-rows are all zeros,
+// dense and mixed. The row kernel is checked directly in both starts
+// over drawn (not zeroed) output rows, and through MatMulInto and
+// MatMulRowsInto, whose output starts drawn too: both must overwrite it.
 func FuzzVecKernels(f *testing.F) {
 	if !cpuHasAVX2() {
 		f.Skip("no AVX2 kernels on this host")
@@ -166,6 +169,18 @@ func FuzzVecKernels(f *testing.F) {
 		bothPaths(t, "MatMulInto", in.slice(rows*cols, o), o, func(out []float64) {
 			MatMulInto(FromSlice(rows, cols, out), am, bm)
 		})
+		pick := []int{2, 0, 2, 1}
+		bothPaths(t, "MatMulRowsInto", in.slice(len(pick)*cols, o), o, func(out []float64) {
+			MatMulRowsInto(FromSlice(len(pick), cols, out), am, pick, bm)
+		})
+		ks, vs := make([]int, kdim), make([]float64, kdim)
+		for r := 0; r < rows; r++ {
+			for _, fresh := range []bool{false, true} {
+				bothPaths(t, fmt.Sprintf("matmulRow/row%d/fresh=%v", r, fresh), in.slice(cols, o), o, func(orow []float64) {
+					matmulRow(orow, am.Row(r), bm.Data, ks, vs, fresh)
+				})
+			}
+		}
 	})
 }
 
@@ -187,10 +202,16 @@ func TestKernelsRejectShortSlices(t *testing.T) {
 			{"VecAddScaled", func() { VecAddScaled(short, 2, long) }},
 			{"VecAddScaled/cap", func() { VecAddScaled(shortRoomy, 2, long) }},
 			{"matmulRow/b", func() {
-				matmulRow(make([]float64, 4), []float64{1, 1}, make([]float64, 7), make([]int, 2), make([]float64, 2))
+				matmulRow(make([]float64, 4), []float64{1, 1}, make([]float64, 7), make([]int, 2), make([]float64, 2), false)
+			}},
+			{"matmulRow/b/fresh", func() {
+				matmulRow(make([]float64, 4), []float64{1, 1}, make([]float64, 7), make([]int, 2), make([]float64, 2), true)
 			}},
 			{"matmulRow/scratch", func() {
-				matmulRow(make([]float64, 4), []float64{1, 1}, make([]float64, 8), make([]int, 1), make([]float64, 1))
+				matmulRow(make([]float64, 4), []float64{1, 1}, make([]float64, 8), make([]int, 1), make([]float64, 1), false)
+			}},
+			{"MatMulRowsInto/row", func() {
+				MatMulRowsInto(New(2, 4), New(2, 3), []int{0, 2}, New(3, 4))
 			}},
 			{"MatMulInto/b.Data", func() {
 				MatMulInto(New(2, 4), New(2, 3), &Mat{R: 3, C: 4, Data: make([]float64, 11)})

@@ -14,9 +14,10 @@
 // multiply and one rounded add per term, never FMA, with every VEX operand
 // in the order the compiler emits for the scalar loops (x·a, then
 // product + accumulator). A matmul therefore gives the same bits on every
-// host and kernel path. Training is reproducible for a fixed
-// gnn.Config.Workers, which decides how per-sample gradients are grouped
-// before they are summed; a different worker count regroups that sum.
+// host and kernel path, and so does GNN training: gnn.Config.Workers,
+// which groups the per-sample gradients before they are summed, is a
+// fixed part of the configuration (2 by default), never the host's core
+// count.
 package tensor
 
 import "fmt"
@@ -52,21 +53,48 @@ func MatMul(a, b *Mat) *Mat {
 	return out
 }
 
-// MatMulInto computes a @ b into out, which must be zeroed and R×C shaped.
+// MatMulInto computes a @ b into out, which must be R×C shaped. Every
+// element of out is overwritten, so out need not be zeroed.
 func MatMulInto(out, a, b *Mat) {
+	if out.R != a.R {
+		panic(fmt.Sprintf("tensor: matmul into %dx%d, want %dx%d", out.R, out.C, a.R, b.C))
+	}
+	matmulRows(out, a, nil, b)
+}
+
+// MatMulRowsInto computes a.Row(rows[i]) @ b into row i of out, which
+// must be len(rows)×b.C shaped; rows may repeat and skip rows of a. Each
+// output row equals the matching row of MatMulInto(a, b) bit for bit (an
+// output row depends only on its own input row), and every element of
+// out is overwritten, so out need not be zeroed.
+func MatMulRowsInto(out, a *Mat, rows []int, b *Mat) {
+	if out.R != len(rows) {
+		panic(fmt.Sprintf("tensor: matmul rows into %dx%d, want %dx%d", out.R, out.C, len(rows), b.C))
+	}
+	matmulRows(out, a, rows, b)
+}
+
+// matmulRows writes into out row i the product of a's row rows[i] (row i
+// when rows is nil) with b.
+func matmulRows(out, a *Mat, rows []int, b *Mat) {
 	if a.C != b.R {
 		panic(fmt.Sprintf("tensor: matmul %dx%d @ %dx%d", a.R, a.C, b.R, b.C))
 	}
-	if out.R != a.R || out.C != b.C {
-		panic(fmt.Sprintf("tensor: matmul into %dx%d, want %dx%d", out.R, out.C, a.R, b.C))
+	if out.C != b.C {
+		panic(fmt.Sprintf("tensor: matmul into %dx%d, want %dx%d", out.R, out.C, out.R, b.C))
+	}
+	arow := func(i int) []float64 {
+		if rows != nil {
+			return a.Row(rows[i])
+		}
+		return a.Row(i)
 	}
 	if b.C == 1 {
 		// Column-vector product: a dot per output row, b.Data contiguous.
-		bcol := b.Data
-		for i := 0; i < a.R; i++ {
-			arow := a.Row(i)
+		bcol := b.Data[:a.C]
+		for i := range out.Data[:out.R] {
 			s := 0.0
-			for k, av := range arow {
+			for k, av := range arow(i) {
 				if av == 0 {
 					continue
 				}
@@ -76,16 +104,21 @@ func MatMulInto(out, a, b *Mat) {
 		}
 		return
 	}
+	if a.C == 0 {
+		clear(out.Data)
+		return
+	}
 	// k-blocked i-k-j: each tile of b stays cache-resident while the a
 	// rows stream past it. k still ascends per output element, so
-	// blocking does not reorder any accumulation.
+	// blocking does not reorder any accumulation. The first tile starts
+	// every output element at +0, the later tiles add to it.
 	var ks [matmulBlockK]int
 	var vs [matmulBlockK]float64
 	for k0 := 0; k0 < a.C; k0 += matmulBlockK {
 		k1 := min(k0+matmulBlockK, a.C)
 		bblk := b.Data[k0*b.C : k1*b.C]
-		for i := 0; i < a.R; i++ {
-			matmulRow(out.Row(i), a.Row(i)[k0:k1], bblk, ks[:], vs[:])
+		for i := 0; i < out.R; i++ {
+			matmulRow(out.Row(i), arow(i)[k0:k1], bblk, ks[:], vs[:], k0 == 0)
 		}
 	}
 }
