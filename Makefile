@@ -89,12 +89,17 @@ chaos:
 #   rows, empty edge lists and destinations that receive no edge.
 # The corpus seeds plus whatever the fuzzer grows locally; a longer soak
 # is e.g. `go test -run '^$$' -fuzz FuzzOptimize -fuzztime 10m ./internal/passes/`.
+# -fuzzminimizetime 1s caps the minimiser: by default it may spend up to
+# 60 s shrinking each new interesting input, and execs stop counting
+# meanwhile, so a 15 s smoke could test almost nothing. A failing input
+# is still reported and saved under testdata/fuzz, only less minimised.
+FUZZ = $(GO) test -run '^$$' -fuzztime 15s -fuzzminimizetime 1s
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 15s ./internal/ir/
-	$(GO) test -run '^$$' -fuzz FuzzNormalizeIR -fuzztime 15s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzOptimize -fuzztime 15s ./internal/passes/
-	$(GO) test -run '^$$' -fuzz FuzzVecKernels -fuzztime 15s ./internal/tensor/
-	$(GO) test -run '^$$' -fuzz FuzzEdgeAttend -fuzztime 15s ./internal/autodiff/
+	$(FUZZ) -fuzz FuzzParse ./internal/ir/
+	$(FUZZ) -fuzz FuzzNormalizeIR ./internal/core/
+	$(FUZZ) -fuzz FuzzOptimize ./internal/passes/
+	$(FUZZ) -fuzz FuzzVecKernels ./internal/tensor/
+	$(FUZZ) -fuzz FuzzEdgeAttend ./internal/autodiff/
 
 # One iteration of every benchmark — catches bit-rot in the bench harness
 # without paying for a full measurement run — and emits machine-readable

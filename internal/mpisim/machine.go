@@ -274,7 +274,7 @@ func (m *Machine) execInstr(fr []RV, in *cinstr, depth int) (RV, error) {
 			size = ir.SizeOf(in.in.Typ)
 		}
 		m.rt.checkLocalAccess(m.rank, pv.P, size, false, in.in)
-		return pv.P.Obj.load(pv.P.Off, in.typ)
+		return pv.P.Obj.loadSized(pv.P.Off, size, in.typ)
 
 	case in.op == ir.OpStore:
 		v, err := m.evalOp(fr, &in.a)
@@ -293,7 +293,7 @@ func (m *Machine) execInstr(fr []RV, in *cinstr, depth int) (RV, error) {
 			size = ir.SizeOf(in.in.Args[0].Type())
 		}
 		m.rt.checkLocalAccess(m.rank, pv.P, size, true, in.in)
-		return RV{}, pv.P.Obj.store(pv.P.Off, in.typ, v)
+		return RV{}, pv.P.Obj.storeSized(pv.P.Off, size, in.typ, v)
 
 	case in.op == ir.OpGEP:
 		return m.execGEP(fr, in)
@@ -697,7 +697,12 @@ func execConv(op ir.Opcode, typ *ir.Type, x RV) (RV, error) {
 
 // load reads a typed value at the byte offset.
 func (o *MemObj) load(off int, t *ir.Type) (RV, error) {
-	size := ir.SizeOf(t)
+	return o.loadSized(off, ir.SizeOf(t), t)
+}
+
+// loadSized is load with t's size already known (ir.SizeOf(t)), as the
+// interpreter's compiled load holds it.
+func (o *MemObj) loadSized(off, size int, t *ir.Type) (RV, error) {
 	if off < 0 || off+size > len(o.Bytes) {
 		return RV{}, crashf("load out of bounds (%s at %d+%d/%d)", t, off, size, len(o.Bytes))
 	}
@@ -723,7 +728,12 @@ func (o *MemObj) load(off int, t *ir.Type) (RV, error) {
 
 // store writes a typed value at the byte offset.
 func (o *MemObj) store(off int, t *ir.Type, v RV) error {
-	size := ir.SizeOf(t)
+	return o.storeSized(off, ir.SizeOf(t), t, v)
+}
+
+// storeSized is store with t's size already known (ir.SizeOf(t)), as the
+// interpreter's compiled store holds it.
+func (o *MemObj) storeSized(off, size int, t *ir.Type, v RV) error {
 	if off < 0 || off+size > len(o.Bytes) {
 		return crashf("store out of bounds (%s at %d+%d/%d)", t, off, size, len(o.Bytes))
 	}

@@ -5,12 +5,15 @@
 // response carries every per-tool verdict plus a combined ensemble
 // verdict.
 //
-// Dynamic tools execute the program on the runtime simulator, which is
-// orders of magnitude heavier than a cached classification, so they run
-// on a separate concurrency-limited pool (Config.SimWorkers) under a
-// per-simulation wall-clock budget (Config.SimTimeout) and the caller's
-// request deadline: cancelling the request aborts an in-flight
-// simulation cooperatively. Tool verdicts are cached in their own
+// Dynamic tools read a run of the program on the runtime simulator,
+// which is orders of magnitude heavier than a cached classification, so
+// the run executes on a separate concurrency-limited pool
+// (Config.SimWorkers) under a per-simulation wall-clock budget
+// (Config.SimTimeout) and the caller's request deadline: cancelling the
+// request aborts an in-flight simulation cooperatively. A request runs
+// at most one simulation, whatever its number of dynamic tools: the run
+// is deterministic, and each dynamic tool interprets the same Result
+// (verify.ProgramChecker.Interpret). Tool verdicts are cached in their own
 // content-addressed cache under digests keyed by tool + configuration
 // (core.DigestIRKeyed), with per-tool prefix invalidation; a warm repeat
 // of the same program and tool set costs zero simulator executions.
@@ -37,12 +40,18 @@ import (
 // demand. The analyze path only needs the module when some tool verdict
 // actually has to be computed — a fully warm request (every tool served
 // from the verdict cache) never parses at all.
+//
+// It also holds the request's one simulation, run on first demand by a
+// dynamic tool. A request's dynamic tools run in order on one goroutine
+// (analyzeProgram) and share its ranks, step budget and context, so sim
+// needs no lock and one run serves them all.
 type lazyModule struct {
 	src    string
 	digest string // requestDigest(src), computed once per request
 	once   sync.Once
 	mod    *ir.Module
 	err    error
+	sim    *simRun
 }
 
 func (lm *lazyModule) get() (*ir.Module, error) {
@@ -108,10 +117,14 @@ func DefaultTools() *ToolRegistry {
 }
 
 // Register installs (or replaces) a tool under name. dynamic marks tools
-// that execute the program on the simulator. Replacing a tool fires the
-// OnReplace hooks (the engine uses them to sweep that tool's cached
-// verdicts).
+// that execute the program on the simulator; such a tool must implement
+// verify.ProgramChecker, since it reads the request's shared simulation
+// (Register panics otherwise). Replacing a tool fires the OnReplace
+// hooks (the engine uses them to sweep that tool's cached verdicts).
 func (tr *ToolRegistry) Register(name string, t verify.ModuleChecker, dynamic bool) {
+	if _, ok := t.(verify.ProgramChecker); dynamic && !ok {
+		panic("serve: dynamic tool " + name + " does not implement verify.ProgramChecker")
+	}
 	// Every tool gets a named fault point ("tool.<name>") so tests and
 	// the fault admin endpoint can fail or panic exactly one tool.
 	fault.Register("tool." + name)
@@ -255,6 +268,64 @@ func (e *Engine) compiledProgram(lm *lazyModule) (*mpisim.Program, error) {
 	return e.progCache.GetOrCompute(progKey(lm.digest), compile)
 }
 
+// simRun is the outcome of a request's one simulation: the Result every
+// dynamic tool interprets, or the internal failure (an armed sim.run
+// fault, a recovered panic) that fails them all.
+type simRun struct {
+	res      *mpisim.Result
+	internal string
+}
+
+// canceledRun stands in for a simulation the request's context killed
+// before it ran or finished: every tool reads it as canceled. Tools only
+// read a Result, so one shared value serves every request.
+var canceledRun = &simRun{res: &mpisim.Result{Canceled: true}}
+
+// simulate runs prog once as a sim-pool job and waits for it under the
+// request context. The sim.run fault point fires here, once per
+// simulation, and a panic in the run is recovered into an internal
+// failure, so a pooled sim worker survives.
+func (e *Engine) simulate(ctx context.Context, prog *mpisim.Program, ranks int) *simRun {
+	run := &simRun{}
+	done := make(chan struct{})
+	job := func() {
+		defer close(done)
+		defer func() {
+			if r := recover(); r != nil {
+				e.toolPanics.Add(1)
+				run.res, run.internal = nil, fmt.Sprintf("simulation panic: %v", r)
+				e.bus.Publish(events.FaultRecovered, FaultRecoveredData{
+					Subsystem: "tool", Detail: "simulation", Panic: fmt.Sprint(r)})
+			}
+		}()
+		// A request that died while the job was queued skips the run.
+		if ctx.Err() != nil {
+			run.res = canceledRun.res
+			return
+		}
+		if err := fault.Inject(FaultSimRun); err != nil {
+			run.internal = err.Error()
+			return
+		}
+		e.simExecs.Add(1)
+		run.res = prog.RunCtx(ctx, mpisim.Config{Ranks: ranks,
+			MaxSteps: e.cfg.SimMaxSteps, WallBudget: e.cfg.SimTimeout})
+	}
+	select {
+	case e.simJobs <- job:
+	case <-ctx.Done():
+		return canceledRun
+	}
+	select {
+	case <-done:
+		return run
+	case <-ctx.Done():
+		// The running simulation observes the same context and aborts
+		// cooperatively; nobody reads its result.
+		return canceledRun
+	}
+}
+
 // toolKey addresses one (tool, configuration, program) verdict: the
 // key carries the tool name, every configuration axis that can change
 // the verdict, and the program's canonical digest. The digest is
@@ -392,28 +463,26 @@ func (e *Engine) analyzeProgram(ctx context.Context, model string, selected []se
 		// disabled it would be dead work on the request path.
 		lm.digest = requestDigest(prog.IR)
 	}
-	// Dynamic tools fan out (their simulations run on the sim pool and
-	// dominate latency); static tools run inline on the request
-	// goroutine — a cached verdict is one lookup, an uncached static
-	// analysis microseconds.
-	var wg sync.WaitGroup
-	for i, st := range selected {
-		if !st.dynamic {
-			continue
+	// The dynamic tools run in order on one goroutine: the first that
+	// misses its verdict cache starts the request's simulation on the sim
+	// pool and waits for it, and the rest interpret the same run. Static
+	// tools meanwhile run inline on the request goroutine — a cached
+	// verdict is one lookup, an uncached static analysis microseconds.
+	dynDone := make(chan struct{})
+	go func() {
+		defer close(dynDone)
+		for i, st := range selected {
+			if st.dynamic {
+				verdicts[i] = e.runTool(ctx, st, lm, ranks)
+			}
 		}
-		i, st := i, st
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			verdicts[i] = e.runTool(ctx, st, lm, ranks)
-		}()
-	}
+	}()
 	for i, st := range selected {
 		if !st.dynamic {
 			verdicts[i] = e.runTool(ctx, st, lm, ranks)
 		}
 	}
-	wg.Wait()
+	<-dynDone
 	if err := <-mlDone; err != nil {
 		return nil, err
 	}
@@ -502,67 +571,23 @@ func (e *Engine) runTool(ctx context.Context, st selectedTool, lm *lazyModule, r
 	}
 }
 
-// execTool executes one tool (leading flight f when non-nil): static
-// tools inline, dynamic tools on the simulation pool so heavy runs
-// cannot starve the classification workers. The program parses (and,
-// for dynamic tools, compiles) on demand here — a cache hit in runTool
-// never reaches this point.
+// execTool executes one tool, leading flight f when non-nil. The
+// program parses (and, for dynamic tools, compiles) on demand here — a
+// cache hit in runTool never reaches this point.
 func (e *Engine) execTool(ctx context.Context, st selectedTool, lm *lazyModule, ranks int, f *cache.Flight[ToolVerdict]) ToolVerdict {
-	if !st.dynamic {
-		mod, perr := lm.get()
-		if perr != nil {
-			return e.parseErrVerdict(st, perr, f)
-		}
-		v := e.invokeTool(ctx, st, mod, nil, ranks)
-		e.completeTool(f, v, ctx)
-		return v
-	}
-	// Dynamic tools run the compiled form; the content-addressed program
-	// cache makes the compile step once-per-program across tools, world
-	// sizes and requests.
 	var prog *mpisim.Program
-	if _, ok := st.tool.(verify.ProgramChecker); ok {
-		var perr error
+	var perr error
+	if st.dynamic {
 		prog, perr = e.compiledProgram(lm)
-		if perr != nil {
-			return e.parseErrVerdict(st, perr, f)
-		}
-	} else if _, perr := lm.get(); perr != nil {
+	} else {
+		_, perr = lm.get()
+	}
+	if perr != nil {
 		return e.parseErrVerdict(st, perr, f)
 	}
-	done := make(chan ToolVerdict, 1)
-	job := func() {
-		// A dead context skips the simulation only for uncoalesced work;
-		// a flight leader still completes (with the cancellation) so
-		// waiters unblock and retry on their own budgets.
-		if ctx.Err() != nil {
-			if f != nil {
-				e.toolCache.Complete(f, ToolVerdict{}, ctxErr(ctx))
-			}
-			done <- canceledToolVerdict(st)
-			return
-		}
-		mod := lm.mod // parsed above when the tool needs it; nil for ProgramCheckers
-		v := e.invokeTool(ctx, st, mod, prog, ranks)
-		e.completeTool(f, v, ctx)
-		done <- v
-	}
-	select {
-	case e.simJobs <- job:
-	case <-ctx.Done():
-		if f != nil {
-			e.toolCache.Complete(f, ToolVerdict{}, ctxErr(ctx))
-		}
-		return canceledToolVerdict(st)
-	}
-	select {
-	case v := <-done:
-		return v
-	case <-ctx.Done():
-		// The running simulation observes the same context and aborts
-		// cooperatively; the job completes the flight on its way out.
-		return canceledToolVerdict(st)
-	}
+	v := e.invokeTool(ctx, st, lm, prog, ranks)
+	e.completeTool(f, v, ctx)
+	return v
 }
 
 // completeTool finishes a led flight. Conclusive verdicts — including
@@ -603,13 +628,14 @@ func (e *Engine) parseErrVerdict(st selectedTool, perr error, f *cache.Flight[To
 	return v
 }
 
-// invokeTool runs the tool synchronously and maps its verdict. Dynamic
-// tools that accept a pre-compiled program (prog non-nil) skip the
-// per-run compile entirely. The call is panic-isolated: a panicking
-// tool (or an armed panic fault) becomes an internal error verdict that
-// feeds the tool's breaker instead of killing the goroutine — for
-// dynamic tools, a pooled sim worker the whole engine shares.
-func (e *Engine) invokeTool(ctx context.Context, st selectedTool, mod *ir.Module, prog *mpisim.Program, ranks int) (out ToolVerdict) {
+// invokeTool runs the tool synchronously and maps its verdict: a
+// static tool analyzes the module, a dynamic tool interprets the
+// request's simulation, which the first dynamic tool to get here starts.
+// The tool's own fault point fires first, so a failed tool never
+// triggers a simulation. The call is panic-isolated: a panicking tool
+// (or an armed panic fault) becomes an internal error verdict that feeds
+// the tool's breaker instead of killing the request.
+func (e *Engine) invokeTool(ctx context.Context, st selectedTool, lm *lazyModule, prog *mpisim.Program, ranks int) (out ToolVerdict) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.toolPanics.Add(1)
@@ -622,20 +648,17 @@ func (e *Engine) invokeTool(ctx context.Context, st selectedTool, mod *ir.Module
 	if err := fault.Inject("tool." + st.name); err != nil {
 		return internalToolVerdict(st, err.Error())
 	}
-	var cfg mpisim.Config
-	if st.dynamic {
-		if err := fault.Inject(FaultSimRun); err != nil {
-			return internalToolVerdict(st, err.Error())
-		}
-		e.simExecs.Add(1)
-		cfg = mpisim.Config{Ranks: ranks, MaxSteps: e.cfg.SimMaxSteps,
-			WallBudget: e.cfg.SimTimeout}
-	}
 	var v verify.Verdict
-	if prog != nil {
-		v = st.tool.(verify.ProgramChecker).CheckProgram(ctx, prog, cfg)
+	if st.dynamic {
+		if lm.sim == nil {
+			lm.sim = e.simulate(ctx, prog, ranks)
+		}
+		if lm.sim.internal != "" {
+			return internalToolVerdict(st, lm.sim.internal)
+		}
+		v = st.tool.(verify.ProgramChecker).Interpret(lm.sim.res)
 	} else {
-		v = st.tool.CheckModule(ctx, mod, cfg)
+		v = st.tool.CheckModule(ctx, lm.mod, mpisim.Config{})
 	}
 	out = ToolVerdict{Tool: st.name, Dynamic: st.dynamic,
 		Flagged: v.Flagged, Reason: v.Reason}

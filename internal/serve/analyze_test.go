@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"mpidetect/internal/ast"
+	"mpidetect/internal/dataset"
 	"mpidetect/internal/ir"
 	"mpidetect/internal/irgen"
+	"mpidetect/internal/mpisim"
 	"mpidetect/internal/verify"
 )
 
@@ -153,8 +155,8 @@ func TestAnalyzeWarmRepeatRunsZeroSimulations(t *testing.T) {
 	if st.Analyze == nil {
 		t.Fatal("stats missing analyze section with tools configured")
 	}
-	if st.Analyze.SimExecs != 2 {
-		t.Fatalf("cold pass ran %d simulations, want 2 (itac, must)", st.Analyze.SimExecs)
+	if st.Analyze.SimExecs != 1 {
+		t.Fatalf("cold pass ran %d simulations, want 1 (shared by itac and must)", st.Analyze.SimExecs)
 	}
 
 	warm, err := eng.Analyze(ctx, req)
@@ -162,8 +164,8 @@ func TestAnalyzeWarmRepeatRunsZeroSimulations(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = eng.Stats()
-	if st.Analyze.SimExecs != 2 {
-		t.Fatalf("warm repeat ran the simulator (%d execs, want 2)", st.Analyze.SimExecs)
+	if st.Analyze.SimExecs != 1 {
+		t.Fatalf("warm repeat ran the simulator (%d execs, want 1)", st.Analyze.SimExecs)
 	}
 	if st.ToolCache == nil || st.ToolCache.Hits < 4 {
 		t.Fatalf("tool cache stats %+v: want >=4 hits on the warm pass", st.ToolCache)
@@ -179,6 +181,110 @@ func TestAnalyzeWarmRepeatRunsZeroSimulations(t *testing.T) {
 	if warm.Ensemble != cold.Ensemble {
 		t.Fatalf("ensemble diverged: cold %+v warm %+v", cold.Ensemble, warm.Ensemble)
 	}
+}
+
+// TestAnalyzeSharesOneSimulation: one request fanning a program out to
+// both dynamic tools runs the simulator once, and the two tools still
+// read that run differently (ITAC times out on the deadlock, MUST flags
+// it) — with the caches on and with them off. (Uncached, each tool
+// compiles the program for itself; only the program cache shares that.)
+func TestAnalyzeSharesOneSimulation(t *testing.T) {
+	for _, size := range []int{256, 0} {
+		eng := analyzeEngine(t, Config{CacheSize: size})
+		resp, err := eng.Analyze(context.Background(), AnalyzeRequest{Model: "ir2vec",
+			Tools: []string{"itac", "must"}, Program: Program{IR: headToHeadIR(t)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := eng.Stats().Analyze
+		if st.SimExecs != 1 {
+			t.Fatalf("cache %d: cold itac+must ran %d simulations, want 1", size, st.SimExecs)
+		}
+		if st.ToolRuns != 2 {
+			t.Fatalf("cache %d: tool_runs = %d, want 2", size, st.ToolRuns)
+		}
+		if v := verdictOf(t, resp, "itac"); v.Verdict != "timeout" || v.Reason != "timeout" {
+			t.Fatalf("cache %d: itac verdict %+v, want timeout", size, v)
+		}
+		if v := verdictOf(t, resp, "must"); v.Verdict != "flagged" || v.Reason != "deadlock detected" {
+			t.Fatalf("cache %d: must verdict %+v, want flagged deadlock", size, v)
+		}
+	}
+}
+
+// TestAnalyzeDynamicMatchesDirectCheck is a differential test of the
+// shared simulation: over distinct programs from fresh generator seeds,
+// the itac and must verdicts Engine.Analyze serves at 16 ranks equal a
+// direct CheckProgram of each tool on the same compiled program.
+func TestAnalyzeDynamicMatchesDirectCheck(t *testing.T) {
+	const seed, programs = 4242, 64 // a seed no other test generates from
+	codes := dataset.Merge("differential", dataset.GenerateMBI(seed),
+		dataset.GenerateCorrBench(seed, false)).Shuffled(seed)
+	eng := analyzeEngine(t, Config{CacheSize: 256, SimTimeout: time.Hour})
+	tools := DefaultTools()
+	cfg := mpisim.Config{Ranks: maxSimRanks, MaxSteps: verify.DefaultMaxSteps}
+	ctx := context.Background()
+	seen := map[string]bool{}
+	classes := map[string]int{}
+	for _, c := range codes {
+		if len(seen) == programs {
+			break
+		}
+		src := progIR(t, c.Prog)
+		if seen[src] {
+			continue
+		}
+		seen[src] = true
+		resp, err := eng.Analyze(ctx, AnalyzeRequest{Model: "ir2vec",
+			Tools: []string{"itac", "must"}, Ranks: maxSimRanks,
+			Program: Program{Name: c.Name, IR: src}})
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		m, err := ir.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		prog := mpisim.Compile(m)
+		for _, name := range []string{"itac", "must"} {
+			tool, _, _ := tools.Get(name)
+			want := tool.(verify.ProgramChecker).CheckProgram(ctx, prog, cfg)
+			got := verdictOf(t, resp, name)
+			if got.Verdict != verdictClass(want) || got.Flagged != want.Flagged || got.Reason != want.Reason {
+				t.Fatalf("%s: %s served %+v, direct CheckProgram %+v", c.Name, name, got, want)
+			}
+			classes[name+" "+got.Verdict]++
+		}
+	}
+	if len(seen) < programs {
+		t.Fatalf("seed %d gave only %d distinct programs, want %d", seed, len(seen), programs)
+	}
+	if st := eng.Stats().Analyze; st.SimExecs != programs {
+		t.Fatalf("%d programs ran %d simulations, want one each", programs, st.SimExecs)
+	}
+	// Both tools' readings must be exercised, including the deadlock
+	// case where they part.
+	for _, k := range []string{"itac clean", "itac flagged", "itac timeout", "must clean", "must flagged"} {
+		if classes[k] == 0 {
+			t.Fatalf("no %q verdict among %d programs: %v", k, programs, classes)
+		}
+	}
+	t.Logf("verdicts over %d programs: %v", programs, classes)
+}
+
+// verdictClass names a direct tool verdict the way the serving path does.
+func verdictClass(v verify.Verdict) string {
+	switch {
+	case v.Canceled:
+		return "canceled"
+	case v.TO:
+		return "timeout"
+	case v.CE || v.RE:
+		return "error"
+	case v.Flagged:
+		return "flagged"
+	}
+	return "clean"
 }
 
 // TestAnalyzeCompilesProgramOnce pins the compile-once contract of the
@@ -366,7 +472,8 @@ func TestAnalyzeErrorsAndDisabled(t *testing.T) {
 }
 
 // TestInvalidateToolForcesRecompute: sweeping one tool's entries (the
-// registry-replacement path) re-runs exactly that tool's simulations.
+// registry-replacement path) re-runs a simulation for exactly that tool;
+// the other, still cached, does not join it.
 func TestInvalidateToolForcesRecompute(t *testing.T) {
 	tools := DefaultTools()
 	eng := analyzeEngine(t, Config{CacheSize: 256, Tools: tools})
@@ -383,8 +490,8 @@ func TestInvalidateToolForcesRecompute(t *testing.T) {
 	if _, err := eng.Analyze(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Stats().Analyze.SimExecs; got != 3 {
-		t.Fatalf("sim execs = %d, want 3 (itac cached, must recomputed)", got)
+	if got := eng.Stats().Analyze.SimExecs; got != 2 {
+		t.Fatalf("sim execs = %d, want 2 (itac cached, must recomputed)", got)
 	}
 
 	// Re-registering a tool invalidates through the OnReplace hook too.
@@ -392,8 +499,8 @@ func TestInvalidateToolForcesRecompute(t *testing.T) {
 	if _, err := eng.Analyze(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Stats().Analyze.SimExecs; got != 4 {
-		t.Fatalf("sim execs = %d, want 4 after itac re-registration", got)
+	if got := eng.Stats().Analyze.SimExecs; got != 3 {
+		t.Fatalf("sim execs = %d, want 3 after itac re-registration", got)
 	}
 }
 

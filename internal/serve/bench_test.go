@@ -112,10 +112,11 @@ func BenchmarkCoalescedClients(b *testing.B) {
 
 // BenchmarkAnalyze measures the hybrid-analysis dynamic path: one
 // program fanned out to the ML detector plus all four expert tools.
-// "cold" invalidates the tool cache every iteration, so both simulations
-// (itac, must) re-execute; "cached" measures the warm steady state,
-// where the acceptance contract is zero simulator executions per
-// request. The gap is the entire cost of the dynamic tier.
+// "cold" invalidates the tool cache every iteration, so the one
+// simulation itac and must share re-executes (sims/op 1); "cached"
+// measures the warm steady state, where the acceptance contract is zero
+// simulator executions per request. The gap is the entire cost of the
+// dynamic tier.
 func BenchmarkAnalyze(b *testing.B) {
 	for _, mode := range []string{"cold", "cached"} {
 		b.Run(mode, func(b *testing.B) {
@@ -151,10 +152,10 @@ func BenchmarkAnalyze(b *testing.B) {
 // BenchmarkAnalyzeDynamic isolates the dynamic tier on a simulation-
 // heavy program (a compute loop that burns tens of thousands of
 // interpreter steps per rank): "cold" invalidates the dynamic tools'
-// verdicts every iteration so both simulators re-execute — the number
-// that tracks raw engine speed — while "warm" measures the cached
-// steady state, whose contract is zero simulator executions and zero
-// compilations per request.
+// verdicts every iteration so their shared simulation re-executes
+// (sims/op 1) — the number that tracks raw engine speed — while "warm"
+// measures the cached steady state, whose contract is zero simulator
+// executions and zero compilations per request.
 func BenchmarkAnalyzeDynamic(b *testing.B) {
 	for _, mode := range []string{"cold", "warm"} {
 		b.Run(mode, func(b *testing.B) {
@@ -195,7 +196,8 @@ func BenchmarkAnalyzeDynamic(b *testing.B) {
 // cache every iteration so every program re-runs its analyses, "warm"
 // measures the steady state where the whole batch is answered from the
 // verdict/tool caches. events/op confirms every program streamed a
-// verdict; sims/op is the dynamic-tier work per batch (0 when warm).
+// verdict; sims/op is the dynamic-tier work per batch: 8 cold, one
+// simulation per program shared by itac and must, and 0 when warm.
 func BenchmarkAnalyzeBatchStream(b *testing.B) {
 	for _, mode := range []string{"cold", "warm"} {
 		b.Run(mode, func(b *testing.B) {

@@ -165,3 +165,93 @@ func TestChaosEveryFaultPoint(t *testing.T) {
 		t.Fatalf("chaos ran but no panic recovery was counted: %+v", rs)
 	}
 }
+
+// TestChaosSharedSimulation pins the fault semantics of the one
+// simulation a request's dynamic tools share: a tool's own fault fails
+// only that tool while the other still serves its real verdict from the
+// one run, an armed sim.run fault (or a panic in the run) fails both as
+// internal verdicts, and a tool held out by its open breaker leaves the
+// other to run the simulation alone.
+func TestChaosSharedSimulation(t *testing.T) {
+	defer fault.DisarmAll()
+	ctx := context.Background()
+	prog := Program{IR: pingpongIR(t)} // clean under both tools
+	analyze := func(eng *Engine) *AnalyzeResponse {
+		t.Helper()
+		resp, err := eng.Analyze(ctx, AnalyzeRequest{Model: "ir2vec",
+			Tools: []string{"itac", "must"}, Program: prog})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	sims := func(eng *Engine) int64 { return eng.Stats().Analyze.SimExecs }
+
+	// One tool's fault: the other reads the one run.
+	for _, tc := range []struct{ faulted, served string }{{"itac", "must"}, {"must", "itac"}} {
+		eng := analyzeEngine(t, Config{CacheSize: 64})
+		if err := fault.Arm("tool."+tc.faulted, fault.Spec{Mode: fault.Error, Message: "chaos"}); err != nil {
+			t.Fatal(err)
+		}
+		resp := analyze(eng)
+		fault.DisarmAll()
+		if v := verdictOf(t, resp, tc.faulted); v.Verdict != "error" || !v.Internal {
+			t.Fatalf("tool.%s armed: %s verdict %+v, want internal error", tc.faulted, tc.faulted, v)
+		}
+		if v := verdictOf(t, resp, tc.served); v.Verdict != "clean" || v.Internal {
+			t.Fatalf("tool.%s armed: %s verdict %+v, want its real clean verdict", tc.faulted, tc.served, v)
+		}
+		if got := sims(eng); got != 1 {
+			t.Fatalf("tool.%s armed: %d simulations, want 1", tc.faulted, got)
+		}
+	}
+
+	// The simulation's own fault, as an error and as a panic: both tools
+	// fail internally, and the ensemble says it ran without them. Each
+	// case gets a fresh engine, so nothing is served from a cache.
+	for _, mode := range []fault.Mode{fault.Error, fault.Panic} {
+		eng := analyzeEngine(t, Config{CacheSize: 64})
+		if err := fault.Arm(FaultSimRun, fault.Spec{Mode: mode, Message: "chaos"}); err != nil {
+			t.Fatal(err)
+		}
+		resp := analyze(eng)
+		fault.DisarmAll()
+		for _, tool := range []string{"itac", "must"} {
+			if v := verdictOf(t, resp, tool); v.Verdict != "error" || !v.Internal {
+				t.Fatalf("sim.run %v: %s verdict %+v, want internal error", mode, tool, v)
+			}
+		}
+		if !resp.Ensemble.Degraded {
+			t.Fatalf("sim.run %v: ensemble %+v not degraded", mode, resp.Ensemble)
+		}
+		if got := sims(eng); got != 0 {
+			t.Fatalf("sim.run %v: %d simulations counted, want 0", mode, got)
+		}
+		wantPanics := int64(0)
+		if mode == fault.Panic {
+			wantPanics = 1
+		}
+		if got := eng.Stats().Resilience.ToolPanics; got != wantPanics {
+			t.Fatalf("sim.run %v: tool_panics = %d, want %d", mode, got, wantPanics)
+		}
+		if ts, _ := eng.ToolCacheStats(); ts.Size != 0 {
+			t.Fatalf("sim.run %v: %d internal verdicts cached", mode, ts.Size)
+		}
+	}
+
+	// ITAC's breaker open: MUST alone runs the simulation.
+	eng := analyzeEngine(t, Config{CacheSize: 64, BreakerFailures: 1, BreakerCooldown: time.Hour})
+	b := eng.toolBreaker("itac")
+	b.Allow()
+	b.Record(false)
+	resp := analyze(eng)
+	if v := verdictOf(t, resp, "itac"); v.Verdict != "degraded" {
+		t.Fatalf("open breaker: itac verdict %+v, want degraded", v)
+	}
+	if v := verdictOf(t, resp, "must"); v.Verdict != "clean" {
+		t.Fatalf("open breaker: must verdict %+v, want clean", v)
+	}
+	if got := sims(eng); got != 1 {
+		t.Fatalf("open breaker: %d simulations, want 1 (must alone)", got)
+	}
+}

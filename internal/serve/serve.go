@@ -927,8 +927,11 @@ type PipelineStats struct {
 }
 
 // AnalyzeStats is the hybrid-analysis half of GET /stats. SimExecs
-// counts actual simulator executions — a warm /analyze repeat leaves it
-// untouched, which is the observable cache contract of the endpoint.
+// counts actual simulator executions — one per cold program, however
+// many dynamic tools read the run, and none for a warm /analyze repeat,
+// which is the observable cache contract of the endpoint. ToolRuns
+// counts tool executions; a cache hit or a tool its open breaker holds
+// out executes nothing.
 // SimCompiles counts real compilations of a simulator program; one
 // request fanning a program to several dynamic tools compiles at most
 // once, and warm repeats not at all (the program-cache hit counters in

@@ -53,9 +53,16 @@ type ModuleChecker interface {
 // pre-compiled simulator program (mpisim.Compile), so a caller that
 // fans one program out to several tools — or to several world sizes —
 // compiles it exactly once. The compiled form is rank-independent.
+//
+// A tool's verdict is a reading of one simulated run: CheckProgram is
+// Interpret(prog.RunCtx(ctx, cfg)). The run is deterministic and the
+// same for every dynamic tool, so a caller that wants several dynamic
+// verdicts on one program and configuration simulates once and hands
+// the Result to each tool's Interpret.
 type ProgramChecker interface {
 	ModuleChecker
 	CheckProgram(ctx context.Context, prog *mpisim.Program, cfg mpisim.Config) Verdict
+	Interpret(res *mpisim.Result) Verdict
 }
 
 // DefaultMaxSteps is the explicit per-rank step budget the harness hands
@@ -154,8 +161,10 @@ func compiled(c *dataset.Code, m *ir.Module) *mpisim.Program {
 }
 
 // ---------------------------------------------------------------------------
-// ITAC-like dynamic checker: execute with runtime checking; deadlocks hit
-// the tool's timeout (inconclusive), everything else produces a verdict.
+// ITAC- and MUST-like dynamic checkers: both execute the program with
+// runtime checking and read the same run; they differ only on a
+// deadlock, which ITAC waits out until the harness timeout
+// (inconclusive) and MUST's wait-for-graph detector reports.
 // ---------------------------------------------------------------------------
 
 // ITAC is the dynamic trace analyzer archetype. Budget bounds every
@@ -167,13 +176,7 @@ type ITAC struct{ Budget Budget }
 func (ITAC) Name() string { return "ITAC-like (dynamic)" }
 
 // Check implements Tool.
-func (t ITAC) Check(c *dataset.Code) Verdict {
-	m, ok := lower(c)
-	if !ok {
-		return Verdict{CE: true}
-	}
-	return t.CheckProgram(context.Background(), compiled(c, m), t.Budget.simConfig(c.Ranks))
-}
+func (t ITAC) Check(c *dataset.Code) Verdict { return checkCode(t, t.Budget, c) }
 
 // CheckModule implements ModuleChecker.
 func (t ITAC) CheckModule(ctx context.Context, m *ir.Module, cfg mpisim.Config) Verdict {
@@ -181,27 +184,13 @@ func (t ITAC) CheckModule(ctx context.Context, m *ir.Module, cfg mpisim.Config) 
 }
 
 // CheckProgram implements ProgramChecker.
-func (ITAC) CheckProgram(ctx context.Context, prog *mpisim.Program, cfg mpisim.Config) Verdict {
-	res := prog.RunCtx(ctx, cfg)
-	switch {
-	case res.Canceled:
-		return Verdict{TO: true, Canceled: true, Reason: "canceled"}
-	case res.Deadlock || res.Timeout:
-		// The real tool waits for completion and gets killed by the
-		// harness timeout: inconclusive.
-		return Verdict{TO: true, Wall: res.WallTimeout, Reason: "timeout"}
-	case res.Crashed:
-		return Verdict{RE: true, Reason: res.CrashMsg}
-	case len(res.Violations) > 0:
-		return Verdict{Flagged: true, Reason: res.Violations[0].String()}
-	}
-	return Verdict{}
+func (t ITAC) CheckProgram(ctx context.Context, prog *mpisim.Program, cfg mpisim.Config) Verdict {
+	return t.Interpret(prog.RunCtx(ctx, cfg))
 }
 
-// ---------------------------------------------------------------------------
-// MUST-like dynamic checker: same dynamic checks, but a wait-for-graph
-// deadlock detector turns deadlocks into diagnostics instead of timeouts.
-// ---------------------------------------------------------------------------
+// Interpret implements ProgramChecker: a deadlock is an inconclusive
+// timeout.
+func (ITAC) Interpret(res *mpisim.Result) Verdict { return interpret(res, false) }
 
 // MUST is the runtime-correctness-tool archetype. Budget bounds every
 // simulated run explicitly (see ITAC).
@@ -211,13 +200,7 @@ type MUST struct{ Budget Budget }
 func (MUST) Name() string { return "MUST-like (dynamic)" }
 
 // Check implements Tool.
-func (t MUST) Check(c *dataset.Code) Verdict {
-	m, ok := lower(c)
-	if !ok {
-		return Verdict{CE: true}
-	}
-	return t.CheckProgram(context.Background(), compiled(c, m), t.Budget.simConfig(c.Ranks))
-}
+func (t MUST) Check(c *dataset.Code) Verdict { return checkCode(t, t.Budget, c) }
 
 // CheckModule implements ModuleChecker.
 func (t MUST) CheckModule(ctx context.Context, m *ir.Module, cfg mpisim.Config) Verdict {
@@ -225,13 +208,33 @@ func (t MUST) CheckModule(ctx context.Context, m *ir.Module, cfg mpisim.Config) 
 }
 
 // CheckProgram implements ProgramChecker.
-func (MUST) CheckProgram(ctx context.Context, prog *mpisim.Program, cfg mpisim.Config) Verdict {
-	res := prog.RunCtx(ctx, cfg)
+func (t MUST) CheckProgram(ctx context.Context, prog *mpisim.Program, cfg mpisim.Config) Verdict {
+	return t.Interpret(prog.RunCtx(ctx, cfg))
+}
+
+// Interpret implements ProgramChecker: a deadlock is a diagnostic.
+func (MUST) Interpret(res *mpisim.Result) Verdict { return interpret(res, true) }
+
+// checkCode runs a dynamic tool on a dataset code under its budget.
+func checkCode(t ProgramChecker, b Budget, c *dataset.Code) Verdict {
+	m, ok := lower(c)
+	if !ok {
+		return Verdict{CE: true}
+	}
+	return t.CheckProgram(context.Background(), compiled(c, m), b.simConfig(c.Ranks))
+}
+
+// interpret is the reading of a run that ITAC and MUST share.
+// detectsDeadlock selects the one difference: without a deadlock
+// detector the real tool waits for completion until the harness kills
+// it, so the deadlock is an inconclusive timeout, checked before a crash
+// as the hang is what the tool observes; with one it is a diagnostic.
+func interpret(res *mpisim.Result, detectsDeadlock bool) Verdict {
 	switch {
 	case res.Canceled:
 		return Verdict{TO: true, Canceled: true, Reason: "canceled"}
-	case res.Timeout:
-		return Verdict{TO: true, Wall: res.WallTimeout}
+	case res.Timeout, res.Deadlock && !detectsDeadlock:
+		return Verdict{TO: true, Wall: res.WallTimeout, Reason: "timeout"}
 	case res.Crashed:
 		return Verdict{RE: true, Reason: res.CrashMsg}
 	case res.Deadlock:

@@ -157,3 +157,48 @@ func TestVerdictNames(t *testing.T) {
 		}
 	}
 }
+
+// TestInterpret pins how ITAC and MUST read each shape of simulated run.
+// The two share one reading and differ only on a deadlock: ITAC waits it
+// out into an inconclusive timeout, MUST reports it.
+func TestInterpret(t *testing.T) {
+	leak := mpisim.Violation{Kind: mpisim.VResourceLeak, Rank: 1, Msg: "window never freed"}
+	cases := []struct {
+		name       string
+		res        mpisim.Result
+		itac, must Verdict
+	}{
+		{"canceled", mpisim.Result{Canceled: true, Deadlock: true},
+			Verdict{TO: true, Canceled: true, Reason: "canceled"},
+			Verdict{TO: true, Canceled: true, Reason: "canceled"}},
+		{"deadlock", mpisim.Result{Deadlock: true},
+			Verdict{TO: true, Reason: "timeout"},
+			Verdict{Flagged: true, Reason: "deadlock detected"}},
+		{"deadlock-after-crash", mpisim.Result{Deadlock: true, Crashed: true, CrashMsg: "rank 0: boom"},
+			Verdict{TO: true, Reason: "timeout"},
+			Verdict{RE: true, Reason: "rank 0: boom"}},
+		{"step-timeout", mpisim.Result{Timeout: true},
+			Verdict{TO: true, Reason: "timeout"},
+			Verdict{TO: true, Reason: "timeout"}},
+		{"wall-timeout", mpisim.Result{Timeout: true, WallTimeout: true},
+			Verdict{TO: true, Wall: true, Reason: "timeout"},
+			Verdict{TO: true, Wall: true, Reason: "timeout"}},
+		{"crash", mpisim.Result{Crashed: true, CrashMsg: "rank 1: load out of bounds",
+			Violations: []mpisim.Violation{leak}},
+			Verdict{RE: true, Reason: "rank 1: load out of bounds"},
+			Verdict{RE: true, Reason: "rank 1: load out of bounds"}},
+		{"first-violation", mpisim.Result{Violations: []mpisim.Violation{leak,
+			{Kind: mpisim.VTypeMismatch, Rank: 0, Msg: "second"}}},
+			Verdict{Flagged: true, Reason: leak.String()},
+			Verdict{Flagged: true, Reason: leak.String()}},
+		{"clean", mpisim.Result{Steps: 1234, Output: "hello\n"}, Verdict{}, Verdict{}},
+	}
+	for _, tc := range cases {
+		if got := (ITAC{}).Interpret(&tc.res); got != tc.itac {
+			t.Errorf("%s: ITAC reads %+v, want %+v", tc.name, got, tc.itac)
+		}
+		if got := (MUST{}).Interpret(&tc.res); got != tc.must {
+			t.Errorf("%s: MUST reads %+v, want %+v", tc.name, got, tc.must)
+		}
+	}
+}
