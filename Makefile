@@ -76,6 +76,9 @@ chaos:
 #   parser (identical modules, identical diagnostics, byte for byte);
 # - FuzzNormalizeIR: the digest normalizer against its byte-at-a-time
 #   reference (digests key the store, so they must never move);
+# - FuzzDigest: the streaming digest against sha256 of the whole
+#   normalized text, through buffers of every size, so chunk cuts land
+#   on every line boundary;
 # - FuzzOptimize: -O2 and -Os over any IR that parses and verifies (no
 #   panic, the result verifies and re-parses, the same input always
 #   prints the same output);
@@ -86,7 +89,12 @@ chaos:
 # - FuzzEdgeAttend: the inference-only GATv2 ops (MatMulRows,
 #   MatMulRowsAddRow, EdgeAttend) against the differentiable composition
 #   training runs, bit for bit, over the same special values, repeated
-#   rows, empty edge lists and destinations that receive no edge.
+#   rows, empty edge lists and destinations that receive no edge;
+# - FuzzStoreOpen: arbitrary segment bytes after the magic (Open never
+#   panics, Get serves only checksummed records of the input, the
+#   recovered store stays writable across a reopen);
+# - FuzzTierLoad: arbitrary durable-tier payloads (each Load is a
+#   verdict, a miss or a counted decode error, never a panic).
 # The corpus seeds plus whatever the fuzzer grows locally; a longer soak
 # is e.g. `go test -run '^$$' -fuzz FuzzOptimize -fuzztime 10m ./internal/passes/`.
 # -fuzzminimizetime 1s caps the minimiser: by default it may spend up to
@@ -97,9 +105,12 @@ FUZZ = $(GO) test -run '^$$' -fuzztime 15s -fuzzminimizetime 1s
 fuzz:
 	$(FUZZ) -fuzz FuzzParse ./internal/ir/
 	$(FUZZ) -fuzz FuzzNormalizeIR ./internal/core/
+	$(FUZZ) -fuzz FuzzDigest ./internal/core/
 	$(FUZZ) -fuzz FuzzOptimize ./internal/passes/
 	$(FUZZ) -fuzz FuzzVecKernels ./internal/tensor/
 	$(FUZZ) -fuzz FuzzEdgeAttend ./internal/autodiff/
+	$(FUZZ) -fuzz FuzzStoreOpen ./internal/store/
+	$(FUZZ) -fuzz FuzzTierLoad ./internal/store/
 
 # One iteration of every benchmark — catches bit-rot in the bench harness
 # without paying for a full measurement run — and emits machine-readable

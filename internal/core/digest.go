@@ -18,7 +18,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 	"strings"
 
 	"mpidetect/internal/ast"
@@ -29,25 +29,37 @@ import (
 // a single space. The result is NOT parseable IR — it exists only to make
 // digests insensitive to formatting.
 func NormalizeIR(src string) string {
-	return string(appendNormalizedIR(make([]byte, 0, len(src)), src))
+	// Each line's normal form is at most its length plus a newline, so a
+	// len(src)+1 buffer holds the whole text and one call consumes it.
+	dst, _ := appendNormalizedIR(make([]byte, 0, len(src)+1), src)
+	return string(dst)
 }
 
-// appendNormalizedIR is an allocation-free (modulo dst growth)
-// normalizer; digesting runs on the serving hot path for every
-// program of every request, so it must stay cheap next to a map lookup.
+// appendNormalizedIR is the one normalizer body, shared by NormalizeIR
+// and the streaming digest; digesting runs on the serving hot path for
+// every program of every request, so it must stay cheap next to a map
+// lookup. It appends the normal form of src's lines to dst and returns
+// the text it left unconsumed: it stops before a line whose normal form
+// might not fit in cap(dst) (a line of n bytes yields at most n+1),
+// unless dst is empty, so a caller that drains dst between calls always
+// progresses and dst only grows for a single line longer than it.
+//
 // It works a line at a time: leading blanks are trimmed and comment
 // lines skipped, and a line that has no quote, tab, carriage return,
 // double space or trailing blank — nearly every line of printed IR — is
 // already normal and is copied whole. Any other line goes through
-// appendNormalizedLine.
-func appendNormalizedIR(dst []byte, src string) []byte {
+// appendNormalizedLine. No state crosses a line break, so where the
+// caller cuts the text between calls never changes the output.
+func appendNormalizedIR(dst []byte, src string) ([]byte, string) {
 	for len(src) > 0 {
-		line := src
+		line, rest := src, ""
 		if i := strings.IndexByte(src, '\n'); i >= 0 {
-			line, src = src[:i], src[i+1:]
-		} else {
-			src = ""
+			line, rest = src[:i], src[i+1:]
 		}
+		if len(dst) > 0 && len(dst)+len(line)+1 > cap(dst) {
+			break
+		}
+		src = rest
 		for len(line) > 0 && (line[0] == ' ' || line[0] == '\t' || line[0] == '\r') {
 			line = line[1:]
 		}
@@ -63,7 +75,7 @@ func appendNormalizedIR(dst []byte, src string) []byte {
 		}
 		dst = append(dst, '\n')
 	}
-	return dst
+	return dst, src
 }
 
 // appendNormalizedLine normalizes one line that starts with a byte other
@@ -107,13 +119,45 @@ func appendNormalizedLine(dst []byte, line string) []byte {
 	return dst
 }
 
+// digestChunk is the size of the stack buffer the digest normalizes
+// into; every full chunk goes to the hasher, so a digest never holds the
+// normalized text of a whole program.
+const digestChunk = 4 << 10
+
+// sumNormalized returns hex(sha256(buf + NormalizeIR(src))) for a header
+// already in buf, streaming the normalized text through chunk-sized
+// pieces of buf cut at line boundaries.
+func sumNormalized(buf []byte, src string) string {
+	h := sha256.New()
+	for {
+		buf, src = appendNormalizedIR(buf, src)
+		h.Write(buf)
+		if src == "" {
+			break
+		}
+		buf = buf[:0]
+	}
+	var sum [sha256.Size]byte
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], h.Sum(sum[:0]))
+	return string(hexSum[:])
+}
+
+// appendHeader appends the digest header "v" ArtifactVersion "|" for
+// each identity part p: p "|".
+func appendHeader(dst []byte, parts ...string) []byte {
+	dst = strconv.AppendInt(append(dst, 'v'), ArtifactVersion, 10)
+	dst = append(dst, '|')
+	for _, p := range parts {
+		dst = append(append(dst, p...), '|')
+	}
+	return dst
+}
+
 // digest hashes the detector identity header plus normalized body.
 func digest(d Detector, namespace, body string) string {
-	buf := make([]byte, 0, len(body)+64)
-	buf = fmt.Appendf(buf, "v%d|%s|%s|%s|", ArtifactVersion, d.Name(), d.Opt(), namespace)
-	buf = appendNormalizedIR(buf, body)
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:])
+	var chunk [digestChunk]byte
+	return sumNormalized(appendHeader(chunk[:0], d.Name(), d.Opt().String(), namespace), body)
 }
 
 // DigestIR returns the canonical cache digest of a textual-IR program as
@@ -138,9 +182,6 @@ func DigestProgram(d Detector, p *ast.Program) string {
 // their normalized IR is byte-identical AND ident matches, under the
 // same artifact format version.
 func DigestIRKeyed(ident, src string) string {
-	buf := make([]byte, 0, len(src)+64)
-	buf = fmt.Appendf(buf, "v%d|%s|ir|", ArtifactVersion, ident)
-	buf = appendNormalizedIR(buf, src)
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:])
+	var chunk [digestChunk]byte
+	return sumNormalized(appendHeader(chunk[:0], ident, "ir"), src)
 }

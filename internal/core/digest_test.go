@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -216,8 +219,8 @@ func TestNormalizeIRMatchesReference(t *testing.T) {
 		messy := "; c\n\t" + strings.ReplaceAll(src, "\n", " \r\n  ") + "\t"
 		spaced := strings.ReplaceAll(src, " ", "  ")
 		for _, s := range []string{src, messy, spaced} {
-			got := appendNormalizedIR(nil, s)
-			if want := referenceNormalizeIR(nil, s); string(got) != string(want) {
+			got := NormalizeIR(s)
+			if want := referenceNormalizeIR(nil, s); got != string(want) {
 				t.Fatalf("program %d: normalized text differs from the reference:\n got %q\nwant %q", i, got, want)
 			}
 		}
@@ -238,9 +241,38 @@ func FuzzNormalizeIR(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		got := appendNormalizedIR(nil, src)
-		if want := referenceNormalizeIR(nil, src); string(got) != string(want) {
+		got := NormalizeIR(src)
+		if want := referenceNormalizeIR(nil, src); got != string(want) {
 			t.Fatalf("normalized %q:\n got %q\nwant %q", src, got, want)
+		}
+	})
+}
+
+// FuzzDigest checks the streaming digest against hashing the whole
+// normalized text at once, sha256(header + NormalizeIR(src)), for
+// arbitrary text. Besides the digestChunk buffer the exported digests
+// use, it streams through a buffer of the fuzzed capacity, so chunk cuts
+// land on every line boundary, and lines longer than the buffer grow it.
+func FuzzDigest(f *testing.F) {
+	f.Add(goldenIR(), uint16(0))
+	f.Add(goldenIR(), uint16(37))
+	for _, c := range dataset.GenerateCorrBench(1, true).Codes[:4] {
+		f.Add(ir.Print(irgen.MustLower(c.Prog)), uint16(64))
+	}
+	for _, s := range []string{"", "\n", "; c", "a  b\r\n\tc", "x \"a\\\"  b\"  y\n\n;z\nq"} {
+		f.Add(s, uint16(1))
+	}
+	f.Fuzz(func(t *testing.T, src string, capacity uint16) {
+		const ident = "tool:must|ranks=2|steps=200000"
+		header := "v" + strconv.Itoa(ArtifactVersion) + "|" + ident + "|ir|"
+		sum := sha256.Sum256([]byte(header + NormalizeIR(src)))
+		want := hex.EncodeToString(sum[:])
+		if got := DigestIRKeyed(ident, src); got != want {
+			t.Fatalf("DigestIRKeyed(%q) = %s, want %s", src, got, want)
+		}
+		buf := append(make([]byte, 0, int(capacity)), header...)
+		if got := sumNormalized(buf, src); got != want {
+			t.Fatalf("sumNormalized(%q) through a %d-byte buffer = %s, want %s", src, capacity, got, want)
 		}
 	})
 }

@@ -41,16 +41,18 @@ import (
 // actually has to be computed — a fully warm request (every tool served
 // from the verdict cache) never parses at all.
 //
-// It also holds the request's one simulation, run on first demand by a
-// dynamic tool. A request's dynamic tools run in order on one goroutine
-// (analyzeProgram) and share its ranks, step budget and context, so sim
-// needs no lock and one run serves them all.
+// It also holds the request's compiled program and its one simulation,
+// both resolved on first demand by a dynamic tool. A request's dynamic
+// tools run in order on one goroutine (analyzeProgram) and share its
+// ranks, step budget and context, so prog and sim need no lock: one
+// compile and one run serve them all, with or without the program cache.
 type lazyModule struct {
 	src    string
 	digest string // requestDigest(src), computed once per request
 	once   sync.Once
 	mod    *ir.Module
 	err    error
+	prog   *mpisim.Program
 	sim    *simRun
 }
 
@@ -251,9 +253,13 @@ func toolPrefix(name string) string { return name + keySep }
 func progKey(digest string) string { return "simprog" + keySep + digest }
 
 // compiledProgram resolves the compiled simulator program for a
-// request, through the program cache when enabled. Compilation errors
-// are parse errors (broadcast to coalesced callers, never cached).
+// request once, through the program cache when enabled, and keeps it on
+// lm for the request's other dynamic tools. Compilation errors are parse
+// errors (broadcast to coalesced callers, never cached).
 func (e *Engine) compiledProgram(lm *lazyModule) (*mpisim.Program, error) {
+	if lm.prog != nil {
+		return lm.prog, nil
+	}
 	compile := func() (*mpisim.Program, error) {
 		mod, err := lm.get()
 		if err != nil {
@@ -262,10 +268,13 @@ func (e *Engine) compiledProgram(lm *lazyModule) (*mpisim.Program, error) {
 		e.simCompiles.Add(1)
 		return mpisim.Compile(mod), nil
 	}
+	var err error
 	if e.progCache == nil {
-		return compile()
+		lm.prog, err = compile()
+	} else {
+		lm.prog, err = e.progCache.GetOrCompute(progKey(lm.digest), compile)
 	}
-	return e.progCache.GetOrCompute(progKey(lm.digest), compile)
+	return lm.prog, err
 }
 
 // simRun is the outcome of a request's one simulation: the Result every

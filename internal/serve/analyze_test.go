@@ -186,8 +186,7 @@ func TestAnalyzeWarmRepeatRunsZeroSimulations(t *testing.T) {
 // TestAnalyzeSharesOneSimulation: one request fanning a program out to
 // both dynamic tools runs the simulator once, and the two tools still
 // read that run differently (ITAC times out on the deadlock, MUST flags
-// it) — with the caches on and with them off. (Uncached, each tool
-// compiles the program for itself; only the program cache shares that.)
+// it) — with the caches on and with them off.
 func TestAnalyzeSharesOneSimulation(t *testing.T) {
 	for _, size := range []int{256, 0} {
 		eng := analyzeEngine(t, Config{CacheSize: size})
@@ -328,6 +327,29 @@ func TestAnalyzeCompilesProgramOnce(t *testing.T) {
 	}
 	if got := eng.Stats().Analyze.SimCompiles; got != 1 {
 		t.Fatalf("rank change recompiled (compiles %d, want 1)", got)
+	}
+}
+
+// TestAnalyzeUncachedCompilesOncePerRequest: without a program cache a
+// request still compiles once, however many dynamic tools read its
+// simulation; the compiled program lives on the request, so the next
+// request compiles again.
+func TestAnalyzeUncachedCompilesOncePerRequest(t *testing.T) {
+	eng := analyzeEngine(t, Config{})
+	req := AnalyzeRequest{Model: "ir2vec", Tools: []string{"itac", "must"},
+		Program: Program{Name: "p", IR: pingpongIR(t)}}
+	for want := int64(1); want <= 2; want++ {
+		if _, err := eng.Analyze(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		st := eng.Stats()
+		if st.ProgCache != nil {
+			t.Fatal("program cache enabled with CacheSize 0")
+		}
+		if st.Analyze.SimCompiles != want || st.Analyze.SimExecs != want {
+			t.Fatalf("after %d itac+must requests: sim_compiles %d, sim_execs %d; want %d each",
+				want, st.Analyze.SimCompiles, st.Analyze.SimExecs, want)
+		}
 	}
 }
 

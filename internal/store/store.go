@@ -7,7 +7,8 @@
 // (core.DigestIR is stable across processes, so a restarted server
 // addresses the same records), the generation carries the model registry
 // generation the verdict was computed under, and the payload is an
-// opaque gob blob owned by the typed write-behind Tier. Writes append to
+// opaque blob owned by the typed write-behind Tier (a format byte and the
+// value's JSON; see Tier). Writes append to
 // the active segment, which rolls to a new file at a size threshold;
 // deletes append a prefix-tombstone record so they survive restarts;
 // reads serve from the index with one positioned read. A compaction pass

@@ -25,13 +25,22 @@
 // writer goroutine recovers panics rather than taking down the daemon.
 //
 // Each Tier owns a key namespace inside the store ("classify", "tool"),
-// so several caches share one segment log without key collisions, and
-// payloads are gob-encoded from the cache's value type.
+// so several caches share one segment log without key collisions.
+//
+// Payload format: one format byte, payloadJSON, followed by the value's
+// encoding/json encoding — the encoding the serving layer's verdict types
+// already have on the wire, so encoding needs no per-type code and no
+// per-record type description. A value JSON cannot encode (a NaN or
+// infinite float) is a persist error, and strings round-trip as JSON
+// strings do (invalid UTF-8 comes back as U+FFFD, as it would over
+// HTTP). A payload that does not start with the format byte is a record
+// an earlier version wrote in gob: Load answers it as a plain miss, not a
+// decode error, so it never counts against the load breaker, and the
+// recomputed verdict supersedes it on its next persist.
 package store
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,6 +48,12 @@ import (
 	"mpidetect/internal/fault"
 	"mpidetect/internal/resilience"
 )
+
+// payloadJSON starts every payload the tier writes; the value's JSON
+// follows it. No gob stream starts with this byte (a gob message begins
+// with its length, 0x01–0x7F or 0xF8–0xFF), so it tells a current record
+// from one an earlier version wrote in gob.
+const payloadJSON byte = 0x80
 
 // FaultBackingLoad is the tier's load-path fault point: an armed fault
 // fails Load the way a corrupt or unreadable record would, which is also
@@ -107,7 +122,9 @@ type tierOp[V any] struct {
 }
 
 // Tier adapts one typed cache to the shared store with a write-behind
-// queue. Construct with NewTier; Close when the owning engine drains.
+// queue. Each record's payload is payloadJSON and the value's JSON, and
+// Load answers any other payload as a miss (see the file comment).
+// Construct with NewTier; Close when the owning engine drains.
 type Tier[V any] struct {
 	st    *Store
 	ns    string
@@ -123,6 +140,7 @@ type Tier[V any] struct {
 	closed bool
 	ch     chan tierOp[V]
 	wg     sync.WaitGroup
+	buf    []byte // payload scratch, owned by the writer goroutine
 
 	enqueued      atomic.Int64
 	persisted     atomic.Int64
@@ -190,7 +208,7 @@ func (t *Tier[V]) writer() {
 	}
 }
 
-// apply runs one queued operation, recovering panics (a panicking gob
+// apply runs one queued operation, recovering panics (a panicking
 // encoder or injected fault must not kill the drainer and wedge every
 // DeletePrefix/Flush behind it). The done sends are the last statements
 // of their branches, so a recovered panic can never have half-acked.
@@ -226,19 +244,20 @@ func (t *Tier[V]) persist(op tierOp[V]) {
 		t.degradedDrops.Add(1)
 		return
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&op.val); err != nil {
+	js, err := json.Marshal(&op.val)
+	if err != nil {
 		// An unencodable value is a caller bug, not store health: it says
 		// nothing about the disk, so it never trips the breaker.
 		t.persistErrors.Add(1)
 		t.persistB.Skip()
 		return
 	}
+	t.buf = append(append(t.buf[:0], payloadJSON), js...) // Put copies it
 	gen := uint64(0)
 	if t.genOf != nil {
 		gen = t.genOf(op.key)
 	}
-	err := t.st.Put(t.storeKey(op.key), gen, buf.Bytes())
+	err = t.st.Put(t.storeKey(op.key), gen, t.buf)
 	t.persistB.Record(err == nil)
 	if err != nil {
 		t.persistErrors.Add(1)
@@ -247,11 +266,12 @@ func (t *Tier[V]) persist(op tierOp[V]) {
 	t.persisted.Add(1)
 }
 
-// Load hydrates key from the store. A missing record is a plain miss;
-// a failed load (injected fault, corrupt record) is a miss with a
-// non-nil error, counted here and on the load breaker — enough
-// consecutive failures disable the tier and Load answers miss without
-// touching the store until a cooldown probe succeeds.
+// Load hydrates key from the store. A missing record, or one an earlier
+// version wrote in another payload format, is a plain miss; a failed
+// load (injected fault, corrupt record) is a miss with a non-nil error,
+// counted here and on the load breaker — enough consecutive failures
+// disable the tier and Load answers miss without touching the store
+// until a cooldown probe succeeds.
 func (t *Tier[V]) Load(key string) (V, bool, error) {
 	var v V
 	if !t.loadB.Allow() {
@@ -263,12 +283,12 @@ func (t *Tier[V]) Load(key string) (V, bool, error) {
 		return v, false, err
 	}
 	raw, _, ok := t.st.Get(t.storeKey(key))
-	if !ok {
+	if !ok || len(raw) == 0 || raw[0] != payloadJSON {
 		t.loadMisses.Add(1)
 		t.loadB.Record(true)
 		return v, false, nil
 	}
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&v); err != nil {
+	if err := json.Unmarshal(raw[1:], &v); err != nil {
 		t.decodeErrors.Add(1)
 		t.loadErrors.Add(1)
 		t.loadB.Record(false)

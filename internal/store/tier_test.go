@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -310,5 +313,100 @@ func TestTierWriterPanicRecovered(t *testing.T) {
 	}
 	if v, ok, _ := tr.Load("after"); !ok || v.Label != "alive" {
 		t.Fatal("writer dead after recovered panic")
+	}
+}
+
+// TestTierPayloadFormat: a persisted payload is the format byte followed
+// by the value's JSON.
+func TestTierPayloadFormat(t *testing.T) {
+	s, tr := newTierT(t, TierOptions{})
+	tr.Store("k", verdict{Label: "deadlock", Score: 0.5, Ranks: 2})
+	tr.Flush()
+	raw, _, ok := s.Get("classify" + nsSep + "k")
+	if !ok {
+		t.Fatal("record not persisted")
+	}
+	want := "\x80" + `{"Label":"deadlock","Score":0.5,"Ranks":2}`
+	if string(raw) != want {
+		t.Fatalf("payload %q, want %q", raw, want)
+	}
+}
+
+// TestTierLegacyGobRecordIsAMiss: a record an earlier version wrote as a
+// gob stream survives a reopen, loads as a plain miss (no decode error,
+// load breaker closed), and the next persist of its key supersedes it.
+func TestTierLegacyGobRecordIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{})
+	var gobBuf bytes.Buffer
+	if err := gob.NewEncoder(&gobBuf).Encode(&verdict{Label: "old", Score: 0.25, Ranks: 3}); err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, s, "classify"+nsSep+"k", 1, gobBuf.Bytes())
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := openT(t, dir, Options{})
+	tr := NewTier[verdict](r, "classify", TierOptions{BreakerFailures: 1})
+	defer tr.Close()
+	for i := 0; i < 3; i++ {
+		if v, ok, err := tr.Load("k"); ok || err != nil || v != (verdict{}) {
+			t.Fatalf("legacy load = %+v, %v, %v; want a plain miss", v, ok, err)
+		}
+	}
+	st := tr.Stats()
+	if st.LoadMisses != 3 || st.LoadErrors != 0 || st.DecodeErrors != 0 || st.Mode != "ok" {
+		t.Fatalf("stats %+v; want 3 misses, no errors, mode ok", st)
+	}
+	if _, load := tr.BreakerStats(); load.State != "closed" {
+		t.Fatalf("load breaker %+v after legacy loads, want closed", load)
+	}
+
+	tr.Store("k", verdict{Label: "new", Score: 0.75, Ranks: 4})
+	tr.Flush()
+	if v, ok, err := tr.Load("k"); err != nil || !ok || v != (verdict{Label: "new", Score: 0.75, Ranks: 4}) {
+		t.Fatalf("after re-persist Load = %+v, %v, %v", v, ok, err)
+	}
+	if n := r.Len(); n != 1 {
+		t.Fatalf("store holds %d live records, want 1 (the legacy one superseded)", n)
+	}
+}
+
+// TestTierUnencodableValueIsAPersistError: a NaN score cannot be JSON;
+// the persist is counted as an error and skipped on the breaker, so the
+// tier stays in mode ok and later persists land.
+func TestTierUnencodableValueIsAPersistError(t *testing.T) {
+	_, tr := newTierT(t, TierOptions{BreakerFailures: 1})
+	tr.Store("nan", verdict{Score: math.NaN()})
+	tr.Store("inf", verdict{Score: math.Inf(1)})
+	tr.Store("ok", verdict{Label: "fine"})
+	tr.Flush()
+	st := tr.Stats()
+	if st.PersistErrors != 2 || st.Persisted != 1 || st.Mode != "ok" {
+		t.Fatalf("stats %+v; want 2 persist errors, 1 persisted, mode ok", st)
+	}
+	if _, ok, _ := tr.Load("nan"); ok {
+		t.Fatal("unencodable value was persisted")
+	}
+	if v, ok, _ := tr.Load("ok"); !ok || v.Label != "fine" {
+		t.Fatal("persist after an unencodable value was lost")
+	}
+}
+
+// TestTierCorruptPayloadIsADecodeError: a payload that carries the
+// format byte but no valid JSON is a counted decode error that feeds the
+// load breaker.
+func TestTierCorruptPayloadIsADecodeError(t *testing.T) {
+	s, tr := newTierT(t, TierOptions{BreakerFailures: 3, BreakerCooldown: time.Hour})
+	for _, p := range []string{"\x80", "\x80{\"Label\":", "\x80[1,2]"} {
+		mustPut(t, s, "classify"+nsSep+"bad", 0, []byte(p))
+		if _, ok, err := tr.Load("bad"); ok || err == nil {
+			t.Fatalf("payload %q loaded as ok=%v err=%v; want a decode error", p, ok, err)
+		}
+	}
+	st := tr.Stats()
+	if st.DecodeErrors != 3 || st.LoadErrors != 3 || st.Mode != "disabled" {
+		t.Fatalf("stats %+v; want 3 decode errors and mode disabled", st)
 	}
 }
