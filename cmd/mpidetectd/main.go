@@ -23,9 +23,9 @@
 // POST /v1/analyze (enabled by -tools) fans one program out to the ML
 // detector plus the selected expert static/dynamic verification tools
 // and returns per-tool verdicts and a combined ensemble verdict; dynamic
-// tools simulate the program on a separate -sim-workers pool under the
-// -sim-timeout wall-clock budget, with their verdicts cached per
-// tool+configuration:
+// tools read one simulation of the program, at most -sim-workers of
+// which run at once, under the -sim-timeout wall-clock budget, with their
+// verdicts cached per tool+configuration:
 //
 //	curl -s -X POST localhost:8080/v1/analyze \
 //	  -d '{"model":"ir2vec","tools":["must","parcoach"],"program":{"name":"p","ir":"..."}}'

@@ -135,18 +135,8 @@ func (rt *Router) proxySolo(w http.ResponseWriter, r *http.Request, path string)
 	rt.proxied.Add(1)
 	b.requests.Add(1)
 	relayed, err := rt.relay(w, r, b, path)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && r.Context().Err() != nil {
-		// The caller walked away: says nothing about the backend's health,
-		// and there is nobody left to answer.
-		return true
-	}
-	if err != nil {
-		b.failures.Add(1)
-		b.noteErr(err)
-	}
-	b.breaker.Record(err == nil)
-	if err != nil && b.breaker.State() != resilience.Closed {
-		rt.rebuildRing()
+	if !rt.recordAttempt(r.Context(), b, err == nil, err) {
+		return true // the caller walked away: nobody is left to answer
 	}
 	if err != nil && !relayed {
 		shardError(w, err)
@@ -600,19 +590,7 @@ func (rt *Router) streamOnce(ctx context.Context, b *backend, req serve.BatchReq
 	rt.proxied.Add(1)
 	b.requests.Add(1)
 	ok, abort, err := rt.streamOnceRaw(ctx, b, mustJSON(sub), indices, names, delivered, bs)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() != nil {
-		return delivered, abort, err // caller walked away; not the backend's fault
-	}
-	if !ok {
-		b.failures.Add(1)
-		if err != nil {
-			b.noteErr(err)
-		}
-	}
-	b.breaker.Record(ok)
-	if !ok && b.breaker.State() != resilience.Closed {
-		rt.rebuildRing()
-	}
+	rt.recordAttempt(ctx, b, ok, err)
 	return delivered, abort, err
 }
 

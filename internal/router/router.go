@@ -357,25 +357,35 @@ func (rt *Router) send(ctx context.Context, b *backend, method, path string, bod
 	rt.proxied.Add(1)
 	b.requests.Add(1)
 	res, err := rt.sendRaw(ctx, b, method, path, body)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() != nil {
-		// The caller walked away (or a hedge winner canceled this copy):
-		// says nothing about the backend's health.
-		return res, err
+	noted := err
+	if err == nil && res.status >= 500 {
+		noted = fmt.Errorf("HTTP %d from %s", res.status, path)
 	}
-	ok := err == nil && res.status < 500
+	rt.recordAttempt(ctx, b, noted == nil, noted)
+	return res, err
+}
+
+// recordAttempt feeds one proxied attempt's outcome to b's breaker: a
+// failure is counted and its error (when there is one) noted, and a
+// failure that leaves the breaker not closed rebuilds the ring. An
+// attempt that died because its caller walked away (or a hedge winner
+// canceled it) says nothing about the backend's health: it is not
+// recorded, and recordAttempt reports false.
+func (rt *Router) recordAttempt(ctx context.Context, b *backend, ok bool, err error) bool {
+	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() != nil {
+		return false
+	}
 	if !ok {
 		b.failures.Add(1)
 		if err != nil {
 			b.noteErr(err)
-		} else {
-			b.noteErr(fmt.Errorf("HTTP %d from %s", res.status, path))
 		}
 	}
 	b.breaker.Record(ok)
 	if !ok && b.breaker.State() != resilience.Closed {
 		rt.rebuildRing()
 	}
-	return res, err
+	return true
 }
 
 func (rt *Router) sendRaw(ctx context.Context, b *backend, method, path string, body []byte) (proxyResult, error) {

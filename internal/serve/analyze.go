@@ -6,14 +6,15 @@
 // verdict.
 //
 // Dynamic tools read a run of the program on the runtime simulator,
-// which is orders of magnitude heavier than a cached classification, so
-// the run executes on a separate concurrency-limited pool
-// (Config.SimWorkers) under a per-simulation wall-clock budget
-// (Config.SimTimeout) and the caller's request deadline: cancelling the
-// request aborts an in-flight simulation cooperatively. A request runs
-// at most one simulation, whatever its number of dynamic tools: the run
-// is deterministic, and each dynamic tool interprets the same Result
-// (verify.ProgramChecker.Interpret). Tool verdicts are cached in their own
+// which is orders of magnitude heavier than a cached classification. A
+// request compiles and runs the program at most once, on its own
+// goroutine, whatever its number of dynamic tools: the run is
+// deterministic, and each dynamic tool interprets the same Result
+// (verify.ProgramChecker.Interpret). At most Config.SimWorkers runs
+// execute at once across the engine, each under a per-simulation
+// wall-clock budget (Config.SimTimeout) and the caller's request
+// deadline: cancelling the request aborts an in-flight simulation
+// cooperatively. Tool verdicts are cached in their own
 // content-addressed cache under digests keyed by tool + configuration
 // (core.DigestIRKeyed), with per-tool prefix invalidation; a warm repeat
 // of the same program and tool set costs zero simulator executions.
@@ -42,10 +43,10 @@ import (
 // from the verdict cache) never parses at all.
 //
 // It also holds the request's compiled program and its one simulation,
-// both resolved on first demand by a dynamic tool. A request's dynamic
-// tools run in order on one goroutine (analyzeProgram) and share its
-// ranks, step budget and context, so prog and sim need no lock: one
-// compile and one run serve them all, with or without the program cache.
+// both resolved on first demand by a dynamic tool. A request's tools run
+// in order on its own goroutine (analyzeProgram) and share its ranks,
+// step budget and context, so prog and sim need no lock: one compile and
+// one run serve them all.
 type lazyModule struct {
 	src    string
 	digest string // requestDigest(src), computed once per request
@@ -94,8 +95,8 @@ type registeredTool struct {
 
 // ToolRegistry is a concurrency-safe name -> expert tool table, the
 // analysis-tier sibling of the model Registry. Tools marked dynamic
-// execute programs on the runtime simulator and are scheduled on the
-// engine's simulation pool.
+// read the request's one run of the program on the runtime simulator,
+// which holds one of the engine's Config.SimWorkers slots while it runs.
 type ToolRegistry struct {
 	mu        sync.RWMutex
 	tools     map[string]registeredTool
@@ -246,35 +247,20 @@ type selectedTool struct {
 // cache; InvalidateTool and the registry's OnReplace hook sweep it.
 func toolPrefix(name string) string { return name + keySep }
 
-// progKey addresses one compiled simulator program. The compiled form
-// is rank- and tool-independent: one entry serves every dynamic tool at
-// every world size, so a single /analyze request compiles once and
-// simulates many times, and warm repeats skip compilation entirely.
-func progKey(digest string) string { return "simprog" + keySep + digest }
-
-// compiledProgram resolves the compiled simulator program for a
-// request once, through the program cache when enabled, and keeps it on
-// lm for the request's other dynamic tools. Compilation errors are parse
-// errors (broadcast to coalesced callers, never cached).
+// compiledProgram compiles the request's program for the simulator
+// once and keeps it on lm for the request's other dynamic tools.
+// Compilation errors are parse errors (broadcast to coalesced callers,
+// never cached).
 func (e *Engine) compiledProgram(lm *lazyModule) (*mpisim.Program, error) {
-	if lm.prog != nil {
-		return lm.prog, nil
-	}
-	compile := func() (*mpisim.Program, error) {
+	if lm.prog == nil {
 		mod, err := lm.get()
 		if err != nil {
 			return nil, err
 		}
 		e.simCompiles.Add(1)
-		return mpisim.Compile(mod), nil
+		lm.prog = mpisim.Compile(mod)
 	}
-	var err error
-	if e.progCache == nil {
-		lm.prog, err = compile()
-	} else {
-		lm.prog, err = e.progCache.GetOrCompute(progKey(lm.digest), compile)
-	}
-	return lm.prog, err
+	return lm.prog, nil
 }
 
 // simRun is the outcome of a request's one simulation: the Result every
@@ -286,61 +272,48 @@ type simRun struct {
 }
 
 // canceledRun stands in for a simulation the request's context killed
-// before it ran or finished: every tool reads it as canceled. Tools only
+// before it started: every tool reads it as canceled. Tools only
 // read a Result, so one shared value serves every request.
 var canceledRun = &simRun{res: &mpisim.Result{Canceled: true}}
 
-// simulate runs prog once as a sim-pool job and waits for it under the
-// request context. The sim.run fault point fires here, once per
-// simulation, and a panic in the run is recovered into an internal
-// failure, so a pooled sim worker survives.
-func (e *Engine) simulate(ctx context.Context, prog *mpisim.Program, ranks int) *simRun {
-	run := &simRun{}
-	done := make(chan struct{})
-	job := func() {
-		defer close(done)
-		defer func() {
-			if r := recover(); r != nil {
-				e.toolPanics.Add(1)
-				run.res, run.internal = nil, fmt.Sprintf("simulation panic: %v", r)
-				e.bus.Publish(events.FaultRecovered, FaultRecoveredData{
-					Subsystem: "tool", Detail: "simulation", Panic: fmt.Sprint(r)})
-			}
-		}()
-		// A request that died while the job was queued skips the run.
-		if ctx.Err() != nil {
-			run.res = canceledRun.res
-			return
-		}
-		if err := fault.Inject(FaultSimRun); err != nil {
-			run.internal = err.Error()
-			return
-		}
-		e.simExecs.Add(1)
-		run.res = prog.RunCtx(ctx, mpisim.Config{Ranks: ranks,
-			MaxSteps: e.cfg.SimMaxSteps, WallBudget: e.cfg.SimTimeout})
-	}
+// simulate runs prog once on the calling goroutine, holding one of the
+// engine's SimWorkers slots for the run. A request whose context dies
+// while it waits for a slot, or before it starts, skips the run; a
+// running simulation observes the same context and aborts cooperatively.
+// The sim.run fault point fires here, once per simulation, and a panic in
+// the run is recovered into an internal failure of the request's dynamic
+// tools.
+func (e *Engine) simulate(ctx context.Context, prog *mpisim.Program, ranks int) (run *simRun) {
 	select {
-	case e.simJobs <- job:
+	case e.simSlots <- struct{}{}:
 	case <-ctx.Done():
 		return canceledRun
 	}
-	select {
-	case <-done:
-		return run
-	case <-ctx.Done():
-		// The running simulation observes the same context and aborts
-		// cooperatively; nobody reads its result.
+	defer func() { <-e.simSlots }()
+	if ctx.Err() != nil {
 		return canceledRun
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			e.toolPanics.Add(1)
+			run = &simRun{internal: fmt.Sprintf("simulation panic: %v", r)}
+			e.bus.Publish(events.FaultRecovered, FaultRecoveredData{
+				Subsystem: "tool", Detail: "simulation", Panic: fmt.Sprint(r)})
+		}
+	}()
+	if err := fault.Inject(FaultSimRun); err != nil {
+		return &simRun{internal: err.Error()}
+	}
+	e.simExecs.Add(1)
+	return &simRun{res: prog.RunCtx(ctx, mpisim.Config{Ranks: ranks,
+		MaxSteps: e.cfg.SimMaxSteps, WallBudget: e.cfg.SimTimeout})}
 }
 
 // toolKey addresses one (tool, configuration, program) verdict: the
 // key carries the tool name, every configuration axis that can change
 // the verdict, and the program's canonical digest. The digest is
 // computed once per request (requestDigest) and shared by every tool
-// key and the program-cache key, so the hashing cost does not scale
-// with the tool count.
+// key, so the hashing cost does not scale with the tool count.
 func toolKey(name string, ranks int, steps int64, digest string) string {
 	return toolPrefix(name) + fmt.Sprintf("ranks=%d|steps=%d", ranks, steps) + keySep + digest
 }
@@ -370,13 +343,6 @@ func (e *Engine) ToolCacheStats() (cache.Stats, bool) {
 	return e.toolCache.Stats(), true
 }
 
-func (e *Engine) simWorker() {
-	defer e.simWG.Done()
-	for run := range e.simJobs {
-		run()
-	}
-}
-
 // resolveTools maps requested tool names to registered tools; an empty
 // request selects every registered tool, sorted by name.
 func (e *Engine) resolveTools(names []string) ([]selectedTool, error) {
@@ -398,10 +364,10 @@ func (e *Engine) resolveTools(names []string) ([]selectedTool, error) {
 // Analyze fans one program out to the registered ML detector plus the
 // selected expert tools and combines their verdicts. The ML verdict
 // rides the ordinary classify path (same worker pool, cache and
-// coalescing); static tools run inline; dynamic tools run on the
-// simulation pool under the request deadline and the engine's
-// per-simulation budgets. The request as a whole is subject to the same
-// min(caller deadline, engine timeout) budget as Classify.
+// coalescing); the tools run in order on the calling goroutine, the
+// dynamic ones reading one simulation under the request deadline and
+// the engine's per-simulation budgets. The request as a whole is subject
+// to the same min(caller deadline, engine timeout) budget as Classify.
 func (e *Engine) Analyze(ctx context.Context, req AnalyzeRequest) (*AnalyzeResponse, error) {
 	if e.tools == nil {
 		return nil, ErrAnalysisDisabled
@@ -440,7 +406,8 @@ func (e *Engine) analyzeProgram(ctx context.Context, model string, selected []se
 	ctx, cancel := context.WithTimeout(ctx, e.cfg.Timeout)
 	defer cancel()
 
-	// The ML verdict computes concurrently with the expert tools.
+	// The ML verdict computes concurrently with the expert tools, which run
+	// in order on this goroutine.
 	resp := &AnalyzeResponse{Model: model, Name: prog.Name}
 	mlDone := make(chan error, 1)
 	go func() {
@@ -465,33 +432,18 @@ func (e *Engine) analyzeProgram(ctx context.Context, model string, selected []se
 	verdicts := make([]ToolVerdict, len(selected))
 	// The module parses lazily, at most once, and only if some tool
 	// verdict misses its cache. (A parse failure is counted once, by the
-	// ML goroutine's Classify — not again here.)
+	// ML goroutine's Classify — not again here.) The first dynamic tool
+	// that misses its verdict cache runs the request's simulation, and the
+	// rest interpret the same run.
 	lm := &lazyModule{src: prog.IR}
-	if e.toolCache != nil || e.progCache != nil {
-		// The digest keys the tool-verdict and program caches; with both
-		// disabled it would be dead work on the request path.
+	if e.toolCache != nil {
+		// The digest keys the tool-verdict cache; without it it would be
+		// dead work on the request path.
 		lm.digest = requestDigest(prog.IR)
 	}
-	// The dynamic tools run in order on one goroutine: the first that
-	// misses its verdict cache starts the request's simulation on the sim
-	// pool and waits for it, and the rest interpret the same run. Static
-	// tools meanwhile run inline on the request goroutine — a cached
-	// verdict is one lookup, an uncached static analysis microseconds.
-	dynDone := make(chan struct{})
-	go func() {
-		defer close(dynDone)
-		for i, st := range selected {
-			if st.dynamic {
-				verdicts[i] = e.runTool(ctx, st, lm, ranks)
-			}
-		}
-	}()
 	for i, st := range selected {
-		if !st.dynamic {
-			verdicts[i] = e.runTool(ctx, st, lm, ranks)
-		}
+		verdicts[i] = e.runTool(ctx, st, lm, ranks)
 	}
-	<-dynDone
 	if err := <-mlDone; err != nil {
 		return nil, err
 	}

@@ -3,11 +3,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"mpidetect/internal/ast"
 	"mpidetect/internal/dataset"
+	"mpidetect/internal/fault"
 	"mpidetect/internal/ir"
 	"mpidetect/internal/irgen"
 	"mpidetect/internal/mpisim"
@@ -286,51 +289,22 @@ func verdictClass(v verify.Verdict) string {
 	return "clean"
 }
 
-// TestAnalyzeCompilesProgramOnce pins the compile-once contract of the
-// program cache: one request fanning a program to both dynamic tools
-// compiles the simulator program exactly once (itac and must share it),
-// a warm repeat compiles nothing even after the tool verdicts are
-// invalidated, and a different world size still reuses the compiled
-// form — it is rank-independent.
+// TestAnalyzeCompilesProgramOnce pins the compile-once contract of a
+// request: one request fanning a program to both dynamic tools compiles
+// the simulator program exactly once (itac and must share it).
 func TestAnalyzeCompilesProgramOnce(t *testing.T) {
 	eng := analyzeEngine(t, Config{CacheSize: 256})
 	req := AnalyzeRequest{Model: "ir2vec", Tools: []string{"itac", "must"},
 		Program: Program{Name: "p", IR: pingpongIR(t)}}
-	ctx := context.Background()
-
-	if _, err := eng.Analyze(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	st := eng.Stats()
-	if st.Analyze.SimCompiles != 1 {
-		t.Fatalf("cold request compiled %d times, want 1 (shared by itac+must)",
-			st.Analyze.SimCompiles)
-	}
-	if st.ProgCache == nil {
-		t.Fatal("stats missing prog_cache section with caching enabled")
-	}
-
-	// Tool-verdict invalidation forces re-simulation but not re-compilation.
-	eng.InvalidateTool("itac")
-	eng.InvalidateTool("must")
-	if _, err := eng.Analyze(ctx, req); err != nil {
+	if _, err := eng.Analyze(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng.Stats().Analyze.SimCompiles; got != 1 {
-		t.Fatalf("re-simulation recompiled (compiles %d, want 1)", got)
-	}
-
-	// A different rank count is a different simulation but the same program.
-	req.Ranks = 4
-	if _, err := eng.Analyze(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Stats().Analyze.SimCompiles; got != 1 {
-		t.Fatalf("rank change recompiled (compiles %d, want 1)", got)
+		t.Fatalf("cold request compiled %d times, want 1 (shared by itac+must)", got)
 	}
 }
 
-// TestAnalyzeUncachedCompilesOncePerRequest: without a program cache a
+// TestAnalyzeUncachedCompilesOncePerRequest: without a verdict cache a
 // request still compiles once, however many dynamic tools read its
 // simulation; the compiled program lives on the request, so the next
 // request compiles again.
@@ -343,9 +317,6 @@ func TestAnalyzeUncachedCompilesOncePerRequest(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := eng.Stats()
-		if st.ProgCache != nil {
-			t.Fatal("program cache enabled with CacheSize 0")
-		}
 		if st.Analyze.SimCompiles != want || st.Analyze.SimExecs != want {
 			t.Fatalf("after %d itac+must requests: sim_compiles %d, sim_execs %d; want %d each",
 				want, st.Analyze.SimCompiles, st.Analyze.SimExecs, want)
@@ -353,8 +324,50 @@ func TestAnalyzeUncachedCompilesOncePerRequest(t *testing.T) {
 	}
 }
 
+// TestAnalyzeSimWorkersCap: Config.SimWorkers caps the simulations
+// running at once across requests. With one slot and every run held
+// 50 ms by a latency fault, two concurrent cold requests for different
+// programs serialise on the slot: both finish, taking at least 100 ms.
+func TestAnalyzeSimWorkersCap(t *testing.T) {
+	defer fault.DisarmAll()
+	eng := analyzeEngine(t, Config{CacheSize: 64, SimWorkers: 1})
+	if err := fault.Arm(FaultSimRun, fault.Spec{Mode: fault.Latency,
+		Delay: 50 * time.Millisecond, Count: 2}); err != nil {
+		t.Fatal(err)
+	}
+	progs := []string{pingpongIR(t), headToHeadIR(t)}
+	errs := make([]error, len(progs))
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i, src := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := eng.Analyze(context.Background(), AnalyzeRequest{Model: "ir2vec",
+				Tools: []string{"itac"}, Program: Program{IR: src}})
+			if err == nil && resp.Tools[0].Verdict != "clean" && resp.Tools[0].Verdict != "timeout" {
+				err = fmt.Errorf("itac verdict %+v", resp.Tools[0])
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if got := eng.Stats().Analyze.SimExecs; got != 2 {
+		t.Fatalf("%d simulations, want 2", got)
+	}
+	if elapsed < 100*time.Millisecond {
+		t.Fatalf("two 50 ms simulations on one slot took %v, want >= 100ms", elapsed)
+	}
+}
+
 // TestAnalyzeStaticSubsetSkipsSimulator: selecting only static tools
-// must never touch the simulation pool.
+// must never run the simulator.
 func TestAnalyzeStaticSubsetSkipsSimulator(t *testing.T) {
 	eng := analyzeEngine(t, Config{CacheSize: 256})
 	_, err := eng.Analyze(context.Background(), AnalyzeRequest{

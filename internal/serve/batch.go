@@ -4,7 +4,7 @@
 // hybrid verdict as soon as it is ready, on a channel — the engine-level
 // form of POST /v1/analyze/batch's NDJSON stream. Each program gets the
 // same per-program budget as a synchronous Analyze and rides the same
-// caches, coalescing and pools, so a warm batch is pure cache hits and a
+// caches, coalescing, pool and simulation slots, so a warm batch is pure cache hits and a
 // cold one interleaves fairly with concurrent requests. Concurrency per
 // batch is bounded (Config.BatchParallel) and every send is guarded by
 // the caller's context: a caller that walks away (client disconnect)

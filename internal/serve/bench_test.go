@@ -152,10 +152,11 @@ func BenchmarkAnalyze(b *testing.B) {
 // BenchmarkAnalyzeDynamic isolates the dynamic tier on a simulation-
 // heavy program (a compute loop that burns tens of thousands of
 // interpreter steps per rank): "cold" invalidates the dynamic tools'
-// verdicts every iteration so their shared simulation re-executes
-// (sims/op 1) — the number that tracks raw engine speed — while "warm"
-// measures the cached steady state, whose contract is zero simulator
-// executions and zero compilations per request.
+// verdicts every iteration so the request compiles the program and runs
+// its shared simulation again (compiles/op 1, sims/op 1) — the number
+// that tracks raw engine speed — while "warm" measures the cached steady
+// state, whose contract is zero simulator executions and zero
+// compilations per request.
 func BenchmarkAnalyzeDynamic(b *testing.B) {
 	for _, mode := range []string{"cold", "warm"} {
 		b.Run(mode, func(b *testing.B) {

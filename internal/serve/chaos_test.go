@@ -131,7 +131,7 @@ func TestChaosEveryFaultPoint(t *testing.T) {
 	}
 
 	// Latency faults must delay, not deadlock.
-	for _, pt := range []string{"cache.backing.load", "tool.itac"} {
+	for _, pt := range []string{"cache.backing.load", "tool.itac", "sim.run"} {
 		if err := fault.Arm(pt, fault.Spec{Mode: fault.Latency,
 			Delay: 5 * time.Millisecond}); err != nil {
 			t.Fatal(err)

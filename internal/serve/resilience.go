@@ -29,9 +29,9 @@ import (
 	"mpidetect/internal/resilience"
 )
 
-// FaultSimRun is the simulation-pool fault point: armed faults surface
-// as internal tool errors on every dynamic tool, the way a wedged or
-// crashing simulator binary would.
+// FaultSimRun is the simulation fault point, hit once per run: armed
+// faults surface as internal tool errors on every dynamic tool of the
+// request, the way a wedged or crashing simulator binary would.
 var FaultSimRun = fault.Register("sim.run")
 
 // ErrOverloaded rejects work whose queue wait would outlive its

@@ -45,7 +45,6 @@ import (
 	"mpidetect/internal/events"
 	"mpidetect/internal/ir"
 	"mpidetect/internal/jobs"
-	"mpidetect/internal/mpisim"
 	"mpidetect/internal/passes"
 	"mpidetect/internal/resilience"
 	"mpidetect/internal/store"
@@ -192,12 +191,13 @@ type Config struct {
 
 	// Tools enables POST /analyze: the registry of expert static/dynamic
 	// verification tools fanned out next to the ML verdict. Nil disables
-	// the endpoint (and the simulation pool).
+	// the endpoint.
 	Tools *ToolRegistry
-	// SimWorkers caps concurrently-running dynamic-tool simulations
-	// (default 2). Dynamic runs are orders of magnitude heavier than
-	// cached classify hits, so they get their own small pool and cannot
-	// starve the classification workers.
+	// SimWorkers caps the simulations running at once across the engine
+	// (default 2). Each runs on its request's goroutine, which waits for a
+	// slot: dynamic runs are orders of magnitude heavier than cached
+	// classify hits, and the cap keeps them from starving the
+	// classification workers of CPU.
 	SimWorkers int
 	// SimTimeout is the wall-clock budget of one simulation (default 5s).
 	SimTimeout time.Duration
@@ -210,9 +210,9 @@ type Config struct {
 	// be far larger than the synchronous MaxBatch.
 	MaxStreamBatch int
 	// BatchParallel caps the programs of one batch analyzed concurrently
-	// (default Workers + SimWorkers). The per-program work still runs on
-	// the shared classify and simulation pools; this only bounds how many
-	// programs a single batch has in flight at once.
+	// (default Workers + SimWorkers). The per-program work still shares
+	// the classify pool and the SimWorkers slots; this only bounds how
+	// many programs a single batch has in flight at once.
 	BatchParallel int
 
 	// JobWorkers is the async-job worker count (default 2); JobQueueDepth
@@ -331,27 +331,19 @@ type Engine struct {
 	wg    sync.WaitGroup
 	cache *cache.Cache[Result] // nil when disabled
 
-	// Hybrid-analysis tier (POST /analyze): expert tools, a separate
-	// concurrency-limited pool for dynamic simulations, and a dedicated
-	// verdict cache keyed by tool + configuration.
+	// Hybrid-analysis tier (POST /analyze): expert tools, a dedicated
+	// verdict cache keyed by tool + configuration, and the SimWorkers
+	// slots a simulation holds while it runs.
 	tools     *ToolRegistry
 	toolCache *cache.Cache[ToolVerdict] // nil when disabled
-	// progCache holds compiled simulator programs, content-addressed by
-	// program text (rank- and tool-independent), so one /analyze request
-	// compiles once and simulates many times.
-	progCache *cache.Cache[*mpisim.Program] // nil when disabled
-	simJobs   chan func()
-	simWG     sync.WaitGroup
+	simSlots  chan struct{}
 
 	// bus publishes engine events; jobMgr runs the async job tier.
 	bus    *events.Bus
 	jobMgr *jobs.Manager[VerdictEvent]
 
 	// Durable tier (nil when Config.Store is nil): the shared segment
-	// store plus one typed write-behind tier per persisted cache. The
-	// compiled-program cache is deliberately NOT persisted — programs
-	// hold closures, and recompiling from a durable tool verdict is
-	// never needed to keep the warm path sim-free.
+	// store plus one typed write-behind tier per persisted cache.
 	st           *store.Store
 	classifyTier *store.Tier[Result]
 	toolTier     *store.Tier[ToolVerdict]
@@ -458,14 +450,8 @@ func NewEngine(reg *Registry, cfg Config) *Engine {
 				e.bus.Publish(events.CacheInvalidated,
 					CacheInvalidatedData{Scope: "tool", Name: name, Entries: n})
 			})
-			e.progCache = cache.New[*mpisim.Program](cache.Config{
-				Capacity: e.cfg.CacheSize, TTL: e.cfg.CacheTTL})
 		}
-		e.simJobs = make(chan func(), 2*e.cfg.SimWorkers)
-		for w := 0; w < e.cfg.SimWorkers; w++ {
-			e.simWG.Add(1)
-			go e.simWorker()
-		}
+		e.simSlots = make(chan struct{}, e.cfg.SimWorkers)
 	}
 	e.jobMgr = jobs.New[VerdictEvent](jobs.Config{
 		Workers:     e.cfg.JobWorkers,
@@ -483,11 +469,11 @@ func NewEngine(reg *Registry, cfg Config) *Engine {
 	return e
 }
 
-// Close drains the pools. It must not be called concurrently with
+// Close drains the worker pool. It must not be called concurrently with
 // Classify or Analyze; the transport server is shut down first. The job
 // manager closes first (cancelling live jobs, whose per-program work
-// unwinds through the pools), then the pools drain. Every queued job is
-// still executed (workers drain the channels), so no cache flight is
+// unwinds through the pool), then the pool drains. Every queued job is
+// still executed (workers drain the channel), so no cache flight is
 // left incomplete. Last, the write-behind tiers drain: every persist
 // those completed jobs enqueued reaches the durable store before Close
 // returns, so a clean shutdown loses no accepted verdict. The store
@@ -495,11 +481,7 @@ func NewEngine(reg *Registry, cfg Config) *Engine {
 func (e *Engine) Close() {
 	e.jobMgr.Close()
 	close(e.jobs)
-	if e.simJobs != nil {
-		close(e.simJobs)
-	}
 	e.wg.Wait()
-	e.simWG.Wait()
 	if e.classifyTier != nil {
 		e.classifyTier.Close()
 	}
@@ -764,6 +746,33 @@ func (e *Engine) Classify(ctx context.Context, model string, progs []Program) ([
 	// after a timed-out Classify has returned.
 	out := make(chan outcome, len(progs))
 	pending := 0
+	// enqueue parses program i and queues it on the worker pool, leading
+	// flight when non-nil. A parse failure is item i's result, broadcast
+	// to coalesced followers but never cached, so a corrected
+	// resubmission recomputes. It fails only when ctx dies first.
+	enqueue := func(i int, flight *cache.Flight[Result]) error {
+		pstart := time.Now()
+		m, err := ir.Parse(progs[i].IR)
+		e.observeParse(time.Since(pstart))
+		if err != nil {
+			e.parseErrors.Add(1)
+			results[i] = Result{Err: "parse: " + err.Error()}
+			if flight != nil {
+				e.cache.Complete(flight, Result{}, fmt.Errorf("parse: %w", err))
+			}
+			return nil
+		}
+		select {
+		case e.jobs <- job{ctx: ctx, det: det, mod: m, idx: i, out: out, flight: flight}:
+			pending++
+			return nil
+		case <-ctx.Done():
+			if flight != nil {
+				e.cache.Complete(flight, Result{}, ctxErr(ctx))
+			}
+			return ctxErr(ctx)
+		}
+	}
 	var waits []flightWait
 	for i, p := range progs {
 		// Cache front: digest the raw text (no parse needed), then either
@@ -786,28 +795,8 @@ func (e *Engine) Classify(ctx context.Context, model string, progs []Program) ([
 			}
 			flight = f // cache.Lead: this item executes for everyone waiting
 		}
-
-		pstart := time.Now()
-		m, err := ir.Parse(p.IR)
-		e.observeParse(time.Since(pstart))
-		if err != nil {
-			e.parseErrors.Add(1)
-			results[i].Err = "parse: " + err.Error()
-			if flight != nil {
-				// Broadcast the parse failure to coalesced followers; it is
-				// never cached, so a corrected resubmission recomputes.
-				e.cache.Complete(flight, Result{}, fmt.Errorf("parse: %w", err))
-			}
-			continue
-		}
-		select {
-		case e.jobs <- job{ctx: ctx, det: det, mod: m, idx: i, out: out, flight: flight}:
-			pending++
-		case <-ctx.Done():
-			if flight != nil {
-				e.cache.Complete(flight, Result{}, ctxErr(ctx))
-			}
-			return nil, ctxErr(ctx)
+		if err := enqueue(i, flight); err != nil {
+			return nil, err
 		}
 	}
 	collect := func() error {
@@ -850,19 +839,8 @@ func (e *Engine) Classify(ctx context.Context, model string, progs []Program) ([
 		}
 	}
 	for _, i := range retry {
-		pstart := time.Now()
-		m, err := ir.Parse(progs[i].IR)
-		e.observeParse(time.Since(pstart))
-		if err != nil {
-			e.parseErrors.Add(1)
-			results[i] = Result{Err: "parse: " + err.Error()}
-			continue
-		}
-		select {
-		case e.jobs <- job{ctx: ctx, det: det, mod: m, idx: i, out: out}:
-			pending++
-		case <-ctx.Done():
-			return nil, ctxErr(ctx)
+		if err := enqueue(i, nil); err != nil {
+			return nil, err
 		}
 	}
 	if err := collect(); err != nil {
@@ -932,10 +910,9 @@ type PipelineStats struct {
 // which is the observable cache contract of the endpoint. ToolRuns
 // counts tool executions; a cache hit or a tool its open breaker holds
 // out executes nothing.
-// SimCompiles counts real compilations of a simulator program; one
-// request fanning a program to several dynamic tools compiles at most
-// once, and warm repeats not at all (the program-cache hit counters in
-// ProgCache track the skips).
+// SimCompiles counts compilations of a simulator program: one per
+// cold program, however many dynamic tools read its run, and none for a
+// warm repeat.
 type AnalyzeStats struct {
 	Requests    int64    `json:"requests"`
 	ToolRuns    int64    `json:"tool_runs"`
@@ -962,7 +939,6 @@ type StatsSnapshot struct {
 	Cache      *cache.Stats     `json:"cache,omitempty"`
 	Analyze    *AnalyzeStats    `json:"analyze,omitempty"`
 	ToolCache  *cache.Stats     `json:"tool_cache,omitempty"`
-	ProgCache  *cache.Stats     `json:"prog_cache,omitempty"`
 	Jobs       *jobs.Stats      `json:"jobs,omitempty"`
 	Events     *events.Stats    `json:"events,omitempty"`
 	Store      *StoreStats      `json:"store,omitempty"`
@@ -1011,10 +987,6 @@ func (e *Engine) Stats() StatsSnapshot {
 		if e.toolCache != nil {
 			ts := e.toolCache.Stats()
 			s.ToolCache = &ts
-		}
-		if e.progCache != nil {
-			ps := e.progCache.Stats()
-			s.ProgCache = &ps
 		}
 	}
 	js := e.jobMgr.Stats()

@@ -120,9 +120,6 @@ func (e *Engine) RestoreStore(name string) (store.RestoreInfo, error) {
 	if e.toolCache != nil {
 		swept += e.toolCache.InvalidatePrefix("")
 	}
-	if e.progCache != nil {
-		swept += e.progCache.InvalidatePrefix("")
-	}
 	info, err := e.st.Restore(name, e.keepRestoredRecord)
 	if err != nil {
 		return info, err

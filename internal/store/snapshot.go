@@ -78,40 +78,13 @@ func (s *Store) Snapshot(name string) (SnapshotInfo, error) {
 		return SnapshotInfo{}, ErrClosed
 	}
 	tmpPath := filepath.Join(s.snapDir(), "snapshot.tmp")
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return SnapshotInfo{}, fmt.Errorf("store: snapshot temp: %w", err)
-	}
 	defer os.Remove(tmpPath) // no-op once the rename lands
 	var hdr [len(snapMagic) + 8]byte
 	copy(hdr[:], snapMagic)
 	binary.LittleEndian.PutUint64(hdr[len(snapMagic):], uint64(len(s.index)))
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		tmp.Close()
-		return SnapshotInfo{}, fmt.Errorf("store: snapshot header: %w", err)
-	}
-	keys := make([]string, 0, len(s.index))
-	for key := range s.index {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	size := int64(len(hdr))
-	for _, key := range keys {
-		loc := s.index[key]
-		buf := make([]byte, loc.size)
-		if _, err := loc.seg.f.ReadAt(buf, loc.off); err != nil {
-			tmp.Close()
-			return SnapshotInfo{}, fmt.Errorf("store: snapshot read: %w", err)
-		}
-		if _, err := tmp.Write(buf); err != nil {
-			tmp.Close()
-			return SnapshotInfo{}, fmt.Errorf("store: snapshot write: %w", err)
-		}
-		size += loc.size
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return SnapshotInfo{}, fmt.Errorf("store: snapshot sync: %w", err)
+	tmp, keys, size, err := s.writeLiveLocked(tmpPath, "snapshot", hdr[:])
+	if err != nil {
+		return SnapshotInfo{}, err
 	}
 	tmp.Close()
 	finalPath := filepath.Join(s.snapDir(), name+".snap")

@@ -233,8 +233,15 @@ func (s *Store) replaySegment(id uint64, path string) (*segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: opening segment: %w", err)
 	}
-	data, err := io.ReadAll(f)
+	// The whole segment is parsed, so read it in one allocation sized
+	// from the file.
+	fi, err := f.Stat()
 	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: reading segment %s: %w", path, err)
+	}
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: reading segment %s: %w", path, err)
 	}
@@ -523,47 +530,57 @@ func (s *Store) Compact() error {
 	return s.compactLocked()
 }
 
+// writeLiveLocked writes hdr and then the raw bytes (CRCs and all) of
+// every live record to a fresh file at tmpPath, and fsyncs it. Records
+// go in key order, which keeps the output byte-deterministic for a given
+// index state; keys returns that order, so a caller can recompute each
+// record's offset. On success the file is left open for the caller to
+// publish; on failure it is closed, and the caller removes it. what
+// names the operation in errors.
+func (s *Store) writeLiveLocked(tmpPath, what string, hdr []byte) (tmp *os.File, keys []string, size int64, err error) {
+	tmp, err = os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("store: %s temp: %w", what, err)
+	}
+	fail := func(step string, err error) (*os.File, []string, int64, error) {
+		tmp.Close()
+		return nil, nil, 0, fmt.Errorf("store: %s %s: %w", what, step, err)
+	}
+	if _, err := tmp.Write(hdr); err != nil {
+		return fail("header", err)
+	}
+	keys = make([]string, 0, len(s.index))
+	for key := range s.index {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	size = int64(len(hdr))
+	for _, key := range keys {
+		loc := s.index[key]
+		buf := make([]byte, loc.size)
+		if _, err := loc.seg.f.ReadAt(buf, loc.off); err != nil {
+			return fail("read", err)
+		}
+		if _, err := tmp.Write(buf); err != nil {
+			return fail("write", err)
+		}
+		size += loc.size
+	}
+	if err := tmp.Sync(); err != nil {
+		return fail("sync", err)
+	}
+	return tmp, keys, size, nil
+}
+
 func (s *Store) compactLocked() error {
 	info := CompactionInfo{Segments: len(s.segs), Records: int64(len(s.index))}
 	reclaimedFrom := s.totalBytesLocked()
 
 	tmpPath := filepath.Join(s.dir, "compact.tmp")
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compaction temp: %w", err)
-	}
 	defer os.Remove(tmpPath) // no-op after the rename succeeds
-	if _, err := tmp.Write([]byte(segMagic)); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: compaction header: %w", err)
-	}
-	// Copy the raw record bytes (CRCs and all) of every live key. Sorted
-	// order keeps compacted segments byte-deterministic for a given
-	// index state, which the tests lean on.
-	keys := make([]string, 0, len(s.index))
-	for key := range s.index {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	size := int64(len(segMagic))
-	newLocs := make(map[string]recLoc, len(keys))
-	for _, key := range keys {
-		loc := s.index[key]
-		buf := make([]byte, loc.size)
-		if _, err := loc.seg.f.ReadAt(buf, loc.off); err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: compaction read: %w", err)
-		}
-		if _, err := tmp.Write(buf); err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: compaction write: %w", err)
-		}
-		newLocs[key] = recLoc{off: size, size: loc.size, gen: loc.gen}
-		size += loc.size
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: compaction sync: %w", err)
+	tmp, keys, size, err := s.writeLiveLocked(tmpPath, "compaction", []byte(segMagic))
+	if err != nil {
+		return err
 	}
 	// Publish the compacted file as the next segment id, then drop the
 	// old files. A crash between the rename and the removals leaves the
@@ -581,10 +598,11 @@ func (s *Store) compactLocked() error {
 		_ = os.Remove(old.path)
 	}
 	s.segs = []*segment{seg}
-	for key := range newLocs {
-		loc := newLocs[key]
-		loc.seg = seg
-		s.index[key] = loc
+	off := int64(len(segMagic))
+	for _, key := range keys {
+		loc := s.index[key]
+		s.index[key] = recLoc{seg: seg, off: off, size: loc.size, gen: loc.gen}
+		off += loc.size
 	}
 	s.liveBytes = size - int64(len(segMagic))
 	s.compactions.Add(1)
