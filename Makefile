@@ -43,16 +43,23 @@ test-purego:
 		./internal/gnn ./internal/ir2vec ./internal/core
 
 # The kernel bit tests, the GNN golden, the inference allocation and
-# arena ceilings, the worker-count check and the training checks under
-# one and four procs: none of their results may depend on the core count.
+# arena ceilings, the worker-count check, the training checks and the
+# simulator's scheduler checks under one and four procs: none of their
+# results may depend on the core count.
 # TrainDigest trains the GNN (Default config) and the decision tree and
 # compares each model's parameter digest with the committed one;
 # LegacyArtifact retrains the IR2Vec encoder and requires the vectors of
 # the committed encoder_v1.gob. So both runs must train identical
-# parameters. -count 1 so each run really executes under its own
+# parameters. The simulator hands its one turn between rank goroutines,
+# so GoldenVerdictEquivalence (simverdicts_v1.gob) and GoldenDeterminism
+# must read the same verdicts, steps and output whether those goroutines
+# share one P or spread over four; GoroutineHygiene must see every rank
+# goroutine exit after a deadlock, crash, timeout or cancel; and the
+# WarmRunAllocs and FreshProgramRun ceilings must hold for runs from the
+# shared free list. -count 1 so each run really executes under its own
 # GOMAXPROCS instead of replaying a cached pass.
-PROCS_TESTS = BitExact|LogitsGolden|PredictBatchAllocs|PredictBatchArena|WorkerCount|TrainDigest|LegacyArtifact
-PROCS_PKGS = ./internal/tensor ./internal/gnn ./internal/ir2vec ./internal/dtree
+PROCS_TESTS = BitExact|LogitsGolden|PredictBatchAllocs|PredictBatchArena|WorkerCount|TrainDigest|LegacyArtifact|GoldenVerdictEquivalence|GoldenDeterminism|GoroutineHygiene|WarmRunAllocs|FreshProgramRun
+PROCS_PKGS = ./internal/tensor ./internal/gnn ./internal/ir2vec ./internal/dtree ./internal/mpisim
 test-procs:
 	GOMAXPROCS=1 $(GO) test -count 1 -run '$(PROCS_TESTS)' $(PROCS_PKGS)
 	GOMAXPROCS=4 $(GO) test -count 1 -run '$(PROCS_TESTS)' $(PROCS_PKGS)
@@ -94,7 +101,10 @@ chaos:
 #   panics, Get serves only checksummed records of the input, the
 #   recovered store stays writable across a reopen);
 # - FuzzTierLoad: arbitrary durable-tier payloads (each Load is a
-#   verdict, a miss or a counted decode error, never a panic).
+#   verdict, a miss or a counted decode error, never a panic);
+# - FuzzSimulate: the simulator on any IR that parses and verifies, at 2
+#   and 4 ranks under a 20k-step budget (no panic escapes RunCtx, a
+#   repeated run gives an identical Result, the rank goroutines exit).
 # The corpus seeds plus whatever the fuzzer grows locally; a longer soak
 # is e.g. `go test -run '^$$' -fuzz FuzzOptimize -fuzztime 10m ./internal/passes/`.
 # -fuzzminimizetime 1s caps the minimiser: by default it may spend up to
@@ -111,6 +121,7 @@ fuzz:
 	$(FUZZ) -fuzz FuzzEdgeAttend ./internal/autodiff/
 	$(FUZZ) -fuzz FuzzStoreOpen ./internal/store/
 	$(FUZZ) -fuzz FuzzTierLoad ./internal/store/
+	$(FUZZ) -fuzz FuzzSimulate ./internal/mpisim/
 
 # One iteration of every benchmark — catches bit-rot in the bench harness
 # without paying for a full measurement run — and emits machine-readable

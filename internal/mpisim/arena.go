@@ -1,17 +1,19 @@
-// Pooled per-run state. A runState is the per-program half of a run's
-// reusable state — pooled rank procs (with their machines and handoff
-// semaphores) and per-function frame free lists — while the memArena it
-// borrows is process-global: size-classed byte buffers for MemObj
-// storage and message payloads, and typed bump arenas for the Ptr,
-// MemObj, message, receive, request and MPI-argument values that live
-// exactly as long as a run. Sharing the memArena across all compiled
-// programs means even a compile-and-run-once workload (the dataset
-// evaluation harness) executes out of warm memory; within one run only
-// the goroutine holding the scheduler turn touches the arena, so no
-// locking is needed.
+// Pooled run state. A Runtime is reused whole: its memArena (size-classed
+// byte buffers for MemObj storage and message payloads, frame free
+// lists, and typed bump arenas for the Ptr, MemObj, message, receive,
+// request and MPI-argument values that live exactly as long as a run),
+// every rank proc it has built (each with its Machine and turn
+// semaphore) and its mainSem. RunCtx takes a Runtime from one bounded
+// free list shared by every program, rebinds its machines to the program
+// being run, and scrubs it back onto the list afterwards, so even a
+// compile-and-run-once workload (a fresh Program per /analyze request,
+// the dataset evaluation harness) executes out of warm memory and warm
+// rank state. Within one run only the goroutine holding the scheduler
+// turn touches the Runtime, so no locking is needed.
 package mpisim
 
 import (
+	"fmt"
 	"math/bits"
 	"unsafe"
 )
@@ -25,7 +27,18 @@ const (
 	numFrameClasses = maxFrameBits + 1
 
 	chunkLen = 128 // objects per bump-arena chunk
+
+	// maxRunMemory caps the bytes one run's memory objects and message
+	// payloads take in total. A program past it crashes with
+	// errRunMemory rather than exhausting the host: the largest run of
+	// the MBI and CorrBench corpora at 16 ranks takes under 32 KiB.
+	maxRunMemory = 64 << 20
 )
+
+// errRunMemory is the crash of a run that outgrew maxRunMemory. getBytes
+// panics with it and runRank recovers it as the rank's error.
+var errRunMemory = &runErr{kind: "crash",
+	msg: fmt.Sprintf("simulated memory exceeds %d MiB", maxRunMemory>>20)}
 
 // emptyBytes backs every zero-sized allocation; it is never written.
 var emptyBytes = []byte{}
@@ -36,16 +49,11 @@ var emptyBytes = []byte{}
 type chunkArena[T any] struct {
 	chunks  [][]T
 	ci, off int
-	grew    *int // owner's retained-bytes estimate
 }
 
 func (a *chunkArena[T]) alloc() *T {
 	if a.ci >= len(a.chunks) {
 		a.chunks = append(a.chunks, make([]T, chunkLen))
-		if a.grew != nil {
-			var zero T
-			*a.grew += chunkLen * int(unsafe.Sizeof(zero))
-		}
 	}
 	p := &a.chunks[a.ci][a.off]
 	a.off++
@@ -63,7 +71,13 @@ func (a *chunkArena[T]) reset() {
 	a.ci, a.off = 0, 0
 }
 
-// memArena is the program-independent allocation state of one run.
+// bytes is the memory the arena's chunks retain.
+func (a *chunkArena[T]) bytes() int {
+	var zero T
+	return len(a.chunks) * chunkLen * int(unsafe.Sizeof(zero))
+}
+
+// memArena is the memory half of a pooled Runtime.
 type memArena struct {
 	bufs [numClasses][][]byte // free byte buffers by size class
 	used [][]byte             // every pooled buffer handed out this run
@@ -81,45 +95,93 @@ type memArena struct {
 	rvChunks    [][]RV
 	rvCI, rvOff int
 
-	// retained estimates the bytes this arena keeps across runs, so the
-	// free list can drop arenas a pathological program inflated.
+	// retained estimates the bytes the pooled buffers, frames and value
+	// chunks keep across runs; see Runtime.recycle.
 	retained int
+	handed   int // bytes getBytes handed out this run
 }
 
-// The arena free list is a small fixed-capacity channel rather than a
+// The free list of runs is a small fixed-capacity channel rather than a
 // sync.Pool: pool contents are purged on every GC cycle, which made
-// simulation throughput swing with GC timing (an arena rebuild costs
-// more than a whole small run). The channel keeps at most
-// maxFreeArenas arenas alive — bounded, deterministic reuse — and
-// putMemArena drops any arena that grew past maxArenaRetain.
+// simulation throughput swing with GC timing (rebuilding a run's state
+// costs more than a whole small run). The channel keeps at most
+// maxFreeRuns Runtimes alive — bounded, deterministic reuse — and
+// recycle drops any Runtime whose memory grew past maxRunRetain.
 const (
-	maxFreeArenas  = 8
-	maxArenaRetain = 8 << 20 // 8 MiB
+	maxFreeRuns  = 8
+	maxRunRetain = 8 << 20 // 8 MiB
 )
 
-var memArenaFree = make(chan *memArena, maxFreeArenas)
+var freeRuns = make(chan *Runtime, maxFreeRuns)
 
-func getMemArena() *memArena {
+// takeRuntime takes a Runtime from the free list (or builds one) with at
+// least ranks procs, and sets its procs to the first ranks of them.
+func takeRuntime(ranks int) *Runtime {
+	var rt *Runtime
 	select {
-	case a := <-memArenaFree:
-		return a
+	case rt = <-freeRuns:
 	default:
-		a := &memArena{}
-		a.ptrs.grew = &a.retained
-		a.mems.grew = &a.retained
-		a.msgs.grew = &a.retained
-		a.rcvs.grew = &a.retained
-		a.reqas.grew = &a.retained
-		return a
+		rt = &Runtime{
+			mainSem: make(chan struct{}, 1),
+			reqs:    map[int64]*request{},
+			wins:    map[int64]*window{},
+			comms:   map[int64]int{},
+			dtypes:  map[int64]bool{},
+		}
 	}
+	for len(rt.built) < ranks {
+		rt.built = append(rt.built, newProc(rt, len(rt.built)))
+	}
+	rt.procs = rt.built[:ranks]
+	return rt
 }
 
-func putMemArena(a *memArena) {
-	if a.retained > maxArenaRetain {
+// newProc builds rt's proc for rank, with its machine and semaphore.
+func newProc(rt *Runtime, rank int) *proc {
+	pr := &proc{rank: rank, sem: make(chan struct{}, 1)}
+	pr.canRunBlocked = func() bool { return rt.deadlock || rt.stopErr != nil || pr.cond() }
+	pr.mach = &Machine{rank: rank, rt: rt, proc: pr}
+	return pr
+}
+
+// clearSlice zeroes a slice's elements (dropping references) and
+// truncates it for reuse.
+func clearSlice[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
+
+// recycle scrubs the Runtime, so it keeps no reference to the run or the
+// program it ran, and puts it back on the free list unless its memory
+// (arena and output buffers) outgrew maxRunRetain. Only the arena, the
+// built procs, the semaphore and the emptied maps and queues are kept;
+// every other field returns to its zero value. The Result returned to
+// the caller shares no memory with the Runtime: output and diagnostics
+// are copied into strings, and the violations slice, which escaped into
+// the Result, is dropped rather than reused.
+func (rt *Runtime) recycle() {
+	rt.memArena.reset()
+	kept := rt.retained + rt.ptrs.bytes() + rt.mems.bytes() + rt.msgs.bytes() +
+		rt.rcvs.bytes() + rt.reqas.bytes()
+	for _, pr := range rt.built {
+		pr.reset()
+		kept += cap(pr.mach.out)
+	}
+	clear(rt.reqs)
+	clear(rt.wins)
+	clear(rt.comms)
+	clear(rt.dtypes)
+	clear(rt.derivedSizes)
+	*rt = Runtime{memArena: rt.memArena, built: rt.built, mainSem: rt.mainSem,
+		reqs: rt.reqs, wins: rt.wins, comms: rt.comms, dtypes: rt.dtypes,
+		derivedSizes: rt.derivedSizes, sends: clearSlice(rt.sends),
+		recvs: clearSlice(rt.recvs), colls: clearSlice(rt.colls),
+		msgLog: rt.msgLog[:0], wildRecvs: rt.wildRecvs[:0]}
+	if kept > maxRunRetain {
 		return // oversized: let the GC have it
 	}
 	select {
-	case memArenaFree <- a:
+	case freeRuns <- rt:
 	default:
 	}
 }
@@ -141,6 +203,7 @@ func (a *memArena) reset() {
 		clear(a.rvChunks[i])
 	}
 	a.rvCI, a.rvOff = 0, 0
+	a.handed = 0
 }
 
 // getFrame hands out a zeroed frame of n value slots.
@@ -185,6 +248,10 @@ func (a *memArena) getBytes(n int, zero bool) []byte {
 	if n == 0 {
 		return emptyBytes
 	}
+	if n > maxRunMemory-a.handed {
+		panic(errRunMemory)
+	}
+	a.handed += n
 	if n > 1<<maxClassBits {
 		return make([]byte, n)
 	}
@@ -246,60 +313,9 @@ func (a *memArena) allocRVs(n int) []RV {
 	return out
 }
 
-// runState is the per-program half of a run's pooled state.
-type runState struct {
-	prog    *Program
-	procs   []*proc
-	mainSem chan struct{}
-	mem     *memArena
-}
-
-// acquire takes (or builds) an arena sized for the requested world.
-func (p *Program) acquire(ranks int) *runState {
-	rs, _ := p.pool.Get().(*runState)
-	if rs == nil {
-		rs = &runState{prog: p, mainSem: make(chan struct{}, 1)}
-	}
-	rs.mem = getMemArena()
-	for len(rs.procs) < ranks {
-		r := len(rs.procs)
-		pr := &proc{rank: r, sem: make(chan struct{}, 1)}
-		pr.canRunBlocked = func() bool { return pr.rt.deadlock || pr.cond() }
-		pr.mach = newMachine(p, r)
-		pr.mach.proc = pr
-		rs.procs = append(rs.procs, pr)
-	}
-	return rs
-}
-
-// release returns the arenas to their pools after a run. The Result
-// returned to the caller shares no memory with them (output and
-// diagnostics are copied into strings), so recycling is safe.
-func (p *Program) release(rs *runState) {
-	rs.mem.reset()
-	putMemArena(rs.mem)
-	rs.mem = nil
-	p.pool.Put(rs)
-}
-
-// getFrame pops a zeroed frame of n slots; putFrame recycles it.
-func (rs *runState) getFrame(n int) []RV { return rs.mem.getFrame(n) }
-
-func (rs *runState) putFrame(fr []RV) { rs.mem.putFrame(fr) }
-
-func (rs *runState) getBytes(n int, zero bool) []byte { return rs.mem.getBytes(n, zero) }
-
-func (rs *runState) newMemObj(name string, size, owner int) *MemObj {
-	return rs.mem.newMemObj(name, size, owner)
-}
-
-func (rs *runState) newPtr(obj *MemObj, off int) *Ptr { return rs.mem.newPtr(obj, off) }
-
-func (rs *runState) allocRVs(n int) []RV { return rs.mem.allocRVs(n) }
-
 // newMessage, newRecvPost and newRequest bump-allocate the run-scoped
 // MPI bookkeeping objects the point-to-point and collective layers
 // create on every operation.
-func (rs *runState) newMessage() *message   { return rs.mem.msgs.alloc() }
-func (rs *runState) newRecvPost() *recvPost { return rs.mem.rcvs.alloc() }
-func (rs *runState) newRequest() *request   { return rs.mem.reqas.alloc() }
+func (a *memArena) newMessage() *message   { return a.msgs.alloc() }
+func (a *memArena) newRecvPost() *recvPost { return a.rcvs.alloc() }
+func (a *memArena) newRequest() *request   { return a.reqas.alloc() }

@@ -1,8 +1,12 @@
 package mpisim
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"weak"
 
 	ast "mpidetect/internal/ast"
 	"mpidetect/internal/ir"
@@ -41,9 +45,9 @@ func benchModule(tb testing.TB) *Program {
 }
 
 // BenchmarkSimCompile measures the compile-once pre-pass in isolation:
-// the cost a cold /analyze request pays exactly once per program, and
-// that the content-addressed program cache amortises away on warm
-// repeats.
+// the cost every cold /analyze request pays once, since serving compiles
+// a fresh Program per request (warm repeats are answered by the
+// tool-verdict cache before any compile).
 func BenchmarkSimCompile(b *testing.B) {
 	mod := benchModule(b).Mod()
 	b.ReportAllocs()
@@ -56,9 +60,11 @@ func BenchmarkSimCompile(b *testing.B) {
 }
 
 // BenchmarkSimRunWarm measures a warm simulated run of a pre-compiled
-// program: pooled frames, pooled rank state, arena-backed memory and the
-// single-semaphore scheduler handoff. This is the steady-state cost of
-// one dynamic-tool execution on the serving path.
+// program: a Runtime from the free list of whole runs (rank procs,
+// machines, frames and arena memory already built) and the
+// single-semaphore scheduler handoff. Every program shares that free
+// list, so this is also the cost of a fresh program's first run, the one
+// simulation an /analyze request makes (TestFreshProgramRunReusesPool).
 func BenchmarkSimRunWarm(b *testing.B) {
 	prog := benchModule(b)
 	prog.Run(Config{Ranks: 2}) // warm the pools
@@ -180,10 +186,9 @@ func TestDeclOnlyMainReproducesNilEntryPanic(t *testing.T) {
 // allocates the pointer map, and pointer stores allocate it on first
 // use.
 func TestMemObjPtrsLazy(t *testing.T) {
-	prog := benchModule(t)
-	rs := prog.acquire(1)
-	defer prog.release(rs)
-	o := rs.mem.newMemObj("%t", 16, 0)
+	rt := takeRuntime(1)
+	defer rt.recycle()
+	o := rt.newMemObj("%t", 16, 0)
 	if o.Ptrs != nil {
 		t.Fatal("fresh MemObj allocated its pointer map eagerly")
 	}
@@ -193,9 +198,9 @@ func TestMemObjPtrsLazy(t *testing.T) {
 	if o.Ptrs != nil {
 		t.Fatal("scalar store allocated the pointer map")
 	}
-	target := rs.mem.newMemObj("%u", 8, 0)
+	target := rt.newMemObj("%u", 8, 0)
 	ptrTy := ir.PtrTo(ir.I32)
-	if err := o.store(8, ptrTy, RV{P: rs.mem.newPtr(target, 0)}); err != nil {
+	if err := o.store(8, ptrTy, RV{P: rt.newPtr(target, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	if o.Ptrs == nil {
@@ -204,4 +209,78 @@ func TestMemObjPtrsLazy(t *testing.T) {
 	if v, err := o.load(8, ptrTy); err != nil || v.P == nil || v.P.Obj != target {
 		t.Fatalf("pointer round-trip failed: %+v, %v", v, err)
 	}
+}
+
+// TestFreshProgramRunReusesPool pins the free list of whole runs. A
+// freshly compiled program's first run borrows the rank procs, machines
+// and arena an earlier run of another program left behind, so it
+// allocates no more than a warm run may (TestWarmRunAllocsBounded's
+// ceiling). And a returned Runtime keeps no reference to the program it
+// ran, so a dropped Program is collected.
+func TestFreshProgramRunReusesPool(t *testing.T) {
+	mod := benchModule(t).Mod()
+	other := irgen.MustLower(crashProgram())
+	// The free list is FIFO: one 16-rank run per entry leaves every
+	// pooled Runtime with 16 procs built.
+	for i := 0; i < maxFreeRuns; i++ {
+		Run(other, Config{Ranks: 16})
+	}
+	progs := make([]*Program, 10)
+	for i := range progs {
+		progs[i] = Compile(mod)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for _, prog := range progs {
+		prog.Run(Config{Ranks: 16})
+	}
+	runtime.ReadMemStats(&ms)
+	if allocs := (ms.Mallocs - before) / uint64(len(progs)); allocs > 60 {
+		t.Fatalf("first run of a fresh program allocates %d times; the run free list regressed (want <= 60)", allocs)
+	}
+
+	prog := Compile(mod)
+	prog.Run(Config{Ranks: 16})
+	wp := weak.Make(prog)
+	prog = nil
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("a Program stayed reachable after its run: the free list keeps a reference to it")
+	}
+}
+
+// TestConcurrentRunsMatchSerial runs several programs from several
+// goroutines at once, so Runtimes pass between programs and goroutines
+// through the shared free list, and requires each result to equal the
+// program's serial one. Run it under -race.
+func TestConcurrentRunsMatchSerial(t *testing.T) {
+	type job struct {
+		prog *Program
+		cfg  Config
+	}
+	jobs := []job{
+		{benchModule(t), Config{Ranks: 16}},
+		{Compile(irgen.MustLower(deadlockProgram())), Config{Ranks: 4}},
+		{Compile(irgen.MustLower(crashProgram())), Config{Ranks: 2}},
+		{Compile(irgen.MustLower(spinProgram())), Config{Ranks: 3, MaxSteps: 5000}},
+	}
+	want := make([]*Result, len(jobs))
+	for i, j := range jobs {
+		want[i] = j.prog.Run(j.cfg)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 8; k++ {
+				i := (g + k) % len(jobs)
+				if got := jobs[i].prog.Run(jobs[i].cfg); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("job %d: concurrent run %+v differs from serial run %+v", i, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

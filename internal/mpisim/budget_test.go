@@ -131,16 +131,7 @@ func TestGoroutineHygiene(t *testing.T) {
 		}
 	}
 
-	// The rank goroutines exit right after handing their final yield to
-	// the scheduler; give the runtime a moment to reap them.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= base {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: baseline %d, now %d", base, runtime.NumGoroutine())
+	waitGoroutines(t, base)
 }
 
 // TestUnknownDerivedDatatypeReported: a receive posted with a derived

@@ -114,7 +114,7 @@ func (rt *Runtime) validateArgs(p *proc, op mpi.Op, args []RV) {
 		}
 	}
 	if v, ok := arg(sig.Arg.Root); ok {
-		if v.I < 0 || v.I >= int64(rt.size) {
+		if v.I < 0 || v.I >= int64(len(rt.procs)) {
 			bad(fmt.Sprintf("invalid root %d", v.I))
 		}
 	}

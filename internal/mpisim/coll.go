@@ -19,7 +19,6 @@ type collSlot struct {
 
 type collMember struct {
 	args []RV
-	p    *proc
 }
 
 // joinCollective attaches the calling rank to the matching open collective
@@ -41,7 +40,7 @@ func (rt *Runtime) joinCollective(p *proc, op mpi.Op, comm int64, args []RV) *co
 		slot = &collSlot{op: op, comm: comm, members: map[int]collMember{}}
 		rt.colls = append(rt.colls, slot)
 	}
-	slot.members[p.rank] = collMember{args: args, p: p}
+	slot.members[p.rank] = collMember{args: args}
 	slot.order = append(slot.order, p.rank)
 	if len(slot.members) >= rt.commSize(comm) {
 		rt.completeCollective(slot)
@@ -53,7 +52,7 @@ func (rt *Runtime) commSize(comm int64) int {
 	if s, ok := rt.comms[comm]; ok {
 		return s
 	}
-	return rt.size
+	return len(rt.procs)
 }
 
 func (rt *Runtime) doCollective(p *proc, op mpi.Op, args []RV) (RV, error) {
@@ -82,7 +81,7 @@ func (rt *Runtime) doICollective(p *proc, op mpi.Op, args []RV) (RV, error) {
 	}
 	slot := rt.joinCollective(p, op, comm, args)
 	rt.nextReq++
-	r := rt.ar.newRequest()
+	r := rt.newRequest()
 	*r = request{id: rt.nextReq, owner: p.rank, op: op, active: true, coll: slot}
 	rt.reqs[r.id] = r
 	ptr := args[reqIdx].P
@@ -524,7 +523,6 @@ func (rt *Runtime) doTypeContiguous(p *proc, args []RV) (RV, error) {
 	if err := outp.Obj.store(outp.Off, ir.I32, RV{I: id}); err != nil {
 		return RV{}, err
 	}
-	p.ownedTypes = append(p.ownedTypes, id)
 	return RV{I: mpi.Success}, nil
 }
 

@@ -8,10 +8,11 @@
 // arithmetic — so the interpreter's frames become flat []RV slices and
 // its dispatch never type-switches on ir.Value or hashes pointers.
 //
-// The compiled form is rank-independent: one /analyze request compiles a
-// program once and simulates it at every requested world size, and the
-// serving layer caches Programs content-addressed so warm repeats skip
-// compilation entirely.
+// The compiled form is rank-independent and holds no run state: one
+// /analyze request compiles its program once and simulates it at every
+// requested world size, and since a fresh Program is compiled per
+// request, every run's mutable state comes from the free list of whole
+// runs in arena.go, which is shared by all programs.
 //
 // Compilation never rejects a module. Malformed constructs (undefined
 // globals, calls to undefined functions, phis missing an incoming edge,
@@ -22,23 +23,22 @@ package mpisim
 
 import (
 	"fmt"
-	"sync"
 
 	"mpidetect/internal/ir"
 	"mpidetect/internal/mpi"
 )
 
 // Program is a compiled, immutable, rank-independent execution form of
-// an IR module. It may be shared freely across goroutines; per-run
-// mutable state lives in pooled runState arenas.
+// an IR module. It may be shared freely across goroutines and holds no
+// per-run state: each run borrows a whole Runtime from the free list
+// every program shares, and nothing on that list refers back to a
+// Program once its run has returned.
 type Program struct {
 	mod     *ir.Module
 	globals []cglobal
 	funcs   []*cfunc
 	main    *cfunc
 	errs    []string // crash messages referenced by compiled operands
-
-	pool sync.Pool // *runState
 }
 
 // Mod returns the module the program was compiled from.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"mpidetect/internal/ir"
@@ -52,12 +53,13 @@ const maxRankOutput = 64 << 10
 const truncationMarker = "\n[mpisim: output truncated]\n"
 
 // Machine executes one compiled MPI rank. Its frames are flat []RV
-// slices indexed by pre-assigned register slots and pooled per run.
+// slices indexed by pre-assigned register slots and pooled in its
+// Runtime's arena. A Machine belongs to one pooled Runtime for life and
+// is rebound to a program at the start of every run.
 type Machine struct {
 	prog     *Program
 	rank     int
 	rt       *Runtime
-	ar       *runState
 	proc     *proc
 	steps    int64
 	maxSteps int64
@@ -73,34 +75,33 @@ type Machine struct {
 	fmtBuf     []byte
 }
 
-func newMachine(prog *Program, rank int) *Machine {
-	return &Machine{prog: prog, rank: rank,
-		globals:   make([]*MemObj, len(prog.globals)),
-		globalRVs: make([]RV, len(prog.globals))}
-}
-
-// reset rebinds the machine to a fresh run: zeroed counters, truncation
-// state, and newly initialised globals out of the run's arena.
-func (m *Machine) reset(rt *Runtime, maxSteps int64) {
-	m.rt, m.ar = rt, rt.ar
+// reset binds the machine to prog for a fresh run: zeroed counters,
+// truncation state, and global tables resized in place; run fills them.
+func (m *Machine) reset(prog *Program, maxSteps int64) {
+	m.prog = prog
 	m.steps, m.maxSteps = 0, maxSteps
 	m.out = m.out[:0]
 	m.outTruncated = false
+	m.globals = slices.Grow(m.globals[:0], len(prog.globals))[:len(prog.globals)]
+	m.globalRVs = slices.Grow(m.globalRVs[:0], len(prog.globals))[:len(prog.globals)]
+}
+
+// run initialises the rank's globals out of the run's arena and executes
+// main; the error (if any) is a *runErr. Globals are built here, on the
+// rank's goroutine, so a global too large to allocate crashes the rank
+// like any other allocation instead of panicking out of RunCtx.
+func (m *Machine) run() error {
 	for i := range m.prog.globals {
 		g := &m.prog.globals[i]
-		obj := m.ar.newMemObj(g.name, g.size, m.rank)
+		obj := m.rt.newMemObj(g.name, g.size, m.rank)
 		if g.str != "" {
 			copy(obj.Bytes, g.str)
 		} else if g.init != nil {
 			_ = obj.store(0, g.elem, RV{I: g.init.Int, F: g.init.Float})
 		}
 		m.globals[i] = obj
-		m.globalRVs[i] = RV{P: m.ar.newPtr(obj, 0)}
+		m.globalRVs[i] = RV{P: m.rt.newPtr(obj, 0)}
 	}
-}
-
-// run executes main; the error (if any) is a *runErr.
-func (m *Machine) run() error {
 	main := m.prog.main
 	if main == nil {
 		return crashf("no main function")
@@ -116,14 +117,14 @@ func (m *Machine) call(cf *cfunc, args []RV, depth int) (RV, error) {
 	if depth > maxCallDepth {
 		return RV{}, crashf("call depth exceeded in @%s", cf.name)
 	}
-	fr := m.ar.getFrame(cf.nslots)
+	fr := m.rt.getFrame(cf.nslots)
 	n := len(args)
 	if n > cf.nparams {
 		n = cf.nparams
 	}
 	copy(fr[:n], args[:n])
 	rv, err := m.exec(cf, fr, depth)
-	m.ar.putFrame(fr)
+	m.rt.putFrame(fr)
 	return rv, err
 }
 
@@ -258,8 +259,8 @@ func (m *Machine) execInstr(fr []RV, in *cinstr, depth int) (RV, error) {
 		if in.sizeDyn {
 			size = ir.SizeOf(in.in.AllocTy)
 		}
-		obj := m.ar.newMemObj(in.aux.name, size*n, m.rank)
-		return RV{P: m.ar.newPtr(obj, 0)}, nil
+		obj := m.rt.newMemObj(in.aux.name, size*n, m.rank)
+		return RV{P: m.rt.newPtr(obj, 0)}, nil
 
 	case in.op == ir.OpLoad:
 		pv, err := m.evalOp(fr, &in.a)
@@ -395,7 +396,7 @@ func (m *Machine) execGEP(fr []RV, in *cinstr) (RV, error) {
 			return RV{}, &runErr{kind: "crash", msg: m.prog.errs[st.add]}
 		}
 	}
-	return RV{P: m.ar.newPtr(base.P.Obj, off)}, nil
+	return RV{P: m.rt.newPtr(base.P.Obj, off)}, nil
 }
 
 // execGEPSlow is the generic type-walking path, kept for the shapes the
@@ -440,7 +441,7 @@ func (m *Machine) execGEPSlow(fr []RV, in *cinstr) (RV, error) {
 			return RV{}, crashf("GEP into non-aggregate %s", cur)
 		}
 	}
-	return RV{P: m.ar.newPtr(base.P.Obj, off)}, nil
+	return RV{P: m.rt.newPtr(base.P.Obj, off)}, nil
 }
 
 func (m *Machine) execCall(fr []RV, in *cinstr, depth int) (RV, error) {
@@ -450,7 +451,7 @@ func (m *Machine) execCall(fr []RV, in *cinstr, depth int) (RV, error) {
 	if in.ck == ckMPI {
 		// MPI argument vectors may be retained (persistent requests,
 		// collective slots) until the run ends: bump-allocate them.
-		args = m.ar.allocRVs(nargs)
+		args = m.rt.allocRVs(nargs)
 	} else {
 		if cap(m.argScratch) < nargs {
 			m.argScratch = make([]RV, nargs)

@@ -12,11 +12,9 @@ type message struct {
 	src, dst, tag int
 	comm          int64
 	dtype         mpi.Datatype
-	count         int
 	data          []byte
 	synchronous   bool // rendezvous semantics (Ssend or large standard send)
 	matched       bool
-	sendReq       *request // owning nonblocking request, if any
 }
 
 // recvPost is a posted (not yet matched) receive.
@@ -28,10 +26,6 @@ type recvPost struct {
 	buf           *Ptr
 	status        *Ptr
 	completed     bool
-	recvReq       *request
-	gotSrc        int
-	gotTag        int
-	gotCount      int
 }
 
 // request is an MPI_Request table entry.
@@ -85,9 +79,8 @@ func (rt *Runtime) doSend(p *proc, op mpi.Op, args []RV) (RV, error) {
 		return RV{I: mpi.ErrOther}, nil
 	}
 	bytes := rt.readBuf(p, op, buf, count, dt)
-	msg := rt.ar.newMessage()
-	*msg = message{src: p.rank, dst: dst, tag: tag, comm: comm, dtype: dt,
-		count: count, data: bytes}
+	msg := rt.newMessage()
+	*msg = message{src: p.rank, dst: dst, tag: tag, comm: comm, dtype: dt, data: bytes}
 	msg.synchronous = op == mpi.OpSsend || op == mpi.OpRsend || len(bytes) > eagerLimit
 	rt.postSend(msg)
 	if msg.synchronous {
@@ -107,7 +100,7 @@ func (rt *Runtime) doRecv(p *proc, op mpi.Op, args []RV) (RV, error) {
 	if len(args) > 6 {
 		status = args[6].P
 	}
-	r := rt.ar.newRecvPost()
+	r := rt.newRecvPost()
 	*r = recvPost{dst: p.rank, src: src, tag: tag, comm: comm, dtype: dt,
 		count: count, buf: buf, status: status}
 	rt.postRecv(r)
@@ -125,7 +118,7 @@ func (rt *Runtime) doSendrecv(p *proc, args []RV) (RV, error) {
 	// deadlock-free semantics of MPI_Sendrecv.
 	var r *recvPost
 	if src != mpi.ProcNull {
-		r = rt.ar.newRecvPost()
+		r = rt.newRecvPost()
 		*r = recvPost{dst: p.rank, src: src, tag: int(args[9].I), comm: comm,
 			dtype: mpi.Datatype(args[7].I), count: int(args[6].I),
 			buf: args[5].P, status: args[11].P}
@@ -133,9 +126,9 @@ func (rt *Runtime) doSendrecv(p *proc, args []RV) (RV, error) {
 	}
 	if dst != mpi.ProcNull && rt.peerOK(p, mpi.OpSendrecv, dst) {
 		bytes := rt.readBuf(p, mpi.OpSendrecv, args[0].P, int(args[1].I), mpi.Datatype(args[2].I))
-		msg := rt.ar.newMessage()
+		msg := rt.newMessage()
 		*msg = message{src: p.rank, dst: dst, tag: int(args[4].I), comm: comm,
-			dtype: mpi.Datatype(args[2].I), count: int(args[1].I), data: bytes}
+			dtype: mpi.Datatype(args[2].I), data: bytes}
 		rt.postSend(msg)
 	}
 	if r != nil {
@@ -154,7 +147,7 @@ func (rt *Runtime) doImmediate(p *proc, op mpi.Op, args []RV) (RV, error) {
 		return RV{I: mpi.ErrOther}, nil
 	}
 	rt.nextReq++
-	r := rt.ar.newRequest()
+	r := rt.newRequest()
 	*r = request{id: rt.nextReq, owner: p.rank, op: op, args: args}
 	rt.reqs[r.id] = r
 	if op == mpi.OpSendInit || op == mpi.OpRecvInit {
@@ -180,9 +173,9 @@ func (rt *Runtime) activateRequest(p *proc, r *request) {
 		return
 	}
 	if isRecv {
-		rp := rt.ar.newRecvPost()
+		rp := rt.newRecvPost()
 		*rp = recvPost{dst: p.rank, src: peer, tag: tag, comm: comm, dtype: dt,
-			count: count, buf: buf, recvReq: r}
+			count: count, buf: buf}
 		r.recv = rp
 		rt.postRecv(rp)
 		if buf != nil {
@@ -195,9 +188,8 @@ func (rt *Runtime) activateRequest(p *proc, r *request) {
 		return
 	}
 	bytes := rt.readBuf(p, r.op, buf, count, dt)
-	msg := rt.ar.newMessage()
-	*msg = message{src: p.rank, dst: peer, tag: tag, comm: comm, dtype: dt,
-		count: count, data: bytes, sendReq: r}
+	msg := rt.newMessage()
+	*msg = message{src: p.rank, dst: peer, tag: tag, comm: comm, dtype: dt, data: bytes}
 	msg.synchronous = r.op == mpi.OpIssend || len(bytes) > eagerLimit
 	r.msg = msg
 	rt.postSend(msg)
@@ -265,8 +257,6 @@ func (r *recvPost) matches(msg *message) bool {
 func (rt *Runtime) deliver(msg *message, r *recvPost) {
 	msg.matched = true
 	r.completed = true
-	r.gotSrc = msg.src
-	r.gotTag = msg.tag
 	if !rt.dtCompatible(msg.dtype, r.dtype) {
 		rt.report(Violation{Kind: VTypeMismatch, Rank: r.dst, Op: mpi.OpRecv,
 			Msg: fmt.Sprintf("send type %s does not match recv type %s", msg.dtype, r.dtype)})
@@ -292,7 +282,6 @@ func (rt *Runtime) deliver(msg *message, r *recvPost) {
 			Msg: fmt.Sprintf("receive posted with unknown or freed derived datatype %d", int64(r.dtype))})
 		n = 0
 	}
-	r.gotCount = n / max(1, recvSize)
 	if r.buf != nil {
 		dst := r.buf
 		if dst.Off+n > len(dst.Obj.Bytes) {
@@ -391,9 +380,6 @@ func (rt *Runtime) doWait(p *proc, args []RV) (RV, error) {
 func (rt *Runtime) completeRequest(p *proc, r *request, handlePtr *Ptr) {
 	r.completedAndWaited = true
 	p.clearRegions(r.id)
-	if r.recv != nil && r.recv.status != nil {
-		// already written at deliver time
-	}
 	if r.persistent {
 		r.active = false
 		return
@@ -540,24 +526,17 @@ func (rt *Runtime) readBuf(p *proc, op mpi.Op, buf *Ptr, count int, dt mpi.Datat
 	}
 	// Message payloads come from the run's arena (fully overwritten by the
 	// copy, so no clearing is needed) and are recycled when the run ends.
-	out := rt.ar.getBytes(n, false)
+	out := rt.getBytes(n, false)
 	copy(out, buf.Obj.Bytes[buf.Off:buf.Off+n])
 	return out
 }
 
 // peerOK validates a peer rank.
 func (rt *Runtime) peerOK(p *proc, op mpi.Op, peer int) bool {
-	if peer < 0 || peer >= rt.size {
+	if peer < 0 || peer >= len(rt.procs) {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: op,
-			Msg: fmt.Sprintf("invalid peer rank %d (size %d)", peer, rt.size)})
+			Msg: fmt.Sprintf("invalid peer rank %d (size %d)", peer, len(rt.procs))})
 		return false
 	}
 	return true
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -9,15 +9,14 @@ import (
 
 // window is an RMA window: one memory region per rank of the communicator.
 type window struct {
-	id     int64
-	owner  int
-	comm   int64
-	bases  []*Ptr
-	sizes  []int
-	freed  bool
-	fences int
-	open   bool        // a fence epoch is open
-	locks  map[int]int // target rank -> locking rank + 1 (0 = unlocked)
+	id    int64
+	owner int
+	comm  int64
+	bases []*Ptr
+	sizes []int
+	freed bool
+	open  bool        // a fence epoch is open
+	locks map[int]int // target rank -> locking rank + 1 (0 = unlocked)
 
 	accesses []rmaAccess
 }
@@ -44,7 +43,7 @@ func (rt *Runtime) doWinCreate(p *proc, args []RV) (RV, error) {
 		rt.nextWin++
 		slot.newComm = rt.nextWin
 		w := &window{id: slot.newComm, owner: p.rank, comm: comm,
-			bases: make([]*Ptr, rt.size), sizes: make([]int, rt.size),
+			bases: make([]*Ptr, len(rt.procs)), sizes: make([]int, len(rt.procs)),
 			locks: map[int]int{}}
 		for rank, m := range slot.members {
 			w.bases[rank] = m.args[0].P
@@ -113,7 +112,6 @@ func (rt *Runtime) doWinFence(p *proc, args []RV) (RV, error) {
 	// The first rank out of the fence toggles the epoch.
 	if slot.newComm == 0 {
 		slot.newComm = 1
-		w.fences++
 		w.open = !w.open
 		if !w.open {
 			w.accesses = w.accesses[:0] // epoch closed: conflicts reset
@@ -134,7 +132,7 @@ func (rt *Runtime) doRMAAccess(p *proc, op mpi.Op, args []RV) (RV, error) {
 		return RV{I: mpi.ErrOther}, nil
 	}
 	target := int(args[3].I)
-	if target < 0 || target >= rt.size {
+	if target < 0 || target >= len(rt.procs) {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: op,
 			Msg: fmt.Sprintf("invalid target rank %d", target)})
 		return RV{I: mpi.ErrOther}, nil

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"mpidetect/internal/ir"
@@ -47,21 +46,17 @@ const (
 	pFailed
 )
 
-// alwaysRun is the canRun of a proc that only waits for its turn.
-func alwaysRun() bool { return true }
-
 type proc struct {
 	rank      int
 	mach      *Machine
-	rt        *Runtime
 	state     int
-	canRun    func() bool
+	canRun    func() bool // nil: the proc only waits for its turn
 	blockedOn mpi.Op
 	err       *runErr
 
 	// cond is the wait condition of the current block(); canRunBlocked is
-	// the prebound "deadlock or cond" predicate, built once per proc so
-	// blocking does not allocate a fresh closure every time.
+	// the prebound "deadlock, stop or cond" predicate, built once per proc
+	// so blocking does not allocate a fresh closure every time.
 	cond          func() bool
 	canRunBlocked func() bool
 
@@ -77,26 +72,17 @@ type proc struct {
 	// resources owned by the rank
 	activeRegions []region
 	ownedComms    []int64
-	ownedTypes    []int64
 }
 
-// reset prepares a pooled proc for a fresh run.
-func (p *proc) reset(rt *Runtime, maxSteps int64) {
-	p.rt = rt
-	p.state = pBlocked
-	p.canRun = alwaysRun
-	p.cond = nil
-	p.blockedOn = mpi.OpNone
-	p.err = nil
-	p.inited, p.finalized = false, false
-	p.activeRegions = p.activeRegions[:0]
-	p.ownedComms = p.ownedComms[:0]
-	p.ownedTypes = p.ownedTypes[:0]
-	select { // drop any stale token, defensively
-	case <-p.sem:
-	default:
-	}
-	p.mach.reset(rt, maxSteps)
+// reset returns a proc to the state of a freshly built one after a run,
+// dropping every reference to the run and its program.
+func (p *proc) reset() {
+	*p = proc{rank: p.rank, mach: p.mach, sem: p.sem, canRunBlocked: p.canRunBlocked,
+		activeRegions: clearSlice(p.activeRegions), ownedComms: p.ownedComms[:0]}
+	m := p.mach
+	m.prog = nil
+	clear(m.globals)
+	clear(m.globalRVs)
 }
 
 type region struct {
@@ -109,14 +95,15 @@ type region struct {
 	warned bool
 }
 
-// Runtime is the shared MPI world state of one simulated run. Only one
-// rank executes at a time (cooperative scheduling), so no locking is
+// Runtime is the shared MPI world state of one simulated run, and the
+// unit the free list in arena.go reuses across runs and programs. Only
+// one rank executes at a time (cooperative scheduling), so no locking is
 // needed and runs are deterministic.
 type Runtime struct {
-	cfg   Config
-	size  int
-	procs []*proc
-	ar    *runState
+	memArena
+
+	procs []*proc // this run's ranks, a prefix of built
+	built []*proc // every proc built so far, machine and semaphore included
 
 	// Cooperative cancellation: ctx is the caller's context, deadline the
 	// wall-clock budget, stopErr the latched abort reason. Only the
@@ -133,8 +120,6 @@ type Runtime struct {
 	schedIdx      int
 	roundAlive    bool
 	roundProgress bool
-	aborting      bool
-	abortIdx      int
 	mainSem       chan struct{} // wakes the caller when the run completes
 
 	violations []Violation
@@ -156,8 +141,6 @@ type Runtime struct {
 
 	msgLog    []msgRecord
 	wildRecvs []wildRecord
-
-	finalizeCount int
 }
 
 type msgRecord struct {
@@ -168,64 +151,6 @@ type msgRecord struct {
 type wildRecord struct {
 	dst, tag int
 	comm     int64
-}
-
-// runtimePool recycles Runtime shells (and their interior maps/queues)
-// across runs; every field is re-initialised by RunCtx or cleared by
-// putRuntime, and the golden verdict corpus pins that a pooled Runtime
-// behaves identically to a fresh one.
-var runtimePool = sync.Pool{}
-
-func getRuntime() *Runtime {
-	if v := runtimePool.Get(); v != nil {
-		return v.(*Runtime)
-	}
-	return &Runtime{
-		reqs:   map[int64]*request{},
-		wins:   map[int64]*window{},
-		comms:  map[int64]int{},
-		dtypes: map[int64]bool{},
-	}
-}
-
-// clearSlice zeroes a slice's elements (dropping references) and
-// truncates it for reuse.
-func clearSlice[T any](s []T) []T {
-	clear(s)
-	return s[:0]
-}
-
-// putRuntime scrubs every run-scoped field and recycles the shell. The
-// violations slice is deliberately dropped, not reused: it escaped into
-// the caller's Result.
-func putRuntime(rt *Runtime) {
-	clear(rt.reqs)
-	clear(rt.wins)
-	clear(rt.comms)
-	clear(rt.dtypes)
-	if rt.derivedSizes != nil {
-		clear(rt.derivedSizes)
-	}
-	rt.sends = clearSlice(rt.sends)
-	rt.recvs = clearSlice(rt.recvs)
-	rt.colls = clearSlice(rt.colls)
-	rt.msgLog = rt.msgLog[:0]
-	rt.wildRecvs = rt.wildRecvs[:0]
-	rt.violations = nil
-	rt.cfg = Config{}
-	rt.size = 0
-	rt.procs = nil
-	rt.ar = nil
-	rt.ctx = nil
-	rt.deadline = time.Time{}
-	rt.stopErr = nil
-	rt.schedIdx, rt.roundAlive, rt.roundProgress = 0, false, false
-	rt.aborting, rt.abortIdx = false, 0
-	rt.mainSem = nil
-	rt.deadlock = false
-	rt.nextReq, rt.nextWin, rt.nextComm, rt.nextType = 0, 0, 0, 0
-	rt.finalizeCount = 0
-	runtimePool.Put(rt)
 }
 
 // Run simulates the module with the given configuration, compiling it
@@ -245,23 +170,18 @@ func (p *Program) Run(cfg Config) *Result {
 	return p.RunCtx(context.Background(), cfg)
 }
 
-// RunCtx simulates the compiled program under a caller context:
-// cancelling ctx (or exceeding cfg.WallBudget) aborts the run
-// cooperatively — the turn stops being handed out, every per-rank
-// goroutine is resumed so it can observe the stop condition and exit,
-// and the partial result is returned with Result.Canceled (ctx) or
+// RunCtx simulates the compiled program under a caller context. The run
+// executes in a Runtime taken from the free list shared by every program
+// and returned to it afterwards. Cancelling ctx (or exceeding
+// cfg.WallBudget) aborts the run cooperatively: the scheduler's ordinary
+// round-robin wakes every parked rank so it can observe the stop and
+// exit, and the partial result is returned with Result.Canceled (ctx) or
 // Result.Timeout (budget) set. RunCtx never leaks the rank goroutines,
 // whatever state the simulated program is in.
 func (p *Program) RunCtx(ctx context.Context, cfg Config) *Result {
 	cfg = cfg.withDefaults()
-	rs := p.acquire(cfg.Ranks)
-	rt := getRuntime()
-	rt.cfg = cfg
+	rt := takeRuntime(cfg.Ranks)
 	rt.ctx = ctx
-	rt.ar = rs
-	rt.size = cfg.Ranks
-	rt.procs = rs.procs[:cfg.Ranks]
-	rt.mainSem = rs.mainSem
 	rt.comms[mpi.CommWorld] = cfg.Ranks
 	rt.comms[mpi.CommSelf] = 1
 	rt.nextReq, rt.nextWin, rt.nextComm, rt.nextType = 1000, 5000, 200, 100
@@ -269,7 +189,7 @@ func (p *Program) RunCtx(ctx context.Context, cfg Config) *Result {
 		rt.deadline = time.Now().Add(cfg.WallBudget)
 	}
 	for _, pr := range rt.procs {
-		pr.reset(rt, cfg.MaxSteps)
+		pr.mach.reset(p, cfg.MaxSteps)
 	}
 	for _, pr := range rt.procs {
 		go runRank(rt, pr)
@@ -279,8 +199,7 @@ func (p *Program) RunCtx(ctx context.Context, cfg Config) *Result {
 	rt.giveTurn()
 	<-rt.mainSem
 	res := rt.collect()
-	p.release(rs)
-	putRuntime(rt)
+	rt.recycle()
 	return res
 }
 
@@ -291,7 +210,9 @@ func runRank(rt *Runtime, p *proc) {
 	<-p.sem
 	err := func() (err error) {
 		defer func() {
-			if r := recover(); r != nil {
+			if r := recover(); r == errRunMemory {
+				err = errRunMemory
+			} else if r != nil {
 				err = crashf("interpreter panic: %v", r)
 			}
 		}()
@@ -332,19 +253,17 @@ func (rt *Runtime) stopNow() *runErr {
 // next runnable rank, or the main goroutine when the run is over. This
 // replaces the old scheduler goroutine's resume/yielded channel pair —
 // a turn now costs one park/unpark instead of two channel round-trips.
+//
+// A deadlock or a stop needs no separate path: once either is latched,
+// every parked rank's canRunBlocked holds, so the same scan wakes the
+// parked ranks in rank order, and each unwinds through block's checks
+// without parking again. The next round then finds no rank alive.
 func (rt *Runtime) giveTurn() {
-	if rt.aborting {
-		rt.abortNext()
-		return
-	}
 	for {
-		if rt.schedIdx == 0 {
-			// Start of a round: the once-per-round stop check the old
-			// scheduler loop ran at the top of each iteration.
-			if rt.stopNow() != nil {
-				rt.beginAbort()
-				return
-			}
+		if rt.schedIdx == 0 && !rt.deadlock {
+			// Start of a round: latch a stop, once per round. A run that
+			// is already unwinding a deadlock reports only the deadlock.
+			rt.stopNow()
 		}
 		for rt.schedIdx < len(rt.procs) {
 			p := rt.procs[rt.schedIdx]
@@ -377,42 +296,13 @@ func (rt *Runtime) giveTurn() {
 			}
 			rt.report(Violation{Kind: VDeadlock, Rank: -1, Op: mpi.OpNone,
 				Msg: "no progress possible: " + strings.Join(blockedOps, ", ")})
-			rt.beginAbort()
-			return
 		}
 		rt.schedIdx, rt.roundAlive, rt.roundProgress = 0, false, false
 	}
 }
 
-// beginAbort starts resuming every still-blocked rank, in rank order, so
-// its goroutine observes the abort condition (deadlock or stop) and
-// exits; without this the per-rank goroutines would leak, parked on
-// their turn semaphores.
-func (rt *Runtime) beginAbort() {
-	rt.aborting = true
-	rt.abortIdx = 0
-	rt.abortNext()
-}
-
-// abortNext wakes the next blocked rank of the abort sweep; each woken
-// rank runs to termination (no rank parks again once the run is
-// aborting) and hands the turn back here. When the sweep is done, the
-// run is over.
-func (rt *Runtime) abortNext() {
-	for rt.abortIdx < len(rt.procs) {
-		p := rt.procs[rt.abortIdx]
-		rt.abortIdx++
-		if p.state == pBlocked {
-			p.state = pRunning
-			p.sem <- struct{}{}
-			return
-		}
-	}
-	rt.mainSem <- struct{}{}
-}
-
-// block suspends the calling rank until cond() holds (or a deadlock is
-// declared). It must only be called from a rank's own goroutine, during
+// block suspends the calling rank until cond() holds (or a deadlock or
+// stop is latched). It must only be called from a rank's own goroutine, during
 // its turn.
 func (rt *Runtime) block(p *proc, op mpi.Op, cond func() bool) error {
 	for !cond() {
@@ -436,14 +326,14 @@ func (rt *Runtime) block(p *proc, op mpi.Op, cond func() bool) error {
 // yieldTurn hands the scheduler one round without a blocking condition:
 // used by MPI_Test so that spin-loops polling a request let peers progress.
 func (rt *Runtime) yieldTurn(p *proc) {
-	// Once the run is aborting nobody will hand the turn back: keep it
-	// and let the interpreter's step check unwind this rank.
+	// Once a deadlock or stop is latched, keep the turn and let the
+	// interpreter's step check unwind this rank.
 	if rt.deadlock || rt.stopNow() != nil {
 		return
 	}
 	p.blockedOn = mpi.OpTest
 	p.state = pBlocked
-	p.canRun = alwaysRun
+	p.canRun = nil
 	rt.giveTurn()
 	<-p.sem
 	p.state = pRunning
@@ -666,7 +556,6 @@ func (rt *Runtime) doFinalize(p *proc) (RV, error) {
 		rt.reportOnce(Violation{Kind: VResourceLeak, Rank: p.rank, Op: reg.op,
 			Msg: "nonblocking operation still pending at MPI_Finalize"})
 	}
-	rt.finalizeCount++
 	return RV{I: mpi.Success}, nil
 }
 
@@ -679,7 +568,7 @@ func (rt *Runtime) doRankSize(p *proc, op mpi.Op, args []RV) (RV, error) {
 	if op == mpi.OpCommSize {
 		size, ok := rt.comms[args[0].I]
 		if !ok {
-			size = rt.size
+			size = len(rt.procs)
 		}
 		val = int64(size)
 	}

@@ -433,25 +433,37 @@ func (s *Store) Put(key string, gen uint64, val []byte) error {
 // Get serves key from the log: one positioned read plus a CRC check, so
 // a flipped bit on disk surfaces as a miss, never as a wrong payload.
 func (s *Store) Get(key string) (val []byte, gen uint64, ok bool) {
+	val, gen, _, ok = getInto(s, key, nil)
+	return val, gen, ok
+}
+
+// getInto is Get for a key held as a string or as bytes, which the index
+// lookup and the key check read without building a string. The record is
+// read into buf when it is large enough, and into a new buffer
+// otherwise; rec returns the buffer used, and val is a slice of it.
+func getInto[K string | []byte](s *Store, key K, buf []byte) (val []byte, gen uint64, rec []byte, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return nil, 0, false
+		return nil, 0, buf, false
 	}
-	loc, found := s.index[key]
+	loc, found := s.index[string(key)]
 	if !found {
-		return nil, 0, false
+		return nil, 0, buf, false
 	}
-	buf := make([]byte, loc.size)
+	if int64(cap(buf)) < loc.size {
+		buf = make([]byte, loc.size)
+	}
+	buf = buf[:loc.size]
 	if _, err := loc.seg.f.ReadAt(buf, loc.off); err != nil {
-		return nil, 0, false
+		return nil, 0, buf, false
 	}
 	k, v, g, kind, _, valid := parseRecord(buf)
-	if !valid || kind != kindPut || string(k) != key {
-		return nil, 0, false
+	if !valid || kind != kindPut || string(k) != string(key) {
+		return nil, 0, buf, false
 	}
 	s.gets.Add(1)
-	return v, g, true
+	return v, g, buf, true
 }
 
 // DeletePrefix dooms every record whose key starts with prefix,

@@ -142,6 +142,8 @@ type Tier[V any] struct {
 	wg     sync.WaitGroup
 	buf    []byte // payload scratch, owned by the writer goroutine
 
+	loadBufs sync.Pool // *loadBuf, Load's scratch
+
 	enqueued      atomic.Int64
 	persisted     atomic.Int64
 	dropped       atomic.Int64
@@ -266,6 +268,11 @@ func (t *Tier[V]) persist(op tierOp[V]) {
 	t.persisted.Add(1)
 }
 
+// loadBuf is one Load's scratch: the store key it looks up and the
+// buffer the record is read into, both reused once the payload is
+// decoded (json.Unmarshal copies what it keeps).
+type loadBuf struct{ key, rec []byte }
+
 // Load hydrates key from the store. A missing record, or one an earlier
 // version wrote in another payload format, is a plain miss; a failed
 // load (injected fault, corrupt record) is a miss with a non-nil error,
@@ -282,7 +289,14 @@ func (t *Tier[V]) Load(key string) (V, bool, error) {
 		t.loadB.Record(false)
 		return v, false, err
 	}
-	raw, _, ok := t.st.Get(t.storeKey(key))
+	lb, _ := t.loadBufs.Get().(*loadBuf)
+	if lb == nil {
+		lb = new(loadBuf)
+	}
+	defer t.loadBufs.Put(lb)
+	lb.key = append(append(append(lb.key[:0], t.ns...), nsSep...), key...)
+	raw, _, rec, ok := getInto(t.st, lb.key, lb.rec)
+	lb.rec = rec
 	if !ok || len(raw) == 0 || raw[0] != payloadJSON {
 		t.loadMisses.Add(1)
 		t.loadB.Record(true)
