@@ -104,7 +104,11 @@ chaos:
 #   verdict, a miss or a counted decode error, never a panic);
 # - FuzzSimulate: the simulator on any IR that parses and verifies, at 2
 #   and 4 ranks under a 20k-step budget (no panic escapes RunCtx, a
-#   repeated run gives an identical Result, the rank goroutines exit).
+#   repeated run gives an identical Result, the rank goroutines exit);
+# - FuzzRESTBodies: arbitrary /v1/classify and /v1/analyze/batch bodies
+#   through the REST handler on an in-process engine (each gets one
+#   verdict per program, one NDJSON event per program, or a 4xx error
+#   envelope; never a 5xx or a panic).
 # The corpus seeds plus whatever the fuzzer grows locally; a longer soak
 # is e.g. `go test -run '^$$' -fuzz FuzzOptimize -fuzztime 10m ./internal/passes/`.
 # -fuzzminimizetime 1s caps the minimiser: by default it may spend up to
@@ -122,6 +126,7 @@ fuzz:
 	$(FUZZ) -fuzz FuzzStoreOpen ./internal/store/
 	$(FUZZ) -fuzz FuzzTierLoad ./internal/store/
 	$(FUZZ) -fuzz FuzzSimulate ./internal/mpisim/
+	$(FUZZ) -fuzz FuzzRESTBodies ./internal/serve/rest/
 
 # One iteration of every benchmark — catches bit-rot in the bench harness
 # without paying for a full measurement run — and emits machine-readable

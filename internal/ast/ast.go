@@ -33,20 +33,13 @@ type Type struct {
 
 // Convenience type singletons.
 var (
-	Void     = &Type{Kind: TVoid}
 	Int      = &Type{Kind: TInt}
 	Double   = &Type{Kind: TDouble}
-	Char     = &Type{Kind: TChar}
 	Request  = &Type{Kind: TMPIRequest}
-	Status   = &Type{Kind: TMPIStatus}
 	Comm     = &Type{Kind: TMPIComm}
 	Datatype = &Type{Kind: TMPIDatatype}
 	Win      = &Type{Kind: TMPIWin}
-	MPIOp    = &Type{Kind: TMPIOp}
 )
-
-// PtrTo returns the pointer type *elem.
-func PtrTo(elem *Type) *Type { return &Type{Kind: TPtr, Elem: elem} }
 
 // ArrayOf returns the array type elem[n].
 func ArrayOf(n int, elem *Type) *Type { return &Type{Kind: TArray, Len: n, Elem: elem} }
@@ -214,84 +207,3 @@ func (*IndexExpr) expr() {}
 func (*CallExpr) expr()  {}
 func (*AddrExpr) expr()  {}
 func (*DerefExpr) expr() {}
-
-// Walk visits every statement in the program, depth-first.
-func Walk(p *Program, visit func(Stmt)) {
-	var walkBlock func(b *BlockStmt)
-	walkStmt := func(s Stmt) {
-		visit(s)
-		switch st := s.(type) {
-		case *BlockStmt:
-			walkBlock(st)
-		case *IfStmt:
-			walkBlock(st.Then)
-			if st.Else != nil {
-				walkBlock(st.Else)
-			}
-		case *ForStmt:
-			walkBlock(st.Body)
-		case *WhileStmt:
-			walkBlock(st.Body)
-		}
-	}
-	walkBlock = func(b *BlockStmt) {
-		for _, s := range b.Stmts {
-			walkStmt(s)
-		}
-	}
-	for _, f := range p.Funcs {
-		walkBlock(f.Body)
-	}
-}
-
-// Calls returns every CallExpr in the program (in syntactic order),
-// including calls nested in expressions of statements.
-func Calls(p *Program) []*CallExpr {
-	var out []*CallExpr
-	var walkExpr func(e Expr)
-	walkExpr = func(e Expr) {
-		switch x := e.(type) {
-		case *CallExpr:
-			out = append(out, x)
-			for _, a := range x.Args {
-				walkExpr(a)
-			}
-		case *BinExpr:
-			walkExpr(x.X)
-			walkExpr(x.Y)
-		case *UnExpr:
-			walkExpr(x.X)
-		case *IndexExpr:
-			walkExpr(x.X)
-			walkExpr(x.I)
-		case *AddrExpr:
-			walkExpr(x.X)
-		case *DerefExpr:
-			walkExpr(x.X)
-		}
-	}
-	Walk(p, func(s Stmt) {
-		switch st := s.(type) {
-		case *DeclStmt:
-			if st.Init != nil {
-				walkExpr(st.Init)
-			}
-		case *AssignStmt:
-			walkExpr(st.RHS)
-			walkExpr(st.LHS)
-		case *ExprStmt:
-			walkExpr(st.X)
-		case *IfStmt:
-			walkExpr(st.Cond)
-		case *ForStmt:
-			walkExpr(st.Cond)
-		case *WhileStmt:
-			walkExpr(st.Cond)
-		case *ReturnStmt:
-			if st.X != nil {
-				walkExpr(st.X)
-			}
-		}
-	})
-	return out
-}

@@ -193,20 +193,6 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 	return out
 }
 
-// Add returns a + b (same shape).
-func (t *Tape) Add(a, b *Node) *Node {
-	val := t.cloneMat(a.Val)
-	tensor.AddInPlace(val, b.Val)
-	out := t.node(val)
-	if !t.inference {
-		out.back = func() {
-			tensor.AddInPlace(a.Grad, out.Grad)
-			tensor.AddInPlace(b.Grad, out.Grad)
-		}
-	}
-	return out
-}
-
 // AddRow broadcasts a 1×C row b over the R×C matrix a.
 func (t *Tape) AddRow(a, b *Node) *Node {
 	if b.Val.R != 1 || b.Val.C != a.Val.C {
@@ -223,21 +209,6 @@ func (t *Tape) AddRow(a, b *Node) *Node {
 				for j, v := range row {
 					b.Grad.Data[j] += v
 				}
-			}
-		}
-	}
-	return out
-}
-
-// Scale returns s * a for a constant s.
-func (t *Tape) Scale(a *Node, s float64) *Node {
-	val := t.cloneMat(a.Val)
-	tensor.ScaleInPlace(val, s)
-	out := t.node(val)
-	if !t.inference {
-		out.back = func() {
-			for i, g := range out.Grad.Data {
-				a.Grad.Data[i] += s * g
 			}
 		}
 	}
@@ -273,33 +244,6 @@ func (t *Tape) LeakyReLU(a *Node, alpha float64) *Node {
 // ReLU applies max(x, 0) elementwise.
 func (t *Tape) ReLU(a *Node) *Node { return t.LeakyReLU(a, 0) }
 
-// ELU applies x>=0 ? x : exp(x)-1 elementwise.
-func (t *Tape) ELU(a *Node) *Node {
-	val := t.cloneMat(a.Val)
-	for i, v := range val.Data {
-		if v < 0 {
-			val.Data[i] = math.Exp(v) - 1
-		}
-	}
-	out := t.node(val)
-	if !t.inference {
-		out.back = func() {
-			og := out.Grad.Data
-			av := a.Val.Data[:len(og)]
-			ag := a.Grad.Data[:len(og)]
-			ov := out.Val.Data[:len(og)]
-			for i, g := range og {
-				if av[i] < 0 {
-					ag[i] += g * (ov[i] + 1) // d/dx (e^x - 1) = e^x
-				} else {
-					ag[i] += g
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Gather selects rows of a by index (duplicates allowed).
 func (t *Tape) Gather(a *Node, idx []int) *Node {
 	val := t.newMat(len(idx), a.Val.C, false)
@@ -312,31 +256,6 @@ func (t *Tape) Gather(a *Node, idx []int) *Node {
 			for i, r := range idx {
 				src := out.Grad.Row(i)
 				dst := a.Grad.Row(r)[:len(src)]
-				for j, v := range src {
-					dst[j] += v
-				}
-			}
-		}
-	}
-	return out
-}
-
-// SegmentSum sums rows of a into nSeg buckets chosen by seg.
-func (t *Tape) SegmentSum(a *Node, seg []int, nSeg int) *Node {
-	val := t.newMat(nSeg, a.Val.C, true)
-	for i, s := range seg {
-		src := a.Val.Row(i)
-		dst := val.Row(s)[:len(src)]
-		for j, v := range src {
-			dst[j] += v
-		}
-	}
-	out := t.node(val)
-	if !t.inference {
-		out.back = func() {
-			for i, s := range seg {
-				src := out.Grad.Row(s)
-				dst := a.Grad.Row(i)[:len(src)]
 				for j, v := range src {
 					dst[j] += v
 				}
@@ -529,30 +448,6 @@ func (t *Tape) allocInts(n int) []int {
 	// A separate tiny int arena is not worth the bookkeeping: allocate
 	// plainly but through one place so a pooled alternative stays easy.
 	return make([]int, n)
-}
-
-// MeanRows pools an R×C matrix to 1×C by the columnwise mean.
-func (t *Tape) MeanRows(a *Node) *Node {
-	val := t.newMat(1, a.Val.C, true)
-	inv := 1.0 / float64(a.Val.R)
-	for i := 0; i < a.Val.R; i++ {
-		row := a.Val.Row(i)
-		for j, v := range row {
-			val.Data[j] += v * inv
-		}
-	}
-	out := t.node(val)
-	if !t.inference {
-		out.back = func() {
-			for i := 0; i < a.Val.R; i++ {
-				row := a.Grad.Row(i)
-				for j := range row {
-					row[j] += out.Grad.Data[j] * inv
-				}
-			}
-		}
-	}
-	return out
 }
 
 // Concat stacks two matrices horizontally (same R).

@@ -159,9 +159,6 @@ func TestGradPooling(t *testing.T) {
 	checkGrad(t, "maxrows", x, func(tp *Tape, in *Node) *Node {
 		return sumAll(tp, tp.MaxRows(in))
 	})
-	checkGrad(t, "meanrows", x, func(tp *Tape, in *Node) *Node {
-		return sumAll(tp, tp.MeanRows(in))
-	})
 }
 
 func TestGradConcat(t *testing.T) {

@@ -268,7 +268,7 @@ func gnnVerdict(probs []float64) Verdict {
 // model's vocabulary ids (graphs.BuildResolved, skipping the token-string
 // round trip, with identical ids), and all graphs run through one
 // block-diagonal GNN forward pass (gnn.PredictProbsBatch), whose
-// per-graph results are bit-identical to PredictProbs.
+// per-graph results are bit-identical to a batch of one.
 func (d *GNNDetector) CheckModules(ms []*ir.Module) ([]Verdict, error) {
 	gs := make([]*graphs.Graph, len(ms))
 	for i, m := range ms {

@@ -4,11 +4,13 @@
 // judged by the same detector family at the same optimisation level under
 // the same artifact format version:
 //
-//	digest = sha256("v" ArtifactVersion "|" detector.Name() "|" detector.Opt() "|" NormalizeIR(src))
+//	digest = sha256("v" ArtifactVersion "|" detector.Name() "|" detector.Opt() "|" normalized(src))
 //
-// Normalization is purely lexical (whitespace- and comment-insensitive),
-// so it never changes what the detector sees: every program still parses
-// and classifies from its original text. What the digest deliberately
+// Normalization is purely lexical: comment lines (";") and blank lines are
+// dropped, and every run of spaces/tabs collapses to a single space. The
+// normal form is not parseable IR; it only makes digests insensitive to
+// formatting, so it never changes what the detector sees: every program
+// still parses and classifies from its original text. What the digest deliberately
 // does NOT include is model weights — retraining a detector of the same
 // family produces identical digests, which is why the serving layer
 // invalidates a model's cache entries whenever its registry slot is
@@ -24,25 +26,14 @@ import (
 	"mpidetect/internal/ast"
 )
 
-// NormalizeIR canonicalizes textual IR for digesting: comment lines (";")
-// and blank lines are dropped, and every run of spaces/tabs collapses to
-// a single space. The result is NOT parseable IR — it exists only to make
-// digests insensitive to formatting.
-func NormalizeIR(src string) string {
-	// Each line's normal form is at most its length plus a newline, so a
-	// len(src)+1 buffer holds the whole text and one call consumes it.
-	dst, _ := appendNormalizedIR(make([]byte, 0, len(src)+1), src)
-	return string(dst)
-}
-
-// appendNormalizedIR is the one normalizer body, shared by NormalizeIR
-// and the streaming digest; digesting runs on the serving hot path for
-// every program of every request, so it must stay cheap next to a map
-// lookup. It appends the normal form of src's lines to dst and returns
-// the text it left unconsumed: it stops before a line whose normal form
-// might not fit in cap(dst) (a line of n bytes yields at most n+1),
-// unless dst is empty, so a caller that drains dst between calls always
-// progresses and dst only grows for a single line longer than it.
+// appendNormalizedIR is the one normalizer body, run by the streaming
+// digest; digesting runs on the serving hot path for every program of
+// every request, so it must stay cheap next to a map lookup. It appends
+// the normal form of src's lines to dst and returns the text it left
+// unconsumed: it stops before a line whose normal form might not fit in
+// cap(dst) (a line of n bytes yields at most n+1), unless dst is empty,
+// so a caller that drains dst between calls always progresses and dst
+// only grows for a single line longer than it.
 //
 // It works a line at a time: leading blanks are trimmed and comment
 // lines skipped, and a line that has no quote, tab, carriage return,
@@ -124,7 +115,7 @@ func appendNormalizedLine(dst []byte, line string) []byte {
 // normalized text of a whole program.
 const digestChunk = 4 << 10
 
-// sumNormalized returns hex(sha256(buf + NormalizeIR(src))) for a header
+// sumNormalized returns hex(sha256(buf + normalized(src))) for a header
 // already in buf, streaming the normalized text through chunk-sized
 // pieces of buf cut at line boundaries.
 func sumNormalized(buf []byte, src string) string {

@@ -6,7 +6,6 @@ import (
 
 	"mpidetect/internal/ast"
 	"mpidetect/internal/cache"
-	"mpidetect/internal/ir"
 	"mpidetect/internal/par"
 )
 
@@ -39,27 +38,20 @@ func NewVerdictCache(capacity int, ttl time.Duration) *VerdictCache {
 	return cache.New[Verdict](cache.Config{Capacity: capacity, TTL: ttl})
 }
 
-// LocalizeError implements the paper's §VI direction: "applying our models
-// at different code granularities by extracting the code into different
-// compilation units — whether or not an error is detected across the
-// different compilation units can serve as a guideline for the exact error
-// location". The program is re-sliced into one compilation unit per
+// LocalizeErrorCached implements the paper's §VI direction: "applying our
+// models at different code granularities by extracting the code into
+// different compilation units — whether or not an error is detected across
+// the different compilation units can serve as a guideline for the exact
+// error location". The program is re-sliced into one compilation unit per
 // non-main function (each unit = that function plus a synthetic main
 // calling it); the detector classifies every unit, and functions whose
 // units are flagged are returned first.
-func LocalizeError(d Detector, p *ast.Program) ([]FunctionSuspicion, error) {
-	return localize(d, p, nil)
-}
-
-// LocalizeErrorCached is LocalizeError with every per-unit verdict served
-// through c: units already judged (by digest, not by pointer identity)
-// skip the compile→embed→predict pipeline entirely, and concurrent
-// localisations of the same program coalesce on one execution per unit.
+//
+// Every per-unit verdict is served through c: units already judged (by
+// digest, not by pointer identity) skip the compile→embed→predict pipeline
+// entirely, and concurrent localisations of the same program coalesce on
+// one execution per unit. c must be non-nil.
 func LocalizeErrorCached(d Detector, p *ast.Program, c *VerdictCache) ([]FunctionSuspicion, error) {
-	return localize(d, p, c)
-}
-
-func localize(d Detector, p *ast.Program, c *VerdictCache) ([]FunctionSuspicion, error) {
 	type unit struct {
 		name string
 		prog *ast.Program
@@ -79,14 +71,7 @@ func localize(d Detector, p *ast.Program, c *VerdictCache) ([]FunctionSuspicion,
 	scored := make([]*FunctionSuspicion, len(units))
 	par.Map(len(units), func(i int) {
 		u := units[i]
-		check := func() (Verdict, error) { return CheckProgram(d, u.prog) }
-		var v Verdict
-		var err error
-		if c != nil {
-			v, err = c.GetOrCompute(DigestProgram(d, u.prog), check)
-		} else {
-			v, err = check()
-		}
+		v, err := c.GetOrCompute(DigestProgram(d, u.prog), func() (Verdict, error) { return CheckProgram(d, u.prog) })
 		if err != nil {
 			// Units that fail to compile in isolation are skipped (the
 			// paper's granularity study tolerates partial units).
@@ -149,15 +134,4 @@ func argFor(t *ast.Type) ast.Expr {
 	default:
 		return ast.I(1)
 	}
-}
-
-// IRFunctions splits a compiled module into per-function instruction
-// counts, a cheap structural profile used by callers that want to report
-// the suspicious unit's size alongside the suspicion score.
-func IRFunctions(m *ir.Module) map[string]int {
-	out := map[string]int{}
-	for _, f := range m.Defined() {
-		out[f.Name] = f.NumInstrs()
-	}
-	return out
 }

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"mpidetect/internal/dataset"
-	"mpidetect/internal/irgen"
-	"mpidetect/internal/passes"
 )
 
 func TestLocalizeErrorRuns(t *testing.T) {
@@ -17,7 +15,7 @@ func TestLocalizeErrorRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	buggy, _ := dataset.HypreCase(1)
-	sus, err := LocalizeError(det, buggy.Prog)
+	sus, err := LocalizeErrorCached(det, buggy.Prog, NewVerdictCache(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,15 +36,5 @@ func TestLocalizeErrorRuns(t *testing.T) {
 		if sus[i].Score > sus[i-1].Score {
 			t.Fatal("suspicions not sorted by score")
 		}
-	}
-}
-
-func TestIRFunctions(t *testing.T) {
-	buggy, _ := dataset.HypreCase(1)
-	m := irgen.MustLower(buggy.Prog)
-	passes.Optimize(m, passes.O0)
-	counts := IRFunctions(m)
-	if counts["hypre_ExchangeBoundary"] == 0 || counts["main"] == 0 {
-		t.Errorf("IRFunctions missing entries: %v", counts)
 	}
 }

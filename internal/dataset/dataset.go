@@ -184,17 +184,6 @@ func (d *Dataset) CountCorrect() (correct, incorrect int) {
 	return
 }
 
-// Filter returns the codes for which keep returns true.
-func (d *Dataset) Filter(keep func(*Code) bool) *Dataset {
-	out := &Dataset{Name: d.Name}
-	for _, c := range d.Codes {
-		if keep(c) {
-			out.Codes = append(out.Codes, c)
-		}
-	}
-	return out
-}
-
 // Merge concatenates datasets (the paper's "Mix" scenario).
 func Merge(name string, ds ...*Dataset) *Dataset {
 	out := &Dataset{Name: name}

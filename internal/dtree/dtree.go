@@ -155,16 +155,16 @@ func (t *Tree) MaxFeature() int {
 
 // Config controls tree growth; zero values reproduce sklearn defaults.
 type Config struct {
-	MaxDepth        int // 0 = unlimited
-	MinSamplesSplit int // 0 = 2
-	Features        []int
+	MaxDepth int // 0 = unlimited
+	Features []int
 }
+
+// minSamplesSplit is sklearn's default: a node with fewer samples is a
+// leaf.
+const minSamplesSplit = 2
 
 // Train fits a tree on features X and labels y (0-based classes).
 func Train(x [][]float64, y []int, cfg Config) *Tree {
-	if cfg.MinSamplesSplit < 2 {
-		cfg.MinSamplesSplit = 2
-	}
 	classes := 0
 	for _, l := range y {
 		if l+1 > classes {
@@ -223,7 +223,7 @@ func pure(y []int, idx []int) bool {
 }
 
 func grow(x [][]float64, y []int, idx, feats []int, classes int, cfg Config, depth int) *node {
-	if len(idx) < cfg.MinSamplesSplit || pure(y, idx) ||
+	if len(idx) < minSamplesSplit || pure(y, idx) ||
 		(cfg.MaxDepth > 0 && depth >= cfg.MaxDepth) {
 		return &node{leaf: true, class: majority(y, idx, classes)}
 	}
@@ -315,28 +315,4 @@ func (t *Tree) Accuracy(x [][]float64, y []int) float64 {
 		}
 	}
 	return float64(correct) / float64(len(x))
-}
-
-// Depth returns the maximum depth of the tree.
-func (t *Tree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *node) int {
-	if n.leaf {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
-// NumLeaves counts leaf nodes.
-func (t *Tree) NumLeaves() int { return leavesOf(t.root) }
-
-func leavesOf(n *node) int {
-	if n.leaf {
-		return 1
-	}
-	return leavesOf(n.left) + leavesOf(n.right)
 }

@@ -6,6 +6,22 @@ import (
 	"testing/quick"
 )
 
+// depth is the maximum depth below n.
+func depth(n *node) int {
+	if n.leaf {
+		return 0
+	}
+	return 1 + max(depth(n.left), depth(n.right))
+}
+
+// leaves counts the leaf nodes below n.
+func leaves(n *node) int {
+	if n.leaf {
+		return 1
+	}
+	return leaves(n.left) + leaves(n.right)
+}
+
 func TestLinearlySeparable(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var x [][]float64
@@ -38,8 +54,8 @@ func TestXorNeedsDepthTwo(t *testing.T) {
 	if acc := tree.Accuracy(x, y); acc != 1 {
 		t.Errorf("XOR accuracy = %f", acc)
 	}
-	if tree.Depth() < 2 {
-		t.Errorf("XOR depth = %d, want >= 2", tree.Depth())
+	if depth(tree.root) < 2 {
+		t.Errorf("XOR depth = %d, want >= 2", depth(tree.root))
 	}
 }
 
@@ -53,8 +69,8 @@ func TestMaxDepthLimits(t *testing.T) {
 		y = append(y, rng.Intn(3))
 	}
 	tree := Train(x, y, Config{MaxDepth: 3})
-	if tree.Depth() > 3 {
-		t.Errorf("depth %d exceeds limit", tree.Depth())
+	if depth(tree.root) > 3 {
+		t.Errorf("depth %d exceeds limit", depth(tree.root))
 	}
 }
 
@@ -83,8 +99,8 @@ func TestPureLeafStopsGrowth(t *testing.T) {
 	x := [][]float64{{1}, {2}, {3}}
 	y := []int{1, 1, 1}
 	tree := Train(x, y, Config{})
-	if tree.Depth() != 0 || tree.NumLeaves() != 1 {
-		t.Errorf("pure data grew depth=%d leaves=%d", tree.Depth(), tree.NumLeaves())
+	if depth(tree.root) != 0 || leaves(tree.root) != 1 {
+		t.Errorf("pure data grew depth=%d leaves=%d", depth(tree.root), leaves(tree.root))
 	}
 }
 

@@ -1,14 +1,11 @@
 package eval
 
 import (
-	"fmt"
-
 	"mpidetect/internal/dataset"
 	"mpidetect/internal/dtree"
 	"mpidetect/internal/ir2vec"
 	"mpidetect/internal/metrics"
 	"mpidetect/internal/par"
-	"mpidetect/internal/passes"
 )
 
 // Design-choice ablations called out in DESIGN.md: these quantify the parts
@@ -92,29 +89,3 @@ func DepthAblation(e *Extractor, d *dataset.Dataset, p PipelineConfig, depths []
 	}
 	return out
 }
-
-// OptLevelGNNAblation evaluates the GNN at each optimisation level (the
-// paper fixes -O0 for the GNN on the intuition that unoptimised code is
-// easier to analyse; this quantifies that choice).
-func OptLevelGNNAblation(e *Extractor, d *dataset.Dataset, cfg GNNScenarioConfig) map[string]metrics.Confusion {
-	out := map[string]metrics.Confusion{}
-	for _, lvl := range []passes.OptLevel{passes.O0, passes.O2, passes.Os} {
-		gs := e.Graphs(d, lvl)
-		y := binaryLabels(gs.Codes)
-		folds := stratifiedFolds(gs.Codes, cfg.folds(), 50)
-		var total metrics.Confusion
-		for k := range folds {
-			var trainIdx []int
-			for j, fold := range folds {
-				if j != k {
-					trainIdx = append(trainIdx, fold...)
-				}
-			}
-			total.Add(runGNNFold(gs, y, trainIdx, folds[k], cfg, int64(k)))
-		}
-		out[lvl.String()] = total
-	}
-	return out
-}
-
-var _ = fmt.Sprint

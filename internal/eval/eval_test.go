@@ -219,24 +219,3 @@ func TestDepthAblationMonotoneCoverage(t *testing.T) {
 		t.Errorf("stump (%.3f) beat full tree (%.3f)", res[1].Accuracy(), res[0].Accuracy())
 	}
 }
-
-func TestOptLevelGNNAblation(t *testing.T) {
-	d := smallCorr()
-	// Shrink further for the GNN.
-	small := &dataset.Dataset{Name: d.Name}
-	for i, c := range d.Codes {
-		if i%3 == 0 {
-			small.Codes = append(small.Codes, c)
-		}
-	}
-	ex := NewExtractor(32)
-	cfg := GNNScenarioConfig{Folds: 2,
-		Model: gnn.Config{EmbedDim: 8, Hidden: []int{10, 8}, LR: 3e-3,
-			Epochs: 2, BatchSize: 8, Seed: 1, Workers: 1}}
-	res := OptLevelGNNAblation(ex, small, cfg)
-	for _, lvl := range []string{"-O0", "-O2", "-Os"} {
-		if _, ok := res[lvl]; !ok {
-			t.Errorf("missing level %s", lvl)
-		}
-	}
-}

@@ -57,7 +57,7 @@ func HypreStudy(e *Extractor, mbi, corr *dataset.Dataset, p PipelineConfig, seed
 		xn := norm.ApplyAll(f.X)
 		var gaFeats []int
 		if p.UseGA {
-			gaFeats = selectFeatures(xn, y, all, p.gaConfig(len(f.X[0])), 31)
+			gaFeats = selectFeatures(xn, y, all, gaConfig(len(f.X[0])), 31)
 		}
 		for _, feats := range []struct {
 			name string

@@ -16,12 +16,11 @@ import (
 
 // PipelineConfig selects the knobs the paper explores for the IR2Vec model.
 type PipelineConfig struct {
-	Opt      passes.OptLevel // -O0 / -O2 / -Os (the paper settles on -Os)
-	Norm     ir2vec.Norm     // none / vector / index (settles on vector)
-	Seed     int64           // embedding seed (§V-A "Seeds")
-	UseGA    bool            // GA feature selection (§IV-A)
-	GAConfig *ga.Config      // nil = scaled default
-	Folds    int             // 0 = 10
+	Opt   passes.OptLevel // -O0 / -O2 / -Os (the paper settles on -Os)
+	Norm  ir2vec.Norm     // none / vector / index (settles on vector)
+	Seed  int64           // embedding seed (§V-A "Seeds")
+	UseGA bool            // GA feature selection (§IV-A)
+	Folds int             // 0 = 10
 }
 
 // DefaultPipeline is the configuration the paper's headline rows use:
@@ -37,15 +36,9 @@ func (p PipelineConfig) folds() int {
 	return p.Folds
 }
 
-// gaConfig returns the GA setup, scaled down from the paper's 2500×25 by
-// default so the full experiment suite completes on a laptop; pass
-// GAConfig to override (ga.Default gives the paper's values).
-func (p PipelineConfig) gaConfig(numFeatures int) ga.Config {
-	if p.GAConfig != nil {
-		cfg := *p.GAConfig
-		cfg.NumFeatures = numFeatures
-		return cfg
-	}
+// gaConfig returns the GA setup, scaled down from the paper's 2500×25
+// (ga.Default) so the full experiment suite completes on a laptop.
+func gaConfig(numFeatures int) ga.Config {
 	cfg := ga.Default(numFeatures)
 	cfg.PopulationSize = 150
 	cfg.Generations = 10
@@ -150,7 +143,7 @@ func trainEvalBinary(f *Features, y []int, trainIdx, valIdx []int, p PipelineCon
 				full[i] = norm.Apply(f.X[i])
 			}
 		}
-		feats = selectFeatures(full, y, trainIdx, p.gaConfig(len(f.X[0])), foldSeed)
+		feats = selectFeatures(full, y, trainIdx, gaConfig(len(f.X[0])), foldSeed)
 	}
 	tree := dtree.Train(trainXn, trainY, dtree.Config{Features: feats})
 	for _, i := range valIdx {
@@ -201,7 +194,7 @@ func IR2VecCross(e *Extractor, train, val *dataset.Dataset, p PipelineConfig) me
 	trainXn := norm.ApplyAll(ftr.X)
 	var feats []int
 	if p.UseGA {
-		feats = selectFeatures(trainXn, ytr, all, p.gaConfig(len(ftr.X[0])), 77)
+		feats = selectFeatures(trainXn, ytr, all, gaConfig(len(ftr.X[0])), 77)
 	}
 	tree := dtree.Train(trainXn, ytr, dtree.Config{Features: feats})
 	for i := range fva.X {

@@ -48,7 +48,7 @@ func PerLabelAccuracy(e *Extractor, d *dataset.Dataset, p PipelineConfig) map[da
 			for i := range f.X {
 				full[i] = norm.Apply(f.X[i])
 			}
-			feats = selectFeatures(full, y, trainIdx, p.gaConfig(len(f.X[0])), int64(k)+500)
+			feats = selectFeatures(full, y, trainIdx, gaConfig(len(f.X[0])), int64(k)+500)
 		}
 		tree := dtree.Train(trainXn, trainY, dtree.Config{Features: feats})
 		for _, i := range folds[k] {
@@ -108,7 +108,7 @@ func Ablation(e *Extractor, d *dataset.Dataset, p PipelineConfig, excluded []dat
 		trainXn := norm.ApplyAll(trainX)
 		var feats []int
 		if p.UseGA {
-			feats = selectFeatures(norm.ApplyAll(f.X), y, trainIdx, p.gaConfig(len(f.X[0])), int64(k)+700)
+			feats = selectFeatures(norm.ApplyAll(f.X), y, trainIdx, gaConfig(len(f.X[0])), int64(k)+700)
 		}
 		tree := dtree.Train(trainXn, trainY, dtree.Config{Features: feats})
 		for _, i := range folds[k] {
@@ -165,7 +165,7 @@ func SeedStudy(e *Extractor, d *dataset.Dataset, p PipelineConfig, newSeed int64
 		normOld := ir2vec.FitNormalizer(p.Norm, fOld.X)
 		var feats []int
 		if p.UseGA {
-			feats = selectFeatures(normOld.ApplyAll(fOld.X), y, trainIdx, p.gaConfig(len(fOld.X[0])), int64(k)+900)
+			feats = selectFeatures(normOld.ApplyAll(fOld.X), y, trainIdx, gaConfig(len(fOld.X[0])), int64(k)+900)
 		}
 		// Train and evaluate on the *new* seed's features with the old
 		// coordinates.

@@ -95,10 +95,6 @@ type Subscription struct {
 // C returns the subscription's event channel. It is closed by Close.
 func (s *Subscription) C() <-chan Event { return s.ch }
 
-// Dropped reports how many events were discarded for this subscriber
-// because its buffer was full.
-func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
-
 // Close unregisters the subscription and closes its channel. Safe to
 // call more than once and concurrently with Publish.
 func (s *Subscription) Close() {

@@ -39,14 +39,6 @@ func Default(numFeatures int) Config {
 	}
 }
 
-// Quick returns a down-scaled configuration for tests and benches.
-func Quick(numFeatures int) Config {
-	cfg := Default(numFeatures)
-	cfg.PopulationSize = 120
-	cfg.Generations = 8
-	return cfg
-}
-
 // Fitness scores an individual (a set of feature coordinates); larger is
 // better.
 type Fitness func(features []int) float64

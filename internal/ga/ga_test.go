@@ -2,6 +2,14 @@ package ga
 
 import "testing"
 
+// testConfig scales the GA down so each test runs in milliseconds.
+func testConfig(numFeatures int) Config {
+	cfg := Default(numFeatures)
+	cfg.PopulationSize = 120
+	cfg.Generations = 8
+	return cfg
+}
+
 // knownBestFitness rewards individuals containing low coordinate indices:
 // the optimum is {0,1,2,3,4}.
 func knownBestFitness(features []int) float64 {
@@ -13,7 +21,7 @@ func knownBestFitness(features []int) float64 {
 }
 
 func TestFindsGoodSubset(t *testing.T) {
-	cfg := Quick(100)
+	cfg := testConfig(100)
 	cfg.Seed = 7
 	res := Run(cfg, knownBestFitness)
 	if len(res.Features) != cfg.GenomeSize {
@@ -27,7 +35,7 @@ func TestFindsGoodSubset(t *testing.T) {
 }
 
 func TestNoDuplicateCoordinates(t *testing.T) {
-	cfg := Quick(20)
+	cfg := testConfig(20)
 	cfg.Seed = 9
 	res := Run(cfg, knownBestFitness)
 	seen := map[int]bool{}
@@ -43,7 +51,7 @@ func TestNoDuplicateCoordinates(t *testing.T) {
 }
 
 func TestElitismMonotone(t *testing.T) {
-	cfg := Quick(50)
+	cfg := testConfig(50)
 	cfg.Seed = 11
 	res := Run(cfg, knownBestFitness)
 	for i := 1; i < len(res.History); i++ {
@@ -54,7 +62,7 @@ func TestElitismMonotone(t *testing.T) {
 }
 
 func TestDeterministicForSeed(t *testing.T) {
-	cfg := Quick(60)
+	cfg := testConfig(60)
 	cfg.Seed = 13
 	a := Run(cfg, knownBestFitness)
 	b := Run(cfg, knownBestFitness)

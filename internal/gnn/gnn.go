@@ -617,11 +617,6 @@ func (m *Model) Predict(g *graphs.Graph) int {
 	return m.PredictBatch([]*graphs.Graph{g})[0]
 }
 
-// PredictProbs returns the softmax class distribution of one graph.
-func (m *Model) PredictProbs(g *graphs.Graph) []float64 {
-	return m.PredictProbsBatch([]*graphs.Graph{g})[0]
-}
-
 // PredictBatch classifies the graphs in one forward pass, returning the
 // argmax class per graph. Per-graph results do not depend on the batch.
 func (m *Model) PredictBatch(gs []*graphs.Graph) []int {
@@ -644,8 +639,8 @@ func (m *Model) PredictBatch(gs []*graphs.Graph) []int {
 }
 
 // PredictProbsBatch returns the softmax class distribution per graph from
-// one fused forward pass, bit-identical to per-graph PredictProbs and to
-// the dense training forward pass.
+// one fused forward pass, bit-identical to a batch of one per graph and
+// to the dense training forward pass.
 func (m *Model) PredictProbsBatch(gs []*graphs.Graph) [][]float64 {
 	if len(gs) == 0 {
 		return nil
@@ -657,6 +652,3 @@ func (m *Model) PredictProbsBatch(gs []*graphs.Graph) [][]float64 {
 	}
 	return out
 }
-
-// NumParams reports the trainable parameter count.
-func (m *Model) NumParams() int { return m.ps.NumParams() }

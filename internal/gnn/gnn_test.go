@@ -138,18 +138,6 @@ func TestDeterministicTraining(t *testing.T) {
 	}
 }
 
-func TestNumParamsScale(t *testing.T) {
-	vocab, err := graphs.VocabFromTokenIDs(map[string]int{"a": 1, "b": 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := NewModel(Config{EmbedDim: 4, Hidden: []int{4}, LR: 1e-3, Epochs: 1, BatchSize: 4, Seed: 1, Workers: 1}, vocab, 2)
-	big := NewModel(Config{EmbedDim: 8, Hidden: []int{8, 8}, LR: 1e-3, Epochs: 1, BatchSize: 4, Seed: 1, Workers: 1}, vocab, 2)
-	if small.NumParams() >= big.NumParams() {
-		t.Error("parameter count does not grow with model size")
-	}
-}
-
 func TestWorkerCountInvariance(t *testing.T) {
 	// Gradient accumulation across workers must not change results.
 	train, test, vocab := corpusSample(t, 6)

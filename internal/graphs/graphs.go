@@ -46,7 +46,6 @@ const (
 	EdgeControl EdgeKind = iota
 	EdgeData
 	EdgeCall
-	NumEdgeKinds
 )
 
 // String names the kind.
@@ -93,15 +92,6 @@ func (g *Graph) NumByKind() [NumNodeKinds]int {
 	var out [NumNodeKinds]int
 	for _, n := range g.Nodes {
 		out[n.Kind]++
-	}
-	return out
-}
-
-// EdgesByKind splits the edge list by relation.
-func (g *Graph) EdgesByKind() [NumEdgeKinds][]Edge {
-	var out [NumEdgeKinds][]Edge
-	for _, e := range g.Edges {
-		out[e.Kind] = append(out[e.Kind], e)
 	}
 	return out
 }

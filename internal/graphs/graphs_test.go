@@ -40,7 +40,10 @@ func TestBuildSchema(t *testing.T) {
 	if kinds[KindInstr] == 0 || kinds[KindVar] == 0 || kinds[KindConst] == 0 {
 		t.Fatalf("missing node kinds: %v", kinds)
 	}
-	edges := g.EdgesByKind()
+	edges := map[EdgeKind][]Edge{}
+	for _, e := range g.Edges {
+		edges[e.Kind] = append(edges[e.Kind], e)
+	}
 	if len(edges[EdgeControl]) == 0 || len(edges[EdgeData]) == 0 {
 		t.Fatal("missing control or data edges")
 	}

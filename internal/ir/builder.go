@@ -112,17 +112,6 @@ func (b *Builder) Conv(op Opcode, v Value, to *Type) *Instr {
 	return b.emit(&Instr{Op: op, Typ: to, Args: []Value{v}})
 }
 
-// Phi emits an (initially empty) phi of type t at the block head.
-func (b *Builder) Phi(t *Type) *Instr {
-	in := &Instr{Op: OpPhi, Typ: t, Name: b.fresh()}
-	return b.Cur.InsertFront(in)
-}
-
-// Select emits a select cond ? x : y.
-func (b *Builder) Select(cond, x, y Value) *Instr {
-	return b.emit(&Instr{Op: OpSelect, Typ: x.Type(), Args: []Value{cond, x, y}})
-}
-
 // Call emits a call to callee returning ret.
 func (b *Builder) Call(callee string, ret *Type, args ...Value) *Instr {
 	return b.emit(&Instr{Op: OpCall, Typ: ret, Callee: callee, Args: args})
@@ -145,9 +134,4 @@ func (b *Builder) Ret(v Value) *Instr {
 		in.Args = []Value{v}
 	}
 	return b.emit(in)
-}
-
-// Unreachable emits an unreachable terminator.
-func (b *Builder) Unreachable() *Instr {
-	return b.emit(&Instr{Op: OpUnreachable, Typ: Void})
 }

@@ -3,6 +3,7 @@ package ir
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -36,7 +37,7 @@ func buildFixture() *Module {
 	dbl := b.Bin(OpMul, sum, ConstInt(I32, 2))
 	b.Br(exit)
 	b.SetBlock(exit)
-	phi := b.Phi(I32)
+	phi := b.Cur.InsertFront(&Instr{Op: OpPhi, Typ: I32, Name: b.fresh()})
 	phi.Args = []Value{sum, dbl}
 	phi.Blocks = []*Block{then, els}
 	b.Ret(phi)
@@ -361,5 +362,33 @@ func TestParseDeclareVariadic(t *testing.T) {
 	f := m.FuncByName("printf")
 	if f == nil || !f.Decl || !f.Variadic {
 		t.Fatalf("printf not parsed as variadic declaration: %+v", f)
+	}
+}
+
+// TestParseUnknownStructStaysLocal: a %struct name the registry does not
+// know parses as an opaque struct and is not added to the process-wide
+// registry, so concurrent parses of such input (the server parses
+// requests in parallel) never write shared state.
+func TestParseUnknownStructStaysLocal(t *testing.T) {
+	src := "declare i32 @f(%struct.NotRegistered*)\n\ndefine i32 @main() {\nentry:\n" +
+		"  %t1 = call i32 @f(%struct.NotRegistered* null)\n  ret i32 0\n}\n"
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := Parse(src)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := Print(m); !strings.Contains(got, "%struct.NotRegistered* null") {
+				t.Errorf("unknown struct did not round-trip:\n%s", got)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, ok := namedStructs["NotRegistered"]; ok {
+		t.Fatal("parsing registered an unknown struct name")
 	}
 }

@@ -230,10 +230,10 @@ func (p *parser) release() {
 	parserPool.Put(p)
 }
 
-// split is splitTop into the parser's reused scratch buffer. No production
-// path splits while iterating a previous split's result, so one shared
-// buffer suffices (the reference parser's per-call allocation was the
-// dominant per-instruction cost).
+// split splits s on sep at bracket depth zero into the parser's reused
+// scratch buffer. No production path splits while iterating a previous
+// split's result, so one shared buffer suffices (the reference parser's
+// per-call allocation was the dominant per-instruction cost).
 func (p *parser) split(s string, sep byte) []string {
 	p.parts = appendSplitTop(p.parts[:0], s, sep)
 	return p.parts
@@ -976,7 +976,8 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 	return in, nil
 }
 
-// parseConst is parseConstToken allocating from the parser's arena.
+// parseConst parses an integer/float/null/undef literal of type t,
+// allocating from the parser's arena.
 func (p *parser) parseConst(t *Type, tok string) (*Const, error) {
 	c := p.newConst()
 	if err := fillConst(c, t, tok); err != nil {
@@ -1042,15 +1043,6 @@ func fillConst(c *Const, t *Type, tok string) error {
 	return nil
 }
 
-// parseConstToken parses an integer/float/null/undef literal of type t.
-func parseConstToken(t *Type, tok string) (*Const, error) {
-	c := new(Const)
-	if err := fillConst(c, t, tok); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // parseType parses a leading type from s, returning the remainder.
 func parseType(s string) (*Type, string, error) {
 	s = strings.TrimSpace(s)
@@ -1079,8 +1071,10 @@ func parseType(s string) (*Type, string, error) {
 		name := rest[:end]
 		st, ok := namedStructs[name]
 		if !ok {
+			// An unregistered name is an opaque struct of this mention
+			// alone: the registry is read-only while parsing, since parses
+			// run concurrently, and input must not grow it.
 			st = StructOf(name)
-			namedStructs[name] = st
 		}
 		base, s = st, rest[end:]
 	case strings.HasPrefix(s, "["):
@@ -1137,7 +1131,8 @@ func matchBracket(s string, start int, open, close byte) int {
 	return -1
 }
 
-// appendSplitTop is splitTop appending into dst (scratch-buffer form).
+// appendSplitTop appends to dst the pieces of s split on sep at bracket
+// depth zero ((), [], {}).
 func appendSplitTop(dst []string, s string, sep byte) []string {
 	depth := 0
 	last := 0
@@ -1155,9 +1150,4 @@ func appendSplitTop(dst []string, s string, sep byte) []string {
 		}
 	}
 	return append(dst, s[last:])
-}
-
-// splitTop splits s on sep at bracket depth zero ((), [], {}).
-func splitTop(s string, sep byte) []string {
-	return appendSplitTop(nil, s, sep)
 }

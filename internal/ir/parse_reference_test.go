@@ -712,7 +712,6 @@ func refParseType(s string) (*Type, string, error) {
 		st, ok := namedStructs[name]
 		if !ok {
 			st = StructOf(name)
-			namedStructs[name] = st
 		}
 		base, s = st, rest[end:]
 	case strings.HasPrefix(s, "["):

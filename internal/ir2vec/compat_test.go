@@ -49,8 +49,8 @@ func TestLegacyArtifactBitForBit(t *testing.T) {
 	mods := mbiCorpus(t)
 	fresh := Train(mods[:16], 64, 1, 5)
 	fresh.FitVocab(mods)
-	if fresh.NumEntities() != legacy.NumEntities() {
-		t.Fatalf("entity count: fresh %d, legacy %d", fresh.NumEntities(), legacy.NumEntities())
+	if fresh.tab.Len() != legacy.tab.Len() {
+		t.Fatalf("entity count: fresh %d, legacy %d", fresh.tab.Len(), legacy.tab.Len())
 	}
 	for i, m := range mods {
 		a := fresh.Encode(m)

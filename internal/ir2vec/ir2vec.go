@@ -70,10 +70,6 @@ func newEncoder(dim int, seed int64) *Encoder {
 		tab: intern.New(), relTab: intern.New()}
 }
 
-// NumEntities reports the number of interned entity tokens (trained +
-// vocabulary-fitted), i.e. the number of rows of the flat embedding table.
-func (e *Encoder) NumEntities() int { return e.tab.Len() }
-
 // vec returns the embedding row of an interned entity id.
 func (e *Encoder) vec(id intern.ID) []float64 {
 	off := int(id) * e.Dim

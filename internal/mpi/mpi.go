@@ -68,7 +68,6 @@ const (
 	OpTypeFree
 	OpGetCount
 	OpAbort
-	numOps
 )
 
 var opNames = map[Op]string{
@@ -146,21 +145,6 @@ var nameToOp = func() map[string]Op {
 	}
 	return m
 }()
-
-// IsMPICall reports whether name is any known MPI function.
-func IsMPICall(name string) bool {
-	_, ok := nameToOp[name]
-	return ok
-}
-
-// AllOps returns every modelled MPI operation in a stable order.
-func AllOps() []Op {
-	ops := make([]Op, 0, int(numOps)-1)
-	for op := Op(1); op < numOps; op++ {
-		ops = append(ops, op)
-	}
-	return ops
-}
 
 // Class groups operations by the way they interact with the runtime.
 type Class int
@@ -333,7 +317,6 @@ const (
 	AnySource  = -2 // MPI_ANY_SOURCE
 	AnyTag     = -1 // MPI_ANY_TAG
 	ProcNull   = -3 // MPI_PROC_NULL
-	StatusIgn  = 0  // MPI_STATUS_IGNORE (as pointer literal)
 	RequestNil = 0  // MPI_REQUEST_NULL
 	TagUB      = 32767
 	Success    = 0 // MPI_SUCCESS

@@ -41,9 +41,6 @@ type Program struct {
 	errs    []string // crash messages referenced by compiled operands
 }
 
-// Mod returns the module the program was compiled from.
-func (p *Program) Mod() *ir.Module { return p.mod }
-
 // cglobal is one pre-sized module global.
 type cglobal struct {
 	name string // "@name"

@@ -106,13 +106,3 @@ type Result struct {
 func (r *Result) Erroneous() bool {
 	return len(r.Violations) > 0 || r.Deadlock || r.Timeout || r.Crashed
 }
-
-// Has reports whether a violation of kind k was recorded.
-func (r *Result) Has(k ViolationKind) bool {
-	for _, v := range r.Violations {
-		if v.Kind == k {
-			return true
-		}
-	}
-	return false
-}

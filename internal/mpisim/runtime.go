@@ -155,19 +155,9 @@ type wildRecord struct {
 
 // Run simulates the module with the given configuration, compiling it
 // first. Callers that simulate the same module repeatedly should Compile
-// once and call Program.Run.
+// once and call Program.RunCtx.
 func Run(mod *ir.Module, cfg Config) *Result {
 	return Compile(mod).RunCtx(context.Background(), cfg)
-}
-
-// RunCtx is Run under a caller context; see Program.RunCtx.
-func RunCtx(ctx context.Context, mod *ir.Module, cfg Config) *Result {
-	return Compile(mod).RunCtx(ctx, cfg)
-}
-
-// Run simulates the compiled program.
-func (p *Program) Run(cfg Config) *Result {
-	return p.RunCtx(context.Background(), cfg)
 }
 
 // RunCtx simulates the compiled program under a caller context. The run

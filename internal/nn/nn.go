@@ -76,15 +76,6 @@ func (ps *ParamSet) LoadState(state map[string][]float64) error {
 	return nil
 }
 
-// NumParams returns the total scalar parameter count.
-func (ps *ParamSet) NumParams() int {
-	n := 0
-	for _, p := range ps.List {
-		n += len(p.Val.Data)
-	}
-	return n
-}
-
 // GradBuffer is a per-worker gradient accumulation area aligned with the
 // parameter list, enabling data-parallel training without locking.
 type GradBuffer struct {

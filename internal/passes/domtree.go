@@ -37,17 +37,6 @@ type DomTree struct {
 	doms []int32 // CHK working array: idom by reverse-postorder position
 }
 
-// BuildDomTree computes the dominator tree and dominance frontiers of f.
-func BuildDomTree(f *ir.Func) *DomTree {
-	var c cfg
-	c.index(f)
-	c.computePreds()
-	c.computeReach()
-	t := new(DomTree)
-	t.build(&c)
-	return t
-}
-
 // build computes the tree from c, whose predecessors and reverse
 // postorder must be current.
 func (t *DomTree) build(c *cfg) {
@@ -159,59 +148,6 @@ func intersect(doms []int32, a, b int32) int32 {
 		}
 	}
 	return a
-}
-
-// at returns b's index in the tree, or -1 if b was not one of the
-// function's blocks when the tree was built.
-func (t *DomTree) at(b *ir.Block) int {
-	if i := b.Index; i >= 0 && i < len(t.blocks) && t.blocks[i] == b {
-		return i
-	}
-	return -1
-}
-
-// Idom returns b's immediate dominator; the entry is its own. It returns
-// nil for an unreachable block.
-func (t *DomTree) Idom(b *ir.Block) *ir.Block {
-	i := t.at(b)
-	if i < 0 || t.idom[i] < 0 {
-		return nil
-	}
-	return t.blocks[t.idom[i]]
-}
-
-// Children returns the blocks b immediately dominates, in block order.
-// The result aliases the tree; callers must not modify it.
-func (t *DomTree) Children(b *ir.Block) []*ir.Block {
-	i := t.at(b)
-	if i < 0 {
-		return nil
-	}
-	return t.children[t.childStart[i]:t.childStart[i+1]]
-}
-
-// Frontier returns b's dominance frontier. The result aliases the tree;
-// callers must not modify it.
-func (t *DomTree) Frontier(b *ir.Block) []*ir.Block {
-	i := t.at(b)
-	if i < 0 {
-		return nil
-	}
-	return t.frontier[i]
-}
-
-// Dominates reports whether a dominates b (reflexively).
-func (t *DomTree) Dominates(a, b *ir.Block) bool {
-	for {
-		if a == b {
-			return true
-		}
-		i := t.at(b)
-		if i < 0 || t.idom[i] < 0 || int(t.idom[i]) == i {
-			return false
-		}
-		b = t.blocks[t.idom[i]]
-	}
 }
 
 func appendUnique(s []*ir.Block, b *ir.Block) []*ir.Block {

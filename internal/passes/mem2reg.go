@@ -6,19 +6,8 @@ import (
 	"mpidetect/internal/ir"
 )
 
-// Mem2Reg promotes scalar stack slots (allocas only accessed by direct
-// loads and stores) to SSA values, inserting pruned phi nodes on the
-// iterated dominance frontier of the stores. This is the pass that turns
-// the front-end's naive stack code into real SSA, mirroring LLVM's
-// -mem2reg, and is the first stage of the -O2/-Os pipelines.
-func Mem2Reg(f *ir.Func) {
-	s := getScratch()
-	defer scratchPool.Put(s)
-	s.mem2reg(f)
-}
-
-// mem2reg is Mem2Reg's working state, indexed by block position and by
-// alloca ordinal (the alloca's rank among f's scalar allocas in
+// mem2reg is the mem2reg pass's working state, indexed by block position
+// and by alloca ordinal (the alloca's rank among f's scalar allocas in
 // instruction order).
 type mem2reg struct {
 	ord     map[*ir.Instr]int32 // scalar alloca -> ordinal
@@ -81,6 +70,11 @@ func (m *mem2reg) reset() {
 	m.walk = m.walk[:0]
 }
 
+// mem2reg promotes scalar stack slots (allocas only accessed by direct
+// loads and stores) to SSA values, inserting pruned phi nodes on the
+// iterated dominance frontier of the stores. This is the pass that turns
+// the front-end's naive stack code into real SSA, mirroring LLVM's
+// -mem2reg, and is the first stage of the -O2/-Os pipelines.
 func (s *scratch) mem2reg(f *ir.Func) {
 	if len(f.Blocks) == 0 {
 		return

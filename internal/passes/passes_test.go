@@ -303,19 +303,6 @@ func TestOptimizeLevels(t *testing.T) {
 	}
 }
 
-func TestParseOptLevel(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want OptLevel
-		ok   bool
-	}{{"-O0", O0, true}, {"-O2", O2, true}, {"-Os", Os, true}, {"-O3", O0, false}} {
-		got, ok := ParseOptLevel(c.in)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("ParseOptLevel(%q) = %v,%v", c.in, got, ok)
-		}
-	}
-}
-
 func TestSimplifyRemovesUnreachable(t *testing.T) {
 	m := ir.NewModule("t")
 	f := m.AddFunc(&ir.Func{Name: "f", Sig: ir.FuncOf(ir.Void)})

@@ -25,19 +25,6 @@ func (o OptLevel) String() string {
 	return "-O?"
 }
 
-// ParseOptLevel maps a flag spelling to an OptLevel.
-func ParseOptLevel(s string) (OptLevel, bool) {
-	switch s {
-	case "-O0", "O0", "o0":
-		return O0, true
-	case "-O2", "O2", "o2":
-		return O2, true
-	case "-Os", "Os", "os", "-OS":
-		return Os, true
-	}
-	return O0, false
-}
-
 // Optimize runs the pass pipeline for the given level over the module,
 // in place. -O0 is the identity (matching clang, which only lowers).
 func Optimize(m *ir.Module, level OptLevel) {

@@ -2,15 +2,9 @@ package passes
 
 import "mpidetect/internal/ir"
 
-// DCE removes instructions whose results are unused and that have no side
+// dce removes instructions whose results are unused and that have no side
 // effects, iterating to a fixed point. Loads are treated as removable
 // (the IR has no volatile); calls, stores and terminators are kept.
-func DCE(f *ir.Func) bool {
-	s := getScratch()
-	defer scratchPool.Put(s)
-	return s.dce(f)
-}
-
 func (s *scratch) dce(f *ir.Func) bool {
 	// One use count, maintained decrementally: removing an instruction
 	// releases its operands' uses, which is exactly what a fresh count
@@ -53,14 +47,8 @@ func (s *scratch) dce(f *ir.Func) bool {
 	return changedAny
 }
 
-// SimplifyCFG removes unreachable blocks, merges blocks with a single
+// simplifyCFG removes unreachable blocks, merges blocks with a single
 // unconditional-branch predecessor, and eliminates empty forwarding blocks.
-func SimplifyCFG(f *ir.Func) bool {
-	s := getScratch()
-	defer scratchPool.Put(s)
-	return s.simplifyCFG(f)
-}
-
 func (s *scratch) simplifyCFG(f *ir.Func) bool {
 	changedAny := false
 	for {

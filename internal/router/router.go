@@ -236,15 +236,9 @@ func (rt *Router) Close() {
 	rt.client.CloseIdleConnections()
 }
 
-// Bus exposes the router's event bus.
-func (rt *Router) Bus() *events.Bus { return rt.bus }
-
 // StartDraining flips the router's /v1/readyz to draining so the load
 // balancer above ejects this instance while in-flight requests finish.
 func (rt *Router) StartDraining() { rt.draining.Store(true) }
-
-// Draining reports whether StartDraining has been called.
-func (rt *Router) Draining() bool { return rt.draining.Load() }
 
 // routeKey is the shard key of one program for one model: the same
 // lexically-normalized content digest family the backends cache under

@@ -244,7 +244,7 @@ type selectedTool struct {
 }
 
 // toolPrefix is the cache-key prefix of one tool's entries in the tool
-// cache; InvalidateTool and the registry's OnReplace hook sweep it.
+// cache; the registry's OnReplace hook sweeps it.
 func toolPrefix(name string) string { return name + keySep }
 
 // compiledProgram compiles the request's program for the simulator
@@ -320,28 +320,6 @@ func toolKey(name string, ranks int, steps int64, digest string) string {
 
 // requestDigest canonically digests a program once per /analyze request.
 func requestDigest(src string) string { return core.DigestIRKeyed("analyze", src) }
-
-// InvalidateTool sweeps one tool's cached verdicts across every
-// configuration; it returns the number of entries removed. The sweep is
-// published on the event bus.
-func (e *Engine) InvalidateTool(name string) int {
-	if e.toolCache == nil {
-		return 0
-	}
-	n := e.toolCache.InvalidatePrefix(toolPrefix(name))
-	e.bus.Publish(events.CacheInvalidated,
-		CacheInvalidatedData{Scope: "tool", Name: name, Entries: n})
-	return n
-}
-
-// ToolCacheStats snapshots the tool-verdict-cache counters; ok is false
-// when the analysis tier runs uncached or is disabled.
-func (e *Engine) ToolCacheStats() (cache.Stats, bool) {
-	if e.toolCache == nil {
-		return cache.Stats{}, false
-	}
-	return e.toolCache.Stats(), true
-}
 
 // resolveTools maps requested tool names to registered tools; an empty
 // request selects every registered tool, sorted by name.

@@ -413,9 +413,8 @@ func TestAnalyzeShortDeadlineAbortsSimulation(t *testing.T) {
 	// Nothing was cached for the aborted run, and the pool is healthy: a
 	// fresh, conclusive analysis still works (small step budget makes the
 	// spin program a deterministic timeout verdict).
-	ts, _ := eng.ToolCacheStats()
-	if ts.Size != 0 {
-		t.Fatalf("aborted simulation left %d cached entries", ts.Size)
+	if n := eng.Stats().ToolCache.Size; n != 0 {
+		t.Fatalf("aborted simulation left %d cached entries", n)
 	}
 	resp2, err := eng.Analyze(context.Background(), AnalyzeRequest{Model: "ir2vec",
 		Tools: []string{"parcoach"}, Program: Program{IR: pingpongIR(t)}})
@@ -447,8 +446,8 @@ func TestWallTimeoutVerdictsAreNotCached(t *testing.T) {
 	if v := verdictOf(t, resp, "must"); v.Verdict != "timeout" {
 		t.Fatalf("must verdict %+v, want wall-budget timeout", v)
 	}
-	if ts, _ := eng.ToolCacheStats(); ts.Size != 0 {
-		t.Fatalf("wall-clock timeout was cached (%d entries)", ts.Size)
+	if n := eng.Stats().ToolCache.Size; n != 0 {
+		t.Fatalf("wall-clock timeout was cached (%d entries)", n)
 	}
 	if _, err := eng.Analyze(ctx, req); err != nil {
 		t.Fatal(err)

@@ -98,9 +98,6 @@ func (e *Engine) validateBatch(req BatchRequest) ([]selectedTool, int, error) {
 	return selected, clampRanks(req.Ranks), nil
 }
 
-// MaxStreamBatch reports the per-request streaming batch cap.
-func (e *Engine) MaxStreamBatch() int { return e.cfg.MaxStreamBatch }
-
 // AnalyzeBatch analyzes every program of the batch and streams one
 // VerdictEvent per program, in completion order, on the returned
 // channel; the channel closes when the batch is done or ctx dies.
@@ -227,6 +224,3 @@ func (e *Engine) CancelJob(id string) (jobs.Snapshot, bool) { return e.jobMgr.Ca
 func (e *Engine) FollowJob(ctx context.Context, id string, cursor int) ([]VerdictEvent, jobs.Snapshot, bool) {
 	return e.jobMgr.Follow(ctx, id, cursor)
 }
-
-// JobStats snapshots the async job tier's counters.
-func (e *Engine) JobStats() jobs.Stats { return e.jobMgr.Stats() }

@@ -320,7 +320,7 @@ func TestJobBackpressure(t *testing.T) {
 	if _, err := eng.SubmitJob(stallReq); !errors.Is(err, ErrJobQueueFull) {
 		t.Fatalf("overflow submit err %v, want ErrJobQueueFull", err)
 	}
-	if st := eng.JobStats(); st.QueueDepth != 1 || st.QueueCapacity != 1 {
+	if st := eng.Stats().Jobs; st.QueueDepth != 1 || st.QueueCapacity != 1 {
 		t.Fatalf("job stats %+v, want depth 1 cap 1", st)
 	}
 	close(stall.Gate)

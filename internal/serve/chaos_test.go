@@ -234,8 +234,8 @@ func TestChaosSharedSimulation(t *testing.T) {
 		if got := eng.Stats().Resilience.ToolPanics; got != wantPanics {
 			t.Fatalf("sim.run %v: tool_panics = %d, want %d", mode, got, wantPanics)
 		}
-		if ts, _ := eng.ToolCacheStats(); ts.Size != 0 {
-			t.Fatalf("sim.run %v: %d internal verdicts cached", mode, ts.Size)
+		if n := eng.Stats().ToolCache.Size; n != 0 {
+			t.Fatalf("sim.run %v: %d internal verdicts cached", mode, n)
 		}
 	}
 

@@ -171,9 +171,6 @@ func (e *Engine) StartDraining() {
 	}
 }
 
-// Draining reports whether StartDraining has been called.
-func (e *Engine) Draining() bool { return e.draining.Load() }
-
 // BreakerSnapshot is one tool breaker's state in the stats resilience
 // section.
 type BreakerSnapshot struct {

@@ -306,8 +306,8 @@ func TestReadyReport(t *testing.T) {
 	}
 
 	eng.StartDraining()
-	if !eng.Draining() {
-		t.Fatal("Draining() = false after StartDraining")
+	if !eng.draining.Load() {
+		t.Fatal("draining = false after StartDraining")
 	}
 	if rep := eng.Ready(); rep.Status != resilience.StatusDraining {
 		t.Fatalf("readyz while draining = %v, want draining", rep.Status)

@@ -494,9 +494,6 @@ func (e *Engine) Close() {
 // GET /v1/events stream, tests).
 func (e *Engine) Bus() *events.Bus { return e.bus }
 
-// MaxBatch reports the per-request batch cap.
-func (e *Engine) MaxBatch() int { return e.cfg.MaxBatch }
-
 // CacheStats snapshots the verdict-cache counters; ok is false when the
 // engine runs uncached.
 func (e *Engine) CacheStats() (cache.Stats, bool) {

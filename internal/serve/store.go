@@ -132,7 +132,7 @@ func (e *Engine) RestoreStore(name string) (store.RestoreInfo, error) {
 // keepRestoredRecord filters one archive record by store key: classify
 // records must match the live generation of their model slot; tool
 // records carry no generation and are always kept (tool invalidation is
-// operational, via InvalidateTool, not generational).
+// operational, on re-registration, not generational).
 func (e *Engine) keepRestoredRecord(key string, gen uint64) bool {
 	ns, cacheKey, ok := strings.Cut(key, store.NamespaceSep)
 	if !ok || ns != "classify" {

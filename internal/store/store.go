@@ -430,17 +430,12 @@ func (s *Store) Put(key string, gen uint64, val []byte) error {
 	return nil
 }
 
-// Get serves key from the log: one positioned read plus a CRC check, so
-// a flipped bit on disk surfaces as a miss, never as a wrong payload.
-func (s *Store) Get(key string) (val []byte, gen uint64, ok bool) {
-	val, gen, _, ok = getInto(s, key, nil)
-	return val, gen, ok
-}
-
-// getInto is Get for a key held as a string or as bytes, which the index
-// lookup and the key check read without building a string. The record is
-// read into buf when it is large enough, and into a new buffer
-// otherwise; rec returns the buffer used, and val is a slice of it.
+// getInto serves key from the log: one positioned read plus a CRC check,
+// so a flipped bit on disk surfaces as a miss, never as a wrong payload.
+// The key is held as a string or as bytes, which the index lookup and the
+// key check read without building a string. The record is read into buf
+// when it is large enough, and into a new buffer otherwise; rec returns
+// the buffer used, and val is a slice of it.
 func getInto[K string | []byte](s *Store, key K, buf []byte) (val []byte, gen uint64, rec []byte, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -531,17 +526,6 @@ func (s *Store) maybeCompactLocked() error {
 	return s.compactLocked()
 }
 
-// Compact rewrites the live records into one fresh segment and deletes
-// every older file, reclaiming superseded and tombstoned space.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.compactLocked()
-}
-
 // writeLiveLocked writes hdr and then the raw bytes (CRCs and all) of
 // every live record to a fresh file at tmpPath, and fsyncs it. Records
 // go in key order, which keeps the output byte-deterministic for a given
@@ -624,16 +608,6 @@ func (s *Store) compactLocked() error {
 		go fn(info)
 	}
 	return nil
-}
-
-// Sync flushes the active segment to stable storage.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.active().f.Sync()
 }
 
 // Stats snapshots the counters.

@@ -228,7 +228,10 @@ func TestExplicitCompactReclaims(t *testing.T) {
 	done := make(chan struct{})
 	s.OnCompact(func(ci CompactionInfo) { got = ci; close(done) })
 	before := s.Stats()
-	if err := s.Compact(); err != nil {
+	s.mu.Lock()
+	err := s.compactLocked()
+	s.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	<-done

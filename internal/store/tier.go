@@ -88,6 +88,10 @@ type TierOptions struct {
 	// time the tier's degraded mode changes; the serving engine publishes
 	// it on the event bus and folds it into readyz.
 	OnModeChange func(mode string)
+
+	// clock stands in for time.Now in both breakers (nil = time.Now), so
+	// tests can step through a cooldown without sleeping.
+	clock func() time.Time
 }
 
 // TierStats is a point-in-time snapshot of one tier's counters. Mode is
@@ -171,7 +175,7 @@ func NewTier[V any](st *Store, namespace string, opts TierOptions) *Tier[V] {
 	t := &Tier[V]{st: st, ns: namespace, genOf: opts.GenOf, onMode: opts.OnModeChange,
 		ch: make(chan tierOp[V], opts.Queue)}
 	bcfg := resilience.BreakerConfig{
-		Failures: opts.BreakerFailures, Cooldown: opts.BreakerCooldown,
+		Failures: opts.BreakerFailures, Cooldown: opts.BreakerCooldown, Clock: opts.clock,
 		OnChange: func(_, _ resilience.BreakerState) { t.modeChanged() },
 	}
 	t.persistB = resilience.NewBreaker(bcfg)
@@ -373,11 +377,6 @@ func (t *Tier[V]) Close() {
 	close(t.ch)
 	t.mu.Unlock()
 	t.wg.Wait()
-}
-
-// BreakerStats snapshots the tier's persist and load breakers.
-func (t *Tier[V]) BreakerStats() (persist, load resilience.BreakerStats) {
-	return t.persistB.Stats(), t.loadB.Stats()
 }
 
 // Stats snapshots the tier counters.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,6 +187,13 @@ func TestTierConcurrentStoreLoad(t *testing.T) {
 	}
 }
 
+// fakeClock is a breaker clock that moves only when a test advances it.
+type fakeClock struct{ ns atomic.Int64 }
+
+func (c *fakeClock) now() time.Time { return time.Unix(0, c.ns.Load()) }
+
+func (c *fakeClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
+
 // TestTierReadOnlyModeOnAppendFailures: consecutive append failures trip
 // the persist breaker into read-only mode; loads keep serving, persists
 // drop-and-count, and a successful cooldown probe restores full service.
@@ -194,9 +202,11 @@ func TestTierReadOnlyModeOnAppendFailures(t *testing.T) {
 	var modes []string
 	var mu sync.Mutex
 	s := openT(t, t.TempDir(), Options{})
+	clk := new(fakeClock)
 	tr := NewTier[verdict](s, "classify", TierOptions{
 		BreakerFailures: 2,
 		BreakerCooldown: time.Millisecond,
+		clock:           clk.now,
 		OnModeChange: func(m string) {
 			mu.Lock()
 			modes = append(modes, m)
@@ -232,7 +242,7 @@ func TestTierReadOnlyModeOnAppendFailures(t *testing.T) {
 
 	// Recovery: disarm, wait out the cooldown, and a probe put closes it.
 	fault.DisarmAll()
-	time.Sleep(2 * time.Millisecond)
+	clk.advance(2 * time.Millisecond)
 	tr.Store("probe", verdict{Label: "back"})
 	tr.Flush()
 	if got := tr.Mode(); got != "ok" {
@@ -254,9 +264,11 @@ func TestTierReadOnlyModeOnAppendFailures(t *testing.T) {
 func TestTierDisabledModeOnLoadFailures(t *testing.T) {
 	defer fault.DisarmAll()
 	s := openT(t, t.TempDir(), Options{})
+	clk := new(fakeClock)
 	tr := NewTier[verdict](s, "classify", TierOptions{
 		BreakerFailures: 2,
 		BreakerCooldown: time.Millisecond,
+		clock:           clk.now,
 	})
 	defer tr.Close()
 	tr.Store("k", verdict{Label: "v"})
@@ -283,7 +295,7 @@ func TestTierDisabledModeOnLoadFailures(t *testing.T) {
 	}
 
 	fault.DisarmAll()
-	time.Sleep(2 * time.Millisecond)
+	clk.advance(2 * time.Millisecond)
 	if v, ok, err := tr.Load("k"); err != nil || !ok || v.Label != "v" {
 		t.Fatalf("probe load = %+v, %v, %v; want recovery", v, ok, err)
 	}
@@ -359,7 +371,7 @@ func TestTierLegacyGobRecordIsAMiss(t *testing.T) {
 	if st.LoadMisses != 3 || st.LoadErrors != 0 || st.DecodeErrors != 0 || st.Mode != "ok" {
 		t.Fatalf("stats %+v; want 3 misses, no errors, mode ok", st)
 	}
-	if _, load := tr.BreakerStats(); load.State != "closed" {
+	if load := tr.loadB.Stats(); load.State != "closed" {
 		t.Fatalf("load breaker %+v after legacy loads, want closed", load)
 	}
 

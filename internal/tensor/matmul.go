@@ -46,13 +46,6 @@ func dotSeq(x, y []float64) float64 {
 	return s
 }
 
-// MatMul computes a @ b into a new matrix.
-func MatMul(a, b *Mat) *Mat {
-	out := New(a.R, b.C)
-	MatMulInto(out, a, b)
-	return out
-}
-
 // MatMulInto computes a @ b into out, which must be R×C shaped. Every
 // element of out is overwritten, so out need not be zeroed.
 func MatMulInto(out, a, b *Mat) {
@@ -123,14 +116,6 @@ func matmulRows(out, a *Mat, rows []int, b *Mat) {
 	}
 }
 
-// MatMulATB computes aᵀ @ b (used by backward passes without
-// materialising the transpose).
-func MatMulATB(a, b *Mat) *Mat {
-	out := New(a.C, b.C)
-	MatMulATBInto(out, a, b)
-	return out
-}
-
 // MatMulATBInto computes aᵀ @ b into out, which must be zeroed and
 // a.C×b.C shaped. Output rows are columns of a; the k dimension is the
 // shared row count.
@@ -169,13 +154,6 @@ func MatMulATBInto(out, a, b *Mat) {
 			axpy(av, brow, out.Row(i)[:len(brow)])
 		}
 	}
-}
-
-// MatMulABT computes a @ bᵀ.
-func MatMulABT(a, b *Mat) *Mat {
-	out := New(a.R, b.R)
-	MatMulABTAddInto(out, a, b)
-	return out
 }
 
 // MatMulABTAddInto accumulates a @ bᵀ into out (a.R×b.R). Each element is

@@ -109,16 +109,6 @@ func Evaluate(t Tool, d *dataset.Dataset) metrics.Confusion {
 	return tally(d, verdicts)
 }
 
-// evaluateSerial is the single-threaded reference path, kept so tests
-// can pin Evaluate's parallel fan-out to bit-identical tallies.
-func evaluateSerial(t Tool, d *dataset.Dataset) metrics.Confusion {
-	verdicts := make([]Verdict, len(d.Codes))
-	for i, code := range d.Codes {
-		verdicts[i] = t.Check(code)
-	}
-	return tally(d, verdicts)
-}
-
 func tally(d *dataset.Dataset, verdicts []Verdict) metrics.Confusion {
 	var c metrics.Confusion
 	for i, code := range d.Codes {
