@@ -3,12 +3,12 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet perfbench-vet build test test-purego test-procs race router-test chaos fuzz bench bench-diff loc clean
+.PHONY: ci fmt-check vet perfbench-vet build test test-purego test-procs test-386 race router-test chaos fuzz bench bench-diff loc clean
 
 # bench-diff both gates regressions and emits the fresh numbers
 # (BENCH_diff.json), so ci does not need a second full benchmark run;
 # `make bench` is the deliberate act of rebaselining BENCH_serve.json.
-ci: fmt-check vet perfbench-vet build race test-purego test-procs router-test chaos fuzz bench-diff
+ci: fmt-check vet perfbench-vet build race test-purego test-procs test-386 router-test chaos fuzz bench-diff
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -63,6 +63,16 @@ PROCS_PKGS = ./internal/tensor ./internal/gnn ./internal/ir2vec ./internal/dtree
 test-procs:
 	GOMAXPROCS=1 $(GO) test -count 1 -run '$(PROCS_TESTS)' $(PROCS_PKGS)
 	GOMAXPROCS=4 $(GO) test -count 1 -run '$(PROCS_TESTS)' $(PROCS_PKGS)
+
+# The packages that own live counters, run as 386 binaries. Their
+# counters are plain int64 fields bumped with sync/atomic, whose 64-bit
+# functions need 8-byte-aligned words: a 64-bit target aligns every
+# int64, a 32-bit one does not, and there a misplaced counter field
+# panics ("unaligned 64-bit atomic operation") on its first use.
+COUNTER_PKGS = ./internal/telemetry ./internal/cache ./internal/jobs ./internal/events \
+	./internal/resilience ./internal/store ./internal/router ./internal/serve/...
+test-386:
+	GOARCH=386 $(GO) test -count 1 $(COUNTER_PKGS)
 
 # Router failover suite under the race detector: the ring/retry/hedge
 # unit tests plus the three-backend kill/restart integration test

@@ -24,6 +24,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mpidetect/internal/telemetry"
 )
 
 // Config sizes a cache; zero values take the documented defaults.
@@ -128,21 +130,12 @@ type shard[V any] struct {
 // Cache is a sharded LRU+TTL cache with singleflight coalescing. The
 // zero value is not usable; construct with New.
 type Cache[V any] struct {
+	stats   Stats // live counters; first, for 64-bit atomics on 32-bit targets
 	cfg     Config
 	shards  []*shard[V]
 	now     func() time.Time // overridable in tests
 	backing Backing[V]       // optional durable tier; nil = memory only
 
-	hits          atomic.Int64
-	misses        atomic.Int64
-	coalesced     atomic.Int64
-	evictions     atomic.Int64
-	expirations   atomic.Int64
-	invalidations atomic.Int64
-	hydrations    atomic.Int64
-	backingErrors atomic.Int64
-	inflight      atomic.Int64
-	size          atomic.Int64
 }
 
 // New builds a cache.
@@ -184,8 +177,8 @@ func (c *Cache[V]) lookupLocked(s *shard[V], key string) (V, bool) {
 	if !e.expires.IsZero() && c.now().After(e.expires) {
 		s.lru.Remove(el)
 		delete(s.entries, key)
-		c.size.Add(-1)
-		c.expirations.Add(1)
+		atomic.AddInt64(&c.stats.Size, -1)
+		atomic.AddInt64(&c.stats.Expirations, 1)
 		return zero, false
 	}
 	s.lru.MoveToFront(el)
@@ -211,11 +204,11 @@ func (c *Cache[V]) storeLocked(s *shard[V], key string, v V) {
 		evicted := back.Value.(*entry[V])
 		s.lru.Remove(back)
 		delete(s.entries, evicted.key)
-		c.size.Add(-1)
-		c.evictions.Add(1)
+		atomic.AddInt64(&c.stats.Size, -1)
+		atomic.AddInt64(&c.stats.Evictions, 1)
 	}
 	s.entries[key] = s.lru.PushFront(&entry[V]{key: key, val: v, expires: c.expiry()})
-	c.size.Add(1)
+	atomic.AddInt64(&c.stats.Size, 1)
 }
 
 func (c *Cache[V]) expiry() time.Time {
@@ -238,7 +231,7 @@ func (c *Cache[V]) hydrate(s *shard[V], key string) (V, bool) {
 	}
 	v, ok, err := c.backing.Load(key)
 	if err != nil {
-		c.backingErrors.Add(1)
+		atomic.AddInt64(&c.stats.BackingErrors, 1)
 		return zero, false
 	}
 	if !ok {
@@ -247,7 +240,7 @@ func (c *Cache[V]) hydrate(s *shard[V], key string) (V, bool) {
 	s.mu.Lock()
 	c.storeLocked(s, key, v)
 	s.mu.Unlock()
-	c.hydrations.Add(1)
+	atomic.AddInt64(&c.stats.Hydrations, 1)
 	return v, true
 }
 
@@ -263,25 +256,25 @@ func (c *Cache[V]) Join(key string) (V, *Flight[V], JoinState) {
 	s.mu.Lock()
 	if v, ok := c.lookupLocked(s, key); ok {
 		s.mu.Unlock()
-		c.hits.Add(1)
+		atomic.AddInt64(&c.stats.Hits, 1)
 		return v, nil, Hit
 	}
 	if f, ok := s.flights[key]; ok {
 		s.mu.Unlock()
-		c.coalesced.Add(1)
+		atomic.AddInt64(&c.stats.Coalesced, 1)
 		return zero, f, Wait
 	}
 	if c.backing == nil {
 		f := &Flight[V]{key: key, done: make(chan struct{})}
 		s.flights[key] = f
 		s.mu.Unlock()
-		c.misses.Add(1)
-		c.inflight.Add(1)
+		atomic.AddInt64(&c.stats.Misses, 1)
+		atomic.AddInt64(&c.stats.Inflight, 1)
 		return zero, f, Lead
 	}
 	s.mu.Unlock()
 	if v, ok := c.hydrate(s, key); ok {
-		c.hits.Add(1)
+		atomic.AddInt64(&c.stats.Hits, 1)
 		return v, nil, Hit
 	}
 	// The shard was unlocked across the backing lookup; re-check both
@@ -289,19 +282,19 @@ func (c *Cache[V]) Join(key string) (V, *Flight[V], JoinState) {
 	s.mu.Lock()
 	if v, ok := c.lookupLocked(s, key); ok {
 		s.mu.Unlock()
-		c.hits.Add(1)
+		atomic.AddInt64(&c.stats.Hits, 1)
 		return v, nil, Hit
 	}
 	if f, ok := s.flights[key]; ok {
 		s.mu.Unlock()
-		c.coalesced.Add(1)
+		atomic.AddInt64(&c.stats.Coalesced, 1)
 		return zero, f, Wait
 	}
 	f := &Flight[V]{key: key, done: make(chan struct{})}
 	s.flights[key] = f
 	s.mu.Unlock()
-	c.misses.Add(1)
-	c.inflight.Add(1)
+	atomic.AddInt64(&c.stats.Misses, 1)
+	atomic.AddInt64(&c.stats.Inflight, 1)
 	return zero, f, Lead
 }
 
@@ -326,7 +319,7 @@ func (c *Cache[V]) Complete(f *Flight[V], v V, err error) {
 	}
 	f.val, f.err = v, err
 	close(f.done)
-	c.inflight.Add(-1)
+	atomic.AddInt64(&c.stats.Inflight, -1)
 }
 
 // GetOrCompute serves key from the cache, coalescing concurrent callers:
@@ -360,7 +353,7 @@ func (c *Cache[V]) InvalidatePrefix(prefix string) int {
 			if strings.HasPrefix(key, prefix) {
 				s.lru.Remove(el)
 				delete(s.entries, key)
-				c.size.Add(-1)
+				atomic.AddInt64(&c.stats.Size, -1)
 				removed++
 			}
 		}
@@ -374,26 +367,16 @@ func (c *Cache[V]) InvalidatePrefix(prefix string) int {
 	if c.backing != nil {
 		c.backing.DeletePrefix(prefix)
 	}
-	c.invalidations.Add(int64(removed))
+	atomic.AddInt64(&c.stats.Invalidations, int64(removed))
 	return removed
 }
 
 // Len reports the number of stored entries.
-func (c *Cache[V]) Len() int { return int(c.size.Load()) }
+func (c *Cache[V]) Len() int { return int(atomic.LoadInt64(&c.stats.Size)) }
 
 // Stats snapshots the counters.
 func (c *Cache[V]) Stats() Stats {
-	return Stats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Coalesced:     c.coalesced.Load(),
-		Evictions:     c.evictions.Load(),
-		Expirations:   c.expirations.Load(),
-		Invalidations: c.invalidations.Load(),
-		Hydrations:    c.hydrations.Load(),
-		BackingErrors: c.backingErrors.Load(),
-		Inflight:      c.inflight.Load(),
-		Size:          c.size.Load(),
-		Capacity:      int64(c.cfg.Capacity),
-	}
+	s := telemetry.Snapshot(&c.stats)
+	s.Capacity = int64(c.cfg.Capacity)
+	return s
 }

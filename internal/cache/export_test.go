@@ -1,5 +1,7 @@
 package cache
 
+import "sync/atomic"
+
 // Test-only API: production code does not call it.
 
 // Get serves key if cached and fresh, falling through to the backing
@@ -13,9 +15,9 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 		v, ok = c.hydrate(s, key)
 	}
 	if ok {
-		c.hits.Add(1)
+		atomic.AddInt64(&c.stats.Hits, 1)
 	} else {
-		c.misses.Add(1)
+		atomic.AddInt64(&c.stats.Misses, 1)
 	}
 	return v, ok
 }

@@ -17,6 +17,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mpidetect/internal/telemetry"
 )
 
 // Type names one kind of event. Types are dot-namespaced strings so the
@@ -120,13 +122,10 @@ func (s *Subscription) wants(t Type) bool {
 // Bus is a typed pub/sub bus. The zero value is not usable; construct
 // with NewBus.
 type Bus struct {
-	mu   sync.Mutex
-	subs map[*Subscription]struct{}
-	seq  atomic.Uint64
-
-	published atomic.Int64
-	delivered atomic.Int64
-	dropped   atomic.Int64
+	stats Stats // live counters; first, for 64-bit atomics on 32-bit targets
+	mu    sync.Mutex
+	subs  map[*Subscription]struct{}
+	seq   atomic.Uint64 // not a counter: it stamps each event's Seq
 }
 
 // NewBus returns an empty bus.
@@ -160,7 +159,7 @@ func (b *Bus) Subscribe(buffer int, types ...Type) *Subscription {
 // Time stamped.
 func (b *Bus) Publish(t Type, data any) Event {
 	ev := Event{Seq: b.seq.Add(1), Type: t, Time: time.Now(), Data: data}
-	b.published.Add(1)
+	atomic.AddInt64(&b.stats.Published, 1)
 	b.mu.Lock()
 	for s := range b.subs {
 		if !s.wants(t) {
@@ -168,10 +167,10 @@ func (b *Bus) Publish(t Type, data any) Event {
 		}
 		select {
 		case s.ch <- ev:
-			b.delivered.Add(1)
+			atomic.AddInt64(&b.stats.Delivered, 1)
 		default:
 			s.dropped.Add(1)
-			b.dropped.Add(1)
+			atomic.AddInt64(&b.stats.Dropped, 1)
 		}
 	}
 	b.mu.Unlock()
@@ -183,10 +182,7 @@ func (b *Bus) Stats() Stats {
 	b.mu.Lock()
 	n := len(b.subs)
 	b.mu.Unlock()
-	return Stats{
-		Published:   b.published.Load(),
-		Delivered:   b.delivered.Load(),
-		Dropped:     b.dropped.Load(),
-		Subscribers: int64(n),
-	}
+	s := telemetry.Snapshot(&b.stats)
+	s.Subscribers = int64(n)
+	return s
 }

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"mpidetect/internal/fault"
+	"mpidetect/internal/telemetry"
 )
 
 // Sentinel errors mapped to backpressure statuses by the transport.
@@ -165,6 +166,13 @@ func (j *job[R]) snapshotLocked() Snapshot {
 // Manager runs jobs on a fixed worker pool behind a bounded queue. The
 // zero value is not usable; construct with New.
 type Manager[R any] struct {
+	// The live counters come first, which keeps them 8-byte aligned for
+	// 64-bit atomics on 32-bit targets. avgRunNanos is an EWMA of
+	// finished-job wall time, feeding DrainEstimate (the dynamic
+	// Retry-After).
+	avgRunNanos int64
+	stats       Stats
+
 	cfg   Config
 	queue chan *job[R]
 	wg    sync.WaitGroup
@@ -174,20 +182,6 @@ type Manager[R any] struct {
 	terminal []string // retirement order for MaxRetained eviction
 	seq      int64
 	closed   bool
-
-	submitted atomic.Int64
-	queued    atomic.Int64
-	running   atomic.Int64
-	completed atomic.Int64
-	failed    atomic.Int64
-	canceled  atomic.Int64
-	watchers  atomic.Int64
-	panics    atomic.Int64
-
-	// avgRunNanos is an EWMA of finished-job wall time, feeding
-	// DrainEstimate (the dynamic Retry-After). Plain load/compute/store:
-	// a lost update under concurrency only costs one sample.
-	avgRunNanos atomic.Int64
 }
 
 // New builds a manager and starts its worker pool.
@@ -237,8 +231,8 @@ func (m *Manager[R]) Submit(total int, run RunFunc[R]) (Snapshot, error) {
 	m.seq++
 	m.jobs[j.id] = j
 	m.mu.Unlock()
-	m.submitted.Add(1)
-	m.queued.Add(1)
+	atomic.AddInt64(&m.stats.Submitted, 1)
+	atomic.AddInt64(&m.stats.Queued, 1)
 	snap := Snapshot{ID: j.id, State: StateQueued, Total: total, Created: j.created}
 	m.transition(snap)
 	close(j.announced)
@@ -262,8 +256,8 @@ func (m *Manager[R]) runJob(j *job[R]) {
 	}
 	j.state = StateRunning
 	j.started = time.Now()
-	m.queued.Add(-1)
-	m.running.Add(1)
+	atomic.AddInt64(&m.stats.Queued, -1)
+	atomic.AddInt64(&m.stats.Running, 1)
 	j.bumpLocked()
 	snap := j.snapshotLocked()
 	j.mu.Unlock()
@@ -276,21 +270,21 @@ func (m *Manager[R]) runJob(j *job[R]) {
 		defer cancel()
 	}
 	err := m.runIsolated(ctx, j)
-	m.observeRun(time.Since(j.started))
+	telemetry.Fold(&m.avgRunNanos, int64(time.Since(j.started)), 0.3)
 
 	j.mu.Lock()
-	m.running.Add(-1)
+	atomic.AddInt64(&m.stats.Running, -1)
 	switch {
 	case j.canceledReq:
 		j.state = StateCanceled
-		m.canceled.Add(1)
+		atomic.AddInt64(&m.stats.Canceled, 1)
 	case err != nil:
 		j.state = StateFailed
 		j.errMsg = err.Error()
-		m.failed.Add(1)
+		atomic.AddInt64(&m.stats.Failed, 1)
 	default:
 		j.state = StateCompleted
-		m.completed.Add(1)
+		atomic.AddInt64(&m.stats.Completed, 1)
 	}
 	j.finished = time.Now()
 	j.bumpLocked()
@@ -306,7 +300,7 @@ func (m *Manager[R]) runJob(j *job[R]) {
 func (m *Manager[R]) runIsolated(ctx context.Context, j *job[R]) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			m.panics.Add(1)
+			atomic.AddInt64(&m.stats.Panics, 1)
 			err = fmt.Errorf("jobs: worker panic: %v", r)
 			if m.cfg.OnPanic != nil {
 				m.cfg.OnPanic(j.id, r)
@@ -324,28 +318,17 @@ func (m *Manager[R]) runIsolated(ctx context.Context, j *job[R]) (err error) {
 	})
 }
 
-// observeRun folds one finished job's wall time into the EWMA.
-func (m *Manager[R]) observeRun(d time.Duration) {
-	const alpha = 0.3
-	prev := m.avgRunNanos.Load()
-	if prev == 0 {
-		m.avgRunNanos.Store(int64(d))
-		return
-	}
-	m.avgRunNanos.Store(int64(alpha*float64(d) + (1-alpha)*float64(prev)))
-}
-
 // DrainEstimate predicts how long a newly rejected submission should
 // wait before retrying: the observed average job duration times the
 // backlog ahead of it, spread across the worker pool. Clamped to
 // [1s, 5m]; with no observed completions yet it answers the floor.
 func (m *Manager[R]) DrainEstimate() time.Duration {
 	const floor, ceil = time.Second, 5 * time.Minute
-	avg := time.Duration(m.avgRunNanos.Load())
+	avg := time.Duration(atomic.LoadInt64(&m.avgRunNanos))
 	if avg <= 0 {
 		return floor
 	}
-	backlog := m.queued.Load() + m.running.Load()
+	backlog := atomic.LoadInt64(&m.stats.Queued) + atomic.LoadInt64(&m.stats.Running)
 	est := avg * time.Duration(backlog) / time.Duration(m.cfg.Workers)
 	if est < floor {
 		return floor
@@ -420,8 +403,8 @@ func (m *Manager[R]) Cancel(id string) (Snapshot, bool) {
 	if j.state == StateQueued {
 		j.state = StateCanceled
 		j.finished = time.Now()
-		m.queued.Add(-1)
-		m.canceled.Add(1)
+		atomic.AddInt64(&m.stats.Queued, -1)
+		atomic.AddInt64(&m.stats.Canceled, 1)
 		j.bumpLocked()
 		snap := j.snapshotLocked()
 		j.mu.Unlock()
@@ -444,8 +427,8 @@ func (m *Manager[R]) Follow(ctx context.Context, id string, cursor int) ([]R, Sn
 	if j == nil {
 		return nil, Snapshot{}, false
 	}
-	m.watchers.Add(1)
-	defer m.watchers.Add(-1)
+	atomic.AddInt64(&m.stats.Watchers, 1)
+	defer atomic.AddInt64(&m.stats.Watchers, -1)
 	for {
 		j.mu.Lock()
 		if len(j.results) > cursor || j.state.Terminal() {
@@ -473,20 +456,12 @@ func (m *Manager[R]) Stats() Stats {
 	m.mu.Lock()
 	retained := len(m.jobs)
 	m.mu.Unlock()
-	return Stats{
-		Submitted:     m.submitted.Load(),
-		Queued:        m.queued.Load(),
-		Running:       m.running.Load(),
-		Completed:     m.completed.Load(),
-		Failed:        m.failed.Load(),
-		Canceled:      m.canceled.Load(),
-		Panics:        m.panics.Load(),
-		QueueDepth:    int64(len(m.queue)),
-		QueueCapacity: int64(m.cfg.QueueDepth),
-		Watchers:      m.watchers.Load(),
-		Workers:       m.cfg.Workers,
-		Retained:      retained,
-	}
+	s := telemetry.Snapshot(&m.stats)
+	s.QueueDepth = int64(len(m.queue))
+	s.QueueCapacity = int64(m.cfg.QueueDepth)
+	s.Workers = m.cfg.Workers
+	s.Retained = retained
+	return s
 }
 
 // Close rejects new submissions, cancels every live job, and waits for

@@ -432,7 +432,7 @@ func TestDrainEstimateTracksBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTerminal(t, m, snap.ID)
-	if m.avgRunNanos.Load() <= 0 {
+	if atomic.LoadInt64(&m.avgRunNanos) <= 0 {
 		t.Fatal("no run-time sample observed")
 	}
 	// Estimate stays clamped to the floor for tiny backlogs and never

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mpidetect/internal/telemetry"
 )
 
 // BreakerState is a breaker's position in the trip/probe cycle.
@@ -56,10 +58,10 @@ type BreakerConfig struct {
 // the /v1/stats resilience section.
 type BreakerStats struct {
 	State       string `json:"state"`
-	Consecutive int    `json:"consecutive_failures"`
 	Failures    int64  `json:"failures"`
 	Trips       int64  `json:"trips"`
 	Rejected    int64  `json:"rejected"`
+	Consecutive int    `json:"consecutive_failures"` // after the int64s, for 32-bit alignment
 }
 
 // Breaker is a consecutive-failure circuit breaker. The zero value is
@@ -70,17 +72,14 @@ type BreakerStats struct {
 //	v, err := op()
 //	b.Record(err == nil)   // or b.Skip() when the outcome is inconclusive
 type Breaker struct {
-	cfg BreakerConfig
+	stats BreakerStats // live counters; first, for 64-bit atomics on 32-bit targets
+	cfg   BreakerConfig
 
 	mu          sync.Mutex
 	state       BreakerState
 	consecutive int
 	openedAt    time.Time
 	probing     bool // a half-open probe is in flight
-
-	failures atomic.Int64
-	trips    atomic.Int64
-	rejected atomic.Int64
 }
 
 // NewBreaker builds a breaker in the Closed state.
@@ -134,7 +133,7 @@ func (b *Breaker) Allow() bool {
 		}
 	}
 	if !allowed {
-		b.rejected.Add(1)
+		atomic.AddInt64(&b.stats.Rejected, 1)
 	}
 	b.mu.Unlock()
 	if notify != nil {
@@ -156,19 +155,19 @@ func (b *Breaker) Record(ok bool) {
 			notify = b.transitionLocked(Closed)
 		}
 	} else {
-		b.failures.Add(1)
+		atomic.AddInt64(&b.stats.Failures, 1)
 		b.consecutive++
 		switch b.state {
 		case HalfOpen:
 			// The probe failed: another full cooldown.
 			b.probing = false
 			b.openedAt = b.cfg.Clock()
-			b.trips.Add(1)
+			atomic.AddInt64(&b.stats.Trips, 1)
 			notify = b.transitionLocked(Open)
 		case Closed:
 			if b.consecutive >= b.cfg.Failures {
 				b.openedAt = b.cfg.Clock()
-				b.trips.Add(1)
+				atomic.AddInt64(&b.stats.Trips, 1)
 				notify = b.transitionLocked(Open)
 			}
 		}
@@ -198,47 +197,31 @@ func (b *Breaker) State() BreakerState {
 }
 
 // Snapshot is a typed point-in-time view of a breaker for pollers: the
-// state as a BreakerState (not the wire string of BreakerStats), the
-// failure streak, and when an open breaker opened. Pollers that rebuild
-// derived state from many breakers — the router's hash-ring membership,
-// for one — read Snapshot on their own cadence instead of mutating
-// shared state from OnChange, which runs on whatever goroutine drove
-// the transition.
+// counters and failure streak of BreakerStats, plus the state as a
+// BreakerState (its wire string is BreakerStats.State) and when an open
+// breaker opened. Pollers that rebuild derived state from many breakers
+// — the router's hash-ring membership, for one — read Snapshot on their
+// own cadence instead of mutating shared state from OnChange, which
+// runs on whatever goroutine drove the transition.
 type Snapshot struct {
-	State       BreakerState
-	Consecutive int
-	OpenedAt    time.Time // zero unless State is Open
-	Failures    int64
-	Trips       int64
-	Rejected    int64
+	BreakerStats
+	State    BreakerState
+	OpenedAt time.Time // zero unless State is Open
 }
 
-// Snapshot captures the breaker's current position and counters under
-// one lock acquisition, so state and streak can never straddle a
-// transition.
+// Snapshot captures the breaker's position under one lock acquisition,
+// so state and streak can never straddle a transition.
 func (b *Breaker) Snapshot() Snapshot {
+	s := Snapshot{BreakerStats: telemetry.Snapshot(&b.stats)}
 	b.mu.Lock()
-	s := Snapshot{State: b.state, Consecutive: b.consecutive}
+	s.State, s.Consecutive = b.state, b.consecutive
 	if b.state == Open {
 		s.OpenedAt = b.openedAt
 	}
 	b.mu.Unlock()
-	s.Failures = b.failures.Load()
-	s.Trips = b.trips.Load()
-	s.Rejected = b.rejected.Load()
+	s.BreakerStats.State = s.State.String()
 	return s
 }
 
 // Stats snapshots the breaker counters.
-func (b *Breaker) Stats() BreakerStats {
-	b.mu.Lock()
-	st, consec := b.state, b.consecutive
-	b.mu.Unlock()
-	return BreakerStats{
-		State:       st.String(),
-		Consecutive: consec,
-		Failures:    b.failures.Load(),
-		Trips:       b.trips.Load(),
-		Rejected:    b.rejected.Load(),
-	}
-}
+func (b *Breaker) Stats() BreakerStats { return b.Snapshot().BreakerStats }

@@ -27,6 +27,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"mpidetect/internal/fault"
 	"mpidetect/internal/resilience"
@@ -127,13 +128,13 @@ func (rt *Router) proxySolo(w http.ResponseWriter, r *http.Request, path string)
 	}
 	cands := rt.candidates("")
 	if len(cands) == 0 {
-		rt.noBackend.Add(1)
+		atomic.AddInt64(&rt.stats.NoBackend, 1)
 		shardError(w, errNoBackend)
 		return true
 	}
 	b := rt.backends[cands[0]]
-	rt.proxied.Add(1)
-	b.requests.Add(1)
+	atomic.AddInt64(&rt.stats.Proxied, 1)
+	atomic.AddInt64(&b.stats.Requests, 1)
 	relayed, err := rt.relay(w, r, b, path)
 	if !rt.recordAttempt(r.Context(), b, err == nil, err) {
 		return true // the caller walked away: nobody is left to answer
@@ -233,7 +234,7 @@ func (rt *Router) splitByOwner(model string, programs []serve.Program) ([]shard,
 // down degrades to per-program error results so the rest of the batch
 // still answers.
 func (rt *Router) classifyHandler(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
+	atomic.AddInt64(&rt.stats.Requests, 1)
 	if rt.proxySolo(w, r, "/v1/classify") {
 		return
 	}
@@ -244,7 +245,7 @@ func (rt *Router) classifyHandler(w http.ResponseWriter, r *http.Request) {
 	}
 	shards, ok := rt.splitByOwner(req.Model, req.Programs)
 	if !ok {
-		rt.noBackend.Add(1)
+		atomic.AddInt64(&rt.stats.NoBackend, 1)
 		shardError(w, errNoBackend)
 		return
 	}
@@ -339,7 +340,7 @@ func (rt *Router) classifyHandler(w http.ResponseWriter, r *http.Request) {
 // backend, so a hedge would double real pipeline work, not just race an
 // idle replica's cache.
 func (rt *Router) analyzeHandler(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
+	atomic.AddInt64(&rt.stats.Requests, 1)
 	if rt.proxySolo(w, r, "/v1/analyze") {
 		return
 	}
@@ -358,7 +359,7 @@ func (rt *Router) analyzeHandler(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) statsHandler(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
+	atomic.AddInt64(&rt.stats.Requests, 1)
 	rest.WriteJSON(w, http.StatusOK, rt.fanInStats(r.Context()))
 }
 
@@ -383,10 +384,10 @@ func (rt *Router) readyzHandler(w http.ResponseWriter, r *http.Request) {
 // answers — every backend registers the same model set, so any healthy
 // one speaks for the fleet.
 func (rt *Router) modelsHandler(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
+	atomic.AddInt64(&rt.stats.Requests, 1)
 	members := rt.live.Load().Members()
 	if len(members) == 0 {
-		rt.noBackend.Add(1)
+		atomic.AddInt64(&rt.stats.NoBackend, 1)
 		shardError(w, errNoBackend)
 		return
 	}
@@ -475,7 +476,7 @@ func (bs *batchStream) abort(res proxyResult) bool {
 // replayed, so the client sees each index at most once. A shard whose
 // replicas are exhausted degrades to per-program error events.
 func (rt *Router) batchHandler(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
+	atomic.AddInt64(&rt.stats.Requests, 1)
 	var req serve.BatchRequest
 	raw, ok := rt.decode(w, r, &req)
 	if !ok {
@@ -483,7 +484,7 @@ func (rt *Router) batchHandler(w http.ResponseWriter, r *http.Request) {
 	}
 	shards, ok := rt.splitByOwner(req.Model, req.Programs)
 	if !ok {
-		rt.noBackend.Add(1)
+		atomic.AddInt64(&rt.stats.NoBackend, 1)
 		shardError(w, errNoBackend)
 		return
 	}
@@ -533,7 +534,7 @@ func (rt *Router) streamShard(ctx context.Context, req serve.BatchRequest, s sha
 	var lastErr error
 	for i := 0; i < attempts && len(remaining) > 0; i++ {
 		if i > 0 {
-			rt.retries.Add(1)
+			atomic.AddInt64(&rt.stats.Retries, 1)
 			if err := rt.backoff(ctx, i); err != nil {
 				break
 			}
@@ -587,8 +588,8 @@ func (rt *Router) streamOnce(ctx context.Context, b *backend, req serve.BatchReq
 	for j, idx := range indices {
 		names[j] = req.Programs[idx].Name
 	}
-	rt.proxied.Add(1)
-	b.requests.Add(1)
+	atomic.AddInt64(&rt.stats.Proxied, 1)
+	atomic.AddInt64(&b.stats.Requests, 1)
 	ok, abort, err := rt.streamOnceRaw(ctx, b, mustJSON(sub), indices, names, delivered, bs)
 	rt.recordAttempt(ctx, b, ok, err)
 	return delivered, abort, err

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"mpidetect/internal/fault"
@@ -64,10 +65,10 @@ func (rt *Router) probeRound() {
 
 // probe runs one readyz check; true means routable.
 func (rt *Router) probe(b *backend) bool {
-	b.probes.Add(1)
+	atomic.AddInt64(&b.stats.Probes, 1)
 	ok, err := rt.probeOnce(b)
 	if !ok {
-		b.probeFailures.Add(1)
+		atomic.AddInt64(&b.stats.ProbeFailures, 1)
 		if err != nil {
 			b.noteErr(err)
 		}

@@ -118,3 +118,27 @@ func TestRingStability(t *testing.T) {
 		}
 	}
 }
+
+// TestRingBalancesLoopbackPairs: two backends on neighbouring loopback
+// ports — the shape of every local fleet — each own a fair share of the
+// keys. The labels of such a pair differ only near their end, and
+// hashing them with bare FNV-1a bunched one backend's points into a few
+// arcs: over these 200 pairs a backend owned as little as 2.5% of the
+// keys.
+func TestRingBalancesLoopbackPairs(t *testing.T) {
+	keys := ringKeys(4000)
+	for port := 40000; port < 40400; port += 2 {
+		a := fmt.Sprintf("http://127.0.0.1:%d", port)
+		b := fmt.Sprintf("http://127.0.0.1:%d", port+1)
+		r := NewRing([]string{a, b}, 0)
+		owned := 0
+		for _, k := range keys {
+			if owner, _ := r.Owner(k); owner == a {
+				owned++
+			}
+		}
+		if share := float64(owned) / float64(len(keys)); share < 0.3 || share > 0.7 {
+			t.Errorf("%s owns %.1f%% of the keys against %s; want 30–70%%", a, 100*share, b)
+		}
+	}
+}

@@ -48,6 +48,7 @@ import (
 	"mpidetect/internal/events"
 	"mpidetect/internal/fault"
 	"mpidetect/internal/resilience"
+	"mpidetect/internal/telemetry"
 )
 
 // Fault points compiled into the router's hot paths, armable by tests
@@ -125,13 +126,9 @@ func (c Config) withDefaults() Config {
 
 // backend is one member of the fleet: its breaker plus live counters.
 type backend struct {
-	name    string // base URL, no trailing slash
+	stats   BackendStats // live counters; first, for 64-bit atomics on 32-bit targets
+	name    string       // base URL, no trailing slash
 	breaker *resilience.Breaker
-
-	requests      atomic.Int64 // proxied sub-requests sent
-	failures      atomic.Int64 // transport errors + 5xx
-	probes        atomic.Int64
-	probeFailures atomic.Int64
 
 	mu      sync.Mutex
 	lastErr string
@@ -146,6 +143,14 @@ func (b *backend) noteErr(err error) {
 // Router shards requests across the fleet. Construct with New, serve
 // its Handler, Close when done.
 type Router struct {
+	// The live counters come first, which keeps them 8-byte aligned for
+	// 64-bit atomics on 32-bit targets. ewmaNanos and devNanos are the
+	// classify sub-request latency EWMA and mean absolute deviation
+	// (nanos), the adaptive hedge trigger.
+	ewmaNanos int64
+	devNanos  int64
+	stats     Stats
+
 	cfg      Config
 	bus      *events.Bus
 	client   *http.Client
@@ -158,23 +163,6 @@ type Router struct {
 	draining atomic.Bool
 	stop     chan struct{}
 	wg       sync.WaitGroup
-
-	requests     atomic.Int64 // router-level API requests
-	proxied      atomic.Int64 // sub-requests sent to backends
-	retries      atomic.Int64 // attempts beyond the first
-	remaps       atomic.Int64 // keys served off their full-ring owner
-	ejections    atomic.Int64
-	readmissions atomic.Int64
-	hedges       atomic.Int64 // hedge sub-requests launched
-	hedgesWon    atomic.Int64 // hedge answered before the primary
-	hedgesLost   atomic.Int64
-	noBackend    atomic.Int64 // shards failed with every replica down
-
-	// Classify sub-request latency EWMA and mean-absolute-deviation
-	// (nanos), the adaptive hedge trigger. Plain load/compute/store: a
-	// lost update costs one sample.
-	ewmaNanos atomic.Int64
-	devNanos  atomic.Int64
 }
 
 // New builds a router over the configured backends and starts its
@@ -285,14 +273,14 @@ func (rt *Router) rebuildRing() {
 	}
 	for _, n := range prev.Members() {
 		if _, ok := nextSet[n]; !ok {
-			rt.ejections.Add(1)
+			atomic.AddInt64(&rt.stats.Ejections, 1)
 			rt.bus.Publish(events.RouterEjected, BackendEventData{Backend: n,
 				Healthy: len(healthy), Total: len(rt.backends)})
 		}
 	}
 	for _, n := range healthy {
 		if _, ok := prevSet[n]; !ok {
-			rt.readmissions.Add(1)
+			atomic.AddInt64(&rt.stats.Readmissions, 1)
 			rt.bus.Publish(events.RouterReadmitted, BackendEventData{Backend: n,
 				Healthy: len(healthy), Total: len(rt.backends)})
 		}
@@ -314,7 +302,7 @@ func (rt *Router) candidates(key string) []string {
 	owners := live.Lookup(key, 0)
 	if len(owners) > 0 {
 		if fullOwner, ok := rt.full.Owner(key); ok && fullOwner != owners[0] {
-			rt.remaps.Add(1)
+			atomic.AddInt64(&rt.stats.Remaps, 1)
 		}
 	}
 	return owners
@@ -348,8 +336,8 @@ func retryable(res proxyResult, err error) bool {
 // eject the backend between health rounds), anything the backend
 // answered below 500 counts as success.
 func (rt *Router) send(ctx context.Context, b *backend, method, path string, body []byte) (proxyResult, error) {
-	rt.proxied.Add(1)
-	b.requests.Add(1)
+	atomic.AddInt64(&rt.stats.Proxied, 1)
+	atomic.AddInt64(&b.stats.Requests, 1)
 	res, err := rt.sendRaw(ctx, b, method, path, body)
 	noted := err
 	if err == nil && res.status >= 500 {
@@ -370,7 +358,7 @@ func (rt *Router) recordAttempt(ctx context.Context, b *backend, ok bool, err er
 		return false
 	}
 	if !ok {
-		b.failures.Add(1)
+		atomic.AddInt64(&b.stats.Failures, 1)
 		if err != nil {
 			b.noteErr(err)
 		}
@@ -430,18 +418,14 @@ func (rt *Router) backoff(ctx context.Context, n int) error {
 // hedge trigger's EWMA + deviation band.
 func (rt *Router) observeLatency(d time.Duration) {
 	const alpha = 0.2
-	prev := rt.ewmaNanos.Load()
-	if prev == 0 {
-		rt.ewmaNanos.Store(int64(d))
-		return
+	if prev := atomic.LoadInt64(&rt.ewmaNanos); prev != 0 {
+		diff := int64(d) - prev
+		if diff < 0 {
+			diff = -diff
+		}
+		telemetry.Fold(&rt.devNanos, diff, alpha)
 	}
-	diff := int64(d) - prev
-	if diff < 0 {
-		diff = -diff
-	}
-	prevDev := rt.devNanos.Load()
-	rt.devNanos.Store(int64(alpha*float64(diff) + (1-alpha)*float64(prevDev)))
-	rt.ewmaNanos.Store(int64(alpha*float64(d) + (1-alpha)*float64(prev)))
+	telemetry.Fold(&rt.ewmaNanos, int64(d), alpha)
 }
 
 // hedgeDelay is how long a classify sub-request may run before a hedge
@@ -455,11 +439,11 @@ func (rt *Router) hedgeDelay() time.Duration {
 	if rt.cfg.HedgeAfter > 0 {
 		return rt.cfg.HedgeAfter
 	}
-	ewma := rt.ewmaNanos.Load()
+	ewma := atomic.LoadInt64(&rt.ewmaNanos)
 	if ewma == 0 {
 		return 0
 	}
-	d := time.Duration(ewma + 3*rt.devNanos.Load())
+	d := time.Duration(ewma + 3*atomic.LoadInt64(&rt.devNanos))
 	if d < 2*time.Millisecond {
 		d = 2 * time.Millisecond
 	}
@@ -474,7 +458,7 @@ func (rt *Router) hedgeDelay() time.Duration {
 func (rt *Router) doShard(ctx context.Context, key, method, path string, body []byte, hedge bool) (proxyResult, error) {
 	cands := rt.candidates(key)
 	if len(cands) == 0 {
-		rt.noBackend.Add(1)
+		atomic.AddInt64(&rt.stats.NoBackend, 1)
 		return proxyResult{}, errNoBackend
 	}
 	attempts := rt.cfg.MaxAttempts
@@ -484,7 +468,7 @@ func (rt *Router) doShard(ctx context.Context, key, method, path string, body []
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			rt.retries.Add(1)
+			atomic.AddInt64(&rt.stats.Retries, 1)
 			if err := rt.backoff(ctx, i); err != nil {
 				return proxyResult{}, err
 			}
@@ -510,7 +494,7 @@ func (rt *Router) doShard(ctx context.Context, key, method, path string, body []
 			lastErr = fmt.Errorf("HTTP %d from %s", res.status, res.backend)
 		}
 	}
-	rt.noBackend.Add(1)
+	atomic.AddInt64(&rt.stats.NoBackend, 1)
 	return proxyResult{}, fmt.Errorf("%w (%d attempts): %v", errNoBackend, attempts, lastErr)
 }
 
@@ -553,7 +537,7 @@ func (rt *Router) attempt(ctx context.Context, b, next *backend, method, path st
 		case <-timer.C:
 			if !hedged {
 				hedged = true
-				rt.hedges.Add(1)
+				atomic.AddInt64(&rt.stats.HedgesLaunched, 1)
 				inflight++
 				go func() {
 					res, err := rt.send(raceCtx, next, method, path, body)
@@ -567,9 +551,9 @@ func (rt *Router) attempt(ctx context.Context, b, next *backend, method, path st
 				cancel()
 				if hedged {
 					if r.hedge {
-						rt.hedgesWon.Add(1)
+						atomic.AddInt64(&rt.stats.HedgesWon, 1)
 					} else {
-						rt.hedgesLost.Add(1)
+						atomic.AddInt64(&rt.stats.HedgesLost, 1)
 					}
 				}
 				rt.observeLatency(time.Since(start))

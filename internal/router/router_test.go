@@ -581,3 +581,28 @@ func TestRouterJobsNotRouted(t *testing.T) {
 		t.Fatalf("envelope = %s", w.Body.String())
 	}
 }
+
+// TestHedgeDelayAdapts: without a fixed HedgeAfter the hedge trigger is
+// the classify latency EWMA plus three mean absolute deviations (α 0.2,
+// each seeded by its first sample), floored at 2ms, and no hedging
+// before the first sample.
+func TestHedgeDelayAdapts(t *testing.T) {
+	rt := &Router{}
+	if d := rt.hedgeDelay(); d != 0 {
+		t.Fatalf("hedge delay with no samples = %v, want 0", d)
+	}
+	for _, c := range []struct{ sample, want time.Duration }{
+		{10 * time.Millisecond, 10 * time.Millisecond}, // mean 10ms, no deviation yet
+		{20 * time.Millisecond, 42 * time.Millisecond}, // mean 12ms, deviation 10ms
+	} {
+		rt.observeLatency(c.sample)
+		if d := rt.hedgeDelay(); d != c.want {
+			t.Fatalf("after a %v sample: hedge delay %v, want %v", c.sample, d, c.want)
+		}
+	}
+	fast := &Router{}
+	fast.observeLatency(time.Millisecond)
+	if d := fast.hedgeDelay(); d != 2*time.Millisecond {
+		t.Fatalf("hedge delay after a 1ms sample = %v, want the 2ms floor", d)
+	}
+}

@@ -12,18 +12,19 @@ import (
 	"sync"
 
 	"mpidetect/internal/resilience"
+	"mpidetect/internal/telemetry"
 )
 
 // BackendStats is one backend's row in the router stats section.
 type BackendStats struct {
 	Name          string `json:"name"`
-	Healthy       bool   `json:"healthy"` // currently in the ring
-	State         string `json:"state"`   // breaker state
-	Requests      int64  `json:"requests"`
-	Failures      int64  `json:"failures"`
+	State         string `json:"state"`    // breaker state
+	Requests      int64  `json:"requests"` // proxied sub-requests sent
+	Failures      int64  `json:"failures"` // transport errors + 5xx
 	Probes        int64  `json:"probes"`
 	ProbeFailures int64  `json:"probe_failures"`
 	Trips         int64  `json:"trips"`
+	Healthy       bool   `json:"healthy"` // in the ring now; after the int64s, for 32-bit alignment
 	LastError     string `json:"last_error,omitempty"`
 }
 
@@ -31,16 +32,16 @@ type BackendStats struct {
 type Stats struct {
 	Backends        []BackendStats `json:"backends"`
 	HealthyBackends int            `json:"healthy_backends"`
-	Requests        int64          `json:"requests"`
-	Proxied         int64          `json:"proxied"`
-	Retries         int64          `json:"retries"`
-	Remaps          int64          `json:"remaps"`
+	Requests        int64          `json:"requests"` // router-level API requests
+	Proxied         int64          `json:"proxied"`  // sub-requests sent to backends
+	Retries         int64          `json:"retries"`  // attempts beyond the first
+	Remaps          int64          `json:"remaps"`   // keys served off their full-ring owner
 	Ejections       int64          `json:"ejections"`
 	Readmissions    int64          `json:"readmissions"`
 	HedgesLaunched  int64          `json:"hedges_launched"`
-	HedgesWon       int64          `json:"hedges_won"`
+	HedgesWon       int64          `json:"hedges_won"` // hedge answered before the primary
 	HedgesLost      int64          `json:"hedges_lost"`
-	NoBackend       int64          `json:"no_backend"`
+	NoBackend       int64          `json:"no_backend"`     // shards failed with every replica down
 	HedgeDelayNanos int64          `json:"hedge_delay_ns"` // current effective trigger
 	Draining        bool           `json:"draining"`
 }
@@ -52,33 +53,19 @@ func (rt *Router) Stats() Stats {
 	for _, n := range live.Members() {
 		inRing[n] = struct{}{}
 	}
-	s := Stats{
-		HealthyBackends: len(live.Members()),
-		Requests:        rt.requests.Load(),
-		Proxied:         rt.proxied.Load(),
-		Retries:         rt.retries.Load(),
-		Remaps:          rt.remaps.Load(),
-		Ejections:       rt.ejections.Load(),
-		Readmissions:    rt.readmissions.Load(),
-		HedgesLaunched:  rt.hedges.Load(),
-		HedgesWon:       rt.hedgesWon.Load(),
-		HedgesLost:      rt.hedgesLost.Load(),
-		NoBackend:       rt.noBackend.Load(),
-		HedgeDelayNanos: int64(rt.hedgeDelay()),
-		Draining:        rt.draining.Load(),
-	}
+	s := telemetry.Snapshot(&rt.stats)
+	s.HealthyBackends = len(live.Members())
+	s.HedgeDelayNanos = int64(rt.hedgeDelay())
+	s.Draining = rt.draining.Load()
 	for name, b := range rt.backends {
-		_, healthy := inRing[name]
-		snap := b.breaker.Snapshot()
+		bs := telemetry.Snapshot(&b.stats)
+		_, bs.Healthy = inRing[name]
+		br := b.breaker.Stats()
+		bs.Name, bs.State, bs.Trips = name, br.State, br.Trips
 		b.mu.Lock()
-		lastErr := b.lastErr
+		bs.LastError = b.lastErr
 		b.mu.Unlock()
-		s.Backends = append(s.Backends, BackendStats{
-			Name: name, Healthy: healthy, State: snap.State.String(),
-			Requests: b.requests.Load(), Failures: b.failures.Load(),
-			Probes: b.probes.Load(), ProbeFailures: b.probeFailures.Load(),
-			Trips: snap.Trips, LastError: lastErr,
-		})
+		s.Backends = append(s.Backends, bs)
 	}
 	sort.Slice(s.Backends, func(i, j int) bool { return s.Backends[i].Name < s.Backends[j].Name })
 	return s

@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"mpidetect/internal/cache"
 	"mpidetect/internal/core"
@@ -257,7 +258,7 @@ func (e *Engine) compiledProgram(lm *lazyModule) (*mpisim.Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.simCompiles.Add(1)
+		atomic.AddInt64(&e.stats.analyze.SimCompiles, 1)
 		lm.prog = mpisim.Compile(mod)
 	}
 	return lm.prog, nil
@@ -295,7 +296,7 @@ func (e *Engine) simulate(ctx context.Context, prog *mpisim.Program, ranks int) 
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			e.toolPanics.Add(1)
+			atomic.AddInt64(&e.stats.resilience.ToolPanics, 1)
 			run = &simRun{internal: fmt.Sprintf("simulation panic: %v", r)}
 			e.bus.Publish(events.FaultRecovered, FaultRecoveredData{
 				Subsystem: "tool", Detail: "simulation", Panic: fmt.Sprint(r)})
@@ -304,7 +305,7 @@ func (e *Engine) simulate(ctx context.Context, prog *mpisim.Program, ranks int) 
 	if err := fault.Inject(FaultSimRun); err != nil {
 		return &simRun{internal: err.Error()}
 	}
-	e.simExecs.Add(1)
+	atomic.AddInt64(&e.stats.analyze.SimExecs, 1)
 	return &simRun{res: prog.RunCtx(ctx, mpisim.Config{Ranks: ranks,
 		MaxSteps: e.cfg.SimMaxSteps, WallBudget: e.cfg.SimTimeout})}
 }
@@ -357,7 +358,7 @@ func (e *Engine) Analyze(ctx context.Context, req AnalyzeRequest) (*AnalyzeRespo
 	if err != nil {
 		return nil, err
 	}
-	e.analyzeRequests.Add(1)
+	atomic.AddInt64(&e.stats.analyze.Requests, 1)
 	return e.analyzeProgram(ctx, req.Model, selected, clampRanks(req.Ranks), req.Program)
 }
 
@@ -394,7 +395,7 @@ func (e *Engine) analyzeProgram(ctx context.Context, model string, selected []se
 		// otherwise take down the process.
 		defer func() {
 			if r := recover(); r != nil {
-				e.classifyPanics.Add(1)
+				atomic.AddInt64(&e.stats.resilience.ClassifyPanics, 1)
 				e.bus.Publish(events.FaultRecovered, FaultRecoveredData{
 					Subsystem: "classify", Panic: fmt.Sprint(r)})
 				mlDone <- fmt.Errorf("serve: classify panic: %v", r)
@@ -443,7 +444,7 @@ func (e *Engine) runTool(ctx context.Context, st selectedTool, lm *lazyModule, r
 	b := e.toolBreaker(st.name)
 	if e.toolCache == nil {
 		if !b.Allow() {
-			e.degradedVerdicts.Add(1)
+			atomic.AddInt64(&e.stats.resilience.DegradedVerdicts, 1)
 			return degradedToolVerdict(st)
 		}
 		v := e.execTool(ctx, st, lm, ranks, nil)
@@ -477,7 +478,7 @@ func (e *Engine) runTool(ctx context.Context, st selectedTool, lm *lazyModule, r
 				case errors.Is(err, errBreakerOpen):
 					// The leader was refused by the tool's open breaker; the
 					// whole coalesced group degrades with it.
-					e.degradedVerdicts.Add(1)
+					atomic.AddInt64(&e.stats.resilience.DegradedVerdicts, 1)
 					return v
 				case errors.Is(err, errToolInternal):
 					// The leader's tool failed internally (panic, injected
@@ -498,7 +499,7 @@ func (e *Engine) runTool(ctx context.Context, st selectedTool, lm *lazyModule, r
 			// Cached verdicts above serve even while the breaker is open —
 			// only fresh executions are gated.
 			if !b.Allow() {
-				e.degradedVerdicts.Add(1)
+				atomic.AddInt64(&e.stats.resilience.DegradedVerdicts, 1)
 				v := degradedToolVerdict(st)
 				e.toolCache.Complete(f, v, errBreakerOpen)
 				return v
@@ -577,13 +578,13 @@ func (e *Engine) parseErrVerdict(st selectedTool, perr error, f *cache.Flight[To
 func (e *Engine) invokeTool(ctx context.Context, st selectedTool, lm *lazyModule, prog *mpisim.Program, ranks int) (out ToolVerdict) {
 	defer func() {
 		if r := recover(); r != nil {
-			e.toolPanics.Add(1)
+			atomic.AddInt64(&e.stats.resilience.ToolPanics, 1)
 			out = internalToolVerdict(st, fmt.Sprintf("tool panic: %v", r))
 			e.bus.Publish(events.FaultRecovered, FaultRecoveredData{
 				Subsystem: "tool", Detail: st.name, Panic: fmt.Sprint(r)})
 		}
 	}()
-	e.toolRuns.Add(1)
+	atomic.AddInt64(&e.stats.analyze.ToolRuns, 1)
 	if err := fault.Inject("tool." + st.name); err != nil {
 		return internalToolVerdict(st, err.Error())
 	}
@@ -607,7 +608,7 @@ func (e *Engine) invokeTool(ctx context.Context, st selectedTool, lm *lazyModule
 	case v.TO:
 		out.Verdict = "timeout"
 		out.wallTO = v.Wall
-		e.simTimeouts.Add(1)
+		atomic.AddInt64(&e.stats.analyze.SimTimeouts, 1)
 	case v.CE || v.RE:
 		out.Verdict = "error"
 		out.Err = v.Reason

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"mpidetect/internal/events"
 	"mpidetect/internal/jobs"
@@ -113,9 +114,9 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, req BatchRequest) (<-chan Ver
 	if err != nil {
 		return nil, err
 	}
-	e.batchRequests.Add(1)
-	e.batchPrograms.Add(int64(len(req.Programs)))
-	e.analyzeRequests.Add(int64(len(req.Programs)))
+	atomic.AddInt64(&e.stats.analyze.BatchRequests, 1)
+	atomic.AddInt64(&e.stats.analyze.BatchPrograms, int64(len(req.Programs)))
+	atomic.AddInt64(&e.stats.analyze.Requests, int64(len(req.Programs)))
 
 	out := make(chan VerdictEvent, len(req.Programs))
 	go e.runBatch(ctx, req, selected, ranks, out, func(ev VerdictEvent) bool {
@@ -158,7 +159,7 @@ func (e *Engine) runBatch(ctx context.Context, req BatchRequest, selected []sele
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						e.batchPanics.Add(1)
+						atomic.AddInt64(&e.stats.resilience.BatchPanics, 1)
 						ev.Err = fmt.Sprintf("internal: batch panic: %v", r)
 						e.bus.Publish(events.FaultRecovered, FaultRecoveredData{
 							Subsystem: "batch", Detail: p.Name, Panic: fmt.Sprint(r)})
@@ -187,9 +188,9 @@ func (e *Engine) SubmitJob(req BatchRequest) (jobs.Snapshot, error) {
 		return jobs.Snapshot{}, err
 	}
 	snap, err := e.jobMgr.Submit(len(req.Programs), func(ctx context.Context, emitR func(VerdictEvent)) error {
-		e.batchRequests.Add(1)
-		e.batchPrograms.Add(int64(len(req.Programs)))
-		e.analyzeRequests.Add(int64(len(req.Programs)))
+		atomic.AddInt64(&e.stats.analyze.BatchRequests, 1)
+		atomic.AddInt64(&e.stats.analyze.BatchPrograms, int64(len(req.Programs)))
+		atomic.AddInt64(&e.stats.analyze.Requests, int64(len(req.Programs)))
 		e.runBatch(ctx, req, selected, ranks, nil, func(ev VerdictEvent) bool {
 			emitR(ev)
 			return true

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"mpidetect/internal/events"
@@ -126,19 +127,6 @@ func degradedToolVerdict(st selectedTool) ToolVerdict {
 		Verdict: "degraded", Reason: "circuit breaker open"}
 }
 
-// observeExec folds one pipeline execution's wall time into the queue-
-// wait EWMA behind admission control. Plain load/compute/store: a lost
-// update costs one sample.
-func (e *Engine) observeExec(d time.Duration) {
-	const alpha = 0.3
-	prev := e.avgExecNanos.Load()
-	if prev == 0 {
-		e.avgExecNanos.Store(int64(d))
-		return
-	}
-	e.avgExecNanos.Store(int64(alpha*float64(d) + (1-alpha)*float64(prev)))
-}
-
 // admit decides whether a classify request can still make its deadline:
 // with the worker queue backed up, the predicted wait (observed average
 // pipeline time × queue depth ÷ workers) is checked against the
@@ -149,7 +137,7 @@ func (e *Engine) admit(deadline time.Time, ok bool) error {
 	if !ok || qlen == 0 {
 		return nil
 	}
-	avg := time.Duration(e.avgExecNanos.Load())
+	avg := time.Duration(atomic.LoadInt64(&e.stats.avgExecNanos))
 	if avg <= 0 {
 		return nil
 	}
@@ -157,7 +145,7 @@ func (e *Engine) admit(deadline time.Time, ok bool) error {
 	if wait <= time.Until(deadline) {
 		return nil
 	}
-	e.shedRequests.Add(1)
+	atomic.AddInt64(&e.stats.resilience.ShedRequests, 1)
 	return &OverloadedError{Wait: wait}
 }
 
@@ -218,18 +206,11 @@ type ResilienceStats struct {
 	Breakers         []BreakerSnapshot `json:"breakers,omitempty"`
 }
 
-// resilienceStats assembles the stats section from live counters.
-func (e *Engine) resilienceStats() ResilienceStats {
-	rs := ResilienceStats{
-		ClassifyPanics:   e.classifyPanics.Load(),
-		ToolPanics:       e.toolPanics.Load(),
-		BatchPanics:      e.batchPanics.Load(),
-		JobPanics:        e.jobMgr.Stats().Panics,
-		ShedRequests:     e.shedRequests.Load(),
-		DegradedVerdicts: e.degradedVerdicts.Load(),
-		Draining:         e.draining.Load(),
-		Breakers:         e.breakerSnapshots(),
-	}
+// resilienceStats completes the stats section around its live counters.
+func (e *Engine) resilienceStats(rs ResilienceStats) *ResilienceStats {
+	rs.JobPanics = e.jobMgr.Stats().Panics
+	rs.Draining = e.draining.Load()
+	rs.Breakers = e.breakerSnapshots()
 	if e.classifyTier != nil {
 		rs.StoreMode = e.storeMode()
 		rs.StorePanics = e.classifyTier.Stats().Panics
@@ -237,7 +218,7 @@ func (e *Engine) resilienceStats() ResilienceStats {
 			rs.StorePanics += e.toolTier.Stats().Panics
 		}
 	}
-	return rs
+	return &rs
 }
 
 // storeMode is the worst degraded mode across the engine's tiers.

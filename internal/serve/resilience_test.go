@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -246,7 +247,7 @@ func TestAdmissionControlShedsDoomedRequests(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Seed the EWMA as if pipeline executions were observed taking 10s.
-	eng.avgExecNanos.Store(int64(10 * time.Second))
+	atomic.StoreInt64(&eng.stats.avgExecNanos, int64(10*time.Second))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()

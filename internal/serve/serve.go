@@ -48,6 +48,7 @@ import (
 	"mpidetect/internal/passes"
 	"mpidetect/internal/resilience"
 	"mpidetect/internal/store"
+	"mpidetect/internal/telemetry"
 	"mpidetect/internal/verify"
 )
 
@@ -325,6 +326,8 @@ const keySep = "\x1f"
 // caching enabled, each program first consults the verdict cache and
 // coalesces with any identical in-flight program across all requests.
 type Engine struct {
+	stats counters // first, for 64-bit atomics on 32-bit targets
+
 	cfg   Config
 	reg   *Registry
 	jobs  chan job
@@ -348,44 +351,24 @@ type Engine struct {
 	classifyTier *store.Tier[Result]
 	toolTier     *store.Tier[ToolVerdict]
 
-	requests      atomic.Int64
-	programs      atomic.Int64
-	pipelineExecs atomic.Int64
-	parseErrors   atomic.Int64
-
-	// Pipeline observability (see PipelineStats): parse-time EWMA, the
-	// drained-batch fill histogram, and how many predictions went through
-	// the fused batch pass versus a batch of one.
-	avgParseNanos  atomic.Int64
-	batchFill1     atomic.Int64
-	batchFill2to4  atomic.Int64
-	batchFill5to8  atomic.Int64
-	batchFillFull  atomic.Int64
-	batchedPreds   atomic.Int64
-	singletonPreds atomic.Int64
-
-	analyzeRequests atomic.Int64
-	toolRuns        atomic.Int64
-	simExecs        atomic.Int64
-	simTimeouts     atomic.Int64
-	simCompiles     atomic.Int64
-
-	batchRequests atomic.Int64
-	batchPrograms atomic.Int64
-
 	// Resilience tier (see resilience.go): lazily-created per-tool
-	// circuit breakers, the process draining flag, panic counters per
-	// pooled subsystem, and the queue-wait EWMA behind admission control.
+	// circuit breakers and the process draining flag (a state, not a
+	// counter, so it keeps its typed atomic).
 	breakerMu sync.Mutex
 	breakers  map[string]*resilience.Breaker
 	draining  atomic.Bool
+}
 
-	classifyPanics   atomic.Int64
-	toolPanics       atomic.Int64
-	batchPanics      atomic.Int64
-	shedRequests     atomic.Int64
-	degradedVerdicts atomic.Int64
-	avgExecNanos     atomic.Int64
+// counters holds the engine's live counters: the counter-carrying stats
+// sections themselves, bumped with atomic.AddInt64 and read through
+// telemetry.Snapshot, plus the queue-wait EWMA behind admission control.
+// The field order keeps every int64 8-byte aligned on 32-bit targets.
+type counters struct {
+	avgExecNanos int64
+	engine       EngineStats
+	analyze      AnalyzeStats
+	resilience   ResilienceStats
+	pipeline     PipelineStats
 }
 
 // NewEngine starts the worker pool over the registry. When cfg.CacheSize
@@ -596,7 +579,7 @@ func (e *Engine) runGroup(group []job) {
 			mods[i] = j.mod
 		}
 		if vs, err := e.checkBatch(live[0].det, mods); err == nil {
-			e.batchedPreds.Add(int64(len(live)))
+			atomic.AddInt64(&e.stats.pipeline.BatchedPredictions, int64(len(live)))
 			for i, j := range live {
 				e.finish(j, resultOf(vs[i]), nil)
 			}
@@ -613,20 +596,7 @@ func (e *Engine) runGroup(group []job) {
 	}
 	// Admission control wants per-program drain cost: fold the batch's
 	// wall time divided evenly across its members.
-	e.observeExec(time.Since(start) / time.Duration(len(group)))
-}
-
-// observeParse folds one front-door parse's wall time into the pipeline
-// parse EWMA (same plain load/compute/store as observeExec: a lost
-// update costs one sample).
-func (e *Engine) observeParse(d time.Duration) {
-	const alpha = 0.3
-	prev := e.avgParseNanos.Load()
-	if prev == 0 {
-		e.avgParseNanos.Store(int64(d))
-		return
-	}
-	e.avgParseNanos.Store(int64(alpha*float64(d) + (1-alpha)*float64(prev)))
+	telemetry.Fold(&e.stats.avgExecNanos, int64(time.Since(start))/int64(len(group)), 0.3)
 }
 
 // noteBatchFill buckets one drained batch's size into the fill
@@ -634,13 +604,13 @@ func (e *Engine) observeParse(d time.Duration) {
 func (e *Engine) noteBatchFill(n int) {
 	switch {
 	case n >= predictBatch:
-		e.batchFillFull.Add(1)
+		atomic.AddInt64(&e.stats.pipeline.BatchFillFull, 1)
 	case n <= 1:
-		e.batchFill1.Add(1)
+		atomic.AddInt64(&e.stats.pipeline.BatchFill1, 1)
 	case n <= 4:
-		e.batchFill2to4.Add(1)
+		atomic.AddInt64(&e.stats.pipeline.BatchFill2to4, 1)
 	default:
-		e.batchFill5to8.Add(1)
+		atomic.AddInt64(&e.stats.pipeline.BatchFill5to8, 1)
 	}
 }
 
@@ -659,14 +629,14 @@ func resultOf(v core.Verdict) Result {
 func (e *Engine) optimizeJob(j job) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			e.classifyPanics.Add(1)
+			atomic.AddInt64(&e.stats.resilience.ClassifyPanics, 1)
 			e.bus.Publish(events.FaultRecovered, FaultRecoveredData{
 				Subsystem: "classify", Panic: fmt.Sprint(r)})
 			e.finish(j, Result{Err: "internal: classify panic: " + fmt.Sprint(r)},
 				fmt.Errorf("serve: classify panic: %v", r))
 		}
 	}()
-	e.pipelineExecs.Add(1)
+	atomic.AddInt64(&e.stats.engine.PipelineExecs, 1)
 	passes.Optimize(j.mod, j.det.Opt())
 	return true
 }
@@ -687,14 +657,14 @@ func (e *Engine) checkBatch(det core.Detector, mods []*ir.Module) (vs []core.Ver
 func (e *Engine) classifyJob(j job) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			e.classifyPanics.Add(1)
+			atomic.AddInt64(&e.stats.resilience.ClassifyPanics, 1)
 			err = fmt.Errorf("serve: classify panic: %v", r)
 			res = Result{Err: "internal: classify panic: " + fmt.Sprint(r)}
 			e.bus.Publish(events.FaultRecovered, FaultRecoveredData{
 				Subsystem: "classify", Panic: fmt.Sprint(r)})
 		}
 	}()
-	e.singletonPreds.Add(1)
+	atomic.AddInt64(&e.stats.pipeline.SingletonPredictions, 1)
 	vs, err := j.det.CheckModules([]*ir.Module{j.mod})
 	if err != nil {
 		return Result{Err: err.Error()}, err
@@ -735,8 +705,8 @@ func (e *Engine) Classify(ctx context.Context, model string, progs []Program) ([
 	if err := e.admit(dl, hasDL); err != nil {
 		return nil, err
 	}
-	e.requests.Add(1)
-	e.programs.Add(int64(len(progs)))
+	atomic.AddInt64(&e.stats.engine.Requests, 1)
+	atomic.AddInt64(&e.stats.engine.Programs, int64(len(progs)))
 
 	results := make([]Result, len(progs))
 	// Buffered to the batch size so workers never block on delivery even
@@ -750,9 +720,9 @@ func (e *Engine) Classify(ctx context.Context, model string, progs []Program) ([
 	enqueue := func(i int, flight *cache.Flight[Result]) error {
 		pstart := time.Now()
 		m, err := ir.Parse(progs[i].IR)
-		e.observeParse(time.Since(pstart))
+		telemetry.Fold(&e.stats.pipeline.AvgParseNanos, int64(time.Since(pstart)), 0.3)
 		if err != nil {
-			e.parseErrors.Add(1)
+			atomic.AddInt64(&e.stats.engine.ParseErrors, 1)
 			results[i] = Result{Err: "parse: " + err.Error()}
 			if flight != nil {
 				e.cache.Complete(flight, Result{}, fmt.Errorf("parse: %w", err))
@@ -891,7 +861,6 @@ type EngineStats struct {
 // lone drained program, or the per-member fallback after a failed fused
 // pass).
 type PipelineStats struct {
-	PredictBatch         int   `json:"predict_batch"`
 	AvgParseNanos        int64 `json:"avg_parse_ns"`
 	BatchFill1           int64 `json:"batch_fill_1"`
 	BatchFill2to4        int64 `json:"batch_fill_2_4"`
@@ -899,6 +868,7 @@ type PipelineStats struct {
 	BatchFillFull        int64 `json:"batch_fill_full"`
 	BatchedPredictions   int64 `json:"batched_predictions"`
 	SingletonPredictions int64 `json:"singleton_predictions"`
+	PredictBatch         int   `json:"predict_batch"` // after the int64s, for 32-bit alignment
 }
 
 // AnalyzeStats is the hybrid-analysis half of GET /stats. SimExecs
@@ -945,42 +915,16 @@ type StatsSnapshot struct {
 
 // Stats snapshots the engine (and cache) counters.
 func (e *Engine) Stats() StatsSnapshot {
-	s := StatsSnapshot{
-		Engine: EngineStats{
-			Requests:      e.requests.Load(),
-			Programs:      e.programs.Load(),
-			PipelineExecs: e.pipelineExecs.Load(),
-			ParseErrors:   e.parseErrors.Load(),
-			Workers:       e.cfg.Workers,
-			MaxBatch:      e.cfg.MaxBatch,
-		},
-		Pipeline: PipelineStats{
-			PredictBatch:         predictBatch,
-			AvgParseNanos:        e.avgParseNanos.Load(),
-			BatchFill1:           e.batchFill1.Load(),
-			BatchFill2to4:        e.batchFill2to4.Load(),
-			BatchFill5to8:        e.batchFill5to8.Load(),
-			BatchFillFull:        e.batchFillFull.Load(),
-			BatchedPredictions:   e.batchedPreds.Load(),
-			SingletonPredictions: e.singletonPreds.Load(),
-		},
-		Models: len(e.reg.Names()),
-	}
+	c := telemetry.Snapshot(&e.stats)
+	s := StatsSnapshot{Engine: c.engine, Pipeline: c.pipeline, Models: len(e.reg.Names())}
+	s.Engine.Workers, s.Engine.MaxBatch = e.cfg.Workers, e.cfg.MaxBatch
+	s.Pipeline.PredictBatch = predictBatch
 	if cs, ok := e.CacheStats(); ok {
 		s.Cache = &cs
 	}
 	if e.tools != nil {
-		s.Analyze = &AnalyzeStats{
-			Requests:      e.analyzeRequests.Load(),
-			ToolRuns:      e.toolRuns.Load(),
-			SimExecs:      e.simExecs.Load(),
-			SimTimeouts:   e.simTimeouts.Load(),
-			SimCompiles:   e.simCompiles.Load(),
-			SimWorkers:    e.cfg.SimWorkers,
-			Tools:         e.tools.Names(),
-			BatchRequests: e.batchRequests.Load(),
-			BatchPrograms: e.batchPrograms.Load(),
-		}
+		c.analyze.SimWorkers, c.analyze.Tools = e.cfg.SimWorkers, e.tools.Names()
+		s.Analyze = &c.analyze
 		if e.toolCache != nil {
 			ts := e.toolCache.Stats()
 			s.ToolCache = &ts
@@ -993,7 +937,6 @@ func (e *Engine) Stats() StatsSnapshot {
 	if ss, ok := e.StoreStats(); ok {
 		s.Store = &ss
 	}
-	rs := e.resilienceStats()
-	s.Resilience = &rs
+	s.Resilience = e.resilienceStats(c.resilience)
 	return s
 }

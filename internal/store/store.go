@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 
 	"mpidetect/internal/fault"
+	"mpidetect/internal/telemetry"
 )
 
 // Fault points of the segment log, armable by tests and the admin API
@@ -113,7 +114,6 @@ func (o Options) withDefaults() Options {
 // JSON encoding under the /v1/stats "store" section.
 type Stats struct {
 	Records     int64 `json:"records"`
-	Segments    int   `json:"segments"`
 	LiveBytes   int64 `json:"live_bytes"`
 	TotalBytes  int64 `json:"total_bytes"`
 	Appends     int64 `json:"appends"`
@@ -123,6 +123,7 @@ type Stats struct {
 	// TornBytes is the size of the torn tail truncated by the last Open
 	// — non-zero exactly when recovery repaired a crash mid-append.
 	TornBytes int64 `json:"torn_bytes"`
+	Segments  int   `json:"segments"` // after the int64s, for 32-bit alignment
 }
 
 // CompactionInfo describes one completed compaction, published on the
@@ -153,8 +154,9 @@ type segment struct {
 // zero value is not usable; construct with Open. All methods are safe
 // for concurrent use; writes serialize on one mutex.
 type Store struct {
-	dir  string
-	opts Options
+	stats Stats // live counters; first, for 64-bit atomics on 32-bit targets
+	dir   string
+	opts  Options
 
 	mu        sync.RWMutex
 	closed    bool
@@ -163,12 +165,6 @@ type Store struct {
 	index     map[string]recLoc
 	liveBytes int64
 	onCompact func(CompactionInfo)
-
-	appends     atomic.Int64
-	gets        atomic.Int64
-	deletes     atomic.Int64
-	compactions atomic.Int64
-	tornBytes   int64 // set once by Open
 }
 
 // Open opens (or creates) a store rooted at dir, replaying every segment
@@ -265,7 +261,7 @@ func (s *Store) replaySegment(id uint64, path string) (*segment, error) {
 		}
 	}
 	if torn := int64(len(data)) - valid; torn > 0 {
-		s.tornBytes += torn
+		s.stats.TornBytes += torn
 		if err := f.Truncate(valid); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("store: truncating torn tail of %s: %w", path, err)
@@ -426,7 +422,7 @@ func (s *Store) Put(key string, gen uint64, val []byte) error {
 		return err
 	}
 	s.indexPut(key, recLoc{seg: seg, off: off, size: int64(len(rec)), gen: gen})
-	s.appends.Add(1)
+	atomic.AddInt64(&s.stats.Appends, 1)
 	return nil
 }
 
@@ -457,7 +453,7 @@ func getInto[K string | []byte](s *Store, key K, buf []byte) (val []byte, gen ui
 	if !valid || kind != kindPut || string(k) != string(key) {
 		return nil, 0, buf, false
 	}
-	s.gets.Add(1)
+	atomic.AddInt64(&s.stats.Gets, 1)
 	return v, g, buf, true
 }
 
@@ -480,7 +476,7 @@ func (s *Store) DeletePrefix(prefix string) (int, error) {
 	if _, _, err := s.appendLocked(rec); err != nil {
 		return n, err
 	}
-	s.deletes.Add(int64(n))
+	atomic.AddInt64(&s.stats.Deletes, int64(n))
 	return n, nil
 }
 
@@ -601,7 +597,7 @@ func (s *Store) compactLocked() error {
 		off += loc.size
 	}
 	s.liveBytes = size - int64(len(segMagic))
-	s.compactions.Add(1)
+	atomic.AddInt64(&s.stats.Compactions, 1)
 	info.Reclaimed = reclaimedFrom - size
 	info.Bytes = size
 	if fn := s.onCompact; fn != nil {
@@ -612,19 +608,14 @@ func (s *Store) compactLocked() error {
 
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
+	st := telemetry.Snapshot(&s.stats)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return Stats{
-		Records:     int64(len(s.index)),
-		Segments:    len(s.segs),
-		LiveBytes:   s.liveBytes,
-		TotalBytes:  s.totalBytesLocked(),
-		Appends:     s.appends.Load(),
-		Gets:        s.gets.Load(),
-		Deletes:     s.deletes.Load(),
-		Compactions: s.compactions.Load(),
-		TornBytes:   s.tornBytes,
-	}
+	st.Records = int64(len(s.index))
+	st.Segments = len(s.segs)
+	st.LiveBytes = s.liveBytes
+	st.TotalBytes = s.totalBytesLocked()
+	return st
 }
 
 // Dir reports the store's root directory.

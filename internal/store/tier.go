@@ -47,6 +47,7 @@ import (
 
 	"mpidetect/internal/fault"
 	"mpidetect/internal/resilience"
+	"mpidetect/internal/telemetry"
 )
 
 // payloadJSON starts every payload the tier writes; the value's JSON
@@ -130,6 +131,7 @@ type tierOp[V any] struct {
 // Load answers any other payload as a miss (see the file comment).
 // Construct with NewTier; Close when the owning engine drains.
 type Tier[V any] struct {
+	stats TierStats // live counters; first, for 64-bit atomics on 32-bit targets
 	st    *Store
 	ns    string
 	genOf func(string) uint64
@@ -147,17 +149,6 @@ type Tier[V any] struct {
 	buf    []byte // payload scratch, owned by the writer goroutine
 
 	loadBufs sync.Pool // *loadBuf, Load's scratch
-
-	enqueued      atomic.Int64
-	persisted     atomic.Int64
-	dropped       atomic.Int64
-	degradedDrops atomic.Int64
-	loads         atomic.Int64
-	loadMisses    atomic.Int64
-	loadErrors    atomic.Int64
-	decodeErrors  atomic.Int64
-	persistErrors atomic.Int64
-	panics        atomic.Int64
 }
 
 // NewTier builds a tier over st with its own key namespace and starts
@@ -221,7 +212,7 @@ func (t *Tier[V]) writer() {
 func (t *Tier[V]) apply(op tierOp[V]) {
 	defer func() {
 		if r := recover(); r != nil {
-			t.panics.Add(1)
+			atomic.AddInt64(&t.stats.Panics, 1)
 			if op.done != nil {
 				op.done <- 0
 			}
@@ -247,14 +238,14 @@ func (t *Tier[V]) apply(op tierOp[V]) {
 // mode), and per cooldown one put probes the store for recovery.
 func (t *Tier[V]) persist(op tierOp[V]) {
 	if !t.persistB.Allow() {
-		t.degradedDrops.Add(1)
+		atomic.AddInt64(&t.stats.DegradedDrops, 1)
 		return
 	}
 	js, err := json.Marshal(&op.val)
 	if err != nil {
 		// An unencodable value is a caller bug, not store health: it says
 		// nothing about the disk, so it never trips the breaker.
-		t.persistErrors.Add(1)
+		atomic.AddInt64(&t.stats.PersistErrors, 1)
 		t.persistB.Skip()
 		return
 	}
@@ -266,10 +257,10 @@ func (t *Tier[V]) persist(op tierOp[V]) {
 	err = t.st.Put(t.storeKey(op.key), gen, t.buf)
 	t.persistB.Record(err == nil)
 	if err != nil {
-		t.persistErrors.Add(1)
+		atomic.AddInt64(&t.stats.PersistErrors, 1)
 		return
 	}
-	t.persisted.Add(1)
+	atomic.AddInt64(&t.stats.Persisted, 1)
 }
 
 // loadBuf is one Load's scratch: the store key it looks up and the
@@ -289,7 +280,7 @@ func (t *Tier[V]) Load(key string) (V, bool, error) {
 		return v, false, nil
 	}
 	if err := fault.Inject(FaultBackingLoad); err != nil {
-		t.loadErrors.Add(1)
+		atomic.AddInt64(&t.stats.LoadErrors, 1)
 		t.loadB.Record(false)
 		return v, false, err
 	}
@@ -302,17 +293,17 @@ func (t *Tier[V]) Load(key string) (V, bool, error) {
 	raw, _, rec, ok := getInto(t.st, lb.key, lb.rec)
 	lb.rec = rec
 	if !ok || len(raw) == 0 || raw[0] != payloadJSON {
-		t.loadMisses.Add(1)
+		atomic.AddInt64(&t.stats.LoadMisses, 1)
 		t.loadB.Record(true)
 		return v, false, nil
 	}
 	if err := json.Unmarshal(raw[1:], &v); err != nil {
-		t.decodeErrors.Add(1)
-		t.loadErrors.Add(1)
+		atomic.AddInt64(&t.stats.DecodeErrors, 1)
+		atomic.AddInt64(&t.stats.LoadErrors, 1)
 		t.loadB.Record(false)
 		return v, false, err
 	}
-	t.loads.Add(1)
+	atomic.AddInt64(&t.stats.Loads, 1)
 	t.loadB.Record(true)
 	return v, true, nil
 }
@@ -323,14 +314,14 @@ func (t *Tier[V]) Store(key string, v V) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.closed {
-		t.dropped.Add(1)
+		atomic.AddInt64(&t.stats.Dropped, 1)
 		return
 	}
 	select {
 	case t.ch <- tierOp[V]{key: key, val: v, put: true}:
-		t.enqueued.Add(1)
+		atomic.AddInt64(&t.stats.Enqueued, 1)
 	default:
-		t.dropped.Add(1)
+		atomic.AddInt64(&t.stats.Dropped, 1)
 	}
 }
 
@@ -381,19 +372,9 @@ func (t *Tier[V]) Close() {
 
 // Stats snapshots the tier counters.
 func (t *Tier[V]) Stats() TierStats {
-	return TierStats{
-		Mode:          t.Mode(),
-		Enqueued:      t.enqueued.Load(),
-		Persisted:     t.persisted.Load(),
-		Dropped:       t.dropped.Load(),
-		DegradedDrops: t.degradedDrops.Load(),
-		Loads:         t.loads.Load(),
-		LoadMisses:    t.loadMisses.Load(),
-		LoadErrors:    t.loadErrors.Load(),
-		DecodeErrors:  t.decodeErrors.Load(),
-		PersistErrors: t.persistErrors.Load(),
-		Panics:        t.panics.Load(),
-		QueueDepth:    len(t.ch),
-		QueueCapacity: cap(t.ch),
-	}
+	s := telemetry.Snapshot(&t.stats)
+	s.Mode = t.Mode()
+	s.QueueDepth = len(t.ch)
+	s.QueueCapacity = cap(t.ch)
+	return s
 }
