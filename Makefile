@@ -50,15 +50,17 @@ test-purego:
 # compares each model's parameter digest with the committed one;
 # LegacyArtifact retrains the IR2Vec encoder and requires the vectors of
 # the committed encoder_v1.gob. So both runs must train identical
-# parameters. The simulator hands its one turn between rank goroutines,
-# so GoldenVerdictEquivalence (simverdicts_v1.gob) and GoldenDeterminism
-# must read the same verdicts, steps and output whether those goroutines
-# share one P or spread over four; GoroutineHygiene must see every rank
-# goroutine exit after a deadlock, crash, timeout or cancel; and the
-# WarmRunAllocs and FreshProgramRun ceilings must hold for runs from the
-# shared free list. -count 1 so each run really executes under its own
-# GOMAXPROCS instead of replaying a cached pass.
-PROCS_TESTS = BitExact|LogitsGolden|PredictBatchAllocs|PredictBatchArena|WorkerCount|TrainDigest|LegacyArtifact|GoldenVerdictEquivalence|GoldenDeterminism|GoroutineHygiene|WarmRunAllocs|FreshProgramRun
+# parameters. The simulator runs every rank on the goroutine that calls
+# it, stepping them round-robin from one driver loop, so
+# GoldenVerdictEquivalence (simverdicts_v1.gob) and GoldenDeterminism
+# must read the same verdicts, steps and output on one P or four;
+# RunStartsNoGoroutine must see the goroutine count unchanged while a
+# run is in flight, and GoroutineHygiene unchanged after a deadlock,
+# crash, timeout or cancel; and the WarmRunAllocs and FreshProgramRun
+# ceilings must hold for runs from the shared free list. -count 1 so each
+# run really executes under its own GOMAXPROCS instead of replaying a
+# cached pass.
+PROCS_TESTS = BitExact|LogitsGolden|PredictBatchAllocs|PredictBatchArena|WorkerCount|TrainDigest|LegacyArtifact|GoldenVerdictEquivalence|GoldenDeterminism|RunStartsNoGoroutine|GoroutineHygiene|WarmRunAllocs|FreshProgramRun
 PROCS_PKGS = ./internal/tensor ./internal/gnn ./internal/ir2vec ./internal/dtree ./internal/mpisim
 test-procs:
 	GOMAXPROCS=1 $(GO) test -count 1 -run '$(PROCS_TESTS)' $(PROCS_PKGS)
@@ -114,7 +116,7 @@ chaos:
 #   verdict, a miss or a counted decode error, never a panic);
 # - FuzzSimulate: the simulator on any IR that parses and verifies, at 2
 #   and 4 ranks under a 20k-step budget (no panic escapes RunCtx, a
-#   repeated run gives an identical Result, the rank goroutines exit);
+#   repeated run gives an identical Result, no goroutine is left behind);
 # - FuzzRESTBodies: arbitrary /v1/classify and /v1/analyze/batch bodies
 #   through the REST handler on an in-process engine (each gets one
 #   verdict per program, one NDJSON event per program, or a 4xx error

@@ -6,11 +6,11 @@
 //
 // Delivery is best-effort and never blocks the publisher: each
 // subscription owns a bounded buffer, and an event that does not fit is
-// dropped for that subscriber (and counted, per subscription and
-// bus-wide). That is the right contract for an observability surface on
-// a hot serving path — a slow SSE client must not be able to apply
-// backpressure to the engine's workers. Subscribers that need loss-free
-// history belong on the job-results API, not the bus.
+// dropped for that subscriber (and counted bus-wide). That is the right
+// contract for an observability surface on a hot serving path — a slow
+// SSE client must not be able to apply backpressure to the engine's
+// workers. Subscribers that need loss-free history belong on the
+// job-results API, not the bus.
 package events
 
 import (
@@ -87,11 +87,10 @@ const DefaultBuffer = 64
 // Subscription is one subscriber's view of the bus. Receive from C();
 // Close when done (idempotent). After Close, C() is closed.
 type Subscription struct {
-	bus     *Bus
-	ch      chan Event
-	types   map[Type]struct{} // nil = all types
-	dropped atomic.Int64
-	once    sync.Once
+	bus   *Bus
+	ch    chan Event
+	types map[Type]struct{} // nil = all types
+	once  sync.Once
 }
 
 // C returns the subscription's event channel. It is closed by Close.
@@ -169,7 +168,6 @@ func (b *Bus) Publish(t Type, data any) Event {
 		case s.ch <- ev:
 			atomic.AddInt64(&b.stats.Delivered, 1)
 		default:
-			s.dropped.Add(1)
 			atomic.AddInt64(&b.stats.Dropped, 1)
 		}
 	}

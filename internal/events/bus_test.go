@@ -107,9 +107,6 @@ func TestSlowSubscriberDropsInsteadOfBlocking(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Publish blocked on a slow subscriber")
 	}
-	if got := s.dropped.Load(); got != 8 {
-		t.Fatalf("dropped %d events, want 8 (buffer 2, published 10)", got)
-	}
 	if st := b.Stats(); st.Dropped != 8 || st.Delivered != 2 {
 		t.Fatalf("bus stats %+v: want 8 dropped, 2 delivered", st)
 	}

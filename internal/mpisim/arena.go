@@ -1,15 +1,15 @@
 // Pooled run state. A Runtime is reused whole: its memArena (size-classed
 // byte buffers for MemObj storage and message payloads, frame free
 // lists, and typed bump arenas for the Ptr, MemObj, message, receive,
-// request and MPI-argument values that live exactly as long as a run),
-// every rank proc it has built (each with its Machine and turn
-// semaphore) and its mainSem. RunCtx takes a Runtime from one bounded
-// free list shared by every program, rebinds its machines to the program
-// being run, and scrubs it back onto the list afterwards, so even a
-// compile-and-run-once workload (a fresh Program per /analyze request,
-// the dataset evaluation harness) executes out of warm memory and warm
-// rank state. Within one run only the goroutine holding the scheduler
-// turn touches the Runtime, so no locking is needed.
+// request and MPI-argument values that live exactly as long as a run)
+// and every rank proc it has built, each with its Machine and call
+// stack. RunCtx takes a Runtime from one bounded free list shared by
+// every program, rebinds its machines to the program being run, and
+// scrubs it back onto the list afterwards, so even a compile-and-run-once
+// workload (a fresh Program per /analyze request, the dataset evaluation
+// harness) executes out of warm memory and warm rank state. A run touches
+// its Runtime only from the goroutine that called RunCtx, so no locking
+// is needed.
 package mpisim
 
 import (
@@ -36,7 +36,7 @@ const (
 )
 
 // errRunMemory is the crash of a run that outgrew maxRunMemory. getBytes
-// panics with it and runRank recovers it as the rank's error.
+// panics with it and Runtime.step recovers it as the rank's error.
 var errRunMemory = &runErr{kind: "crash",
 	msg: fmt.Sprintf("simulated memory exceeds %d MiB", maxRunMemory>>20)}
 
@@ -122,11 +122,10 @@ func takeRuntime(ranks int) *Runtime {
 	case rt = <-freeRuns:
 	default:
 		rt = &Runtime{
-			mainSem: make(chan struct{}, 1),
-			reqs:    map[int64]*request{},
-			wins:    map[int64]*window{},
-			comms:   map[int64]int{},
-			dtypes:  map[int64]bool{},
+			reqs:   map[int64]*request{},
+			wins:   map[int64]*window{},
+			comms:  map[int64]int{},
+			dtypes: map[int64]bool{},
 		}
 	}
 	for len(rt.built) < ranks {
@@ -136,10 +135,9 @@ func takeRuntime(ranks int) *Runtime {
 	return rt
 }
 
-// newProc builds rt's proc for rank, with its machine and semaphore.
+// newProc builds rt's proc for rank, with its machine.
 func newProc(rt *Runtime, rank int) *proc {
-	pr := &proc{rank: rank, sem: make(chan struct{}, 1)}
-	pr.canRunBlocked = func() bool { return rt.deadlock || rt.stopErr != nil || pr.cond() }
+	pr := &proc{rank: rank}
 	pr.mach = &Machine{rank: rank, rt: rt, proc: pr}
 	return pr
 }
@@ -154,7 +152,7 @@ func clearSlice[T any](s []T) []T {
 // recycle scrubs the Runtime, so it keeps no reference to the run or the
 // program it ran, and puts it back on the free list unless its memory
 // (arena and output buffers) outgrew maxRunRetain. Only the arena, the
-// built procs, the semaphore and the emptied maps and queues are kept;
+// built procs and the emptied maps and queues are kept;
 // every other field returns to its zero value. The Result returned to
 // the caller shares no memory with the Runtime: output and diagnostics
 // are copied into strings, and the violations slice, which escaped into
@@ -172,8 +170,8 @@ func (rt *Runtime) recycle() {
 	clear(rt.comms)
 	clear(rt.dtypes)
 	clear(rt.derivedSizes)
-	*rt = Runtime{memArena: rt.memArena, built: rt.built, mainSem: rt.mainSem,
-		reqs: rt.reqs, wins: rt.wins, comms: rt.comms, dtypes: rt.dtypes,
+	*rt = Runtime{memArena: rt.memArena, built: rt.built, reqs: rt.reqs,
+		wins: rt.wins, comms: rt.comms, dtypes: rt.dtypes,
 		derivedSizes: rt.derivedSizes, sends: clearSlice(rt.sends),
 		recvs: clearSlice(rt.recvs), colls: clearSlice(rt.colls),
 		msgLog: rt.msgLog[:0], wildRecvs: rt.wildRecvs[:0]}

@@ -61,8 +61,8 @@ func BenchmarkSimCompile(b *testing.B) {
 
 // BenchmarkSimRunWarm measures a warm simulated run of a pre-compiled
 // program: a Runtime from the free list of whole runs (rank procs,
-// machines, frames and arena memory already built) and the
-// single-semaphore scheduler handoff. Every program shares that free
+// machines, frames and arena memory already built) stepped by the
+// scheduler's driver loop. Every program shares that free
 // list, so this is also the cost of a fresh program's first run, the one
 // simulation an /analyze request makes (TestFreshProgramRunReusesPool).
 func BenchmarkSimRunWarm(b *testing.B) {
@@ -94,18 +94,18 @@ func BenchmarkSimRunWarm8(b *testing.B) {
 
 // TestWarmRunAllocsBounded pins the pooling contract: a warm run of a
 // pre-compiled program must not allocate per frame, per memory object,
-// or per message — only the small fixed set of per-run objects (rank
-// goroutines, blocking conditions, the Result) remains. The bound is
-// deliberately tight; if it regresses, something stopped being pooled.
+// or per message — only the small fixed set of per-run objects (the
+// Result and its output) remains. The bound is deliberately tight; if it
+// regresses, something stopped being pooled.
 func TestWarmRunAllocsBounded(t *testing.T) {
 	prog := benchModule(t)
 	prog.Run(Config{Ranks: 2}) // warm the pools
 	allocs := testing.AllocsPerRun(20, func() {
 		prog.Run(Config{Ranks: 2})
 	})
-	// Measured ~30 on go1.24 (goroutines, cond closures, Result, output
-	// string); 60 leaves headroom without letting frame-per-call or
-	// object-per-alloca churn (hundreds per run) sneak back in.
+	// Measured 4 on go1.24 (the Result and its output string); 60 leaves
+	// headroom without letting frame-per-call or object-per-alloca churn
+	// (hundreds per run) sneak back in.
 	if allocs > 60 {
 		t.Fatalf("warm run allocates %.0f times; pooling regressed (want <= 60)", allocs)
 	}

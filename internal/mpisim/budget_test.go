@@ -93,11 +93,12 @@ func TestCancelBeforeStart(t *testing.T) {
 	}
 }
 
-// TestGoroutineHygiene asserts that the per-rank goroutines always exit —
-// after deadlocks, crashes, step-budget timeouts, wall-budget timeouts,
-// and cancellations — so a serving process running many simulations never
-// accumulates goroutines parked on resume/yielded channels. Run under
-// -race (CI does) to also prove the abort handshake is race-free.
+// TestGoroutineHygiene asserts that runs leave the goroutine count where
+// it was — after deadlocks, crashes, step-budget timeouts, wall-budget
+// timeouts, and cancellations — so a serving process running many
+// simulations never accumulates goroutines. A run starts none
+// (TestRunStartsNoGoroutine checks that while it is in flight); this
+// pins the aborted paths too.
 func TestGoroutineHygiene(t *testing.T) {
 	runtime.GC()
 	base := runtime.NumGoroutine()

@@ -61,11 +61,7 @@ func (rt *Runtime) doCollective(p *proc, op mpi.Op, args []RV) (RV, error) {
 	if sig.Arg.Comm >= 0 && sig.Arg.Comm < len(args) {
 		comm = args[sig.Arg.Comm].I
 	}
-	slot := rt.joinCollective(p, op, comm, args)
-	if err := rt.block(p, op, func() bool { return slot.done }); err != nil {
-		return RV{}, err
-	}
-	return RV{I: mpi.Success}, nil
+	return rt.park(p, wait{op: op, slot: rt.joinCollective(p, op, comm, args)})
 }
 
 func (rt *Runtime) doICollective(p *proc, op mpi.Op, args []RV) (RV, error) {
@@ -458,12 +454,13 @@ func reduceFloat(op mpi.ReduceOp, a, b float64) float64 {
 // doCommCreate implements Comm_split / Comm_dup as collectives that mint a
 // fresh communicator handle of the same size.
 func (rt *Runtime) doCommCreate(p *proc, op mpi.Op, args []RV) (RV, error) {
-	comm := args[0].I
-	slot := rt.joinCollective(p, op, comm, args)
-	if err := rt.block(p, op, func() bool { return slot.done }); err != nil {
-		return RV{}, err
-	}
-	// The first-arriving rank mints the handle at completion.
+	return rt.park(p, wait{op: op, slot: rt.joinCollective(p, op, args[0].I, args), args: args})
+}
+
+// commCreated finishes Comm_split/Comm_dup once every rank has joined.
+func (rt *Runtime) commCreated(p *proc, w *wait) (RV, error) {
+	op, args, slot, comm := w.op, w.args, w.slot, w.args[0].I
+	// The first rank out mints the handle.
 	if slot.newComm == 0 {
 		rt.nextComm++
 		slot.newComm = rt.nextComm

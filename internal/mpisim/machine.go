@@ -52,8 +52,8 @@ const maxRankOutput = 64 << 10
 // truncationMarker ends a capped output stream.
 const truncationMarker = "\n[mpisim: output truncated]\n"
 
-// Machine executes one compiled MPI rank. Its frames are flat []RV
-// slices indexed by pre-assigned register slots and pooled in its
+// Machine executes one compiled MPI rank. Its frames' slots are flat
+// []RV slices indexed by pre-assigned register slots and pooled in its
 // Runtime's arena. A Machine belongs to one pooled Runtime for life and
 // is rebound to a program at the start of every run.
 type Machine struct {
@@ -64,6 +64,10 @@ type Machine struct {
 	steps    int64
 	maxSteps int64
 
+	// stack is the simulated call stack, innermost frame last: calls push
+	// and pop it, so a rank parked in an MPI call is resumable data.
+	stack []frame
+
 	globals   []*MemObj
 	globalRVs []RV // pre-built pointer values, one per global
 
@@ -73,6 +77,14 @@ type Machine struct {
 	phiScratch []RV // parallel-copy staging for the widest phi edge
 	argScratch []RV // argument staging for non-retaining calls
 	fmtBuf     []byte
+}
+
+// frame is one activation of a compiled function.
+type frame struct {
+	fn    *cfunc
+	slots []RV
+	blk   *cblock
+	pc    int // the instruction to run next in blk; a call while suspended
 }
 
 // reset binds the machine to prog for a fresh run: zeroed counters,
@@ -86,11 +98,20 @@ func (m *Machine) reset(prog *Program, maxSteps int64) {
 	m.globalRVs = slices.Grow(m.globalRVs[:0], len(prog.globals))[:len(prog.globals)]
 }
 
-// run initialises the rank's globals out of the run's arena and executes
-// main; the error (if any) is a *runErr. Globals are built here, on the
-// rank's goroutine, so a global too large to allocate crashes the rank
-// like any other allocation instead of panicking out of RunCtx.
+// run executes the rank until main returns, the rank parks in a blocking
+// MPI call (errPark) or it fails; the error (if any) is a *runErr. A
+// parked rank first finishes the call it parked in. A fresh rank first
+// builds its globals out of the run's arena, so a global too large to
+// allocate crashes the rank like any other allocation.
 func (m *Machine) run() error {
+	if len(m.stack) > 0 {
+		rv, err := m.rt.park(m.proc, m.proc.wait)
+		if err != nil {
+			return err
+		}
+		m.stack[len(m.stack)-1].retire(rv)
+		return m.exec()
+	}
 	for i := range m.prog.globals {
 		g := &m.prog.globals[i]
 		obj := m.rt.newMemObj(g.name, g.size, m.rank)
@@ -102,30 +123,54 @@ func (m *Machine) run() error {
 		m.globals[i] = obj
 		m.globalRVs[i] = RV{P: m.rt.newPtr(obj, 0)}
 	}
-	main := m.prog.main
-	if main == nil {
+	if m.prog.main == nil {
 		return crashf("no main function")
 	}
 	// main's parameters read as zero; the frame is already zeroed.
-	_, err := m.call(main, nil, 0)
-	return err
+	if err := m.push(m.prog.main, nil); err != nil {
+		return err
+	}
+	return m.exec()
 }
 
 const maxCallDepth = 128
 
-func (m *Machine) call(cf *cfunc, args []RV, depth int) (RV, error) {
-	if depth > maxCallDepth {
-		return RV{}, crashf("call depth exceeded in @%s", cf.name)
+// push enters cf on a fresh frame holding its arguments.
+func (m *Machine) push(cf *cfunc, args []RV) error {
+	if len(m.stack) > maxCallDepth {
+		return crashf("call depth exceeded in @%s", cf.name)
+	}
+	if cf.entry == nil {
+		// Reproduce the pre-compilation engine's nil-entry panic (a
+		// defined function without blocks, or a declaration-only main).
+		var b *ir.Block
+		_ = b.Phis()
 	}
 	fr := m.rt.getFrame(cf.nslots)
-	n := len(args)
-	if n > cf.nparams {
-		n = cf.nparams
-	}
+	n := min(len(args), cf.nparams)
 	copy(fr[:n], args[:n])
-	rv, err := m.exec(cf, fr, depth)
-	m.rt.putFrame(fr)
-	return rv, err
+	m.stack = append(m.stack, frame{fn: cf, slots: fr, blk: cf.entry})
+	return m.applyMoves(fr, cf.entryMoves)
+}
+
+// unwind pops the frames down to depth, returning their slots to the
+// arena: one frame when a call returns, all of them when the rank fails.
+func (m *Machine) unwind(depth int) {
+	for len(m.stack) > depth {
+		top := len(m.stack) - 1
+		m.rt.putFrame(m.stack[top].slots)
+		m.stack[top] = frame{}
+		m.stack = m.stack[:top]
+	}
+}
+
+// retire stores v as the result of the frame's current instruction and
+// moves past it.
+func (f *frame) retire(v RV) {
+	if dst := f.blk.code[f.pc].dst; dst >= 0 {
+		f.slots[dst] = v
+	}
+	f.pc++
 }
 
 // evalOp resolves a pre-compiled operand against the frame.
@@ -139,6 +184,16 @@ func (m *Machine) evalOp(fr []RV, op *operand) (RV, error) {
 		return m.globalRVs[op.slot], nil
 	}
 	return RV{}, &runErr{kind: "crash", msg: m.prog.errs[op.slot]}
+}
+
+// evalAB resolves an instruction's two inline operands, a first.
+func (m *Machine) evalAB(fr []RV, in *cinstr) (RV, RV, error) {
+	x, err := m.evalOp(fr, &in.a)
+	if err != nil {
+		return RV{}, RV{}, err
+	}
+	y, err := m.evalOp(fr, &in.b)
+	return x, y, err
 }
 
 // applyMoves performs a phi edge's parallel copy: all sources evaluate
@@ -165,83 +220,80 @@ func (m *Machine) applyMoves(fr []RV, moves []phiMove) error {
 	return nil
 }
 
-// exec runs a compiled function body to completion.
-func (m *Machine) exec(cf *cfunc, fr []RV, depth int) (RV, error) {
-	if cf.entry == nil {
-		// Reproduce the pre-compilation engine's nil-entry panic (a
-		// defined function without blocks, or a declaration-only main).
-		var b *ir.Block
-		_ = b.Phis()
-	}
-	blk := cf.entry
-	moves := cf.entryMoves
+// exec runs the innermost frame onwards until main returns (nil), the
+// rank parks in a blocking MPI call (errPark, pc left on the call) or it
+// fails.
+func (m *Machine) exec() error {
+	f := &m.stack[len(m.stack)-1]
 	for {
-		if len(moves) > 0 {
-			if err := m.applyMoves(fr, moves); err != nil {
-				return RV{}, err
+		if f.pc >= len(f.blk.code) {
+			return crashf("fell off block %%%s in @%s", f.blk.name, f.fn.name)
+		}
+		in := &f.blk.code[f.pc]
+		m.steps++
+		if m.steps > m.maxSteps {
+			return &runErr{kind: "timeout",
+				msg: fmt.Sprintf("step budget exceeded in @%s", f.fn.name)}
+		}
+		// Cooperative cancellation: a rank that never blocks on MPI
+		// (a compute loop) must still notice an aborted run; checking
+		// every 1024 steps bounds both the check cost and how long a
+		// rank can outlive its budget.
+		if m.steps&1023 == 0 {
+			if se := m.rt.stopNow(); se != nil {
+				return se
 			}
 		}
-		code := blk.code
-		branched := false
-	body:
-		for i := range code {
-			in := &code[i]
-			m.steps++
-			if m.steps > m.maxSteps {
-				return RV{}, &runErr{kind: "timeout",
-					msg: fmt.Sprintf("step budget exceeded in @%s", cf.name)}
-			}
-			// Cooperative cancellation: a rank that never blocks on MPI
-			// (a compute loop) must still notice an aborted run; checking
-			// every 1024 steps bounds both the check cost and how long a
-			// rank can outlive its budget.
-			if m.steps&1023 == 0 {
-				if se := m.rt.stopNow(); se != nil {
-					return RV{}, se
-				}
-			}
-			switch in.op {
-			case ir.OpBr:
-				moves, blk = in.aux.moves0, in.aux.tgt0
-				branched = true
-				break body
-			case ir.OpCondBr:
-				c, err := m.evalOp(fr, &in.a)
+		var v RV
+		var err error
+		switch in.op {
+		case ir.OpBr, ir.OpCondBr:
+			aux := in.aux
+			moves, to := aux.moves0, aux.tgt0
+			if in.op == ir.OpCondBr {
+				c, err := m.evalOp(f.slots, &in.a)
 				if err != nil {
-					return RV{}, err
+					return err
 				}
-				aux := in.aux
-				if c.I != 0 {
-					moves, blk = aux.moves0, aux.tgt0
-				} else {
-					moves, blk = aux.moves1, aux.tgt1
-				}
-				branched = true
-				break body
-			case ir.OpRet:
-				if in.flag {
-					return m.evalOp(fr, &in.a)
-				}
-				return RV{}, nil
-			case ir.OpUnreachable:
-				return RV{}, crashf("reached unreachable in @%s", cf.name)
-			default:
-				v, err := m.execInstr(fr, in, depth)
-				if err != nil {
-					return RV{}, err
-				}
-				if in.dst >= 0 {
-					fr[in.dst] = v
+				if c.I == 0 {
+					moves, to = aux.moves1, aux.tgt1
 				}
 			}
+			if err := m.applyMoves(f.slots, moves); err != nil {
+				return err
+			}
+			f.blk, f.pc = to, 0
+			continue
+		case ir.OpRet:
+			if in.flag {
+				if v, err = m.evalOp(f.slots, &in.a); err != nil {
+					return err
+				}
+			}
+			m.unwind(len(m.stack) - 1)
+			if len(m.stack) == 0 {
+				return nil
+			}
+			f = &m.stack[len(m.stack)-1] // retire the call below
+		case ir.OpUnreachable:
+			return crashf("reached unreachable in @%s", f.fn.name)
+		case ir.OpCall:
+			v, err = m.execCall(f.slots, in)
+			if err == nil && in.ck == ckFunc {
+				f = &m.stack[len(m.stack)-1] // the callee; its return retires the call
+				continue
+			}
+		default:
+			v, err = m.execInstr(f.slots, in)
 		}
-		if !branched {
-			return RV{}, crashf("fell off block %%%s in @%s", blk.name, cf.name)
+		if err != nil {
+			return err
 		}
+		f.retire(v)
 	}
 }
 
-func (m *Machine) execInstr(fr []RV, in *cinstr, depth int) (RV, error) {
+func (m *Machine) execInstr(fr []RV, in *cinstr) (RV, error) {
 	switch {
 	case in.op == ir.OpAlloca:
 		n := 1
@@ -274,15 +326,11 @@ func (m *Machine) execInstr(fr []RV, in *cinstr, depth int) (RV, error) {
 		if in.sizeDyn {
 			size = ir.SizeOf(in.in.Typ)
 		}
-		m.rt.checkLocalAccess(m.rank, pv.P, size, false, in.in)
+		m.rt.checkLocalAccess(m.rank, pv.P, size, false)
 		return pv.P.Obj.loadSized(pv.P.Off, size, in.typ)
 
 	case in.op == ir.OpStore:
-		v, err := m.evalOp(fr, &in.a)
-		if err != nil {
-			return RV{}, err
-		}
-		pv, err := m.evalOp(fr, &in.b)
+		v, pv, err := m.evalAB(fr, in)
 		if err != nil {
 			return RV{}, err
 		}
@@ -293,29 +341,21 @@ func (m *Machine) execInstr(fr []RV, in *cinstr, depth int) (RV, error) {
 		if in.sizeDyn {
 			size = ir.SizeOf(in.in.Args[0].Type())
 		}
-		m.rt.checkLocalAccess(m.rank, pv.P, size, true, in.in)
+		m.rt.checkLocalAccess(m.rank, pv.P, size, true)
 		return RV{}, pv.P.Obj.storeSized(pv.P.Off, size, in.typ, v)
 
 	case in.op == ir.OpGEP:
 		return m.execGEP(fr, in)
 
 	case in.op.IsBinary():
-		x, err := m.evalOp(fr, &in.a)
-		if err != nil {
-			return RV{}, err
-		}
-		y, err := m.evalOp(fr, &in.b)
+		x, y, err := m.evalAB(fr, in)
 		if err != nil {
 			return RV{}, err
 		}
 		return execBinary(in.op, in.typ, x, y)
 
 	case in.op == ir.OpICmp:
-		x, err := m.evalOp(fr, &in.a)
-		if err != nil {
-			return RV{}, err
-		}
-		y, err := m.evalOp(fr, &in.b)
+		x, y, err := m.evalAB(fr, in)
 		if err != nil {
 			return RV{}, err
 		}
@@ -332,11 +372,7 @@ func (m *Machine) execInstr(fr []RV, in *cinstr, depth int) (RV, error) {
 		return boolRV(intCmp(in.cmp, x.I, y.I)), nil
 
 	case in.op == ir.OpFCmp:
-		x, err := m.evalOp(fr, &in.a)
-		if err != nil {
-			return RV{}, err
-		}
-		y, err := m.evalOp(fr, &in.b)
+		x, y, err := m.evalAB(fr, in)
 		if err != nil {
 			return RV{}, err
 		}
@@ -358,9 +394,6 @@ func (m *Machine) execInstr(fr []RV, in *cinstr, depth int) (RV, error) {
 			return m.evalOp(fr, &in.b)
 		}
 		return m.evalOp(fr, &in.aux.c)
-
-	case in.op == ir.OpCall:
-		return m.execCall(fr, in, depth)
 	}
 	return RV{}, crashf("cannot execute %s", in.op)
 }
@@ -444,7 +477,9 @@ func (m *Machine) execGEPSlow(fr []RV, in *cinstr) (RV, error) {
 	return RV{P: m.rt.newPtr(base.P.Obj, off)}, nil
 }
 
-func (m *Machine) execCall(fr []RV, in *cinstr, depth int) (RV, error) {
+// execCall runs a call. A call of a compiled function enters the callee
+// on a new frame; its return retires the call.
+func (m *Machine) execCall(fr []RV, in *cinstr) (RV, error) {
 	extra := in.aux.extra
 	nargs := len(extra)
 	var args []RV
@@ -467,7 +502,7 @@ func (m *Machine) execCall(fr []RV, in *cinstr, depth int) (RV, error) {
 	}
 	switch in.ck {
 	case ckMPI:
-		return m.rt.dispatch(m, in.aux.mpiOp, args, in.in)
+		return m.rt.dispatch(m, in.aux.mpiOp, args)
 	case ckPrintf:
 		return m.printf(args)
 	case ckExit:
@@ -477,7 +512,7 @@ func (m *Machine) execCall(fr []RV, in *cinstr, depth int) (RV, error) {
 	case ckUndef:
 		return RV{}, crashf("call to undefined @%s", in.in.Callee)
 	}
-	return m.call(in.aux.callee, args, depth+1)
+	return RV{}, m.push(in.aux.callee, args)
 }
 
 // printf implements the %d/%ld/%f/%g/%s/%c/%% subset, formatting into a

@@ -83,12 +83,7 @@ func (rt *Runtime) doSend(p *proc, op mpi.Op, args []RV) (RV, error) {
 	*msg = message{src: p.rank, dst: dst, tag: tag, comm: comm, dtype: dt, data: bytes}
 	msg.synchronous = op == mpi.OpSsend || op == mpi.OpRsend || len(bytes) > eagerLimit
 	rt.postSend(msg)
-	if msg.synchronous {
-		if err := rt.block(p, op, func() bool { return msg.matched }); err != nil {
-			return RV{}, err
-		}
-	}
-	return RV{I: mpi.Success}, nil
+	return rt.park(p, wait{op: op, msg: msg})
 }
 
 func (rt *Runtime) doRecv(p *proc, op mpi.Op, args []RV) (RV, error) {
@@ -104,10 +99,7 @@ func (rt *Runtime) doRecv(p *proc, op mpi.Op, args []RV) (RV, error) {
 	*r = recvPost{dst: p.rank, src: src, tag: tag, comm: comm, dtype: dt,
 		count: count, buf: buf, status: status}
 	rt.postRecv(r)
-	if err := rt.block(p, op, func() bool { return r.completed }); err != nil {
-		return RV{}, err
-	}
-	return RV{I: mpi.Success}, nil
+	return rt.park(p, wait{op: op, recv: r})
 }
 
 func (rt *Runtime) doSendrecv(p *proc, args []RV) (RV, error) {
@@ -131,12 +123,7 @@ func (rt *Runtime) doSendrecv(p *proc, args []RV) (RV, error) {
 			dtype: mpi.Datatype(args[2].I), data: bytes}
 		rt.postSend(msg)
 	}
-	if r != nil {
-		if err := rt.block(p, mpi.OpSendrecv, func() bool { return r.completed }); err != nil {
-			return RV{}, err
-		}
-	}
-	return RV{I: mpi.Success}, nil
+	return rt.park(p, wait{op: mpi.OpSendrecv, recv: r})
 }
 
 // doImmediate handles Isend/Issend/Irecv and the persistent inits.
@@ -370,11 +357,7 @@ func (rt *Runtime) doWait(p *proc, args []RV) (RV, error) {
 		// Waiting on an inactive persistent request returns immediately.
 		return RV{I: mpi.Success}, nil
 	}
-	if err := rt.block(p, mpi.OpWait, r.completed); err != nil {
-		return RV{}, err
-	}
-	rt.completeRequest(p, r, args[0].P)
-	return RV{I: mpi.Success}, nil
+	return rt.park(p, wait{op: mpi.OpWait, req: r, args: args})
 }
 
 func (rt *Runtime) completeRequest(p *proc, r *request, handlePtr *Ptr) {
@@ -390,14 +373,16 @@ func (rt *Runtime) completeRequest(p *proc, r *request, handlePtr *Ptr) {
 	}
 }
 
-func (rt *Runtime) doWaitall(p *proc, args []RV) (RV, error) {
-	n := int(args[0].I)
-	base := args[1].P
+// doWaitall completes MPI_Waitall's requests in order from the i-th and
+// parks on the first incomplete one; finish completes that one and
+// continues here with the next.
+func (rt *Runtime) doWaitall(p *proc, args []RV, i int) (RV, error) {
+	n, base := int(args[0].I), args[1].P
 	if base == nil {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: mpi.OpWaitall, Msg: "null request array"})
 		return RV{I: mpi.ErrOther}, nil
 	}
-	for i := 0; i < n; i++ {
+	for ; i < n; i++ {
 		hp := &Ptr{Obj: base.Obj, Off: base.Off + 8*i}
 		r, _, ok := rt.lookupRequest(p, mpi.OpWaitall, hp)
 		if !ok || r == nil {
@@ -406,8 +391,8 @@ func (rt *Runtime) doWaitall(p *proc, args []RV) (RV, error) {
 		if r.persistent && !r.active {
 			continue
 		}
-		if err := rt.block(p, mpi.OpWaitall, r.completed); err != nil {
-			return RV{}, err
+		if !r.completed() {
+			return rt.park(p, wait{op: mpi.OpWaitall, req: r, args: args, idx: i})
 		}
 		rt.completeRequest(p, r, hp)
 	}
@@ -431,9 +416,14 @@ func (rt *Runtime) doTest(p *proc, args []RV) (RV, error) {
 		setFlag(1)
 	} else {
 		setFlag(0)
-		// Give other ranks a turn so MPI_Test polling loops make progress
-		// under the cooperative scheduler.
-		rt.yieldTurn(p)
+		// Give other ranks a round so MPI_Test polling loops make
+		// progress under the cooperative scheduler. Once a deadlock or
+		// stop is latched, keep running until the interpreter's step
+		// check unwinds this rank.
+		if !rt.deadlock && rt.stopNow() == nil {
+			p.wait = wait{op: mpi.OpTest}
+			return RV{}, errPark
+		}
 	}
 	return RV{I: mpi.Success}, nil
 }

@@ -30,15 +30,17 @@ type rmaAccess struct {
 	op     mpi.Op
 }
 
-// doWinCreate is collective: every rank contributes its base/size; the
-// completing rank mints the handle.
+// doWinCreate is collective: every rank contributes its base/size.
 func (rt *Runtime) doWinCreate(p *proc, args []RV) (RV, error) {
 	// base0, size1, dispunit2, info3, comm4, win5
-	comm := args[4].I
-	slot := rt.joinCollective(p, mpi.OpWinCreate, comm, args)
-	if err := rt.block(p, mpi.OpWinCreate, func() bool { return slot.done }); err != nil {
-		return RV{}, err
-	}
+	slot := rt.joinCollective(p, mpi.OpWinCreate, args[4].I, args)
+	return rt.park(p, wait{op: mpi.OpWinCreate, slot: slot, args: args})
+}
+
+// winCreated finishes MPI_Win_create once every rank has joined: the
+// first rank out mints the window.
+func (rt *Runtime) winCreated(p *proc, wt *wait) (RV, error) {
+	args, slot, comm := wt.args, wt.slot, wt.args[4].I
 	if slot.newComm == 0 {
 		rt.nextWin++
 		slot.newComm = rt.nextWin
@@ -92,12 +94,7 @@ func (rt *Runtime) doWinFree(p *proc, args []RV) (RV, error) {
 			Msg: "window freed while an epoch is open"})
 	}
 	slot := rt.joinCollective(p, mpi.OpWinFree, w.comm, args)
-	if err := rt.block(p, mpi.OpWinFree, func() bool { return slot.done }); err != nil {
-		return RV{}, err
-	}
-	w.freed = true
-	_ = ptr.Obj.store(ptr.Off, ir.I64, RV{I: 0})
-	return RV{I: mpi.Success}, nil
+	return rt.park(p, wait{op: mpi.OpWinFree, slot: slot, win: w, args: args})
 }
 
 func (rt *Runtime) doWinFence(p *proc, args []RV) (RV, error) {
@@ -106,18 +103,7 @@ func (rt *Runtime) doWinFence(p *proc, args []RV) (RV, error) {
 		return RV{I: mpi.ErrOther}, nil
 	}
 	slot := rt.joinCollective(p, mpi.OpWinFence, w.comm, args)
-	if err := rt.block(p, mpi.OpWinFence, func() bool { return slot.done }); err != nil {
-		return RV{}, err
-	}
-	// The first rank out of the fence toggles the epoch.
-	if slot.newComm == 0 {
-		slot.newComm = 1
-		w.open = !w.open
-		if !w.open {
-			w.accesses = w.accesses[:0] // epoch closed: conflicts reset
-		}
-	}
-	return RV{I: mpi.Success}, nil
+	return rt.park(p, wait{op: mpi.OpWinFence, slot: slot, win: w})
 }
 
 // doRMAAccess implements Put / Get / Accumulate.
@@ -262,13 +248,7 @@ func (rt *Runtime) doWinLock(p *proc, op mpi.Op, args []RV) (RV, error) {
 		if !rt.peerOK(p, op, target) {
 			return RV{I: mpi.ErrOther}, nil
 		}
-		if holder, held := w.locks[target]; held && holder != 0 {
-			if err := rt.block(p, op, func() bool { return w.locks[target] == 0 }); err != nil {
-				return RV{}, err
-			}
-		}
-		w.locks[target] = p.rank + 1
-		return RV{I: mpi.Success}, nil
+		return rt.park(p, wait{op: op, win: w, idx: target})
 	}
 	// Unlock: rank0, win1
 	w := rt.winByHandle(p, op, args[1].I)

@@ -38,33 +38,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// proc states.
-const (
-	pBlocked = iota
-	pRunning
-	pDone
-	pFailed
-)
-
+// proc is one rank. Until it is done (returned from main or failed) it
+// is parked; a fresh rank is parked on nothing, so it runs at its first
+// turn.
 type proc struct {
-	rank      int
-	mach      *Machine
-	state     int
-	canRun    func() bool // nil: the proc only waits for its turn
-	blockedOn mpi.Op
-	err       *runErr
-
-	// cond is the wait condition of the current block(); canRunBlocked is
-	// the prebound "deadlock, stop or cond" predicate, built once per proc
-	// so blocking does not allocate a fresh closure every time.
-	cond          func() bool
-	canRunBlocked func() bool
-
-	// sem is the rank's turn token (capacity 1). Whoever holds the
-	// scheduler turn hands it over by sending here; the rank parks on a
-	// receive. One park/unpark per scheduler turn — there is no separate
-	// scheduler goroutine to round-trip through.
-	sem chan struct{}
+	rank int
+	mach *Machine
+	done bool
+	wait wait // what a parked rank waits on
+	err  *runErr
 
 	inited    bool
 	finalized bool
@@ -74,10 +56,43 @@ type proc struct {
 	ownedComms    []int64
 }
 
+// wait is what a rank parked in a blocking MPI call waits on, and what
+// finishing the call needs: one of msg, recv, req, slot (Win_free and
+// Win_fence carry win beside it) or win alone (Win_lock on target idx).
+// With none set it is over: MPI_Test's yield of one round, a rank that
+// has not started, or a Sendrecv from MPI_PROC_NULL.
+type wait struct {
+	op   mpi.Op
+	msg  *message  // a send, until matched unless eager
+	recv *recvPost // a receive, until completed
+	req  *request  // MPI_Wait/Waitall, until the request completes
+	slot *collSlot // a collective, until every member has joined
+	win  *window
+	args []RV // the call's arguments
+	idx  int  // MPI_Waitall: the index of req; MPI_Win_lock: the target
+}
+
+// ready reports whether the wait is over.
+func (w *wait) ready() bool {
+	switch {
+	case w.slot != nil:
+		return w.slot.done
+	case w.req != nil:
+		return w.req.completed()
+	case w.msg != nil:
+		return w.msg.matched || !w.msg.synchronous
+	case w.recv != nil:
+		return w.recv.completed
+	case w.win != nil:
+		return w.win.locks[w.idx] == 0
+	}
+	return true
+}
+
 // reset returns a proc to the state of a freshly built one after a run,
 // dropping every reference to the run and its program.
 func (p *proc) reset() {
-	*p = proc{rank: p.rank, mach: p.mach, sem: p.sem, canRunBlocked: p.canRunBlocked,
+	*p = proc{rank: p.rank, mach: p.mach,
 		activeRegions: clearSlice(p.activeRegions), ownedComms: p.ownedComms[:0]}
 	m := p.mach
 	m.prog = nil
@@ -96,31 +111,21 @@ type region struct {
 }
 
 // Runtime is the shared MPI world state of one simulated run, and the
-// unit the free list in arena.go reuses across runs and programs. Only
-// one rank executes at a time (cooperative scheduling), so no locking is
-// needed and runs are deterministic.
+// unit the free list in arena.go reuses across runs and programs. A run
+// executes on the goroutine that calls RunCtx, one rank at a time
+// (cooperative scheduling), so no locking is needed and runs are
+// deterministic.
 type Runtime struct {
 	memArena
 
 	procs []*proc // this run's ranks, a prefix of built
-	built []*proc // every proc built so far, machine and semaphore included
+	built []*proc // every proc built so far, machine included
 
 	// Cooperative cancellation: ctx is the caller's context, deadline the
-	// wall-clock budget, stopErr the latched abort reason. Only the
-	// goroutine currently holding the scheduler turn touches stopErr, and
-	// turns are handed over through the per-proc semaphores, so no
-	// locking is needed (same discipline as every other Runtime field).
+	// wall-clock budget, stopErr the latched abort reason.
 	ctx      context.Context
 	deadline time.Time
 	stopErr  *runErr
-
-	// Cooperative scheduler state: the round-robin cursor plus the
-	// per-round progress/liveness flags the old scheduler loop kept on
-	// its stack. Whoever yields the turn advances this state inline.
-	schedIdx      int
-	roundAlive    bool
-	roundProgress bool
-	mainSem       chan struct{} // wakes the caller when the run completes
 
 	violations []Violation
 	deadlock   bool
@@ -160,14 +165,13 @@ func Run(mod *ir.Module, cfg Config) *Result {
 	return Compile(mod).RunCtx(context.Background(), cfg)
 }
 
-// RunCtx simulates the compiled program under a caller context. The run
-// executes in a Runtime taken from the free list shared by every program
-// and returned to it afterwards. Cancelling ctx (or exceeding
-// cfg.WallBudget) aborts the run cooperatively: the scheduler's ordinary
-// round-robin wakes every parked rank so it can observe the stop and
-// exit, and the partial result is returned with Result.Canceled (ctx) or
-// Result.Timeout (budget) set. RunCtx never leaks the rank goroutines,
-// whatever state the simulated program is in.
+// RunCtx simulates the compiled program under a caller context, on the
+// calling goroutine. The run executes in a Runtime taken from the free
+// list shared by every program and returned to it afterwards. Cancelling
+// ctx (or exceeding cfg.WallBudget) aborts the run cooperatively: the
+// scheduler's ordinary round-robin resumes every parked rank so it can
+// observe the stop and fail, and the partial result is returned with
+// Result.Canceled (ctx) or Result.Timeout (budget) set.
 func (p *Program) RunCtx(ctx context.Context, cfg Config) *Result {
 	cfg = cfg.withDefaults()
 	rt := takeRuntime(cfg.Ranks)
@@ -181,50 +185,14 @@ func (p *Program) RunCtx(ctx context.Context, cfg Config) *Result {
 	for _, pr := range rt.procs {
 		pr.mach.reset(p, cfg.MaxSteps)
 	}
-	for _, pr := range rt.procs {
-		go runRank(rt, pr)
-	}
-	// Donate the turn; it comes back through mainSem when the run is over
-	// and every rank goroutine has passed its final handoff.
-	rt.giveTurn()
-	<-rt.mainSem
+	rt.drive()
 	res := rt.collect()
 	rt.recycle()
 	return res
 }
 
-// runRank is one rank's goroutine: wait for the first turn, execute the
-// program, hand the turn on. Any interpreter panic becomes a crash
-// verdict so a malformed program can never take down the host process.
-func runRank(rt *Runtime, p *proc) {
-	<-p.sem
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r == errRunMemory {
-				err = errRunMemory
-			} else if r != nil {
-				err = crashf("interpreter panic: %v", r)
-			}
-		}()
-		return p.mach.run()
-	}()
-	if err != nil {
-		if re, ok := err.(*runErr); ok {
-			p.err = re
-		} else {
-			p.err = &runErr{kind: "crash", msg: err.Error()}
-		}
-		p.state = pFailed
-	} else {
-		p.state = pDone
-	}
-	rt.giveTurn()
-}
-
 // stopNow reports (and latches) whether the run must abort: the caller's
-// context expired or the wall-clock budget ran out. It is only ever
-// called by the goroutine currently holding the scheduler turn, so the
-// latch needs no lock.
+// context expired or the wall-clock budget ran out.
 func (rt *Runtime) stopNow() *runErr {
 	if rt.stopErr != nil {
 		return rt.stopErr
@@ -237,96 +205,127 @@ func (rt *Runtime) stopNow() *runErr {
 	return rt.stopErr
 }
 
-// giveTurn relinquishes the scheduler turn: the caller (a rank that just
-// blocked, yielded or exited — or the main goroutine starting the run)
-// advances the round-robin scan inline and wakes exactly one party: the
-// next runnable rank, or the main goroutine when the run is over. This
-// replaces the old scheduler goroutine's resume/yielded channel pair —
-// a turn now costs one park/unpark instead of two channel round-trips.
-//
-// A deadlock or a stop needs no separate path: once either is latched,
-// every parked rank's canRunBlocked holds, so the same scan wakes the
-// parked ranks in rank order, and each unwinds through block's checks
-// without parking again. The next round then finds no rank alive.
-func (rt *Runtime) giveTurn() {
+// drive is the scheduler. Each round steps, in rank order, every parked
+// rank whose wait is over, and the rank runs until it parks again,
+// returns from main or fails. A round in which no parked rank can run is
+// a deadlock. A deadlock or a stop needs no separate path: once either is
+// latched every parked rank is stepped, await fails its call with the
+// latched error, and the next round finds no rank left.
+func (rt *Runtime) drive() {
 	for {
-		if rt.schedIdx == 0 && !rt.deadlock {
-			// Start of a round: latch a stop, once per round. A run that
-			// is already unwinding a deadlock reports only the deadlock.
+		if !rt.deadlock {
+			// Latch a stop, once per round. A run that is already
+			// unwinding a deadlock reports only the deadlock.
 			rt.stopNow()
 		}
-		for rt.schedIdx < len(rt.procs) {
-			p := rt.procs[rt.schedIdx]
-			rt.schedIdx++
-			if p.state != pBlocked {
+		alive, progress := false, false
+		for _, p := range rt.procs {
+			if p.done {
 				continue
 			}
-			rt.roundAlive = true
-			if p.canRun == nil || p.canRun() {
-				rt.roundProgress = true
-				p.state = pRunning
-				p.sem <- struct{}{}
-				return
+			alive = true
+			if rt.deadlock || rt.stopErr != nil || p.wait.ready() {
+				progress = true
+				rt.step(p)
 			}
 		}
-		// End of round.
-		if !rt.roundAlive {
-			rt.mainSem <- struct{}{}
+		if !alive {
 			return
 		}
-		if !rt.roundProgress {
+		if !progress {
 			// Global stall: genuine deadlock (every live rank blocked on a
 			// condition no live rank can satisfy).
 			rt.deadlock = true
 			blockedOps := []string{}
 			for _, p := range rt.procs {
-				if p.state == pBlocked {
-					blockedOps = append(blockedOps, fmt.Sprintf("rank %d in %s", p.rank, p.blockedOn))
+				if !p.done {
+					blockedOps = append(blockedOps, fmt.Sprintf("rank %d in %s", p.rank, p.wait.op))
 				}
 			}
 			rt.report(Violation{Kind: VDeadlock, Rank: -1, Op: mpi.OpNone,
 				Msg: "no progress possible: " + strings.Join(blockedOps, ", ")})
 		}
-		rt.schedIdx, rt.roundAlive, rt.roundProgress = 0, false, false
 	}
 }
 
-// block suspends the calling rank until cond() holds (or a deadlock or
-// stop is latched). It must only be called from a rank's own goroutine, during
-// its turn.
-func (rt *Runtime) block(p *proc, op mpi.Op, cond func() bool) error {
-	for !cond() {
+// step runs rank p until it parks, returns from main or fails. Any
+// interpreter panic, errRunMemory included, becomes the rank's crash
+// verdict, so a malformed program can never take down the host process.
+func (rt *Runtime) step(p *proc) {
+	defer func() {
+		if r := recover(); r == errRunMemory {
+			p.fail(errRunMemory)
+		} else if r != nil {
+			p.fail(&runErr{kind: "crash", msg: fmt.Sprintf("interpreter panic: %v", r)})
+		}
+	}()
+	switch err := p.mach.run(); err {
+	case errPark:
+	case nil:
+		p.done = true
+	default:
+		p.fail(err.(*runErr))
+	}
+}
+
+// fail ends rank p with err.
+func (p *proc) fail(err *runErr) {
+	p.err, p.done = err, true
+	p.mach.unwind(0)
+}
+
+// errPark is how a blocking MPI call whose wait is not over leaves the
+// interpreter: the rank stays parked on the call until its wait is over.
+var errPark = &runErr{kind: "park", msg: "parked in a blocking MPI call"}
+
+// park blocks p's MPI call on w; a parked call resumes through here with
+// its own wait. A call whose wait is over finishes. Otherwise it fails
+// with a latched deadlock or stop, or the rank parks (errPark).
+func (rt *Runtime) park(p *proc, w wait) (RV, error) {
+	p.wait = w
+	if !w.ready() {
 		if rt.deadlock {
-			return &runErr{kind: "deadlock", msg: "blocked in " + op.String()}
+			return RV{}, &runErr{kind: "deadlock", msg: "blocked in " + p.wait.op.String()}
 		}
 		if se := rt.stopNow(); se != nil {
-			return se
+			return RV{}, se
 		}
-		p.blockedOn = op
-		p.state = pBlocked
-		p.cond = cond
-		p.canRun = p.canRunBlocked
-		rt.giveTurn()
-		<-p.sem
-		p.state = pRunning
+		return RV{}, errPark
 	}
-	return nil
+	return rt.finish(p)
 }
 
-// yieldTurn hands the scheduler one round without a blocking condition:
-// used by MPI_Test so that spin-loops polling a request let peers progress.
-func (rt *Runtime) yieldTurn(p *proc) {
-	// Once a deadlock or stop is latched, keep the turn and let the
-	// interpreter's step check unwind this rank.
-	if rt.deadlock || rt.stopNow() != nil {
-		return
+// finish completes p's call once its wait is over: the second half of
+// the blocking ops whose first half parked.
+func (rt *Runtime) finish(p *proc) (RV, error) {
+	w := &p.wait
+	switch w.op {
+	case mpi.OpWait:
+		rt.completeRequest(p, w.req, w.args[0].P)
+	case mpi.OpWaitall:
+		base := w.args[1].P
+		rt.completeRequest(p, w.req, &Ptr{Obj: base.Obj, Off: base.Off + 8*w.idx})
+		return rt.doWaitall(p, w.args, w.idx+1)
+	case mpi.OpCommSplit, mpi.OpCommDup:
+		return rt.commCreated(p, w)
+	case mpi.OpWinCreate:
+		return rt.winCreated(p, w)
+	case mpi.OpWinFree:
+		w.win.freed = true
+		_ = w.args[0].P.Obj.store(w.args[0].P.Off, ir.I64, RV{I: 0})
+	case mpi.OpWinFence:
+		// The first rank out of the fence toggles the epoch.
+		if w.slot.newComm == 0 {
+			w.slot.newComm = 1
+			w.win.open = !w.win.open
+			if !w.win.open {
+				w.win.accesses = w.win.accesses[:0] // epoch closed: conflicts reset
+			}
+		}
+	case mpi.OpWinLock:
+		w.win.locks[w.idx] = p.rank + 1
 	}
-	p.blockedOn = mpi.OpTest
-	p.state = pBlocked
-	p.canRun = nil
-	rt.giveTurn()
-	<-p.sem
-	p.state = pRunning
+	return RV{I: mpi.Success}, nil
 }
 
 func (rt *Runtime) report(v Violation) {
@@ -438,8 +437,7 @@ func (rt *Runtime) finalLeakCheck() {
 				Msg: "window never freed"})
 		}
 	}
-	for id, committed := range rt.dtypes {
-		_ = id
+	for _, committed := range rt.dtypes {
 		if committed {
 			rt.reportOnce(Violation{Kind: VResourceLeak, Rank: -1, Op: mpi.OpTypeCommit,
 				Msg: "derived datatype never freed"})
@@ -461,7 +459,7 @@ func (rt *Runtime) finalLeakCheck() {
 
 // dispatch routes an MPI call to its handler. It is the single entry point
 // the interpreter uses for MPI_* calls.
-func (rt *Runtime) dispatch(m *Machine, op mpi.Op, args []RV, in *ir.Instr) (RV, error) {
+func (rt *Runtime) dispatch(m *Machine, op mpi.Op, args []RV) (RV, error) {
 	p := m.proc
 	if op == mpi.OpInit {
 		if p.inited {
@@ -497,7 +495,7 @@ func (rt *Runtime) dispatch(m *Machine, op mpi.Op, args []RV, in *ir.Instr) (RV,
 	case mpi.OpWait:
 		return rt.doWait(p, args)
 	case mpi.OpWaitall:
-		return rt.doWaitall(p, args)
+		return rt.doWaitall(p, args, 0)
 	case mpi.OpTest:
 		return rt.doTest(p, args)
 	case mpi.OpRequestFree:
@@ -574,7 +572,7 @@ func (rt *Runtime) doRankSize(p *proc, op mpi.Op, args []RV) (RV, error) {
 // epochs. The common case — no pending nonblocking operation and no RMA
 // window anywhere — must cost one branch, since this guards every memory
 // access the simulated program makes.
-func (rt *Runtime) checkLocalAccess(rank int, ptr *Ptr, size int, isWrite bool, in *ir.Instr) {
+func (rt *Runtime) checkLocalAccess(rank int, ptr *Ptr, size int, isWrite bool) {
 	p := rt.procs[rank]
 	if len(p.activeRegions) == 0 && len(rt.wins) == 0 {
 		return

@@ -114,10 +114,6 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, req BatchRequest) (<-chan Ver
 	if err != nil {
 		return nil, err
 	}
-	atomic.AddInt64(&e.stats.analyze.BatchRequests, 1)
-	atomic.AddInt64(&e.stats.analyze.BatchPrograms, int64(len(req.Programs)))
-	atomic.AddInt64(&e.stats.analyze.Requests, int64(len(req.Programs)))
-
 	out := make(chan VerdictEvent, len(req.Programs))
 	go e.runBatch(ctx, req, selected, ranks, out, func(ev VerdictEvent) bool {
 		select {
@@ -130,15 +126,18 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, req BatchRequest) (<-chan Ver
 	return out, nil
 }
 
-// runBatch fans the batch out with bounded parallelism, emitting each
-// verdict through emit (which must honor ctx) and closing out at the
-// end. It is shared by the streaming and job paths.
+// runBatch counts the batch, fans it out with bounded parallelism,
+// emitting each verdict through emit (which must honor ctx) and closing
+// out at the end. It is shared by the streaming and job paths.
 func (e *Engine) runBatch(ctx context.Context, req BatchRequest, selected []selectedTool, ranks int, out chan<- VerdictEvent, emit func(VerdictEvent) bool) {
 	defer func() {
 		if out != nil {
 			close(out)
 		}
 	}()
+	atomic.AddInt64(&e.stats.analyze.BatchRequests, 1)
+	atomic.AddInt64(&e.stats.analyze.BatchPrograms, int64(len(req.Programs)))
+	atomic.AddInt64(&e.stats.analyze.Requests, int64(len(req.Programs)))
 	sem := make(chan struct{}, e.cfg.BatchParallel)
 	var wg sync.WaitGroup
 	for i, p := range req.Programs {
@@ -188,9 +187,6 @@ func (e *Engine) SubmitJob(req BatchRequest) (jobs.Snapshot, error) {
 		return jobs.Snapshot{}, err
 	}
 	snap, err := e.jobMgr.Submit(len(req.Programs), func(ctx context.Context, emitR func(VerdictEvent)) error {
-		atomic.AddInt64(&e.stats.analyze.BatchRequests, 1)
-		atomic.AddInt64(&e.stats.analyze.BatchPrograms, int64(len(req.Programs)))
-		atomic.AddInt64(&e.stats.analyze.Requests, int64(len(req.Programs)))
 		e.runBatch(ctx, req, selected, ranks, nil, func(ev VerdictEvent) bool {
 			emitR(ev)
 			return true

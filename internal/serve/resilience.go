@@ -27,6 +27,7 @@ import (
 
 	"mpidetect/internal/events"
 	"mpidetect/internal/fault"
+	"mpidetect/internal/jobs"
 	"mpidetect/internal/resilience"
 )
 
@@ -207,15 +208,17 @@ type ResilienceStats struct {
 }
 
 // resilienceStats completes the stats section around its live counters.
-func (e *Engine) resilienceStats(rs ResilienceStats) *ResilienceStats {
-	rs.JobPanics = e.jobMgr.Stats().Panics
+// The job and store panic counts come from the jobs and store sections'
+// snapshots (ss is nil without a store).
+func (e *Engine) resilienceStats(rs ResilienceStats, js *jobs.Stats, ss *StoreStats) *ResilienceStats {
+	rs.JobPanics = js.Panics
 	rs.Draining = e.draining.Load()
 	rs.Breakers = e.breakerSnapshots()
-	if e.classifyTier != nil {
+	if ss != nil {
 		rs.StoreMode = e.storeMode()
-		rs.StorePanics = e.classifyTier.Stats().Panics
-		if e.toolTier != nil {
-			rs.StorePanics += e.toolTier.Stats().Panics
+		rs.StorePanics = ss.Classify.Panics
+		if ss.Tool != nil {
+			rs.StorePanics += ss.Tool.Panics
 		}
 	}
 	return &rs

@@ -937,6 +937,6 @@ func (e *Engine) Stats() StatsSnapshot {
 	if ss, ok := e.StoreStats(); ok {
 		s.Store = &ss
 	}
-	s.Resilience = e.resilienceStats(c.resilience)
+	s.Resilience = e.resilienceStats(c.resilience, s.Jobs, s.Store)
 	return s
 }
