@@ -32,6 +32,12 @@ build:
 test:
 	$(GO) test ./...
 
+# Every package under the race detector. A -race build also poisons
+# released IR: Module.Release gives each instruction of the module's
+# arena an invalid opcode and nil operand lists and never reuses the
+# arena (internal/ir/release_race.go), so any use of a module after its
+# serving path released it panics here, and in chaos and router-test,
+# instead of silently reading the next module's memory.
 race:
 	$(GO) test -race ./...
 

@@ -63,6 +63,7 @@ func CheckIR(d Detector, src string) (Verdict, error) {
 	if err != nil {
 		return Verdict{}, fmt.Errorf("core: parsing IR: %w", err)
 	}
+	defer m.Release()
 	passes.Optimize(m, d.Opt())
 	return checkOne(d, m)
 }

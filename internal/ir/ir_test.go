@@ -120,7 +120,7 @@ func TestParseTypeRoundTrip(t *testing.T) {
 	types := []*Type{I1, I8, I32, I64, F64, PtrTo(I32), ArrayOf(3, PtrTo(I8)),
 		PtrTo(ArrayOf(2, I64)), StatusType, PtrTo(StatusType)}
 	for _, typ := range types {
-		got, rest, err := parseType(typ.String())
+		got, rest, err := new(arena).parseType(typ.String())
 		if err != nil {
 			t.Fatalf("parseType(%q): %v", typ.String(), err)
 		}

@@ -14,16 +14,19 @@ import (
 // in parse_reference_test.go. It scans the source string directly (no
 // strings.Split line slice), every token is a substring of the input (no
 // per-token copies), opcode dispatch resolves against an interned keyword
-// table instead of scanning opcodeNames, and instructions, operand slices,
-// constants, and blocks are bump-allocated from pooled per-module arena
-// chunks. Modules and diagnostics — messages and line numbers — are
+// table instead of scanning opcodeNames, and every node — instructions,
+// operand and target lists, constants, blocks, functions, globals,
+// parameters, per-mention array and pointer types, and exact-size block
+// and function lists — is bump-allocated from the module's arena
+// (arena.go). Modules and diagnostics — messages and line numbers — are
 // byte-identical to the reference parser's; FuzzParse and
 // TestParseMatchesReference enforce that.
 //
 // Tokens (instruction names, callees, block labels) alias the source string,
-// so a parsed module keeps its source text alive. Modules and their sources
-// have the same lifetime everywhere in the pipeline, and the old parser's
-// strings.Split substrings aliased the source just the same.
+// so a parsed module keeps its source text alive until Module.Release
+// clears its arena. Modules and their sources have the same lifetime
+// everywhere in the pipeline, and the old parser's strings.Split
+// substrings aliased the source just the same.
 
 // Named struct registry: the textual form prints named structs as
 // %struct.NAME, so the parser needs their definitions.
@@ -48,12 +51,15 @@ func init() {
 	}
 }
 
-// ptrTo is PtrTo with the shared-singleton fast path.
-func ptrTo(t *Type) *Type {
+// ptrTo is PtrTo with the shared-singleton fast path, allocating any
+// other pointer type from the arena.
+func (a *arena) ptrTo(t *Type) *Type {
 	if p, ok := ptrCache[t]; ok {
 		return p
 	}
-	return PtrTo(t)
+	p := a.newType()
+	p.Kind, p.Elem = KPtr, t
+	return p
 }
 
 // RegisterStruct registers a named struct type for the parser. It returns
@@ -89,14 +95,20 @@ func init() {
 	}
 }
 
-// Parse parses the textual IR syntax produced by Print.
+// Parse parses the textual IR syntax produced by Print. The module's
+// nodes come from an arena; a serving path that is done with the module
+// hands the arena on with Module.Release.
 func Parse(src string) (*Module, error) {
 	p := parserPool.Get().(*parser)
 	p.src = src
 	p.pos = -1
+	p.mod = NewModule("parsed")
+	p.mod.arena = takeArena()
+	p.a = p.mod.arena
 	m, err := p.parseModule()
 	p.release()
 	if err != nil {
+		m.Release()
 		return nil, err
 	}
 	return m, nil
@@ -111,21 +123,6 @@ func MustParse(src string) *Module {
 	return m
 }
 
-// Arena chunk sizes: large enough that a typical corpus module allocates a
-// handful of chunks, small enough not to overshoot tiny modules badly.
-const (
-	instrChunk    = 64
-	argChunk      = 128
-	constChunk    = 64
-	blockChunk    = 16
-	blockPtrChunk = 32
-	instrPtrChunk = 128
-	funcChunk     = 8
-	globalChunk   = 8
-	paramChunk    = 32
-	typeChunk     = 16
-)
-
 var parserPool = sync.Pool{New: func() any { return new(parser) }}
 
 type parser struct {
@@ -139,6 +136,7 @@ type parser struct {
 	cur string
 
 	mod *Module
+	a   *arena // mod's arena: every node the parse makes comes from it
 
 	// Per-function state (reset at each define).
 	curFunc *Func
@@ -146,28 +144,14 @@ type parser struct {
 	pending []pendingRef
 
 	// Pooled scratch reused across parses. Everything that can hold a
-	// source substring is cleared in release so a pooled parser never pins
-	// a caller's input.
+	// source substring or a module node is cleared in release, so a pooled
+	// parser pins neither a caller's input nor a module's arena.
 	parts    []string
 	rawLines []string
 	rawLnos  []int32
 	spans    []blockSpan
-
-	// Arena chunks. The module owns pointers into them, so release drops
-	// the references rather than recycling the memory; pooling still wins
-	// by amortising one allocation per chunk instead of one per node.
-	instrs    []Instr
-	args      []Value
-	consts    []Const
-	blocks    []Block
-	blockPtrs []*Block
-	instrPtrs []*Instr
-	funcs     []Func
-	globals   []Global
-	params    []Param
-	paramPtrs []*Param
-	types     []Type
-	typePtrs  []*Type
+	funcs    []*Func   // the module's functions until the exact list is cut
+	globals  []*Global // likewise its globals
 }
 
 type blockSpan struct {
@@ -199,35 +183,28 @@ func (p *parser) nextLine() bool {
 	return true
 }
 
-// release returns the parser to the pool with every source reference and
-// module-owned arena chunk dropped.
+// release returns the parser to the pool with every source and module
+// reference dropped.
 func (p *parser) release() {
 	p.src, p.cur = "", ""
 	p.off, p.eof = 0, false
-	p.mod, p.curFunc = nil, nil
+	p.mod, p.a, p.curFunc = nil, nil, nil
 	clear(p.values)
-	for i := range p.pending {
-		p.pending[i] = pendingRef{}
-	}
-	p.pending = p.pending[:0]
-	for i := range p.parts {
-		p.parts[i] = ""
-	}
-	p.parts = p.parts[:0]
-	for i := range p.rawLines {
-		p.rawLines[i] = ""
-	}
-	p.rawLines = p.rawLines[:0]
+	p.pending = clearSlice(p.pending)
+	p.parts = clearSlice(p.parts)
+	p.rawLines = clearSlice(p.rawLines)
 	p.rawLnos = p.rawLnos[:0]
-	for i := range p.spans {
-		p.spans[i] = blockSpan{}
-	}
-	p.spans = p.spans[:0]
-	p.instrs, p.args, p.consts = nil, nil, nil
-	p.blocks, p.blockPtrs, p.instrPtrs = nil, nil, nil
-	p.funcs, p.globals, p.params = nil, nil, nil
-	p.paramPtrs, p.types, p.typePtrs = nil, nil, nil
+	p.spans = clearSlice(p.spans)
+	p.funcs = clearSlice(p.funcs)
+	p.globals = clearSlice(p.globals)
 	parserPool.Put(p)
+}
+
+// clearSlice zeroes s's elements, dropping their references, and
+// truncates it for reuse.
+func clearSlice[T any](s []T) []T {
+	clear(s)
+	return s[:0]
 }
 
 // split splits s on sep at bracket depth zero into the parser's reused
@@ -239,163 +216,13 @@ func (p *parser) split(s string, sep byte) []string {
 	return p.parts
 }
 
-// newInstr bump-allocates an instruction from the arena.
-func (p *parser) newInstr() *Instr {
-	if len(p.instrs) == cap(p.instrs) {
-		p.instrs = make([]Instr, 0, instrChunk)
-	}
-	p.instrs = append(p.instrs, Instr{})
-	return &p.instrs[len(p.instrs)-1]
-}
-
-// newArgs carves an exact-cap operand slice out of the arena. The full
-// slice expression pins cap == len so a later append by a pass copies out
-// instead of stomping the neighbouring instruction's operands.
-func (p *parser) newArgs(n int) []Value {
-	if n == 0 {
-		return nil
-	}
-	if len(p.args)+n > cap(p.args) {
-		c := argChunk
-		if n > c {
-			c = n
-		}
-		p.args = make([]Value, 0, c)
-	}
-	s := len(p.args)
-	p.args = p.args[:s+n]
-	return p.args[s : s+n : s+n]
-}
-
-// newConst bump-allocates a constant from the arena.
-func (p *parser) newConst() *Const {
-	if len(p.consts) == cap(p.consts) {
-		p.consts = make([]Const, 0, constChunk)
-	}
-	p.consts = append(p.consts, Const{})
-	return &p.consts[len(p.consts)-1]
-}
-
-// newBlock bump-allocates a basic block from the arena.
-func (p *parser) newBlock() *Block {
-	if len(p.blocks) == cap(p.blocks) {
-		p.blocks = make([]Block, 0, blockChunk)
-	}
-	p.blocks = append(p.blocks, Block{})
-	return &p.blocks[len(p.blocks)-1]
-}
-
-// newBlockPtrs carves an exact-cap []*Block (phi incoming / branch targets).
-func (p *parser) newBlockPtrs(n int) []*Block {
-	if n == 0 {
-		return nil
-	}
-	if len(p.blockPtrs)+n > cap(p.blockPtrs) {
-		c := blockPtrChunk
-		if n > c {
-			c = n
-		}
-		p.blockPtrs = make([]*Block, 0, c)
-	}
-	s := len(p.blockPtrs)
-	p.blockPtrs = p.blockPtrs[:s+n]
-	return p.blockPtrs[s : s+n : s+n]
-}
-
-// newFunc bump-allocates a function from the arena.
-func (p *parser) newFunc() *Func {
-	if len(p.funcs) == cap(p.funcs) {
-		p.funcs = make([]Func, 0, funcChunk)
-	}
-	p.funcs = append(p.funcs, Func{})
-	return &p.funcs[len(p.funcs)-1]
-}
-
-// newGlobal bump-allocates a global from the arena.
-func (p *parser) newGlobal() *Global {
-	if len(p.globals) == cap(p.globals) {
-		p.globals = make([]Global, 0, globalChunk)
-	}
-	p.globals = append(p.globals, Global{})
-	return &p.globals[len(p.globals)-1]
-}
-
-// newParam bump-allocates a parameter from the arena.
-func (p *parser) newParam() *Param {
-	if len(p.params) == cap(p.params) {
-		p.params = make([]Param, 0, paramChunk)
-	}
-	p.params = append(p.params, Param{})
-	return &p.params[len(p.params)-1]
-}
-
-// newType bump-allocates a type (function signatures) from the arena.
-func (p *parser) newType() *Type {
-	if len(p.types) == cap(p.types) {
-		p.types = make([]Type, 0, typeChunk)
-	}
-	p.types = append(p.types, Type{})
-	return &p.types[len(p.types)-1]
-}
-
-// newParamList carves a zero-length, exact-cap parameter list.
-func (p *parser) newParamList(n int) []*Param {
-	if n == 0 {
-		return nil
-	}
-	if len(p.paramPtrs)+n > cap(p.paramPtrs) {
-		c := paramChunk
-		if n > c {
-			c = n
-		}
-		p.paramPtrs = make([]*Param, 0, c)
-	}
-	s := len(p.paramPtrs)
-	p.paramPtrs = p.paramPtrs[:s+n]
-	return p.paramPtrs[s : s : s+n]
-}
-
-// newTypeList carves a zero-length, exact-cap type list (signature params).
-func (p *parser) newTypeList(n int) []*Type {
-	if n == 0 {
-		return nil
-	}
-	if len(p.typePtrs)+n > cap(p.typePtrs) {
-		c := typeChunk
-		if n > c {
-			c = n
-		}
-		p.typePtrs = make([]*Type, 0, c)
-	}
-	s := len(p.typePtrs)
-	p.typePtrs = p.typePtrs[:s+n]
-	return p.typePtrs[s : s : s+n]
-}
-
-// newInstrList carves a zero-length, exact-cap instruction list for a block
-// whose instruction count is known from the first pass.
-func (p *parser) newInstrList(n int) []*Instr {
-	if n == 0 {
-		return nil
-	}
-	if len(p.instrPtrs)+n > cap(p.instrPtrs) {
-		c := instrPtrChunk
-		if n > c {
-			c = n
-		}
-		p.instrPtrs = make([]*Instr, 0, c)
-	}
-	s := len(p.instrPtrs)
-	p.instrPtrs = p.instrPtrs[:s+n]
-	return p.instrPtrs[s : s : s+n]
-}
-
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("ir: parse line %d: %s", p.pos+1, fmt.Sprintf(format, args...))
 }
 
+// parseModule parses the source into p.mod. The module is returned even
+// on error, for Parse to release.
 func (p *parser) parseModule() (*Module, error) {
-	p.mod = NewModule("parsed")
 	for p.nextLine() {
 		line := strings.TrimSpace(p.cur)
 		switch {
@@ -405,21 +232,32 @@ func (p *parser) parseModule() (*Module, error) {
 			}
 		case strings.HasPrefix(line, "@"):
 			if err := p.parseGlobal(line); err != nil {
-				return nil, err
+				return p.mod, err
 			}
 		case strings.HasPrefix(line, "declare "):
 			if err := p.parseDeclare(line); err != nil {
-				return nil, err
+				return p.mod, err
 			}
 		case strings.HasPrefix(line, "define "):
 			if err := p.parseDefine(line); err != nil {
-				return nil, err
+				return p.mod, err
 			}
 		default:
-			return nil, p.errf("unexpected top-level %q", line)
+			return p.mod, p.errf("unexpected top-level %q", line)
 		}
 	}
+	// Cut the exact-size lists the module keeps.
+	p.mod.Funcs = append(p.a.newFuncList(len(p.funcs))[:0], p.funcs...)
+	p.mod.Globals = append(p.a.newGlobalList(len(p.globals))[:0], p.globals...)
 	return p.mod, nil
+}
+
+// addFunc appends f to the module's functions, which live in the parser's
+// scratch until parseModule cuts the exact list.
+func (p *parser) addFunc(f *Func) {
+	f.Mod = p.mod
+	p.funcs = append(p.funcs, f)
+	p.mod.Funcs = p.funcs
 }
 
 func (p *parser) parseGlobal(line string) error {
@@ -440,11 +278,11 @@ func (p *parser) parseGlobal(line string) error {
 	default:
 		return p.errf("global %s: missing global/constant keyword", name)
 	}
-	typ, rest, err := parseType(strings.TrimSpace(rest))
+	typ, rest, err := p.a.parseType(strings.TrimSpace(rest))
 	if err != nil {
 		return p.errf("global %s: %v", name, err)
 	}
-	g := p.newGlobal()
+	g := p.a.newGlobal()
 	g.Name, g.Elem, g.Const = name, typ, isConst
 	init := strings.TrimSpace(rest)
 	switch {
@@ -463,14 +301,15 @@ func (p *parser) parseGlobal(line string) error {
 		}
 		g.Init = c
 	}
-	p.mod.AddGlobal(g)
+	p.globals = append(p.globals, g)
+	p.mod.Globals = p.globals
 	return nil
 }
 
 // parseHeader parses "RET @name(T %p, T %q, ...)" returning the function
 // skeleton.
 func (p *parser) parseHeader(rest string) (*Func, error) {
-	ret, rest, err := parseType(strings.TrimSpace(rest))
+	ret, rest, err := p.a.parseType(strings.TrimSpace(rest))
 	if err != nil {
 		return nil, err
 	}
@@ -484,35 +323,35 @@ func (p *parser) parseHeader(rest string) (*Func, error) {
 		return nil, fmt.Errorf("malformed parameter list in %q", rest)
 	}
 	name := rest[1:open]
-	f := p.newFunc()
+	f := p.a.newFunc()
 	f.Name = name
 	var ptypes []*Type
 	params := strings.TrimSpace(rest[open+1 : close])
 	if params != "" {
 		parts := p.split(params, ',')
-		f.Params = p.newParamList(len(parts))
-		ptypes = p.newTypeList(len(parts))
+		f.Params = p.a.newParamList(len(parts))
+		ptypes = p.a.newTypeList(len(parts))
 		for _, part := range parts {
 			part = strings.TrimSpace(part)
 			if part == "..." {
 				f.Variadic = true
 				continue
 			}
-			pt, prest, err := parseType(part)
+			pt, prest, err := p.a.parseType(part)
 			if err != nil {
 				return nil, fmt.Errorf("param %q: %v", part, err)
 			}
 			pname := strings.TrimSpace(prest)
 			pname = strings.TrimPrefix(pname, "%")
 			if pname != "" {
-				prm := p.newParam()
+				prm := p.a.newParam()
 				prm.Name, prm.Typ = pname, pt
 				f.Params = append(f.Params, prm)
 			}
 			ptypes = append(ptypes, pt)
 		}
 	}
-	sig := p.newType()
+	sig := p.a.newType()
 	sig.Kind, sig.Ret, sig.Params = KFunc, ret, ptypes
 	f.Sig = sig
 	return f, nil
@@ -524,7 +363,7 @@ func (p *parser) parseDeclare(line string) error {
 		return p.errf("declare: %v", err)
 	}
 	f.Decl = true
-	p.mod.AddFunc(f)
+	p.addFunc(f)
 	return nil
 }
 
@@ -538,7 +377,7 @@ func (p *parser) parseDefine(line string) error {
 	if err != nil {
 		return p.errf("define: %v", err)
 	}
-	p.mod.AddFunc(f)
+	p.addFunc(f)
 
 	// First pass: collect block labels and instruction line spans into the
 	// pooled scratch (flat line list, one span per block).
@@ -554,10 +393,9 @@ func (p *parser) parseDefine(line string) error {
 			continue
 		}
 		if strings.HasSuffix(line, ":") && !strings.Contains(line, " ") {
-			b := p.newBlock()
+			b := p.a.newBlock()
 			b.Name = strings.TrimSuffix(line, ":")
 			b.Parent = f
-			f.Blocks = append(f.Blocks, b)
 			p.spans = append(p.spans, blockSpan{b: b, start: len(p.rawLines)})
 			continue
 		}
@@ -566,6 +404,11 @@ func (p *parser) parseDefine(line string) error {
 		}
 		p.rawLines = append(p.rawLines, line)
 		p.rawLnos = append(p.rawLnos, int32(p.pos))
+	}
+
+	f.Blocks = p.a.newBlockPtrs(len(p.spans))
+	for i, sp := range p.spans {
+		f.Blocks[i] = sp.b
 	}
 
 	// Second pass: parse instructions with value resolution. The pass
@@ -587,7 +430,7 @@ func (p *parser) parseDefine(line string) error {
 		if si+1 < len(p.spans) {
 			end = p.spans[si+1].start
 		}
-		sp.b.Instrs = p.newInstrList(end - sp.start)
+		sp.b.Instrs = p.a.newInstrList(end - sp.start)
 		for k := sp.start; k < end; k++ {
 			p.pos = int(p.rawLnos[k])
 			in, err := p.parseInstr(p.rawLines[k])
@@ -648,8 +491,8 @@ func (p *parser) operand(typ *Type, tok string, slot *Value) error {
 }
 
 // typedOperandTok parses "TYPE VALUE" returning the type and raw value token.
-func typedOperandTok(s string) (*Type, string, error) {
-	t, rest, err := parseType(strings.TrimSpace(s))
+func (a *arena) typedOperandTok(s string) (*Type, string, error) {
+	t, rest, err := a.parseType(strings.TrimSpace(s))
 	if err != nil {
 		return nil, "", err
 	}
@@ -683,24 +526,24 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 		op = line[:sp]
 		rest = strings.TrimSpace(line[sp+1:])
 	}
-	in := p.newInstr()
+	in := p.a.newInstr()
 	in.Name = name
 	var err error
 	switch op {
 	case "alloca":
 		parts := p.split(rest, ',')
 		in.Op = OpAlloca
-		in.AllocTy, _, err = parseType(strings.TrimSpace(parts[0]))
+		in.AllocTy, _, err = p.a.parseType(strings.TrimSpace(parts[0]))
 		if err != nil {
 			return nil, p.errf("alloca: %v", err)
 		}
-		in.Typ = ptrTo(in.AllocTy)
+		in.Typ = p.a.ptrTo(in.AllocTy)
 		if len(parts) == 2 {
-			ct, cv, err := typedOperandTok(parts[1])
+			ct, cv, err := p.a.typedOperandTok(parts[1])
 			if err != nil {
 				return nil, p.errf("alloca count: %v", err)
 			}
-			in.Args = p.newArgs(1)
+			in.Args = p.a.newArgs(1)
 			if err := p.operand(ct, cv, &in.Args[0]); err != nil {
 				return nil, p.errf("alloca count: %v", err)
 			}
@@ -711,15 +554,15 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 			return nil, p.errf("load wants 2 operands")
 		}
 		in.Op = OpLoad
-		in.Typ, _, err = parseType(strings.TrimSpace(parts[0]))
+		in.Typ, _, err = p.a.parseType(strings.TrimSpace(parts[0]))
 		if err != nil {
 			return nil, p.errf("load: %v", err)
 		}
-		pt, pv, err := typedOperandTok(parts[1])
+		pt, pv, err := p.a.typedOperandTok(parts[1])
 		if err != nil {
 			return nil, p.errf("load ptr: %v", err)
 		}
-		in.Args = p.newArgs(1)
+		in.Args = p.a.newArgs(1)
 		if err := p.operand(pt, pv, &in.Args[0]); err != nil {
 			return nil, p.errf("load ptr: %v", err)
 		}
@@ -730,15 +573,15 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 		}
 		in.Op = OpStore
 		in.Typ = Void
-		in.Args = p.newArgs(2)
-		vt, vv, err := typedOperandTok(parts[0])
+		in.Args = p.a.newArgs(2)
+		vt, vv, err := p.a.typedOperandTok(parts[0])
 		if err != nil {
 			return nil, p.errf("store value: %v", err)
 		}
 		if err := p.operand(vt, vv, &in.Args[0]); err != nil {
 			return nil, p.errf("store value: %v", err)
 		}
-		pt, pv, err := typedOperandTok(parts[1])
+		pt, pv, err := p.a.typedOperandTok(parts[1])
 		if err != nil {
 			return nil, p.errf("store ptr: %v", err)
 		}
@@ -751,14 +594,14 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 			return nil, p.errf("gep wants >= 2 operands")
 		}
 		in.Op = OpGEP
-		elem, _, err := parseType(strings.TrimSpace(parts[0]))
+		elem, _, err := p.a.parseType(strings.TrimSpace(parts[0]))
 		if err != nil {
 			return nil, p.errf("gep: %v", err)
 		}
-		in.Typ = ptrTo(elem)
-		in.Args = p.newArgs(len(parts) - 1)
+		in.Typ = p.a.ptrTo(elem)
+		in.Args = p.a.newArgs(len(parts) - 1)
 		for i, part := range parts[1:] {
-			t, v, err := typedOperandTok(part)
+			t, v, err := p.a.typedOperandTok(part)
 			if err != nil {
 				return nil, p.errf("gep operand: %v", err)
 			}
@@ -786,11 +629,11 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 		if len(parts) != 2 {
 			return nil, p.errf("%s wants 2 operands", op)
 		}
-		t, v, err := typedOperandTok(parts[0])
+		t, v, err := p.a.typedOperandTok(parts[0])
 		if err != nil {
 			return nil, p.errf("%s lhs: %v", op, err)
 		}
-		in.Args = p.newArgs(2)
+		in.Args = p.a.newArgs(2)
 		if err := p.operand(t, v, &in.Args[0]); err != nil {
 			return nil, p.errf("%s lhs: %v", op, err)
 		}
@@ -799,14 +642,14 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 		}
 	case "phi":
 		in.Op = OpPhi
-		t, rest2, err := parseType(rest)
+		t, rest2, err := p.a.parseType(rest)
 		if err != nil {
 			return nil, p.errf("phi: %v", err)
 		}
 		in.Typ = t
 		arms := p.split(strings.TrimSpace(rest2), ',')
-		in.Args = p.newArgs(len(arms))
-		in.Blocks = p.newBlockPtrs(len(arms))
+		in.Args = p.a.newArgs(len(arms))
+		in.Blocks = p.a.newBlockPtrs(len(arms))
 		for ai, arm := range arms {
 			arm = strings.TrimSpace(arm)
 			arm = strings.TrimPrefix(arm, "[")
@@ -832,9 +675,9 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 		if len(parts) != 3 {
 			return nil, p.errf("select wants 3 operands")
 		}
-		in.Args = p.newArgs(3)
+		in.Args = p.a.newArgs(3)
 		for i, part := range parts {
-			t, v, err := typedOperandTok(part)
+			t, v, err := p.a.typedOperandTok(part)
 			if err != nil {
 				return nil, p.errf("select: %v", err)
 			}
@@ -847,7 +690,7 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 		}
 	case "call":
 		in.Op = OpCall
-		t, rest2, err := parseType(rest)
+		t, rest2, err := p.a.parseType(rest)
 		if err != nil {
 			return nil, p.errf("call: %v", err)
 		}
@@ -865,9 +708,9 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 		args := strings.TrimSpace(rest2[open+1 : close])
 		if args != "" {
 			parts := p.split(args, ',')
-			in.Args = p.newArgs(len(parts))
+			in.Args = p.a.newArgs(len(parts))
 			for i, part := range parts {
-				t, v, err := typedOperandTok(part)
+				t, v, err := p.a.typedOperandTok(part)
 				if err != nil {
 					return nil, p.errf("call arg: %v", err)
 				}
@@ -884,7 +727,7 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 			if err != nil {
 				return nil, p.errf("br: %v", err)
 			}
-			in.Blocks = p.newBlockPtrs(1)
+			in.Blocks = p.a.newBlockPtrs(1)
 			in.Blocks[0] = b
 		} else {
 			in.Op = OpCondBr
@@ -893,11 +736,11 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 			if len(parts) != 3 {
 				return nil, p.errf("condbr wants cond + 2 labels")
 			}
-			t, v, err := typedOperandTok(parts[0])
+			t, v, err := p.a.typedOperandTok(parts[0])
 			if err != nil {
 				return nil, p.errf("condbr cond: %v", err)
 			}
-			in.Args = p.newArgs(1)
+			in.Args = p.a.newArgs(1)
 			if err := p.operand(t, v, &in.Args[0]); err != nil {
 				return nil, p.errf("condbr cond: %v", err)
 			}
@@ -909,18 +752,18 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 			if err != nil {
 				return nil, p.errf("condbr: %v", err)
 			}
-			in.Blocks = p.newBlockPtrs(2)
+			in.Blocks = p.a.newBlockPtrs(2)
 			in.Blocks[0], in.Blocks[1] = bt, bf
 		}
 	case "ret":
 		in.Op = OpRet
 		in.Typ = Void
 		if rest != "void" && rest != "" {
-			t, v, err := typedOperandTok(rest)
+			t, v, err := p.a.typedOperandTok(rest)
 			if err != nil {
 				return nil, p.errf("ret: %v", err)
 			}
-			in.Args = p.newArgs(1)
+			in.Args = p.a.newArgs(1)
 			if err := p.operand(t, v, &in.Args[0]); err != nil {
 				return nil, p.errf("ret: %v", err)
 			}
@@ -940,12 +783,12 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 			if len(parts) != 2 {
 				return nil, p.errf("%s wants 2 operands", op)
 			}
-			t, v, err := typedOperandTok(parts[0])
+			t, v, err := p.a.typedOperandTok(parts[0])
 			if err != nil {
 				return nil, p.errf("%s: %v", op, err)
 			}
 			in.Typ = t
-			in.Args = p.newArgs(2)
+			in.Args = p.a.newArgs(2)
 			if err := p.operand(t, v, &in.Args[0]); err != nil {
 				return nil, p.errf("%s: %v", op, err)
 			}
@@ -960,15 +803,15 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 		if toIdx < 0 {
 			return nil, p.errf("%s wants 'to'", op)
 		}
-		t, v, err := typedOperandTok(rest[:toIdx])
+		t, v, err := p.a.typedOperandTok(rest[:toIdx])
 		if err != nil {
 			return nil, p.errf("%s: %v", op, err)
 		}
-		in.Typ, _, err = parseType(strings.TrimSpace(rest[toIdx+4:]))
+		in.Typ, _, err = p.a.parseType(strings.TrimSpace(rest[toIdx+4:]))
 		if err != nil {
 			return nil, p.errf("%s: %v", op, err)
 		}
-		in.Args = p.newArgs(1)
+		in.Args = p.a.newArgs(1)
 		if err := p.operand(t, v, &in.Args[0]); err != nil {
 			return nil, p.errf("%s: %v", op, err)
 		}
@@ -979,7 +822,7 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 // parseConst parses an integer/float/null/undef literal of type t,
 // allocating from the parser's arena.
 func (p *parser) parseConst(t *Type, tok string) (*Const, error) {
-	c := p.newConst()
+	c := p.a.newConst()
 	if err := fillConst(c, t, tok); err != nil {
 		return nil, err
 	}
@@ -1043,8 +886,9 @@ func fillConst(c *Const, t *Type, tok string) error {
 	return nil
 }
 
-// parseType parses a leading type from s, returning the remainder.
-func parseType(s string) (*Type, string, error) {
+// parseType parses a leading type from s, returning the remainder. Types
+// that are not shared singletons come from the arena.
+func (a *arena) parseType(s string) (*Type, string, error) {
 	s = strings.TrimSpace(s)
 	var base *Type
 	switch {
@@ -1074,7 +918,8 @@ func parseType(s string) (*Type, string, error) {
 			// An unregistered name is an opaque struct of this mention
 			// alone: the registry is read-only while parsing, since parses
 			// run concurrently, and input must not grow it.
-			st = StructOf(name)
+			st = a.newType()
+			st.Kind, st.SName = KStruct, name
 		}
 		base, s = st, rest[end:]
 	case strings.HasPrefix(s, "["):
@@ -1091,19 +936,21 @@ func parseType(s string) (*Type, string, error) {
 		if err != nil {
 			return nil, "", fmt.Errorf("bad array length in %q", inner)
 		}
-		elem, rest, err := parseType(inner[xIdx+3:])
+		elem, rest, err := a.parseType(inner[xIdx+3:])
 		if err != nil {
 			return nil, "", err
 		}
 		if strings.TrimSpace(rest) != "" {
 			return nil, "", fmt.Errorf("trailing %q in array type", rest)
 		}
-		base, s = ArrayOf(n, elem), s[close+1:]
+		arr := a.newType()
+		arr.Kind, arr.Len, arr.Elem = KArray, n, elem
+		base, s = arr, s[close+1:]
 	default:
 		return nil, "", fmt.Errorf("unknown type at %q", s)
 	}
 	for strings.HasPrefix(s, "*") {
-		base = ptrTo(base)
+		base = a.ptrTo(base)
 		s = s[1:]
 	}
 	return base, s, nil

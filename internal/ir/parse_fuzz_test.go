@@ -10,7 +10,8 @@ import (
 // reference implementation: for any input, both must produce the same error
 // string or the same printed module. Seeds cover the full golden corpus (so
 // the fuzzer starts from realistic IR and mutates from there) plus a few
-// hand-picked syntax corners.
+// hand-picked syntax corners. Each module is released after the
+// comparison, so later inputs parse into recycled arenas.
 func FuzzParse(f *testing.F) {
 	for _, src := range goldenSources(f) {
 		f.Add(src)
@@ -45,5 +46,6 @@ func FuzzParse(f *testing.F) {
 		if p1, p2 := ir.Print(m1), ir.Print(m2); p1 != p2 {
 			t.Fatalf("module drift:\n--- new ---\n%s\n--- ref ---\n%s\nsource:\n%q", p1, p2, src)
 		}
+		m1.Release()
 	})
 }

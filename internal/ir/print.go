@@ -144,6 +144,8 @@ func FormatInstr(in *Instr) string {
 		return "ret " + typedOperand(in.Args[0])
 	case OpUnreachable:
 		return "unreachable"
+	case opReleased:
+		panic("ir: printing an instruction of a released module")
 	default:
 		if in.Op.IsBinary() {
 			return fmt.Sprintf("%s%s %s, %s", lhs, in.Op, typedOperand(in.Args[0]), in.Args[1].Ident())

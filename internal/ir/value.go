@@ -219,16 +219,16 @@ func (b *Block) RemoveInstr(in *Instr) {
 	}
 }
 
-// Phis returns the phi instructions at the head of the block.
+// Phis returns the phi instructions at the head of the block. The result
+// aliases b.Instrs (its capacity is pinned to its length, so an append
+// copies out), and callers must not change b's instruction list while
+// they use it.
 func (b *Block) Phis() []*Instr {
-	var out []*Instr
-	for _, in := range b.Instrs {
-		if in.Op != OpPhi {
-			break
-		}
-		out = append(out, in)
+	n := 0
+	for n < len(b.Instrs) && b.Instrs[n].Op == OpPhi {
+		n++
 	}
-	return out
+	return b.Instrs[:n:n]
 }
 
 // Module is a translation unit: globals plus functions.
@@ -236,6 +236,10 @@ type Module struct {
 	Name    string
 	Globals []*Global
 	Funcs   []*Func
+
+	// arena holds the module's nodes: set by Parse, taken on first use by
+	// a pass growing a module built otherwise, dropped by Release.
+	arena *arena
 }
 
 // NewModule returns an empty module with the given name.

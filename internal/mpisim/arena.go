@@ -165,6 +165,9 @@ func (rt *Runtime) recycle() {
 		pr.reset()
 		kept += cap(pr.mach.out)
 	}
+	for _, s := range rt.colls {
+		kept += s.scrub()
+	}
 	clear(rt.reqs)
 	clear(rt.wins)
 	clear(rt.comms)
@@ -173,7 +176,7 @@ func (rt *Runtime) recycle() {
 	*rt = Runtime{memArena: rt.memArena, built: rt.built, reqs: rt.reqs,
 		wins: rt.wins, comms: rt.comms, dtypes: rt.dtypes,
 		derivedSizes: rt.derivedSizes, sends: clearSlice(rt.sends),
-		recvs: clearSlice(rt.recvs), colls: clearSlice(rt.colls),
+		recvs: clearSlice(rt.recvs), colls: rt.colls[:0],
 		msgLog: rt.msgLog[:0], wildRecvs: rt.wildRecvs[:0]}
 	if kept > maxRunRetain {
 		return // oversized: let the GC have it

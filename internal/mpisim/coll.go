@@ -2,6 +2,7 @@ package mpisim
 
 import (
 	"fmt"
+	"unsafe"
 
 	"mpidetect/internal/ir"
 	"mpidetect/internal/mpi"
@@ -37,8 +38,7 @@ func (rt *Runtime) joinCollective(p *proc, op mpi.Op, comm int64, args []RV) *co
 		break
 	}
 	if slot == nil {
-		slot = &collSlot{op: op, comm: comm, members: map[int]collMember{}}
-		rt.colls = append(rt.colls, slot)
+		slot = rt.newCollSlot(op, comm)
 	}
 	slot.members[p.rank] = collMember{args: args}
 	slot.order = append(slot.order, p.rank)
@@ -46,6 +46,33 @@ func (rt *Runtime) joinCollective(p *proc, op mpi.Op, comm int64, args []RV) *co
 		rt.completeCollective(slot)
 	}
 	return slot
+}
+
+// newCollSlot opens a collective instance at the end of rt.colls. The
+// list keeps the slots of earlier runs past its length (recycle scrubs
+// them), so a warm run reuses a slot with its members map and order
+// slice instead of allocating all three.
+func (rt *Runtime) newCollSlot(op mpi.Op, comm int64) *collSlot {
+	n := len(rt.colls)
+	if n < cap(rt.colls) {
+		if s := rt.colls[:n+1][n]; s != nil {
+			rt.colls = rt.colls[:n+1]
+			s.op, s.comm = op, comm
+			return s
+		}
+	}
+	s := &collSlot{op: op, comm: comm, members: map[int]collMember{}}
+	rt.colls = append(rt.colls, s)
+	return s
+}
+
+// scrub empties a finished run's slot for reuse, dropping every
+// reference its members held, and returns the bytes it keeps.
+func (s *collSlot) scrub() int {
+	kept := int(unsafe.Sizeof(*s)) + cap(s.order)*int(8+unsafe.Sizeof(collMember{}))
+	clear(s.members)
+	*s = collSlot{members: s.members, order: s.order[:0]}
+	return kept
 }
 
 func (rt *Runtime) commSize(comm int64) int {

@@ -310,31 +310,31 @@ func (rt *Runtime) pruneQueues() {
 }
 
 // lookupRequest resolves a request handle read from memory.
-func (rt *Runtime) lookupRequest(p *proc, op mpi.Op, ptr *Ptr) (*request, int64, bool) {
+func (rt *Runtime) lookupRequest(p *proc, op mpi.Op, ptr *Ptr) (*request, bool) {
 	if ptr == nil {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: op, Msg: "null request pointer"})
-		return nil, 0, false
+		return nil, false
 	}
 	hv, err := ptr.Obj.load(ptr.Off, ir.I64)
 	if err != nil {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: op, Msg: "unreadable request"})
-		return nil, 0, false
+		return nil, false
 	}
 	if hv.I == mpi.RequestNil {
-		return nil, hv.I, true // null request: no-op per the standard
+		return nil, true // null request: no-op per the standard
 	}
 	r, ok := rt.reqs[hv.I]
 	if !ok {
 		rt.report(Violation{Kind: VRequestLife, Rank: p.rank, Op: op,
 			Msg: fmt.Sprintf("operation on uninitialised request handle %d", hv.I)})
-		return nil, hv.I, false
+		return nil, false
 	}
 	if r.freed {
 		rt.report(Violation{Kind: VRequestLife, Rank: p.rank, Op: op,
 			Msg: "operation on freed request"})
-		return nil, hv.I, false
+		return nil, false
 	}
-	return r, hv.I, true
+	return r, true
 }
 
 // clearRegions removes the active-region bookkeeping of a request.
@@ -349,7 +349,7 @@ func (p *proc) clearRegions(reqID int64) {
 }
 
 func (rt *Runtime) doWait(p *proc, args []RV) (RV, error) {
-	r, _, ok := rt.lookupRequest(p, mpi.OpWait, args[0].P)
+	r, ok := rt.lookupRequest(p, mpi.OpWait, args[0].P)
 	if !ok || r == nil {
 		return RV{I: mpi.Success}, nil
 	}
@@ -384,7 +384,7 @@ func (rt *Runtime) doWaitall(p *proc, args []RV, i int) (RV, error) {
 	}
 	for ; i < n; i++ {
 		hp := &Ptr{Obj: base.Obj, Off: base.Off + 8*i}
-		r, _, ok := rt.lookupRequest(p, mpi.OpWaitall, hp)
+		r, ok := rt.lookupRequest(p, mpi.OpWaitall, hp)
 		if !ok || r == nil {
 			continue
 		}
@@ -400,7 +400,7 @@ func (rt *Runtime) doWaitall(p *proc, args []RV, i int) (RV, error) {
 }
 
 func (rt *Runtime) doTest(p *proc, args []RV) (RV, error) {
-	r, _, ok := rt.lookupRequest(p, mpi.OpTest, args[0].P)
+	r, ok := rt.lookupRequest(p, mpi.OpTest, args[0].P)
 	flagPtr := args[1].P
 	setFlag := func(v int64) {
 		if flagPtr != nil {
@@ -429,7 +429,7 @@ func (rt *Runtime) doTest(p *proc, args []RV) (RV, error) {
 }
 
 func (rt *Runtime) doRequestFree(p *proc, args []RV) (RV, error) {
-	r, _, ok := rt.lookupRequest(p, mpi.OpRequestFree, args[0].P)
+	r, ok := rt.lookupRequest(p, mpi.OpRequestFree, args[0].P)
 	if !ok || r == nil {
 		return RV{I: mpi.Success}, nil
 	}
@@ -447,38 +447,39 @@ func (rt *Runtime) doRequestFree(p *proc, args []RV) (RV, error) {
 }
 
 func (rt *Runtime) doStart(p *proc, op mpi.Op, args []RV) (RV, error) {
-	handles := []*Ptr{}
 	if op == mpi.OpStart {
-		handles = append(handles, args[0].P)
-	} else {
-		n := int(args[0].I)
-		base := args[1].P
-		if base == nil {
-			rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: op, Msg: "null request array"})
-			return RV{I: mpi.ErrOther}, nil
-		}
-		for i := 0; i < n; i++ {
-			handles = append(handles, &Ptr{Obj: base.Obj, Off: base.Off + 8*i})
-		}
+		rt.startRequest(p, op, args[0].P)
+		return RV{I: mpi.Success}, nil
 	}
-	for _, hp := range handles {
-		r, _, ok := rt.lookupRequest(p, op, hp)
-		if !ok || r == nil {
-			continue
-		}
-		if !r.persistent {
-			rt.report(Violation{Kind: VRequestLife, Rank: p.rank, Op: op,
-				Msg: "MPI_Start on a non-persistent request"})
-			continue
-		}
-		if r.active {
-			rt.report(Violation{Kind: VRequestLife, Rank: p.rank, Op: op,
-				Msg: "MPI_Start on an already active request"})
-			continue
-		}
-		rt.activateRequest(p, r)
+	n, base := int(args[0].I), args[1].P
+	if base == nil {
+		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: op, Msg: "null request array"})
+		return RV{I: mpi.ErrOther}, nil
+	}
+	for i := 0; i < n; i++ {
+		hp := Ptr{Obj: base.Obj, Off: base.Off + 8*i}
+		rt.startRequest(p, op, &hp)
 	}
 	return RV{I: mpi.Success}, nil
+}
+
+// startRequest activates the persistent request behind handle hp.
+func (rt *Runtime) startRequest(p *proc, op mpi.Op, hp *Ptr) {
+	r, ok := rt.lookupRequest(p, op, hp)
+	if !ok || r == nil {
+		return
+	}
+	if !r.persistent {
+		rt.report(Violation{Kind: VRequestLife, Rank: p.rank, Op: op,
+			Msg: "MPI_Start on a non-persistent request"})
+		return
+	}
+	if r.active {
+		rt.report(Violation{Kind: VRequestLife, Rank: p.rank, Op: op,
+			Msg: "MPI_Start on an already active request"})
+		return
+	}
+	rt.activateRequest(p, r)
 }
 
 func (rt *Runtime) doGetCount(p *proc, args []RV) (RV, error) {

@@ -16,12 +16,14 @@ type scratch struct {
 	cfg
 	dom DomTree
 	m2r mem2reg
+	inl inliner
 	// uses counts the operand uses of each instruction for DCE.
 	uses map[*ir.Instr]int32
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{uses: map[*ir.Instr]int32{}, m2r: newMem2Reg()}
+	return &scratch{uses: map[*ir.Instr]int32{}, m2r: newMem2Reg(),
+		inl: inliner{vmap: map[ir.Value]ir.Value{}}}
 }}
 
 // getScratch takes a scratch from the pool. Nothing is reset on release:
@@ -118,17 +120,6 @@ func (c *cfg) computeReach() {
 		c.stack = c.stack[:len(c.stack)-1]
 	}
 	slices.Reverse(c.rpo)
-}
-
-// leadingPhis returns the phis at the head of b without copying them:
-// the result aliases b.Instrs, so b's instruction list must not change
-// while it is in use.
-func leadingPhis(b *ir.Block) []*ir.Instr {
-	n := 0
-	for n < len(b.Instrs) && b.Instrs[n].Op == ir.OpPhi {
-		n++
-	}
-	return b.Instrs[:n]
 }
 
 // resize returns s with length n, reusing its storage when it can. The

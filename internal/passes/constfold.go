@@ -28,7 +28,8 @@ func ConstFold(f *ir.Func) bool {
 					}
 					t.Op = ir.OpBr
 					t.Args = nil
-					t.Blocks = []*ir.Block{taken}
+					t.Blocks[0] = taken
+					t.Blocks = t.Blocks[:1]
 					if dropped != taken {
 						removePhiEdge(dropped, b)
 					}
@@ -46,7 +47,7 @@ func ConstFold(f *ir.Func) bool {
 
 // removePhiEdge drops the incoming edge from pred in every phi of b.
 func removePhiEdge(b, pred *ir.Block) {
-	for _, phi := range leadingPhis(b) {
+	for _, phi := range b.Phis() {
 		for i := 0; i < len(phi.Blocks); {
 			if phi.Blocks[i] == pred {
 				phi.Blocks = append(phi.Blocks[:i], phi.Blocks[i+1:]...)

@@ -78,3 +78,10 @@ func SimplifyCFG(f *ir.Func) bool {
 	defer scratchPool.Put(s)
 	return s.simplifyCFG(f)
 }
+
+// Inline runs the inliner alone on m.
+func Inline(m *ir.Module, maxSize int) bool {
+	s := getScratch()
+	defer scratchPool.Put(s)
+	return s.inline(m, maxSize)
+}

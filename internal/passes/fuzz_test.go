@@ -11,8 +11,9 @@ import (
 // verifies. Each run must finish without panicking, leave a module that
 // still verifies, print IR that re-parses, and print the same text for
 // two fresh parses of the input: the optimiser may depend only on the
-// module it is given. Seeds are corpus programs plus hand-written CFG
-// shapes the generators never emit.
+// module it is given. Each module is released once printed, so the
+// second parse runs in the arena the first one released. Seeds are
+// corpus programs plus hand-written CFG shapes the generators never emit.
 func FuzzOptimize(f *testing.F) {
 	for _, src := range benchSources(f, 24) {
 		f.Add(src)
@@ -30,23 +31,33 @@ func FuzzOptimize(f *testing.F) {
 			return
 		}
 		m, err := ir.Parse(src)
-		if err != nil || m.Verify() != nil {
+		if err != nil {
+			return
+		}
+		err = m.Verify()
+		m.Release()
+		if err != nil {
 			return
 		}
 		for _, lvl := range []passes.OptLevel{passes.O2, passes.Os} {
-			m1, m2 := ir.MustParse(src), ir.MustParse(src)
+			m1 := ir.MustParse(src)
 			passes.Optimize(m1, lvl)
 			if err := m1.Verify(); err != nil {
 				t.Fatalf("%s: optimised module does not verify: %v\ninput:\n%s\noutput:\n%s", lvl, err, src, ir.Print(m1))
 			}
 			out := ir.Print(m1)
-			if _, err := ir.Parse(out); err != nil {
+			m1.Release()
+			re, err := ir.Parse(out)
+			if err != nil {
 				t.Fatalf("%s: optimised IR does not re-parse: %v\ninput:\n%s\noutput:\n%s", lvl, err, src, out)
 			}
+			re.Release()
+			m2 := ir.MustParse(src)
 			passes.Optimize(m2, lvl)
 			if again := ir.Print(m2); again != out {
 				t.Fatalf("%s: two parses of one input optimise differently\ninput:\n%s\nfirst:\n%s\nsecond:\n%s", lvl, src, out, again)
 			}
+			m2.Release()
 		}
 	})
 }

@@ -1,21 +1,20 @@
 package passes
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
 	"mpidetect/internal/ir"
 )
 
-// Inline performs bottom-up function inlining: direct calls to defined,
+// inline performs bottom-up function inlining: direct calls to defined,
 // non-recursive functions whose size is at most maxSize instructions are
 // replaced by a clone of the callee body. Returns whether anything changed.
 //
 // Inlined bodies are numbered per call, from one past the highest inl<n>.
 // prefix already in the module, so the output depends only on the input
 // and stays free of name clashes when the input was itself optimised.
-func Inline(m *ir.Module, maxSize int) bool {
+func (s *scratch) inline(m *ir.Module, maxSize int) bool {
 	changed := false
 	next := lastInlineID(m) + 1
 	for _, f := range m.Funcs {
@@ -29,7 +28,7 @@ func Inline(m *ir.Module, maxSize int) bool {
 			if site == nil {
 				break
 			}
-			inlineCall(f, site, next)
+			s.inlineCall(f, site, next)
 			next++
 			changed = true
 		}
@@ -104,14 +103,30 @@ func lastInlineID(m *ir.Module) int {
 	return last
 }
 
+// inliner is the inliner's working memory, pooled with the scratch.
+// vmap is keyed by IR pointers, and a recycled arena reuses addresses, so
+// inlineCall clears it before every use.
+type inliner struct {
+	vmap      map[ir.Value]ir.Value // callee param or instruction -> its clone's value
+	clones    []*ir.Block           // by callee block position
+	retVals   []ir.Value            // per cloned ret: its value, nil for ret void
+	retBlocks []*ir.Block
+}
+
 // inlineCall splices a clone of the callee body at the call site, naming
-// its blocks and values with the prefix inl<id>.
-func inlineCall(caller *ir.Func, call *ir.Instr, id int) {
-	prefix := fmt.Sprintf("inl%d.", id)
-	callee := caller.Mod.FuncByName(call.Callee)
+// its blocks and values with the prefix inl<id>. The clones come from the
+// caller's module arena, each instruction and list allocated at its exact
+// size.
+func (s *scratch) inlineCall(caller *ir.Func, call *ir.Instr, id int) {
+	w := &s.inl
+	clear(w.vmap)
+	m := caller.Mod
+	prefix := "inl" + strconv.Itoa(id) + "."
+	callee := m.FuncByName(call.Callee)
 	host := call.Parent
 
-	// Split host at the call site.
+	// Split host at the call site. cont's list has room for the phi
+	// joining the callee's return values.
 	callIdx := -1
 	for i, in := range host.Instrs {
 		if in == call {
@@ -119,8 +134,9 @@ func inlineCall(caller *ir.Func, call *ir.Instr, id int) {
 			break
 		}
 	}
-	cont := &ir.Block{Name: prefix + "cont", Parent: caller}
-	cont.Instrs = append(cont.Instrs, host.Instrs[callIdx+1:]...)
+	tail := host.Instrs[callIdx+1:]
+	cont := m.NewBlock(prefix+"cont", caller)
+	cont.Instrs = append(m.NewInstrList(len(tail)+1), tail...)
 	for _, in := range cont.Instrs {
 		in.Parent = cont
 	}
@@ -138,65 +154,71 @@ func inlineCall(caller *ir.Func, call *ir.Instr, id int) {
 		}
 	}
 
-	// Clone callee blocks.
-	vmap := map[ir.Value]ir.Value{}
-	bmap := map[*ir.Block]*ir.Block{}
+	// Clone callee blocks. A branch target is mapped to its clone through
+	// the target's position in the callee.
 	for i, p := range callee.Params {
-		vmap[p] = call.Args[i]
+		w.vmap[p] = call.Args[i]
 	}
-	clones := make([]*ir.Block, 0, len(callee.Blocks))
-	for _, b := range callee.Blocks {
-		nb := &ir.Block{Name: prefix + b.Name, Parent: caller}
-		bmap[b] = nb
-		clones = append(clones, nb)
+	w.clones = w.clones[:0]
+	for i, b := range callee.Blocks {
+		b.Index = i
+		nb := m.NewBlock(prefix+b.Name, caller)
+		nb.Instrs = m.NewInstrList(len(b.Instrs))
+		w.clones = append(w.clones, nb)
 	}
-	var retVals []ir.Value
-	var retBlocks []*ir.Block
-	for _, b := range callee.Blocks {
-		nb := bmap[b]
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpRet {
-				if len(in.Args) == 1 {
-					retVals = append(retVals, resolve(vmap, in.Args[0]))
-					retBlocks = append(retBlocks, nb)
-				} else {
-					retVals = append(retVals, nil)
-					retBlocks = append(retBlocks, nb)
+	cloneOf := func(b *ir.Block) *ir.Block {
+		if i := b.Index; i >= 0 && i < len(callee.Blocks) && callee.Blocks[i] == b {
+			return w.clones[i]
+		}
+		return nil
+	}
+	w.retVals, w.retBlocks = w.retVals[:0], w.retBlocks[:0]
+	for bi, b := range callee.Blocks {
+		nb := w.clones[bi]
+		for _, old := range b.Instrs {
+			if old.Op == ir.OpRet {
+				var rv ir.Value
+				if len(old.Args) == 1 {
+					rv = resolve(w.vmap, old.Args[0])
 				}
-				nb.Append(&ir.Instr{Op: ir.OpBr, Typ: ir.Void, Blocks: []*ir.Block{cont}})
+				w.retVals = append(w.retVals, rv)
+				w.retBlocks = append(w.retBlocks, nb)
+				br := m.NewInstr(0, 1)
+				br.Op, br.Typ, br.Blocks[0] = ir.OpBr, ir.Void, cont
+				nb.Append(br)
 				continue
 			}
-			ni := &ir.Instr{
-				Op: in.Op, Typ: in.Typ, Cmp: in.Cmp, Callee: in.Callee,
-				AllocTy: in.AllocTy,
+			ni := m.NewInstr(len(old.Args), len(old.Blocks))
+			ni.Op, ni.Typ, ni.Cmp, ni.Callee, ni.AllocTy = old.Op, old.Typ, old.Cmp, old.Callee, old.AllocTy
+			if old.Name != "" {
+				ni.Name = prefix + old.Name
 			}
-			if in.Name != "" {
-				ni.Name = prefix + in.Name
+			for i, a := range old.Args {
+				ni.Args[i] = resolve(w.vmap, a)
 			}
-			ni.Args = make([]ir.Value, len(in.Args))
-			for i, a := range in.Args {
-				ni.Args[i] = resolve(vmap, a)
-			}
-			ni.Blocks = make([]*ir.Block, len(in.Blocks))
-			for i, tb := range in.Blocks {
-				ni.Blocks[i] = bmap[tb]
+			for i, tb := range old.Blocks {
+				ni.Blocks[i] = cloneOf(tb)
 			}
 			nb.Append(ni)
-			vmap[in] = ni
+			w.vmap[old] = ni
 		}
 	}
 	// Second pass: fix operands that referenced values cloned later (phis).
-	for _, nb := range clones {
-		for _, in := range nb.Instrs {
-			for i, a := range in.Args {
-				in.Args[i] = resolve(vmap, a)
+	for _, nb := range w.clones {
+		for _, ni := range nb.Instrs {
+			for i, a := range ni.Args {
+				ni.Args[i] = resolve(w.vmap, a)
 			}
 		}
 	}
 
 	// Wire host -> entry clone.
-	entryClone := bmap[callee.Entry()]
-	host.Append(&ir.Instr{Op: ir.OpBr, Typ: ir.Void, Blocks: []*ir.Block{entryClone}})
+	br := m.NewInstr(0, 1)
+	br.Op, br.Typ = ir.OpBr, ir.Void
+	if len(w.clones) > 0 {
+		br.Blocks[0] = w.clones[0]
+	}
+	host.Append(br)
 
 	// Splice blocks into the caller *before* rewriting uses of the call,
 	// so that uses living in cont are visible to ReplaceUses.
@@ -207,16 +229,17 @@ func inlineCall(caller *ir.Func, call *ir.Instr, id int) {
 			break
 		}
 	}
-	rest := append([]*ir.Block(nil), caller.Blocks[hostIdx+1:]...)
-	caller.Blocks = append(caller.Blocks[:hostIdx+1], clones...)
-	caller.Blocks = append(caller.Blocks, cont)
-	caller.Blocks = append(caller.Blocks, rest...)
+	blocks := m.NewBlockList(len(caller.Blocks) + len(w.clones) + 1)
+	blocks = append(blocks, caller.Blocks[:hostIdx+1]...)
+	blocks = append(blocks, w.clones...)
+	blocks = append(blocks, cont)
+	caller.Blocks = append(blocks, caller.Blocks[hostIdx+1:]...)
 
 	// Join return values.
 	if call.Typ != nil && call.Typ.Kind != ir.KVoid {
 		var rv ir.Value
 		nonNil := 0
-		for _, v := range retVals {
+		for _, v := range w.retVals {
 			if v != nil {
 				rv = v
 				nonNil++
@@ -226,13 +249,13 @@ func inlineCall(caller *ir.Func, call *ir.Instr, id int) {
 		case nonNil == 0:
 			rv = ir.ConstUndef(call.Typ)
 		case nonNil > 1:
-			phi := &ir.Instr{Op: ir.OpPhi, Typ: call.Typ, Name: prefix + "ret"}
-			for i, v := range retVals {
+			phi := m.NewInstr(len(w.retVals), len(w.retVals))
+			phi.Op, phi.Typ, phi.Name = ir.OpPhi, call.Typ, prefix+"ret"
+			for i, v := range w.retVals {
 				if v == nil {
 					v = ir.ConstUndef(call.Typ)
 				}
-				phi.Args = append(phi.Args, v)
-				phi.Blocks = append(phi.Blocks, retBlocks[i])
+				phi.Args[i], phi.Blocks[i] = v, w.retBlocks[i]
 			}
 			cont.InsertFront(phi)
 			rv = phi

@@ -88,7 +88,7 @@ func (s *scratch) mem2reg(f *ir.Func) {
 	s.computePreds()
 	s.computeReach()
 	s.dom.build(&s.cfg)
-	m.placePhis(&s.cfg, &s.dom)
+	m.placePhis(f.Mod, &s.cfg, &s.dom)
 	m.rename(&s.cfg, &s.dom)
 	m.prunePhis()
 	m.sweep(s.blocks, &s.dom)
@@ -158,8 +158,9 @@ func (m *mem2reg) promoted(v ir.Value) (int32, bool) {
 
 // placePhis inserts a phi for each promoted alloca on the iterated
 // dominance frontier of the blocks that store to it, allocas in ordinal
-// order, each one's def blocks in block order.
-func (m *mem2reg) placePhis(c *cfg, dt *DomTree) {
+// order, each one's def blocks in block order. The phis, their operand
+// lists and each grown block's instruction list come from mod's arena.
+func (m *mem2reg) placePhis(mod *ir.Module, c *cfg, dt *DomTree) {
 	nBlocks := len(c.blocks)
 	nAlloca := len(m.allocas)
 	m.defStart = resize(m.defStart, nAlloca+1)
@@ -203,11 +204,9 @@ func (m *mem2reg) placePhis(c *cfg, dt *DomTree) {
 				phiID++
 				// One operand per predecessor edge, in the common case.
 				edges := len(c.predsOf(df.Index))
-				phi := &ir.Instr{Op: ir.OpPhi, Typ: alloca.AllocTy,
-					Name:   "m2r" + strconv.Itoa(phiID),
-					Args:   make([]ir.Value, 0, edges),
-					Blocks: make([]*ir.Block, 0, edges)}
-				df.InsertFront(phi)
+				phi := mod.NewInstr(edges, edges)
+				phi.Op, phi.Typ, phi.Name = ir.OpPhi, alloca.AllocTy, "m2r"+strconv.Itoa(phiID)
+				phi.Args, phi.Blocks = phi.Args[:0], phi.Blocks[:0]
 				m.phis = append(m.phis, placedPhi{phi: phi, ord: int32(a), block: int32(df.Index)})
 				if m.isDef[df.Index] != tag {
 					m.isDef[df.Index] = tag
@@ -232,6 +231,23 @@ func (m *mem2reg) placePhis(c *cfg, dt *DomTree) {
 		b := m.phis[k].block
 		m.phiOrder[m.work[b]] = int32(k)
 		m.work[b]++
+	}
+
+	// Put each block's phis at its head in that order, in one list sized
+	// once: the order inserting each phi at the front would leave.
+	for b := 0; b < nBlocks; b++ {
+		ks := m.blockPhis(b)
+		if len(ks) == 0 {
+			continue
+		}
+		blk := c.blocks[b]
+		list := mod.NewInstrList(len(ks) + len(blk.Instrs))
+		for _, k := range ks {
+			phi := m.phis[k].phi
+			phi.Parent = blk
+			list = append(list, phi)
+		}
+		blk.Instrs = append(list, blk.Instrs...)
 	}
 }
 

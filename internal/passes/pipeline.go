@@ -62,7 +62,7 @@ func optimize(m *ir.Module, inlineThreshold int) {
 		}
 	}
 	scalarRound()
-	if Inline(m, inlineThreshold) {
+	if s.inline(m, inlineThreshold) {
 		scalarRound()
 	}
 }

@@ -87,21 +87,22 @@ func (s *scratch) simplifyCFG(f *ir.Func) bool {
 			if succ == b || len(s.predsOf(succ.Index)) != 1 || succ == f.Entry() {
 				continue
 			}
-			// Phis in succ have a single incoming edge: replace with operand.
-			for _, phi := range succ.Phis() {
+			// Phis in succ have a single incoming edge: replace with
+			// operand. succ's phis are dropped with succ.
+			phis := succ.Phis()
+			for _, phi := range phis {
 				if len(phi.Args) == 1 {
 					ir.ReplaceUses(f, phi, phi.Args[0])
 				}
-				succ.RemoveInstr(phi)
 			}
 			b.RemoveInstr(t)
-			for _, in := range succ.Instrs {
+			for _, in := range succ.Instrs[len(phis):] {
 				in.Parent = b
 				b.Instrs = append(b.Instrs, in)
 			}
 			// Successors of succ may have phis naming succ; retarget to b.
 			for _, ss := range b.Succs() {
-				for _, phi := range leadingPhis(ss) {
+				for _, phi := range ss.Phis() {
 					for i, pb := range phi.Blocks {
 						if pb == succ {
 							phi.Blocks[i] = b
@@ -128,7 +129,7 @@ func (s *scratch) simplifyCFG(f *ir.Func) bool {
 				continue
 			}
 			target := t.Blocks[0]
-			if target == b || len(leadingPhis(target)) > 0 {
+			if target == b || len(target.Phis()) > 0 {
 				continue
 			}
 			preds := s.predsOf(b.Index)

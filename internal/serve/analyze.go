@@ -65,6 +65,14 @@ func (lm *lazyModule) get() (*ir.Module, error) {
 	return lm.mod, lm.err
 }
 
+// release ends the module's life once the request's last tool and its
+// simulation are done with it.
+func (lm *lazyModule) release() {
+	if lm.mod != nil {
+		lm.mod.Release()
+	}
+}
+
 // Sentinel errors of the /analyze path, mapped to HTTP statuses by the
 // handler.
 var (
@@ -415,6 +423,7 @@ func (e *Engine) analyzeProgram(ctx context.Context, model string, selected []se
 	// that misses its verdict cache runs the request's simulation, and the
 	// rest interpret the same run.
 	lm := &lazyModule{src: prog.IR}
+	defer lm.release()
 	if e.toolCache != nil {
 		// The digest keys the tool-verdict cache; without it it would be
 		// dead work on the request path.

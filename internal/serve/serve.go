@@ -532,6 +532,7 @@ func (e *Engine) worker() {
 // serves every future resubmission).
 func (e *Engine) appendLive(batch []job, j job) []job {
 	if err := j.ctx.Err(); err != nil && j.flight == nil {
+		j.mod.Release()
 		e.finish(j, Result{Err: "canceled: " + err.Error()}, err)
 		return batch
 	}
@@ -564,8 +565,14 @@ func (e *Engine) runDrained(batch []job) {
 // pass when more than one member survives. The lone survivor, or every
 // member after a failed fused pass, is classified alone by classifyJob —
 // without re-optimising — so one poisoned module fails its own request,
-// not its batch neighbours.
+// not its batch neighbours. Every member's module dies here, whatever
+// path its verdict took: only verdicts are cached, never modules.
 func (e *Engine) runGroup(group []job) {
+	defer func() {
+		for _, j := range group {
+			j.mod.Release()
+		}
+	}()
 	start := time.Now()
 	live := make([]job, 0, len(group))
 	for _, j := range group {
@@ -734,6 +741,7 @@ func (e *Engine) Classify(ctx context.Context, model string, progs []Program) ([
 			pending++
 			return nil
 		case <-ctx.Done():
+			m.Release()
 			if flight != nil {
 				e.cache.Complete(flight, Result{}, ctxErr(ctx))
 			}
