@@ -42,6 +42,11 @@ type Tape struct {
 	off    int
 	handed int // floats handed out since Reset
 
+	// ints is the argmax index slab of MaxRows and SegmentMaxRows;
+	// intsOff ints of it are handed out since Reset.
+	ints    []int
+	intsOff int
+
 	// inference skips gradient storage and backward closures: forward-only
 	// passes (Predict) do half the arena traffic and no closure allocation.
 	// It never changes forward arithmetic.
@@ -61,6 +66,7 @@ func (t *Tape) Reset() {
 	t.slab = 0
 	t.off = 0
 	t.handed = 0
+	t.intsOff = 0
 }
 
 // ArenaFloats reports how many floats of arena storage the tape has
@@ -441,13 +447,20 @@ func (t *Tape) SegmentMaxRows(a *Node, seg []int, nSeg int) *Node {
 	return out
 }
 
-// allocInts hands out the argmax index buffer for MaxRows. It allocates
-// plainly (not from the arena), so the buffer survives Reset; it is one
-// small allocation per MaxRows call.
+// allocInts hands out n zeroed ints from the tape's int slab, which
+// Reset recycles like the float arena: the backward closures that read
+// them run before the next Reset. A pass that outgrows the slab gets a
+// new one of at least twice the size; the old one stays with the buffers
+// already handed out from it until the pass ends.
 func (t *Tape) allocInts(n int) []int {
-	// A separate tiny int arena is not worth the bookkeeping: allocate
-	// plainly but through one place so a pooled alternative stays easy.
-	return make([]int, n)
+	if t.intsOff+n > len(t.ints) {
+		t.ints = make([]int, max(n, 2*len(t.ints), 256))
+		t.intsOff = 0
+	}
+	out := t.ints[t.intsOff : t.intsOff+n : t.intsOff+n]
+	t.intsOff += n
+	clear(out)
+	return out
 }
 
 // Concat stacks two matrices horizontally (same R).

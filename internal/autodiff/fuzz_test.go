@@ -95,10 +95,11 @@ func sameBits(t *testing.T, what string, got, want *tensor.Mat) {
 // Gather, MatMulRowsAddRow to MatMulAddRow over a Gather, and EdgeAttend
 // to Gather → AddLeakyReLU → MatMul → SegmentSoftmax → SegmentSumMulCol.
 // shape picks the sizes: the source and destination tables, the input
-// width, the projected width (up to 20, so the AVX2 row kernel's 16- and
-// 4-column stripes and scalar tail all run), the number of edges (zero
-// included) and of output rows, some of which receive no edge. Row lists
-// and edge endpoints repeat freely. The values cover NaN payloads, ±0,
+// width, the projected width (up to 40, so the AVX2 row kernel runs full
+// 32-column panels and every narrower last panel, 16 and 24 columns
+// among them), the number of edges (zero included) and of output rows,
+// some of which receive no edge. Row lists and edge endpoints repeat
+// freely. The values cover NaN payloads, ±0,
 // ±Inf and subnormals; half the cases also draw the LeakyReLU slope, and
 // half zero the first row of both tables.
 func FuzzEdgeAttend(f *testing.F) {
@@ -109,14 +110,14 @@ func FuzzEdgeAttend(f *testing.F) {
 	// its own payload.
 	f.Add(int64(1), uint32(0), []byte(nil))
 	var nans []byte
-	for i := uint64(1); i <= 64; i++ {
+	for i := uint64(1); i <= 160; i++ {
 		nans = binary.LittleEndian.AppendUint64(nans, 0x7ff8_0000_0000_0000|i<<8|i)
 	}
 	f.Add(int64(2), uint32(1<<14|3<<9), nans)
 	f.Fuzz(func(t *testing.T, seed int64, shape uint32, raw []byte) {
 		in := &fuzzValues{raw: raw, rng: rand.New(rand.NewSource(seed))}
 		nSrc, nDst := 1+int(shape%5), 1+int(shape>>3%5)
-		kin, w := 1+int(shape>>6%7), 1+int(shape>>9%20)
+		kin, w := 1+int(shape>>6%7), 1+int(shape>>9%40)
 		nEdge := int(shape >> 14 % 12)
 		nOut := 1 + int(shape>>18%6)
 		slope := 0.2

@@ -22,6 +22,7 @@ import (
 	"encoding/hex"
 	"strconv"
 	"strings"
+	"sync"
 
 	"mpidetect/internal/ast"
 )
@@ -110,10 +111,22 @@ func appendNormalizedLine(dst []byte, line string) []byte {
 	return dst
 }
 
-// digestChunk is the size of the stack buffer the digest normalizes
-// into; every full chunk goes to the hasher, so a digest never holds the
+// digestChunk is the size of the buffer the digest normalizes into;
+// every full chunk goes to the hasher, so a digest never holds the
 // normalized text of a whole program.
 const digestChunk = 4 << 10
+
+// digestChunks pools the chunk buffers. A chunk on the stack would make
+// every fresh request goroutine grow its stack to hold it.
+var digestChunks = sync.Pool{New: func() any { return new([digestChunk]byte) }}
+
+// sumHeadered is sumNormalized over a header of parts (see appendHeader),
+// through a pooled chunk.
+func sumHeadered(src string, parts ...string) string {
+	chunk := digestChunks.Get().(*[digestChunk]byte)
+	defer digestChunks.Put(chunk)
+	return sumNormalized(appendHeader(chunk[:0], parts...), src)
+}
 
 // sumNormalized returns hex(sha256(buf + normalized(src))) for a header
 // already in buf, streaming the normalized text through chunk-sized
@@ -147,8 +160,7 @@ func appendHeader(dst []byte, parts ...string) []byte {
 
 // digest hashes the detector identity header plus normalized body.
 func digest(d Detector, namespace, body string) string {
-	var chunk [digestChunk]byte
-	return sumNormalized(appendHeader(chunk[:0], d.Name(), d.Opt().String(), namespace), body)
+	return sumHeadered(body, d.Name(), d.Opt().String(), namespace)
 }
 
 // DigestIR returns the canonical cache digest of a textual-IR program as
@@ -173,6 +185,5 @@ func DigestProgram(d Detector, p *ast.Program) string {
 // their normalized IR is byte-identical AND ident matches, under the
 // same artifact format version.
 func DigestIRKeyed(ident, src string) string {
-	var chunk [digestChunk]byte
-	return sumNormalized(appendHeader(chunk[:0], ident, "ir"), src)
+	return sumHeadered(src, ident, "ir")
 }

@@ -5,7 +5,7 @@ import "testing"
 // predictBatchAllocs is the allocation ceiling per PredictProbsBatch call
 // over mixGraphs(99). The tensor kernels are serial, so the count does
 // not depend on GOMAXPROCS.
-const predictBatchAllocs = 25
+const predictBatchAllocs = 19
 
 // TestPredictBatchAllocs guards the serving pass's allocation count: the
 // compaction plan and preparation buffers are pooled with the tape, so a

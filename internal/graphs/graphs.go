@@ -177,12 +177,16 @@ func AppendValueToken(dst []byte, v ir.Value) []byte {
 }
 
 // builder is the pooled working state of one graph construction: the
-// node-identity maps, the token scratch buffer and (for Build) the memo
-// of token strings. Node and edge order is fixed by the two-pass walk in
-// build, identically for Build and BuildResolved.
+// node-identity maps, the token scratch buffer, (for Build) the memo of
+// token strings, and the nodes, token ids and edges collected so far,
+// which graph hands out once at their exact size. Node and edge order is
+// fixed by the two-pass walk in build, identically for Build and
+// BuildResolved.
 type builder struct {
-	g         *Graph
 	vocab     *Vocab // nil: record Token strings; non-nil: record TokID
+	nodes     []Node
+	tokIDs    []int32
+	edges     []Edge
 	instrNode map[*ir.Instr]int
 	varNode   map[ir.Value]int  // instruction results, params, globals
 	constNode map[string]int    // constants deduplicated by bucket token
@@ -201,10 +205,29 @@ var builderPool = sync.Pool{New: func() any {
 	}
 }}
 
-// release drops every module reference before the builder returns to the
-// pool, so an idle pool never pins dead IR. clear() keeps the map buckets.
+// graph copies the collected nodes, token ids (BuildResolved only) and
+// edges into a Graph, each at its exact size.
+func (b *builder) graph() *Graph {
+	g := &Graph{
+		Nodes: make([]Node, len(b.nodes)),
+		Edges: make([]Edge, len(b.edges)),
+	}
+	copy(g.Nodes, b.nodes)
+	copy(g.Edges, b.edges)
+	if b.vocab != nil {
+		g.TokID = make([]int32, len(b.tokIDs))
+		copy(g.TokID, b.tokIDs)
+	}
+	return g
+}
+
+// release drops every module reference and token string before the
+// builder returns to the pool, so an idle pool never pins dead IR.
+// clear() keeps the map buckets and the scratch slices' arrays.
 func (b *builder) release() {
-	b.g, b.vocab = nil, nil
+	b.vocab = nil
+	clear(b.nodes)
+	b.nodes, b.tokIDs, b.edges = b.nodes[:0], b.tokIDs[:0], b.edges[:0]
 	clear(b.instrNode)
 	clear(b.varNode)
 	clear(b.constNode)
@@ -226,14 +249,14 @@ func (b *builder) node(kind NodeKind) int {
 		}
 		n.Token = tok
 	} else {
-		b.g.TokID = append(b.g.TokID, int32(b.vocab.IDBytes(b.buf)))
+		b.tokIDs = append(b.tokIDs, int32(b.vocab.IDBytes(b.buf)))
 	}
-	b.g.Nodes = append(b.g.Nodes, n)
-	return len(b.g.Nodes) - 1
+	b.nodes = append(b.nodes, n)
+	return len(b.nodes) - 1
 }
 
 func (b *builder) addEdge(kind EdgeKind, src, dst int) {
-	b.g.Edges = append(b.g.Edges, Edge{Kind: kind, Src: src, Dst: dst})
+	b.edges = append(b.edges, Edge{Kind: kind, Src: src, Dst: dst})
 }
 
 // varOf returns (creating on demand) the variable/constant node of a
@@ -331,9 +354,9 @@ func (b *builder) build(m *ir.Module) {
 // for vocabulary construction (training) and printing.
 func Build(m *ir.Module) *Graph {
 	b := builderPool.Get().(*builder)
-	b.g, b.vocab = &Graph{}, nil
+	b.vocab = nil
 	b.build(m)
-	g := b.g
+	g := b.graph()
 	b.release()
 	return g
 }
@@ -347,9 +370,9 @@ func Build(m *ir.Module) *Graph {
 // left empty, so resolved graphs are for inference, not for BuildVocab.
 func BuildResolved(m *ir.Module, v *Vocab) *Graph {
 	b := builderPool.Get().(*builder)
-	b.g, b.vocab = &Graph{}, v
+	b.vocab = v
 	b.build(m)
-	g := b.g
+	g := b.graph()
 	b.release()
 	return g
 }

@@ -151,8 +151,9 @@ func clearSlice[T any](s []T) []T {
 
 // recycle scrubs the Runtime, so it keeps no reference to the run or the
 // program it ran, and puts it back on the free list unless its memory
-// (arena and output buffers) outgrew maxRunRetain. Only the arena, the
-// built procs and the emptied maps and queues are kept;
+// (arena, output buffers and collective scratch) outgrew maxRunRetain.
+// Only the arena, the built procs, the collective scratch and the
+// emptied maps and queues are kept;
 // every other field returns to its zero value. The Result returned to
 // the caller shares no memory with the Runtime: output and diagnostics
 // are copied into strings, and the violations slice, which escaped into
@@ -168,6 +169,7 @@ func (rt *Runtime) recycle() {
 	for _, s := range rt.colls {
 		kept += s.scrub()
 	}
+	kept += rt.coll.retained()
 	clear(rt.reqs)
 	clear(rt.wins)
 	clear(rt.comms)
@@ -176,7 +178,7 @@ func (rt *Runtime) recycle() {
 	*rt = Runtime{memArena: rt.memArena, built: rt.built, reqs: rt.reqs,
 		wins: rt.wins, comms: rt.comms, dtypes: rt.dtypes,
 		derivedSizes: rt.derivedSizes, sends: clearSlice(rt.sends),
-		recvs: clearSlice(rt.recvs), colls: rt.colls[:0],
+		recvs: clearSlice(rt.recvs), colls: rt.colls[:0], coll: rt.coll,
 		msgLog: rt.msgLog[:0], wildRecvs: rt.wildRecvs[:0]}
 	if kept > maxRunRetain {
 		return // oversized: let the GC have it

@@ -185,6 +185,85 @@ func (rt *Runtime) moveCollectiveData(s *collSlot) {
 	}
 }
 
+// collScratch is the Runtime's scratch for collective data movement:
+// the reduction and scan accumulators and the broadcast copy. It lives
+// with the pooled Runtime, so it is reused across collectives and runs,
+// and it holds no references.
+type collScratch struct {
+	accI  []int64
+	accF  []float64
+	bytes []byte
+}
+
+// fitScratch crashes the rank with errRunMemory, as an alloca past the
+// cap does, unless n elements of size bytes of collective scratch fit in
+// what the run has left under maxRunMemory. The scratch lives only while
+// the collective runs, so the run's total does not grow.
+func (rt *Runtime) fitScratch(n, size int) {
+	if n > (maxRunMemory-rt.handed)/size {
+		panic(errRunMemory)
+	}
+}
+
+// accumulators returns a zeroed accumulator of n elements: ints when
+// isInt, floats otherwise, and nil for the kind the datatype does not
+// use.
+func (rt *Runtime) accumulators(n int, isInt bool) ([]int64, []float64) {
+	rt.fitScratch(n, 8)
+	c := &rt.coll
+	if isInt {
+		if cap(c.accI) < n {
+			c.accI = make([]int64, n)
+		}
+		acc := c.accI[:n]
+		clear(acc)
+		return acc, nil
+	}
+	if cap(c.accF) < n {
+		c.accF = make([]float64, n)
+	}
+	acc := c.accF[:n]
+	clear(acc)
+	return nil, acc
+}
+
+// copyOf returns a scratch copy of b.
+func (rt *Runtime) copyOf(b []byte) []byte {
+	rt.fitScratch(len(b), 1)
+	c := &rt.coll
+	if cap(c.bytes) < len(b) {
+		c.bytes = make([]byte, len(b))
+	}
+	return append(c.bytes[:0], b...)
+}
+
+// retained is the bytes the scratch keeps across runs.
+func (c *collScratch) retained() int {
+	return 8*(cap(c.accI)+cap(c.accF)) + cap(c.bytes)
+}
+
+// elemsHeld bounds a collective's count-driven loop over p, whose
+// elements are size bytes apart: past the first elemsHeld(p, size,
+// count) of the count elements every access falls outside p's object,
+// so a load reads nothing and a store writes nothing. With size 0 every
+// element is the same bytes and the first stands for all of them. A nil
+// p holds none.
+func elemsHeld(p *Ptr, size, count int) int {
+	if p == nil {
+		return 0
+	}
+	n := 0
+	switch {
+	case size > 0:
+		n = max(0, len(p.Obj.Bytes)-p.Off) / size
+	case size == 0:
+		n = 1
+	case p.Off >= 0: // size < 0: the offsets fall from p.Off
+		n = p.Off/-size + 1
+	}
+	return min(n, count)
+}
+
 func (rt *Runtime) bcastData(s *collSlot, bufIdx, countIdx, dtIdx, rootIdx int) {
 	ref := s.members[s.order[0]]
 	root := int(ref.args[rootIdx].I)
@@ -198,8 +277,7 @@ func (rt *Runtime) bcastData(s *collSlot, bufIdx, countIdx, dtIdx, rootIdx int) 
 	}
 	n := int(rm.args[countIdx].I) * rt.dtSize(mpi.Datatype(rm.args[dtIdx].I))
 	n = clampLen(src, n)
-	data := make([]byte, n)
-	copy(data, src.Obj.Bytes[src.Off:src.Off+n])
+	data := rt.copyOf(src.Obj.Bytes[src.Off : src.Off+n])
 	for rank, m := range s.members {
 		if rank == root {
 			continue
@@ -213,7 +291,10 @@ func (rt *Runtime) bcastData(s *collSlot, bufIdx, countIdx, dtIdx, rootIdx int) 
 	}
 }
 
-// reduceData implements Reduce/Allreduce for MPI_INT and MPI_DOUBLE.
+// reduceData implements Reduce/Allreduce for MPI_INT and MPI_DOUBLE. The
+// accumulators cover the elements the members' buffers hold: an element
+// past every send buffer but inside a receive buffer stays zero, and the
+// loops never run past what any buffer holds, whatever the count.
 func (rt *Runtime) reduceData(s *collSlot, sIdx, rIdx, cIdx, dtIdx, opIdx, rootIdx int, all bool) {
 	ref := s.members[s.order[0]]
 	count := int(ref.args[cIdx].I)
@@ -223,8 +304,34 @@ func (rt *Runtime) reduceData(s *collSlot, sIdx, rIdx, cIdx, dtIdx, opIdx, rootI
 		return
 	}
 	isInt := dt == mpi.DTInt || dt == mpi.DTLong || dt == mpi.DTUnsigned
-	accI := make([]int64, count)
-	accF := make([]float64, count)
+	// The element size is looked up (reporting an unknown datatype) only
+	// when some buffer is moved.
+	sz, sized, n := 0, false, 0
+	hold := func(p *Ptr) {
+		if p == nil {
+			return
+		}
+		if !sized {
+			sz, sized = rt.dtSize(dt), true
+		}
+		n = max(n, elemsHeld(p, sz, count))
+	}
+	for _, rank := range s.order {
+		hold(bufOf(s.members[rank], sIdx))
+	}
+	var rm collMember
+	hasRoot := false
+	if all {
+		for _, m := range s.members {
+			hold(bufOf(m, rIdx))
+		}
+	} else if rm, hasRoot = s.members[int(ref.args[rootIdx].I)]; hasRoot {
+		hold(bufOf(rm, rIdx))
+	}
+	if n == 0 {
+		return
+	}
+	accI, accF := rt.accumulators(n, isInt)
 	first := true
 	for _, rank := range s.order {
 		m := s.members[rank]
@@ -232,25 +339,24 @@ func (rt *Runtime) reduceData(s *collSlot, sIdx, rIdx, cIdx, dtIdx, opIdx, rootI
 		if src == nil {
 			continue
 		}
-		for i := 0; i < count; i++ {
-			off := src.Off + i*rt.dtSize(dt)
-			if off+rt.dtSize(dt) > len(src.Obj.Bytes) {
+		for i := 0; i < n; i++ {
+			off := src.Off + i*sz
+			if off+sz > len(src.Obj.Bytes) {
 				break
 			}
-			var vi int64
-			var vf float64
-			if isInt {
+			switch {
+			case isInt && first:
 				rv, _ := src.Obj.load(off, ir.I32)
-				vi = rv.I
-			} else {
+				accI[i] = rv.I
+			case isInt:
+				rv, _ := src.Obj.load(off, ir.I32)
+				accI[i] = reduceInt(op, accI[i], rv.I)
+			case first:
 				rv, _ := src.Obj.load(off, ir.F64)
-				vf = rv.F
-			}
-			if first {
-				accI[i], accF[i] = vi, vf
-			} else {
-				accI[i] = reduceInt(op, accI[i], vi)
-				accF[i] = reduceFloat(op, accF[i], vf)
+				accF[i] = rv.F
+			default:
+				rv, _ := src.Obj.load(off, ir.F64)
+				accF[i] = reduceFloat(op, accF[i], rv.F)
 			}
 		}
 		first = false
@@ -260,9 +366,9 @@ func (rt *Runtime) reduceData(s *collSlot, sIdx, rIdx, cIdx, dtIdx, opIdx, rootI
 		if dst == nil {
 			return
 		}
-		for i := 0; i < count; i++ {
-			off := dst.Off + i*rt.dtSize(dt)
-			if off+rt.dtSize(dt) > len(dst.Obj.Bytes) {
+		for i := 0; i < n; i++ {
+			off := dst.Off + i*sz
+			if off+sz > len(dst.Obj.Bytes) {
 				break
 			}
 			if isInt {
@@ -278,29 +384,45 @@ func (rt *Runtime) reduceData(s *collSlot, sIdx, rIdx, cIdx, dtIdx, opIdx, rootI
 		}
 		return
 	}
-	root := int(ref.args[rootIdx].I)
-	if rm, ok := s.members[root]; ok {
+	if hasRoot {
 		write(rm)
 	}
 }
 
 // scanData implements inclusive scan with MPI_SUM semantics (the only op
-// the generators use with Scan).
+// the generators use with Scan), with reduceData's bounds on the
+// accumulators and loops.
 func (rt *Runtime) scanData(s *collSlot) {
 	ref := s.members[s.order[0]]
 	count := int(ref.args[2].I)
 	dt := mpi.Datatype(ref.args[3].I)
 	isInt := dt == mpi.DTInt || dt == mpi.DTLong
-	acc := make([]int64, count)
-	accF := make([]float64, count)
+	if count <= 0 {
+		// A negative count crashes the completing rank with makeslice's
+		// panic, as it did when the accumulators were sized by count.
+		_ = make([]int64, count)
+		return
+	}
+	// Every member in rank order looks up the element size (reporting an
+	// unknown datatype), whether or not it passed a buffer.
+	sz, n := 0, 0
+	for rank := 0; rank < rt.commSize(s.comm); rank++ {
+		if m, ok := s.members[rank]; ok {
+			sz = rt.dtSize(dt)
+			n = max(n, elemsHeld(bufOf(m, 0), sz, count), elemsHeld(bufOf(m, 1), sz, count))
+		}
+	}
+	if n == 0 {
+		return
+	}
+	acc, accF := rt.accumulators(n, isInt)
 	for rank := 0; rank < rt.commSize(s.comm); rank++ {
 		m, ok := s.members[rank]
 		if !ok {
 			continue
 		}
 		src, dst := bufOf(m, 0), bufOf(m, 1)
-		for i := 0; i < count; i++ {
-			sz := rt.dtSize(dt)
+		for i := 0; i < n; i++ {
 			if src != nil && src.Off+(i+1)*sz <= len(src.Obj.Bytes) {
 				if isInt {
 					rv, _ := src.Obj.load(src.Off+i*sz, ir.I32)

@@ -133,6 +133,7 @@ type Runtime struct {
 	sends []*message
 	recvs []*recvPost
 	colls []*collSlot
+	coll  collScratch
 	reqs  map[int64]*request
 	wins  map[int64]*window
 	comms map[int64]int // comm handle -> size

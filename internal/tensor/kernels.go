@@ -5,6 +5,13 @@
 // bodies run everywhere else, under -tags purego, and serve as the
 // oracle the assembly is tested against.
 //
+// The matmul row kernel is register-blocked (Goto and van de Geijn,
+// "Anatomy of High-Performance Matrix Multiplication"): the assembly
+// holds a panel of up to 32 output columns in eight YMM accumulators,
+// walks the a row once, tests each a[k] for zero itself and applies
+// every nonzero term to the whole panel, so each a[k] is read once per
+// panel and each output element is loaded and stored once.
+//
 // The assembly is bit-identical to the Go loops. Every output element
 // still gets one rounded multiply and one rounded add per term (VMULPD
 // then VADDPD, never FMA), in the same order, from the same start value.
@@ -62,45 +69,29 @@ func vecAddGeneric(dst, src []float64) {
 // matmulRow computes arow @ b into orow, where b holds len(arow) rows of
 // len(orow) columns, row-major: for each nonzero arow[k] in ascending k,
 // orow[j] += arow[k]*b[k,j]. Exactly-zero entries of either sign are
-// skipped, as in the scalar i-k-j loop. With fresh set, every orow[j]
-// starts at +0 instead of its current value, so orow need not be zeroed
-// first; a row with no nonzero term is then written as +0. Both starts
-// give the same bits as accumulating into a zeroed row. ks and vs, each
-// at least len(arow) long, are scratch for the b-row offsets and values
-// of the nonzero entries.
-func matmulRow(orow, arow, b []float64, ks []int, vs []float64, fresh bool) {
+// skipped, as in the scalar i-k-j loop; NaN entries are not. With fresh
+// set, every orow[j] starts at +0 instead of its current value, so orow
+// need not be zeroed first; a row with no nonzero term is then written as
+// +0. Both starts give the same bits as accumulating into a zeroed row.
+func matmulRow(orow, arow, b []float64, fresh bool) {
+	b = b[: len(arow)*len(orow) : len(b)]
+	if useAVX2 && len(arow) > 0 && len(orow) > 0 {
+		// The assembly needs at least one term and one column.
+		matmulRowAVX2(orow, arow, b, fresh)
+		return
+	}
+	matmulRowGeneric(orow, arow, b, fresh)
+}
+
+func matmulRowGeneric(orow, arow, b []float64, fresh bool) {
+	if fresh {
+		clear(orow)
+	}
 	n := len(orow)
-	b = b[:len(arow)*n]
-	m := 0
 	for k, av := range arow {
 		if av == 0 {
 			continue
 		}
-		ks[m], vs[m] = k*n, av
-		m++
-	}
-	if m == 0 {
-		if fresh {
-			clear(orow)
-		}
-		return
-	}
-	if useAVX2 {
-		// The assembly keeps each 16-column stripe of orow in registers
-		// across all m terms, so orow is loaded (or, when fresh, zeroed
-		// in registers) and stored once per stripe instead of once per
-		// term.
-		matmulRowAVX2(orow, b, ks[:m], vs[:m], fresh)
-		return
-	}
-	matmulRowGeneric(orow, b, ks[:m], vs[:m], fresh)
-}
-
-func matmulRowGeneric(orow, b []float64, ks []int, vs []float64, fresh bool) {
-	if fresh {
-		clear(orow)
-	}
-	for i, off := range ks {
-		axpyGeneric(vs[i], b[off:off+len(orow)], orow)
+		axpyGeneric(av, b[k*n:(k+1)*n], orow)
 	}
 }

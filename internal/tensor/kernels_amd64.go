@@ -12,7 +12,7 @@ func axpyAVX2(a float64, x, y []float64)
 func vecAddAVX2(dst, src []float64)
 
 //go:noescape
-func matmulRowAVX2(orow, b []float64, ks []int, vs []float64, fresh bool)
+func matmulRowAVX2(orow, arow, b []float64, fresh bool)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -9,6 +9,6 @@ func axpyAVX2(a float64, x, y []float64) { panic("tensor: AVX2 kernels not built
 
 func vecAddAVX2(dst, src []float64) { panic("tensor: AVX2 kernels not built") }
 
-func matmulRowAVX2(orow, b []float64, ks []int, vs []float64, fresh bool) {
+func matmulRowAVX2(orow, arow, b []float64, fresh bool) {
 	panic("tensor: AVX2 kernels not built")
 }

@@ -116,11 +116,12 @@ func bothPaths(t *testing.T, name string, dst []float64, off int, op func(dst []
 // generic twin: axpy (also behind VecAddScaled), VecAdd, and the matmul
 // row kernel in both starts, accumulating into orow and zero-start
 // (fresh). n%68 is the vector length and the matmul's column count
-// (16-column stripes, 4-column stripes and the scalar tail), off%4 the
-// misalignment of every slice, and 1+k%320 the matmul's inner dimension,
-// which crosses matmulBlockK. The matmul's three a-rows are all zeros,
-// dense and mixed. The row kernel is checked directly in both starts
-// over drawn (not zeroed) output rows, and through MatMulInto and
+// (full 32-column panels, then a last panel of four-column accumulators
+// whose last one is masked when the count is not a multiple of four),
+// off%4 the misalignment of every slice, and 1+k%320 the matmul's inner
+// dimension, which crosses matmulBlockK. The matmul's three a-rows are
+// all zeros, dense and mixed. The row kernel is checked directly in both
+// starts over drawn (not zeroed) output rows, and through MatMulInto and
 // MatMulRowsInto, whose output starts drawn too: both must overwrite it.
 func FuzzVecKernels(f *testing.F) {
 	if !cpuHasAVX2() {
@@ -173,15 +174,75 @@ func FuzzVecKernels(f *testing.F) {
 		bothPaths(t, "MatMulRowsInto", in.slice(len(pick)*cols, o), o, func(out []float64) {
 			MatMulRowsInto(FromSlice(len(pick), cols, out), am, pick, bm)
 		})
-		ks, vs := make([]int, kdim), make([]float64, kdim)
 		for r := 0; r < rows; r++ {
 			for _, fresh := range []bool{false, true} {
 				bothPaths(t, fmt.Sprintf("matmulRow/row%d/fresh=%v", r, fresh), in.slice(cols, o), o, func(orow []float64) {
-					matmulRow(orow, am.Row(r), bm.Data, ks, vs, fresh)
+					matmulRow(orow, am.Row(r), bm.Data, fresh)
 				})
 			}
 		}
 	})
+}
+
+// TestMatMulKernelWidths diffs the AVX2 matmul row kernel against the
+// generic one at every panel shape: each column count from 1 to 70 (one
+// or more full 32-column panels, then every last-panel width, masked or
+// not) against inner dimensions on both sides of the accumulator and
+// panel widths and of matmulBlockK. The a-rows are all ±0 (every term
+// skipped), dense, and mixed, where zeros of both signs sit among
+// normals, ±Inf and NaNs with distinct payloads; b mixes the same
+// specials into normals, so both operands of a multiply can be NaN.
+// Each row kernel start is checked directly over drawn output rows, and
+// MatMulInto and MatMulRowsInto must overwrite theirs.
+func TestMatMulKernelWidths(t *testing.T) {
+	if !cpuHasAVX2() {
+		t.Skip("no AVX2 kernels on this host")
+	}
+	specials := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8_0000_0000_0011),
+		math.Float64frombits(0xfff8_0000_0000_0022),
+		math.Float64frombits(0x7ff0_0000_0000_0033),
+	}
+	for _, kdim := range []int{1, 15, 16, 24, 32, 256, 257, 300} {
+		for cols := 1; cols <= 70; cols++ {
+			rng := rand.New(rand.NewSource(int64(kdim*100 + cols)))
+			draw := func(n, specialEvery int) []float64 {
+				v := make([]float64, n)
+				for i := range v {
+					if rng.Intn(specialEvery) == 0 {
+						v[i] = specials[rng.Intn(len(specials))]
+					} else {
+						v[i] = rng.NormFloat64()
+					}
+				}
+				return v
+			}
+			am := FromSlice(3, kdim, draw(3*kdim, 3))
+			for j := range am.Row(0) {
+				am.Row(0)[j] = math.Copysign(0, rng.NormFloat64())
+			}
+			for j := range am.Row(1) {
+				am.Row(1)[j] = rng.NormFloat64()
+			}
+			bm := FromSlice(kdim, cols, draw(kdim*cols, 16))
+			name := fmt.Sprintf("k=%d/cols=%d", kdim, cols)
+			bothPaths(t, name+"/MatMulInto", draw(3*cols, 4), 0, func(out []float64) {
+				MatMulInto(FromSlice(3, cols, out), am, bm)
+			})
+			pick := []int{2, 0, 1, 2}
+			bothPaths(t, name+"/MatMulRowsInto", draw(len(pick)*cols, 4), 0, func(out []float64) {
+				MatMulRowsInto(FromSlice(len(pick), cols, out), am, pick, bm)
+			})
+			for r := 0; r < 3; r++ {
+				for _, fresh := range []bool{false, true} {
+					bothPaths(t, fmt.Sprintf("%s/matmulRow/row%d/fresh=%v", name, r, fresh), draw(cols, 4), 0, func(orow []float64) {
+						matmulRow(orow, am.Row(r), bm.Data, fresh)
+					})
+				}
+			}
+		}
+	}
 }
 
 // TestKernelsRejectShortSlices pins that every wrapper checks its
@@ -202,13 +263,13 @@ func TestKernelsRejectShortSlices(t *testing.T) {
 			{"VecAddScaled", func() { VecAddScaled(short, 2, long) }},
 			{"VecAddScaled/cap", func() { VecAddScaled(shortRoomy, 2, long) }},
 			{"matmulRow/b", func() {
-				matmulRow(make([]float64, 4), []float64{1, 1}, make([]float64, 7), make([]int, 2), make([]float64, 2), false)
+				matmulRow(make([]float64, 4), []float64{1, 1}, make([]float64, 7), false)
 			}},
 			{"matmulRow/b/fresh", func() {
-				matmulRow(make([]float64, 4), []float64{1, 1}, make([]float64, 7), make([]int, 2), make([]float64, 2), true)
+				matmulRow(make([]float64, 4), []float64{1, 1}, make([]float64, 7), true)
 			}},
-			{"matmulRow/scratch", func() {
-				matmulRow(make([]float64, 4), []float64{1, 1}, make([]float64, 8), make([]int, 1), make([]float64, 1), false)
+			{"matmulRow/b/cap", func() {
+				matmulRow(make([]float64, 4), []float64{1, 1}, make([]float64, 7, 8), false)
 			}},
 			{"MatMulRowsInto/row", func() {
 				MatMulRowsInto(New(2, 4), New(2, 3), []int{0, 2}, New(3, 4))
@@ -237,7 +298,7 @@ func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	for _, p := range kernelPaths() {
 		b.Run(p.name, func(b *testing.B) {
-			for _, sh := range []struct{ m, k, n int }{{512, 16, 32}, {512, 32, 24}, {512, 24, 16}} {
+			for _, sh := range []struct{ m, k, n int }{{512, 16, 32}, {512, 32, 24}, {512, 24, 16}, {512, 32, 32}, {512, 48, 16}} {
 				x, w := Randn(rng, sh.m, sh.k, 1), Randn(rng, sh.k, sh.n, 1)
 				out := New(sh.m, sh.n)
 				b.Run(fmt.Sprintf("MatMulInto_%dx%dx%d", sh.m, sh.k, sh.n), func(b *testing.B) {

@@ -10,14 +10,16 @@
 // Every variant preserves the reference kernels' exact floating-point
 // behaviour: each output element accumulates its k-terms in ascending
 // order from +0, with the same zero-skip tests, so blocking changes no
-// bit. The AVX2 kernels (kernels.go) keep that contract: one rounded
-// multiply and one rounded add per term, never FMA, with every VEX operand
-// in the order the compiler emits for the scalar loops (x·a, then
-// product + accumulator). A matmul therefore gives the same bits on every
-// host and kernel path, and so does GNN training: gnn.Config.Workers,
-// which groups the per-sample gradients before they are summed, is a
-// fixed part of the configuration (2 by default), never the host's core
-// count.
+// bit. The AVX2 kernels (kernels.go) keep that contract: a@b runs one
+// row-kernel call per output row and k-tile, which keeps panels of up to
+// 32 output columns in registers and skips zero a[i,k] itself, with one
+// rounded multiply and one rounded add per term, never FMA, and every
+// VEX operand in the order the compiler emits for the scalar loops (x·a,
+// then product + accumulator). A matmul therefore gives the same bits on
+// every host and kernel path, and so does GNN training:
+// gnn.Config.Workers, which groups the per-sample gradients before they
+// are summed, is a fixed part of the configuration (2 by default), never
+// the host's core count.
 package tensor
 
 import "fmt"
@@ -105,13 +107,11 @@ func matmulRows(out, a *Mat, rows []int, b *Mat) {
 	// rows stream past it. k still ascends per output element, so
 	// blocking does not reorder any accumulation. The first tile starts
 	// every output element at +0, the later tiles add to it.
-	var ks [matmulBlockK]int
-	var vs [matmulBlockK]float64
 	for k0 := 0; k0 < a.C; k0 += matmulBlockK {
 		k1 := min(k0+matmulBlockK, a.C)
 		bblk := b.Data[k0*b.C : k1*b.C]
 		for i := 0; i < out.R; i++ {
-			matmulRow(out.Row(i), arow(i)[k0:k1], bblk, ks[:], vs[:], k0 == 0)
+			matmulRow(out.Row(i), arow(i)[k0:k1], bblk, k0 == 0)
 		}
 	}
 }

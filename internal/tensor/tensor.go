@@ -5,10 +5,12 @@
 //
 // Every result is bit-identical on every host. On amd64 CPUs with AVX2
 // the axpy, vector-add and matmul row kernels run as assembly; elsewhere,
-// and under -tags purego, as plain Go. The assembly uses no FMA (each term
-// is one rounded multiply and one rounded add, as in Go) and orders each
-// VEX operand pair as the compiler does for the scalar loops, so even NaN
-// payloads match. See kernels.go.
+// and under -tags purego, as plain Go. The matmul row kernel reads its a
+// row itself, skipping zero terms, and applies each term to a whole
+// register-held panel of up to 32 output columns in one walk over k. The
+// assembly uses no FMA (each term is one rounded multiply and one rounded
+// add, as in Go) and orders each VEX operand pair as the compiler does
+// for the scalar loops, so even NaN payloads match. See kernels.go.
 package tensor
 
 import (
