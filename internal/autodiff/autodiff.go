@@ -15,6 +15,7 @@ package autodiff
 import (
 	"math"
 
+	"mpidetect/internal/region"
 	"mpidetect/internal/tensor"
 )
 
@@ -42,10 +43,10 @@ type Tape struct {
 	off    int
 	handed int // floats handed out since Reset
 
-	// ints is the argmax index slab of MaxRows and SegmentMaxRows;
-	// intsOff ints of it are handed out since Reset.
-	ints    []int
-	intsOff int
+	// ints holds the argmax indices of MaxRows and SegmentMaxRows. Reset
+	// recycles it like the float arena: the backward closures that read
+	// them run before the next Reset.
+	ints region.Slab[int]
 
 	// inference skips gradient storage and backward closures: forward-only
 	// passes (Predict) do half the arena traffic and no closure allocation.
@@ -66,7 +67,7 @@ func (t *Tape) Reset() {
 	t.slab = 0
 	t.off = 0
 	t.handed = 0
-	t.intsOff = 0
+	t.ints.Reset()
 }
 
 // ArenaFloats reports how many floats of arena storage the tape has
@@ -74,8 +75,12 @@ func (t *Tape) Reset() {
 // bounds the slab memory a pooled tape keeps.
 func (t *Tape) ArenaFloats() int { return t.handed }
 
-// slabFloats is the arena granularity (64k floats = 512KiB per slab).
-const slabFloats = 1 << 16
+// slabFloats is the arena granularity (64k floats = 512KiB per slab),
+// and intChunk that of the argmax ints.
+const (
+	slabFloats = 1 << 16
+	intChunk   = 256
+)
 
 // alloc hands out n floats of arena memory, zeroed when clearMem is set
 // (accumulation targets need it; fully-overwritten buffers skip it).
@@ -358,7 +363,7 @@ func (t *Tape) MulCol(a, col *Node) *Node {
 // (adaptive max pooling over all nodes of a graph).
 func (t *Tape) MaxRows(a *Node) *Node {
 	val := t.newMat(1, a.Val.C, false)
-	arg := t.allocInts(a.Val.C)
+	arg := t.ints.Take(a.Val.C, intChunk)
 	for j := 0; j < a.Val.C; j++ {
 		best := math.Inf(-1)
 		bi := 0
@@ -395,8 +400,8 @@ func (t *Tape) SegmentMaxRows(a *Node, seg []int, nSeg int) *Node {
 	for i := range bests {
 		bests[i] = math.Inf(-1)
 	}
-	arg := t.allocInts(nSeg * c)
-	first := t.allocInts(nSeg)
+	arg := t.ints.Take(nSeg*c, intChunk)
+	first := t.ints.Take(nSeg, intChunk)
 	for s := range first {
 		first[s] = -1
 	}
@@ -444,22 +449,6 @@ func (t *Tape) SegmentMaxRows(a *Node, seg []int, nSeg int) *Node {
 			}
 		}
 	}
-	return out
-}
-
-// allocInts hands out n zeroed ints from the tape's int slab, which
-// Reset recycles like the float arena: the backward closures that read
-// them run before the next Reset. A pass that outgrows the slab gets a
-// new one of at least twice the size; the old one stays with the buffers
-// already handed out from it until the pass ends.
-func (t *Tape) allocInts(n int) []int {
-	if t.intsOff+n > len(t.ints) {
-		t.ints = make([]int, max(n, 2*len(t.ints), 256))
-		t.intsOff = 0
-	}
-	out := t.ints[t.intsOff : t.intsOff+n : t.intsOff+n]
-	t.intsOff += n
-	clear(out)
 	return out
 }
 

@@ -1,12 +1,13 @@
 package ir
 
-import "unsafe"
+import "mpidetect/internal/region"
 
 // Request-scoped IR memory. Every node of a parsed module — instructions,
 // operand and target lists, constants, blocks, functions, globals,
-// parameters, types — is bump-allocated from one per-module arena of typed
-// chunks, and the -Os optimiser's inlined clones and placed phis come from
-// the same arena (Module.NewInstr, NewBlock, NewInstrList, NewBlockList).
+// parameters, types — is bump-allocated from one per-module arena of
+// typed slabs (region.Slab), and the -Os optimiser's inlined clones and
+// placed phis come from the same arena (Module.NewInstr, NewBlock,
+// NewInstrList, NewBlockList).
 // When a serving path is done with a module — its verdicts are out —
 // Module.Release clears every chunk the module used, so the arena pins
 // nothing, and puts the arena on a bounded free list; the next parse carves
@@ -47,90 +48,20 @@ var freeArenas = make(chan *arena, maxFreeArenas)
 
 // arena is one module's typed chunk memory.
 type arena struct {
-	instrs     slab[Instr]
-	args       slab[Value]
-	consts     slab[Const]
-	blocks     slab[Block]
-	blockPtrs  slab[*Block]
-	instrPtrs  slab[*Instr]
-	funcs      slab[Func]
-	funcPtrs   slab[*Func]
-	globals    slab[Global]
-	globalPtrs slab[*Global]
-	params     slab[Param]
-	paramPtrs  slab[*Param]
-	types      slab[Type]
-	typePtrs   slab[*Type]
-}
-
-// slab is a typed bump allocator over a list of chunks. It hands out
-// zeroed, exact-capacity runs of elements, so an append by a pass copies
-// out instead of stomping a neighbour. The chunks are kept across reuses
-// of the arena: reset clears what was handed out and starts over from the
-// first chunk.
-type slab[T any] struct {
-	chunks [][]T // every chunk, each at full length
-	cur    int   // chunks[cur] is being carved
-	used   int   // elements of chunks[cur] handed out
-}
-
-// take returns n zeroed elements with len == cap == n. size is the chunk
-// length for a new chunk; a request larger than size gets a chunk of its
-// own length.
-func (s *slab[T]) take(n, size int) []T {
-	if s.cur == len(s.chunks) || s.used+n > len(s.chunks[s.cur]) {
-		s.advance(n, size)
-	}
-	out := s.chunks[s.cur][s.used : s.used+n : s.used+n]
-	s.used += n
-	return out
-}
-
-// list is take for a list, which is nil when n is zero.
-func (s *slab[T]) list(n, size int) []T {
-	if n == 0 {
-		return nil
-	}
-	return s.take(n, size)
-}
-
-// advance moves to the next chunk with room for n elements, making one
-// when the next kept chunk is too small (or there is none).
-func (s *slab[T]) advance(n, size int) {
-	if s.cur < len(s.chunks) {
-		s.cur++
-	}
-	s.used = 0
-	if s.cur < len(s.chunks) && len(s.chunks[s.cur]) >= n {
-		return
-	}
-	s.chunks = append(s.chunks, nil)
-	copy(s.chunks[s.cur+1:], s.chunks[s.cur:])
-	s.chunks[s.cur] = make([]T, max(size, n))
-}
-
-// handedOut returns the elements of chunk i handed out since the last
-// reset, for i up to the chunk being carved.
-func (s *slab[T]) handedOut(i int) []T {
-	if i < s.cur {
-		return s.chunks[i]
-	}
-	return s.chunks[i][:s.used]
-}
-
-// reset clears every element handed out, dropping the references they
-// hold, rewinds to the first chunk and returns the bytes the chunks take.
-func (s *slab[T]) reset() int {
-	var zero T
-	n := 0
-	for i, c := range s.chunks {
-		if i <= s.cur {
-			clear(s.handedOut(i))
-		}
-		n += len(c)
-	}
-	s.cur, s.used = 0, 0
-	return n * int(unsafe.Sizeof(zero))
+	instrs     region.Slab[Instr]
+	args       region.Slab[Value]
+	consts     region.Slab[Const]
+	blocks     region.Slab[Block]
+	blockPtrs  region.Slab[*Block]
+	instrPtrs  region.Slab[*Instr]
+	funcs      region.Slab[Func]
+	funcPtrs   region.Slab[*Func]
+	globals    region.Slab[Global]
+	globalPtrs region.Slab[*Global]
+	params     region.Slab[Param]
+	paramPtrs  region.Slab[*Param]
+	types      region.Slab[Type]
+	typePtrs   region.Slab[*Type]
 }
 
 // takeArena returns an arena from the free list, or a new one.
@@ -146,11 +77,11 @@ func takeArena() *arena {
 // recycle clears the arena and puts it on the free list, unless it is
 // oversized or the list is full.
 func (a *arena) recycle() {
-	n := a.instrs.reset() + a.args.reset() + a.consts.reset() +
-		a.blocks.reset() + a.blockPtrs.reset() + a.instrPtrs.reset() +
-		a.funcs.reset() + a.funcPtrs.reset() + a.globals.reset() +
-		a.globalPtrs.reset() + a.params.reset() + a.paramPtrs.reset() +
-		a.types.reset() + a.typePtrs.reset()
+	n := a.instrs.Reset() + a.args.Reset() + a.consts.Reset() +
+		a.blocks.Reset() + a.blockPtrs.Reset() + a.instrPtrs.Reset() +
+		a.funcs.Reset() + a.funcPtrs.Reset() + a.globals.Reset() +
+		a.globalPtrs.Reset() + a.params.Reset() + a.paramPtrs.Reset() +
+		a.types.Reset() + a.typePtrs.Reset()
 	if n > maxArenaRetain {
 		return
 	}
@@ -164,8 +95,7 @@ func (a *arena) recycle() {
 // opcode no constructor produces and no operands or targets. Printing one
 // panics, and code that reads its operands finds none.
 func (a *arena) poison() {
-	for i := 0; i <= a.instrs.cur && i < len(a.instrs.chunks); i++ {
-		c := a.instrs.handedOut(i)
+	for c := range a.instrs.HandedOut {
 		for j := range c {
 			c[j].Op, c[j].Args, c[j].Blocks = opReleased, nil, nil
 		}
@@ -234,22 +164,22 @@ func (m *Module) NewInstrList(n int) []*Instr { return m.mem().newInstrList(n) }
 // module's arena.
 func (m *Module) NewBlockList(n int) []*Block { return m.mem().newBlockPtrs(n)[:0] }
 
-func (a *arena) newInstr() *Instr   { return &a.instrs.take(1, instrChunk)[0] }
-func (a *arena) newConst() *Const   { return &a.consts.take(1, constChunk)[0] }
-func (a *arena) newBlock() *Block   { return &a.blocks.take(1, blockChunk)[0] }
-func (a *arena) newFunc() *Func     { return &a.funcs.take(1, funcChunk)[0] }
-func (a *arena) newGlobal() *Global { return &a.globals.take(1, globalChunk)[0] }
-func (a *arena) newParam() *Param   { return &a.params.take(1, paramChunk)[0] }
-func (a *arena) newType() *Type     { return &a.types.take(1, typeChunk)[0] }
+func (a *arena) newInstr() *Instr   { return &a.instrs.Take(1, instrChunk)[0] }
+func (a *arena) newConst() *Const   { return &a.consts.Take(1, constChunk)[0] }
+func (a *arena) newBlock() *Block   { return &a.blocks.Take(1, blockChunk)[0] }
+func (a *arena) newFunc() *Func     { return &a.funcs.Take(1, funcChunk)[0] }
+func (a *arena) newGlobal() *Global { return &a.globals.Take(1, globalChunk)[0] }
+func (a *arena) newParam() *Param   { return &a.params.Take(1, paramChunk)[0] }
+func (a *arena) newType() *Type     { return &a.types.Take(1, typeChunk)[0] }
 
 // The list constructors return lists of length and capacity n (operands,
 // block targets, a module's functions and globals), or empty lists of
 // capacity n that the caller appends to; nil when n is zero.
 
-func (a *arena) newArgs(n int) []Value         { return a.args.list(n, argChunk) }
-func (a *arena) newBlockPtrs(n int) []*Block   { return a.blockPtrs.list(n, blockPtrChunk) }
-func (a *arena) newFuncList(n int) []*Func     { return a.funcPtrs.list(n, funcPtrChunk) }
-func (a *arena) newGlobalList(n int) []*Global { return a.globalPtrs.list(n, globalChunk) }
-func (a *arena) newInstrList(n int) []*Instr   { return a.instrPtrs.list(n, instrPtrChunk)[:0] }
-func (a *arena) newParamList(n int) []*Param   { return a.paramPtrs.list(n, paramChunk)[:0] }
-func (a *arena) newTypeList(n int) []*Type     { return a.typePtrs.list(n, typeChunk)[:0] }
+func (a *arena) newArgs(n int) []Value         { return a.args.List(n, argChunk) }
+func (a *arena) newBlockPtrs(n int) []*Block   { return a.blockPtrs.List(n, blockPtrChunk) }
+func (a *arena) newFuncList(n int) []*Func     { return a.funcPtrs.List(n, funcPtrChunk) }
+func (a *arena) newGlobalList(n int) []*Global { return a.globalPtrs.List(n, globalChunk) }
+func (a *arena) newInstrList(n int) []*Instr   { return a.instrPtrs.List(n, instrPtrChunk)[:0] }
+func (a *arena) newParamList(n int) []*Param   { return a.paramPtrs.List(n, paramChunk)[:0] }
+func (a *arena) newTypeList(n int) []*Type     { return a.typePtrs.List(n, typeChunk)[:0] }

@@ -67,6 +67,25 @@ func TestPrintParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseRejectsUnprintable pins that the parser rejects what it
+// could not read back once printed. Block references in phis and
+// branches are split on commas outside brackets, so a label holding a
+// bracket, brace or comma is not a label; and a struct type needs a
+// name, since an unnamed one prints as "{}". The fuzzer found "{ntry:"
+// and "%struct.^PI_Status*" each surviving a parse but not a round trip.
+func TestParseRejectsUnprintable(t *testing.T) {
+	var srcs []string
+	for _, label := range []string{"{ntry", "a(b", "x]", "p,q"} {
+		srcs = append(srcs, "define i32 @f(i32 %a) {\n"+label+":\n  br label %b\nb:\n  ret i32 %a\n}\n")
+	}
+	srcs = append(srcs, "declare i32 @f(%struct.^x*)\n")
+	for _, src := range srcs {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("parsed:\n%s", src)
+		}
+	}
+}
+
 // typeSpellings pins the one type rendering to literal spellings, one
 // type of every Kind plus the nil, anonymous-struct and func corners: the
 // IR text format and every interned feature vocabulary are keyed on them,

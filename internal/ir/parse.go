@@ -392,7 +392,10 @@ func (p *parser) parseDefine(line string) error {
 		if line == "" || strings.HasPrefix(line, ";") {
 			continue
 		}
-		if strings.HasSuffix(line, ":") && !strings.Contains(line, " ") {
+		// A label holds no blank, bracket or comma: operand lists that
+		// name blocks are split on commas outside brackets, so such a
+		// name would not read back once printed into a phi or branch.
+		if strings.HasSuffix(line, ":") && !strings.ContainsAny(line, " ()[]{},") {
 			b := p.a.newBlock()
 			b.Name = strings.TrimSuffix(line, ":")
 			b.Parent = f
@@ -911,6 +914,10 @@ func (a *arena) parseType(s string) (*Type, string, error) {
 		end := 0
 		for end < len(rest) && (isIdentChar(rest[end])) {
 			end++
+		}
+		if end == 0 {
+			// Only a named struct prints back as %struct.<name>.
+			return nil, "", fmt.Errorf("unnamed struct type at %q", s)
 		}
 		name := rest[:end]
 		st, ok := namedStructs[name]

@@ -27,6 +27,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("define void @f() {\nentry:\n  %c = fcmp oeq double 1.5, 2.5\n  %s = select i1 %c, i32 1, i32 2\n  %t = sitofp i32 %s to double\n  unreachable\n}\n")
 	f.Add("define void @f() {\n  ret void\n}\n")
 	f.Add("define void @f() {\nentry:\n  %u = frob i32 1\n}\n")
+	f.Add("define void @f() {\n{ntry:\n  ret void\n}\n")
+	f.Add("declare i32 @f(%struct.^x*)\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<16 {

@@ -201,7 +201,7 @@ func (p *refParser) parseDefine() error {
 			p.pos++
 			continue
 		}
-		if strings.HasSuffix(line, ":") && !strings.Contains(line, " ") {
+		if strings.HasSuffix(line, ":") && !strings.ContainsAny(line, " ()[]{},") {
 			b := &Block{Name: strings.TrimSuffix(line, ":"), Parent: f}
 			f.Blocks = append(f.Blocks, b)
 			cur = &rawBlock{b: b}
@@ -707,6 +707,9 @@ func refParseType(s string) (*Type, string, error) {
 		end := 0
 		for end < len(rest) && (isIdentChar(rest[end])) {
 			end++
+		}
+		if end == 0 {
+			return nil, "", fmt.Errorf("unnamed struct type at %q", s)
 		}
 		name := rest[:end]
 		st, ok := namedStructs[name]

@@ -1,6 +1,6 @@
 // Pooled run state. A Runtime is reused whole: its memArena (size-classed
 // byte buffers for MemObj storage and message payloads, frame free
-// lists, and typed bump arenas for the Ptr, MemObj, message, receive,
+// lists, and typed region slabs for the Ptr, MemObj, message, receive,
 // request and MPI-argument values that live exactly as long as a run)
 // and every rank proc it has built, each with its Machine and call
 // stack. RunCtx takes a Runtime from one bounded free list shared by
@@ -15,7 +15,8 @@ package mpisim
 import (
 	"fmt"
 	"math/bits"
-	"unsafe"
+
+	"mpidetect/internal/region"
 )
 
 const (
@@ -26,7 +27,7 @@ const (
 	maxFrameBits    = 12 // largest pooled frame: 4096 slots
 	numFrameClasses = maxFrameBits + 1
 
-	chunkLen = 128 // objects per bump-arena chunk
+	chunkLen = 128 // objects per slab chunk
 
 	// maxRunMemory caps the bytes one run's memory objects and message
 	// payloads take in total. A program past it crashes with
@@ -43,40 +44,6 @@ var errRunMemory = &runErr{kind: "crash",
 // emptyBytes backs every zero-sized allocation; it is never written.
 var emptyBytes = []byte{}
 
-// chunkArena is a typed bump allocator. Allocation hands out zeroed
-// objects (chunks are cleared on reset); reset drops every reference so
-// a pooled arena cannot keep a prior run's memory graph alive.
-type chunkArena[T any] struct {
-	chunks  [][]T
-	ci, off int
-}
-
-func (a *chunkArena[T]) alloc() *T {
-	if a.ci >= len(a.chunks) {
-		a.chunks = append(a.chunks, make([]T, chunkLen))
-	}
-	p := &a.chunks[a.ci][a.off]
-	a.off++
-	if a.off == chunkLen {
-		a.ci++
-		a.off = 0
-	}
-	return p
-}
-
-func (a *chunkArena[T]) reset() {
-	for i := 0; i <= a.ci && i < len(a.chunks); i++ {
-		clear(a.chunks[i])
-	}
-	a.ci, a.off = 0, 0
-}
-
-// bytes is the memory the arena's chunks retain.
-func (a *chunkArena[T]) bytes() int {
-	var zero T
-	return len(a.chunks) * chunkLen * int(unsafe.Sizeof(zero))
-}
-
 // memArena is the memory half of a pooled Runtime.
 type memArena struct {
 	bufs [numClasses][][]byte // free byte buffers by size class
@@ -86,17 +53,15 @@ type memArena struct {
 	// (frames are cleared when returned, so origin does not matter).
 	frames [numFrameClasses][][]RV
 
-	ptrs  chunkArena[Ptr]
-	mems  chunkArena[MemObj]
-	msgs  chunkArena[message]
-	rcvs  chunkArena[recvPost]
-	reqas chunkArena[request]
+	ptrs  region.Slab[Ptr]
+	mems  region.Slab[MemObj]
+	msgs  region.Slab[message]
+	rcvs  region.Slab[recvPost]
+	reqas region.Slab[request]
+	rvs   region.Slab[RV]
 
-	rvChunks    [][]RV
-	rvCI, rvOff int
-
-	// retained estimates the bytes the pooled buffers, frames and value
-	// chunks keep across runs; see Runtime.recycle.
+	// retained estimates the bytes the pooled buffers and frames keep
+	// across runs; see Runtime.recycle.
 	retained int
 	handed   int // bytes getBytes handed out this run
 }
@@ -159,9 +124,7 @@ func clearSlice[T any](s []T) []T {
 // are copied into strings, and the violations slice, which escaped into
 // the Result, is dropped rather than reused.
 func (rt *Runtime) recycle() {
-	rt.memArena.reset()
-	kept := rt.retained + rt.ptrs.bytes() + rt.mems.bytes() + rt.msgs.bytes() +
-		rt.rcvs.bytes() + rt.reqas.bytes()
+	kept := rt.memArena.reset() + rt.retained
 	for _, pr := range rt.built {
 		pr.reset()
 		kept += cap(pr.mach.out)
@@ -189,24 +152,17 @@ func (rt *Runtime) recycle() {
 	}
 }
 
-// reset returns every handed-out buffer to its size class and clears the
-// bump arenas.
-func (a *memArena) reset() {
+// reset returns every handed-out buffer to its size class, clears the
+// slabs and returns the bytes their chunks take.
+func (a *memArena) reset() int {
 	for _, b := range a.used {
 		c := bits.Len(uint(cap(b) - 1))
 		a.bufs[c] = append(a.bufs[c], b)
 	}
 	a.used = a.used[:0]
-	a.ptrs.reset()
-	a.mems.reset()
-	a.msgs.reset()
-	a.rcvs.reset()
-	a.reqas.reset()
-	for i := 0; i <= a.rvCI && i < len(a.rvChunks); i++ {
-		clear(a.rvChunks[i])
-	}
-	a.rvCI, a.rvOff = 0, 0
 	a.handed = 0
+	return a.ptrs.Reset() + a.mems.Reset() + a.msgs.Reset() +
+		a.rcvs.Reset() + a.reqas.Reset() + a.rvs.Reset()
 }
 
 // getFrame hands out a zeroed frame of n value slots.
@@ -282,43 +238,21 @@ func (a *memArena) getBytes(n int, zero bool) []byte {
 // pointer shadow map is nil until the first typed-pointer store (most
 // objects never pay for it).
 func (a *memArena) newMemObj(name string, size, owner int) *MemObj {
-	o := a.mems.alloc()
+	o := &a.mems.Take(1, chunkLen)[0]
 	o.Name, o.Bytes, o.Ptrs, o.Owner = name, a.getBytes(size, true), nil, owner
 	return o
 }
 
 // newPtr bump-allocates a Ptr (GEP results, alloca handles).
 func (a *memArena) newPtr(obj *MemObj, off int) *Ptr {
-	p := a.ptrs.alloc()
+	p := &a.ptrs.Take(1, chunkLen)[0]
 	p.Obj, p.Off = obj, off
 	return p
-}
-
-// allocRVs bump-allocates a value slice that outlives its call site (MPI
-// argument vectors retained by requests and collectives until run end).
-func (a *memArena) allocRVs(n int) []RV {
-	if n == 0 {
-		return nil
-	}
-	if n > chunkLen {
-		return make([]RV, n)
-	}
-	if a.rvOff+n > chunkLen {
-		a.rvCI++
-		a.rvOff = 0
-	}
-	if a.rvCI >= len(a.rvChunks) {
-		a.rvChunks = append(a.rvChunks, make([]RV, chunkLen))
-		a.retained += chunkLen * 24
-	}
-	out := a.rvChunks[a.rvCI][a.rvOff : a.rvOff+n]
-	a.rvOff += n
-	return out
 }
 
 // newMessage, newRecvPost and newRequest bump-allocate the run-scoped
 // MPI bookkeeping objects the point-to-point and collective layers
 // create on every operation.
-func (a *memArena) newMessage() *message   { return a.msgs.alloc() }
-func (a *memArena) newRecvPost() *recvPost { return a.rcvs.alloc() }
-func (a *memArena) newRequest() *request   { return a.reqas.alloc() }
+func (a *memArena) newMessage() *message   { return &a.msgs.Take(1, chunkLen)[0] }
+func (a *memArena) newRecvPost() *recvPost { return &a.rcvs.Take(1, chunkLen)[0] }
+func (a *memArena) newRequest() *request   { return &a.reqas.Take(1, chunkLen)[0] }

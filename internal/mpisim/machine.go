@@ -369,14 +369,14 @@ func (m *Machine) execInstr(fr []RV, in *cinstr) (RV, error) {
 			}
 			return RV{}, crashf("ordered pointer comparison")
 		}
-		return boolRV(intCmp(in.cmp, x.I, y.I)), nil
+		return boolRV(ir.Compare(in.cmp, x.I, y.I)), nil
 
 	case in.op == ir.OpFCmp:
 		x, y, err := m.evalAB(fr, in)
 		if err != nil {
 			return RV{}, err
 		}
-		return boolRV(floatCmp(in.cmp, x.F, y.F)), nil
+		return boolRV(ir.Compare(in.cmp, x.F, y.F)), nil
 
 	case in.op.IsConv():
 		x, err := m.evalOp(fr, &in.a)
@@ -485,8 +485,8 @@ func (m *Machine) execCall(fr []RV, in *cinstr) (RV, error) {
 	var args []RV
 	if in.ck == ckMPI {
 		// MPI argument vectors may be retained (persistent requests,
-		// collective slots) until the run ends: bump-allocate them.
-		args = m.rt.allocRVs(nargs)
+		// collective slots) until the run ends: carve them from the run.
+		args = m.rt.rvs.List(nargs, chunkLen)
 	} else {
 		if cap(m.argScratch) < nargs {
 			m.argScratch = make([]RV, nargs)
@@ -614,110 +614,42 @@ func ptrEq(a, b *Ptr) bool {
 	return a.Obj == b.Obj && a.Off == b.Off
 }
 
-func intCmp(p ir.Pred, a, b int64) bool {
-	switch p {
-	case ir.PredEQ:
-		return a == b
-	case ir.PredNE:
-		return a != b
-	case ir.PredSLT:
-		return a < b
-	case ir.PredSLE:
-		return a <= b
-	case ir.PredSGT:
-		return a > b
-	case ir.PredSGE:
-		return a >= b
-	}
-	return false
-}
-
-func floatCmp(p ir.Pred, a, b float64) bool {
-	switch p {
-	case ir.PredEQ:
-		return a == b
-	case ir.PredNE:
-		return a != b
-	case ir.PredSLT:
-		return a < b
-	case ir.PredSLE:
-		return a <= b
-	case ir.PredSGT:
-		return a > b
-	case ir.PredSGE:
-		return a >= b
-	}
-	return false
-}
-
+// execBinary evaluates a binary op. Unlike the constant folder, a run
+// crashes on an integer division or remainder by zero, uses the low six
+// bits of a shift amount and divides floats by zero.
 func execBinary(op ir.Opcode, typ *ir.Type, x, y RV) (RV, error) {
+	b := y.I
 	switch op {
-	case ir.OpFAdd:
-		return RV{F: x.F + y.F}, nil
-	case ir.OpFSub:
-		return RV{F: x.F - y.F}, nil
-	case ir.OpFMul:
-		return RV{F: x.F * y.F}, nil
-	case ir.OpFDiv:
-		return RV{F: x.F / y.F}, nil
-	}
-	a, b := x.I, y.I
-	var r int64
-	switch op {
-	case ir.OpAdd:
-		r = a + b
-	case ir.OpSub:
-		r = a - b
-	case ir.OpMul:
-		r = a * b
 	case ir.OpSDiv:
 		if b == 0 {
 			return RV{}, crashf("integer division by zero")
 		}
-		r = a / b
 	case ir.OpSRem:
 		if b == 0 {
 			return RV{}, crashf("integer remainder by zero")
 		}
-		r = a % b
-	case ir.OpAnd:
-		r = a & b
-	case ir.OpOr:
-		r = a | b
-	case ir.OpXor:
-		r = a ^ b
-	case ir.OpShl:
-		r = a << uint(b&63)
-	case ir.OpAShr:
-		r = a >> uint(b&63)
-	default:
-		return RV{}, crashf("bad binary op %s", op)
+	case ir.OpShl, ir.OpAShr:
+		b &= 63
 	}
-	return RV{I: truncInt(typ, r)}, nil
-}
-
-func truncInt(t *ir.Type, v int64) int64 {
-	switch t.Kind {
-	case ir.KInt1:
-		return v & 1
-	case ir.KInt8:
-		return int64(int8(v))
-	case ir.KInt32:
-		return int64(int32(v))
+	if r, ok := ir.IntBinary(op, typ, x.I, b); ok {
+		return RV{I: r}, nil
 	}
-	return v
+	if r, ok := ir.FloatBinary(op, x.F, y.F); ok {
+		return RV{F: r}, nil
+	}
+	return RV{}, crashf("bad binary op %s", op)
 }
 
 func execConv(op ir.Opcode, typ *ir.Type, x RV) (RV, error) {
 	switch op {
 	case ir.OpTrunc, ir.OpSExt:
-		return RV{I: truncInt(typ, x.I)}, nil
+		return RV{I: ir.Wrap(typ, x.I)}, nil
 	case ir.OpZExt:
 		return RV{I: x.I}, nil
 	case ir.OpSIToFP:
 		return RV{F: float64(x.I)}, nil
 	case ir.OpFPToSI:
-		return RV{I: truncInt(typ, int64(x.F))}, nil
+		return RV{I: ir.Wrap(typ, int64(x.F))}, nil
 	case ir.OpBitcast:
 		return x, nil
 	case ir.OpPtrToInt:

@@ -166,7 +166,7 @@ func (rt *Runtime) activateRequest(p *proc, r *request) {
 		r.recv = rp
 		rt.postRecv(rp)
 		if buf != nil {
-			p.activeRegions = append(p.activeRegions, region{obj: buf.Obj, off: buf.Off,
+			p.activeRegions = append(p.activeRegions, activeRegion{obj: buf.Obj, off: buf.Off,
 				length: count * dt.Size(), write: true, reqID: r.id, op: r.op})
 		}
 		return
@@ -181,7 +181,7 @@ func (rt *Runtime) activateRequest(p *proc, r *request) {
 	r.msg = msg
 	rt.postSend(msg)
 	if buf != nil {
-		p.activeRegions = append(p.activeRegions, region{obj: buf.Obj, off: buf.Off,
+		p.activeRegions = append(p.activeRegions, activeRegion{obj: buf.Obj, off: buf.Off,
 			length: count * dt.Size(), write: false, reqID: r.id, op: r.op})
 	}
 }

@@ -25,8 +25,10 @@ func (c *goroutineProbe) Err() error {
 
 // TestRunStartsNoGoroutine proves a run executes on the goroutine that
 // calls RunCtx: while ranks exchange messages, deadlock, spin in a
-// compute loop or crash, the goroutine count stays what it was before
-// the run.
+// compute loop or crash, the goroutine count never exceeds what it was
+// before the run. It may fall: a goroutine that existed before the run
+// (the runtime's finalizer goroutine running a finalizer, say) can end
+// during it.
 func TestRunStartsNoGoroutine(t *testing.T) {
 	runs := []struct {
 		prog *Program
@@ -45,7 +47,7 @@ func TestRunStartsNoGoroutine(t *testing.T) {
 			t.Fatalf("run %d never polled its context", i)
 		}
 		for _, n := range probe.samples {
-			if n != base {
+			if n > base {
 				t.Fatalf("run %d: %d goroutines during the run, %d before it", i, n, base)
 			}
 		}

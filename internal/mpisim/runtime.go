@@ -52,7 +52,7 @@ type proc struct {
 	finalized bool
 
 	// resources owned by the rank
-	activeRegions []region
+	activeRegions []activeRegion
 	ownedComms    []int64
 }
 
@@ -100,7 +100,7 @@ func (p *proc) reset() {
 	clear(m.globalRVs)
 }
 
-type region struct {
+type activeRegion struct {
 	obj    *MemObj
 	off    int
 	length int

@@ -75,14 +75,14 @@ func foldInstr(in *ir.Instr) *ir.Const {
 		if !okx || !oky || x.IsUndef || y.IsUndef {
 			return nil
 		}
-		return ir.ConstBool(cmpInts(in.Cmp, x.Int, y.Int))
+		return ir.ConstBool(ir.Compare(in.Cmp, x.Int, y.Int))
 	case in.Op == ir.OpFCmp:
 		x, okx := in.Args[0].(*ir.Const)
 		y, oky := in.Args[1].(*ir.Const)
 		if !okx || !oky {
 			return nil
 		}
-		return ir.ConstBool(cmpFloats(in.Cmp, x.Float, y.Float))
+		return ir.ConstBool(ir.Compare(in.Cmp, x.Float, y.Float))
 	case in.Op == ir.OpSelect:
 		if c, ok := in.Args[0].(*ir.Const); ok && !c.IsUndef {
 			if c.Int != 0 {
@@ -115,113 +115,34 @@ func foldIdentity(in *ir.Instr) *ir.Const {
 	return nil
 }
 
+// foldBinary evaluates a binary op on two constants. It declines what
+// only run time can decide: an integer or float division by zero and a
+// shift amount outside [0, 63].
 func foldBinary(in *ir.Instr, x, y *ir.Const) *ir.Const {
 	if x.IsFloat || y.IsFloat {
-		var r float64
-		switch in.Op {
-		case ir.OpFAdd:
-			r = x.Float + y.Float
-		case ir.OpFSub:
-			r = x.Float - y.Float
-		case ir.OpFMul:
-			r = x.Float * y.Float
-		case ir.OpFDiv:
-			if y.Float == 0 {
-				return nil
-			}
-			r = x.Float / y.Float
-		default:
+		if in.Op == ir.OpFDiv && y.Float == 0 {
 			return nil
 		}
-		return ir.ConstFloat(r)
-	}
-	a, b := x.Int, y.Int
-	var r int64
-	switch in.Op {
-	case ir.OpAdd:
-		r = a + b
-	case ir.OpSub:
-		r = a - b
-	case ir.OpMul:
-		r = a * b
-	case ir.OpSDiv:
-		if b == 0 {
-			return nil
+		if r, ok := ir.FloatBinary(in.Op, x.Float, y.Float); ok {
+			return ir.ConstFloat(r)
 		}
-		r = a / b
-	case ir.OpSRem:
-		if b == 0 {
-			return nil
-		}
-		r = a % b
-	case ir.OpAnd:
-		r = a & b
-	case ir.OpOr:
-		r = a | b
-	case ir.OpXor:
-		r = a ^ b
-	case ir.OpShl:
-		if b < 0 || b > 63 {
-			return nil
-		}
-		r = a << uint(b)
-	case ir.OpAShr:
-		if b < 0 || b > 63 {
-			return nil
-		}
-		r = a >> uint(b)
-	default:
 		return nil
 	}
-	return ir.ConstInt(in.Typ, truncToType(in.Typ, r))
-}
-
-func truncToType(t *ir.Type, v int64) int64 {
-	switch t.Kind {
-	case ir.KInt1:
-		return v & 1
-	case ir.KInt8:
-		return int64(int8(v))
-	case ir.KInt32:
-		return int64(int32(v))
+	a, b := x.Int, y.Int
+	switch in.Op {
+	case ir.OpSDiv, ir.OpSRem:
+		if b == 0 {
+			return nil
+		}
+	case ir.OpShl, ir.OpAShr:
+		if b < 0 || b > 63 {
+			return nil
+		}
 	}
-	return v
-}
-
-func cmpInts(p ir.Pred, a, b int64) bool {
-	switch p {
-	case ir.PredEQ:
-		return a == b
-	case ir.PredNE:
-		return a != b
-	case ir.PredSLT:
-		return a < b
-	case ir.PredSLE:
-		return a <= b
-	case ir.PredSGT:
-		return a > b
-	case ir.PredSGE:
-		return a >= b
+	if r, ok := ir.IntBinary(in.Op, in.Typ, a, b); ok {
+		return ir.ConstInt(in.Typ, r)
 	}
-	return false
-}
-
-func cmpFloats(p ir.Pred, a, b float64) bool {
-	switch p {
-	case ir.PredEQ:
-		return a == b
-	case ir.PredNE:
-		return a != b
-	case ir.PredSLT:
-		return a < b
-	case ir.PredSLE:
-		return a <= b
-	case ir.PredSGT:
-		return a > b
-	case ir.PredSGE:
-		return a >= b
-	}
-	return false
+	return nil
 }
 
 func foldConv(in *ir.Instr, c *ir.Const) *ir.Const {
@@ -241,7 +162,7 @@ func foldConv(in *ir.Instr, c *ir.Const) *ir.Const {
 				v &= 0xffffffff
 			}
 		}
-		return ir.ConstInt(in.Typ, truncToType(in.Typ, v))
+		return ir.ConstInt(in.Typ, ir.Wrap(in.Typ, v))
 	case ir.OpSIToFP:
 		if c.IsFloat {
 			return nil
@@ -251,7 +172,7 @@ func foldConv(in *ir.Instr, c *ir.Const) *ir.Const {
 		if !c.IsFloat {
 			return nil
 		}
-		return ir.ConstInt(in.Typ, truncToType(in.Typ, int64(c.Float)))
+		return ir.ConstInt(in.Typ, ir.Wrap(in.Typ, int64(c.Float)))
 	}
 	return nil
 }

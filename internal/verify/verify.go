@@ -10,7 +10,6 @@ package verify
 
 import (
 	"context"
-	"time"
 
 	"mpidetect/internal/dataset"
 	"mpidetect/internal/ir"
@@ -70,35 +69,6 @@ type ProgramChecker interface {
 // deterministic even if the simulator's own default moves.
 const DefaultMaxSteps = 200_000
 
-// Budget bounds one simulated run of a dynamic tool. The zero value
-// takes the documented defaults, so ITAC{} / MUST{} literals keep their
-// historical behaviour.
-type Budget struct {
-	Ranks    int           // simulated ranks when the code does not specify (default 2)
-	MaxSteps int64         // per-rank interpreter step budget (default DefaultMaxSteps)
-	Wall     time.Duration // wall-clock cap for one run (0 = none)
-}
-
-func (b Budget) withDefaults() Budget {
-	if b.Ranks <= 0 {
-		b.Ranks = 2
-	}
-	if b.MaxSteps <= 0 {
-		b.MaxSteps = DefaultMaxSteps
-	}
-	return b
-}
-
-// simConfig builds the simulator configuration for one run, preferring
-// the code's own rank count over the budget's default.
-func (b Budget) simConfig(ranks int) mpisim.Config {
-	b = b.withDefaults()
-	if ranks > 0 {
-		b.Ranks = ranks
-	}
-	return mpisim.Config{Ranks: b.Ranks, MaxSteps: b.MaxSteps, WallBudget: b.Wall}
-}
-
 // Evaluate runs a tool over a dataset and tallies Table III counts.
 // Verdicts are computed in parallel (the dynamic tools dominate eval
 // wall-clock); the tally itself is a sequential fold over the per-code
@@ -157,16 +127,14 @@ func compiled(c *dataset.Code, m *ir.Module) *mpisim.Program {
 // (inconclusive) and MUST's wait-for-graph detector reports.
 // ---------------------------------------------------------------------------
 
-// ITAC is the dynamic trace analyzer archetype. Budget bounds every
-// simulated run explicitly, so harness timeouts are deterministic rather
-// than dependent on the simulator's default step budget.
-type ITAC struct{ Budget Budget }
+// ITAC is the dynamic trace analyzer archetype.
+type ITAC struct{}
 
 // Name implements Tool.
 func (ITAC) Name() string { return "ITAC-like (dynamic)" }
 
 // Check implements Tool.
-func (t ITAC) Check(c *dataset.Code) Verdict { return checkCode(t, t.Budget, c) }
+func (t ITAC) Check(c *dataset.Code) Verdict { return checkCode(t, c) }
 
 // CheckModule implements ModuleChecker.
 func (t ITAC) CheckModule(ctx context.Context, m *ir.Module, cfg mpisim.Config) Verdict {
@@ -182,15 +150,14 @@ func (t ITAC) CheckProgram(ctx context.Context, prog *mpisim.Program, cfg mpisim
 // timeout.
 func (ITAC) Interpret(res *mpisim.Result) Verdict { return interpret(res, false) }
 
-// MUST is the runtime-correctness-tool archetype. Budget bounds every
-// simulated run explicitly (see ITAC).
-type MUST struct{ Budget Budget }
+// MUST is the runtime-correctness-tool archetype.
+type MUST struct{}
 
 // Name implements Tool.
 func (MUST) Name() string { return "MUST-like (dynamic)" }
 
 // Check implements Tool.
-func (t MUST) Check(c *dataset.Code) Verdict { return checkCode(t, t.Budget, c) }
+func (t MUST) Check(c *dataset.Code) Verdict { return checkCode(t, c) }
 
 // CheckModule implements ModuleChecker.
 func (t MUST) CheckModule(ctx context.Context, m *ir.Module, cfg mpisim.Config) Verdict {
@@ -205,13 +172,16 @@ func (t MUST) CheckProgram(ctx context.Context, prog *mpisim.Program, cfg mpisim
 // Interpret implements ProgramChecker: a deadlock is a diagnostic.
 func (MUST) Interpret(res *mpisim.Result) Verdict { return interpret(res, true) }
 
-// checkCode runs a dynamic tool on a dataset code under its budget.
-func checkCode(t ProgramChecker, b Budget, c *dataset.Code) Verdict {
+// checkCode runs a dynamic tool on a dataset code at the code's rank
+// count (the simulator's default of 2 when it gives none) and the
+// harness step budget.
+func checkCode(t ProgramChecker, c *dataset.Code) Verdict {
 	m, ok := lower(c)
 	if !ok {
 		return Verdict{CE: true}
 	}
-	return t.CheckProgram(context.Background(), compiled(c, m), b.simConfig(c.Ranks))
+	return t.CheckProgram(context.Background(), compiled(c, m),
+		mpisim.Config{Ranks: c.Ranks, MaxSteps: DefaultMaxSteps})
 }
 
 // interpret is the reading of a run that ITAC and MUST share.

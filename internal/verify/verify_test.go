@@ -119,24 +119,6 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestExplicitBudgetCapsRuns: a tiny step budget turns every nontrivial
-// code into a deterministic timeout, proving the harness budget is
-// threaded through to the simulator instead of the 200k-step default.
-func TestExplicitBudgetCapsRuns(t *testing.T) {
-	d := slice(dataset.GenerateMBI(3), 2)
-	starved := Evaluate(ITAC{Budget: Budget{MaxSteps: 10}}, d)
-	if starved.TP+starved.TN+starved.FP+starved.FN != 0 {
-		t.Errorf("10-step budget still produced conclusive verdicts: %+v", starved)
-	}
-	if starved.TO == 0 {
-		t.Errorf("10-step budget produced no timeouts: %+v", starved)
-	}
-	// And the zero-value budget matches the historical default exactly.
-	if got, want := Evaluate(ITAC{}, d), evaluateSerial(ITAC{Budget: Budget{MaxSteps: DefaultMaxSteps}}, d); got != want {
-		t.Errorf("zero budget %+v != explicit default budget %+v", got, want)
-	}
-}
-
 // TestCheckModuleCancellation: a dead context makes a dynamic tool
 // return an inconclusive, cancellation-marked verdict.
 func TestCheckModuleCancellation(t *testing.T) {
