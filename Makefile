@@ -129,14 +129,12 @@ chaos:
 #   envelope; never a 5xx or a panic).
 # The corpus seeds plus whatever the fuzzer grows locally; a longer soak
 # is e.g. `go test -run '^$$' -fuzz FuzzOptimize -fuzztime 10m ./internal/passes/`.
-# -fuzzminimizetime 1s caps the minimiser: by default it may spend up to
-# 60 s shrinking each new interesting input, and execs stop counting
-# meanwhile, so a 15 s smoke could test almost nothing. A failing input
-# is still reported and saved under testdata/fuzz, only less minimised.
-# 0x (no minimising) runs 4-5x the execs, but FuzzOptimize then finds an
-# open -O2 round-trip bug within a smoke (ROADMAP item 8); switch once
-# it runs clean.
-FUZZ = $(GO) test -run '^$$' -fuzztime 15s -fuzzminimizetime 1s
+# -fuzzminimizetime 0x turns the minimiser off: by default it may spend
+# up to 60 s shrinking each new interesting input, and execs stop
+# counting meanwhile, so a 15 s smoke could test almost nothing (even a
+# 1 s cap left most of the smoke to minimising). A failing input is
+# still reported and saved under testdata/fuzz, only not minimised.
+FUZZ = $(GO) test -run '^$$' -fuzztime 15s -fuzzminimizetime 0x
 fuzz:
 	$(FUZZ) -fuzz FuzzParse ./internal/ir/
 	$(FUZZ) -fuzz FuzzNormalizeIR ./internal/core/

@@ -257,6 +257,25 @@ func TestVerifyCatchesValuelessOperand(t *testing.T) {
 	}
 }
 
+// TestVerifyCatchesMistypedBinaryOperand: the parser types a binary op's
+// operands by the op's type without checking what a named operand is, so
+// `fmul double %p` accepts a pointer %p. The printer writes the operand's
+// own type (`fmul double* %p, ...`), which does not parse back.
+func TestVerifyCatchesMistypedBinaryOperand(t *testing.T) {
+	for _, src := range []string{
+		"define double @f() {\nentry:\n  %p = alloca double\n  %t = fmul double %p, 1.2\n  ret double %t\n}\n",
+		"define i32 @f(i64 %x) {\nentry:\n  %t = add i32 1, %x\n  ret i32 %t\n}\n",
+	} {
+		m, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Verify(); err == nil || !strings.Contains(err.Error(), "has type") {
+			t.Errorf("Verify = %v, want a mistyped-operand error for\n%s", err, src)
+		}
+	}
+}
+
 func TestReplaceUses(t *testing.T) {
 	m := buildFixture()
 	f := m.FuncByName("main")

@@ -302,7 +302,8 @@ func (m *Module) Defined() []*Func {
 // terminated, branch targets belong to the same function, phi incoming
 // blocks are predecessors, and instruction operand types are sane (no
 // operand is an instruction without a result, such as a named store or
-// branch). It returns the first violation found.
+// branch, and both operands of a binary op have the op's type). It
+// returns the first violation found.
 func (m *Module) Verify() error {
 	for _, f := range m.Funcs {
 		if f.Decl {
@@ -352,6 +353,9 @@ func (m *Module) Verify() error {
 					}
 					if def, ok := a.(*Instr); ok && def.Type().Kind == KVoid {
 						return fmt.Errorf("ir: operand %d of %s in @%s is %%%s, which has no value", ai, in.Op, f.Name, def.Name)
+					}
+					if in.Op.IsBinary() && !a.Type().Equal(in.Typ) {
+						return fmt.Errorf("ir: operand %d of %s %s in @%s has type %s", ai, in.Op, in.Typ, f.Name, a.Type())
 					}
 				}
 			}

@@ -11,90 +11,15 @@ import (
 // statusPtr is the IR type of MPI_Status*.
 var statusPtr = ir.PtrTo(ir.StatusType)
 
-// reqPtr is the IR type of MPI_Request* (requests are i64 handles).
-var reqPtr = ir.PtrTo(ir.I64)
-
-// mpiExternSig returns the IR parameter types of the modelled MPI routine.
-// These follow the real C prototypes with handles lowered to integers.
-func mpiExternSig(op mpi.Op) ([]*ir.Type, bool) {
-	i8p := ir.PtrTo(ir.I8)
-	i32, i64 := ir.I32, ir.I64
-	i32p := ir.PtrTo(ir.I32)
-	i64p := reqPtr
-	switch op {
-	case mpi.OpInit:
-		return []*ir.Type{i8p, i8p}, true
-	case mpi.OpFinalize:
-		return []*ir.Type{}, true
-	case mpi.OpCommRank, mpi.OpCommSize:
-		return []*ir.Type{i32, i32p}, true
-	case mpi.OpAbort:
-		return []*ir.Type{i32, i32}, true
-	case mpi.OpSend, mpi.OpSsend, mpi.OpBsend, mpi.OpRsend:
-		return []*ir.Type{i8p, i32, i32, i32, i32, i32}, true
-	case mpi.OpRecv:
-		return []*ir.Type{i8p, i32, i32, i32, i32, i32, statusPtr}, true
-	case mpi.OpSendrecv:
-		return []*ir.Type{i8p, i32, i32, i32, i32, i8p, i32, i32, i32, i32, i32, statusPtr}, true
-	case mpi.OpIsend, mpi.OpIssend, mpi.OpIrecv, mpi.OpSendInit, mpi.OpRecvInit:
-		return []*ir.Type{i8p, i32, i32, i32, i32, i32, i64p}, true
-	case mpi.OpWait:
-		return []*ir.Type{i64p, statusPtr}, true
-	case mpi.OpWaitall:
-		return []*ir.Type{i32, i64p, statusPtr}, true
-	case mpi.OpTest:
-		return []*ir.Type{i64p, i32p, statusPtr}, true
-	case mpi.OpRequestFree, mpi.OpStart:
-		return []*ir.Type{i64p}, true
-	case mpi.OpStartall:
-		return []*ir.Type{i32, i64p}, true
-	case mpi.OpGetCount:
-		return []*ir.Type{statusPtr, i32, i32p}, true
-	case mpi.OpBarrier:
-		return []*ir.Type{i32}, true
-	case mpi.OpBcast:
-		return []*ir.Type{i8p, i32, i32, i32, i32}, true
-	case mpi.OpReduce:
-		return []*ir.Type{i8p, i8p, i32, i32, i32, i32, i32}, true
-	case mpi.OpAllreduce, mpi.OpExscan, mpi.OpScan:
-		return []*ir.Type{i8p, i8p, i32, i32, i32, i32}, true
-	case mpi.OpGather, mpi.OpScatter:
-		return []*ir.Type{i8p, i32, i32, i8p, i32, i32, i32, i32}, true
-	case mpi.OpAllgather, mpi.OpAlltoall:
-		return []*ir.Type{i8p, i32, i32, i8p, i32, i32, i32}, true
-	case mpi.OpIbarrier:
-		return []*ir.Type{i32, i64p}, true
-	case mpi.OpIbcast:
-		return []*ir.Type{i8p, i32, i32, i32, i32, i64p}, true
-	case mpi.OpIallreduce:
-		return []*ir.Type{i8p, i8p, i32, i32, i32, i32, i64p}, true
-	case mpi.OpWinCreate:
-		return []*ir.Type{i8p, i64, i32, i32, i32, i64p}, true
-	case mpi.OpWinFree:
-		return []*ir.Type{i64p}, true
-	case mpi.OpWinFence:
-		return []*ir.Type{i32, i64}, true
-	case mpi.OpPut, mpi.OpGet:
-		return []*ir.Type{i8p, i32, i32, i32, i64, i32, i32, i64}, true
-	case mpi.OpAccumulate:
-		return []*ir.Type{i8p, i32, i32, i32, i64, i32, i32, i32, i64}, true
-	case mpi.OpWinLock:
-		return []*ir.Type{i32, i32, i32, i64}, true
-	case mpi.OpWinUnlock:
-		return []*ir.Type{i32, i64}, true
-	case mpi.OpCommSplit:
-		return []*ir.Type{i32, i32, i32, i32p}, true
-	case mpi.OpCommFree, mpi.OpCommDup:
-		if op == mpi.OpCommDup {
-			return []*ir.Type{i32, i32p}, true
-		}
-		return []*ir.Type{i32p}, true
-	case mpi.OpTypeContiguous:
-		return []*ir.Type{i32, i32, i32p}, true
-	case mpi.OpTypeCommit, mpi.OpTypeFree:
-		return []*ir.Type{i32p}, true
-	}
-	return nil, false
+// paramTypes gives the IR type of each MPI parameter kind: C's int is
+// i32; long and the request and window handles are i64.
+var paramTypes = [...]*ir.Type{
+	mpi.KVoidPtr:   ir.PtrTo(ir.I8),
+	mpi.KInt:       ir.I32,
+	mpi.KIntPtr:    ir.PtrTo(ir.I32),
+	mpi.KLong:      ir.I64,
+	mpi.KReqPtr:    ir.PtrTo(ir.I64),
+	mpi.KStatusPtr: statusPtr,
 }
 
 // mpiConstant maps MPI identifier spellings to IR constants.
@@ -130,36 +55,9 @@ func mpiConstant(name string) (ir.Value, bool) {
 		return ir.ConstInt(ir.I32, 2), true
 	case "NULL":
 		return ir.ConstNull(ir.PtrTo(ir.I8)), true
-	case "MPI_DATATYPE_NULL":
-		return ir.ConstInt(ir.I32, int64(mpi.DTNull)), true
-	case "MPI_INT":
-		return ir.ConstInt(ir.I32, int64(mpi.DTInt)), true
-	case "MPI_FLOAT":
-		return ir.ConstInt(ir.I32, int64(mpi.DTFloat)), true
-	case "MPI_DOUBLE":
-		return ir.ConstInt(ir.I32, int64(mpi.DTDouble)), true
-	case "MPI_CHAR":
-		return ir.ConstInt(ir.I32, int64(mpi.DTChar)), true
-	case "MPI_LONG":
-		return ir.ConstInt(ir.I32, int64(mpi.DTLong)), true
-	case "MPI_BYTE":
-		return ir.ConstInt(ir.I32, int64(mpi.DTByte)), true
-	case "MPI_UNSIGNED":
-		return ir.ConstInt(ir.I32, int64(mpi.DTUnsigned)), true
-	case "MPI_OP_NULL":
-		return ir.ConstInt(ir.I32, int64(mpi.RONull)), true
-	case "MPI_SUM":
-		return ir.ConstInt(ir.I32, int64(mpi.ROSum)), true
-	case "MPI_PROD":
-		return ir.ConstInt(ir.I32, int64(mpi.ROProd)), true
-	case "MPI_MAX":
-		return ir.ConstInt(ir.I32, int64(mpi.ROMax)), true
-	case "MPI_MIN":
-		return ir.ConstInt(ir.I32, int64(mpi.ROMin)), true
-	case "MPI_LAND":
-		return ir.ConstInt(ir.I32, int64(mpi.ROLand)), true
-	case "MPI_BOR":
-		return ir.ConstInt(ir.I32, int64(mpi.ROBor)), true
+	}
+	if v, ok := mpi.HandleNamed(name); ok {
+		return ir.ConstInt(ir.I32, v), true
 	}
 	return nil, false
 }
@@ -171,9 +69,10 @@ func (g *gen) declareExtern(name string) (*ir.Func, error) {
 		return f, nil
 	}
 	if op, ok := mpi.FromName(name); ok {
-		params, ok := mpiExternSig(op)
-		if !ok {
-			return nil, fmt.Errorf("no IR signature for %s", name)
+		sig, _ := mpi.SignatureOf(op)
+		params := make([]*ir.Type, len(sig.Params))
+		for i, p := range sig.Params {
+			params[i] = paramTypes[p.Kind]
 		}
 		f := &ir.Func{Name: name, Decl: true, Sig: ir.FuncOf(ir.I32, params...)}
 		g.m.AddFunc(f)

@@ -1,16 +1,20 @@
 // Package mpi defines the MPI API model shared by every layer of the
 // reproduction: the set of MPI operations that can appear in generated
 // programs, their signatures, datatypes, reduction operators, and the
-// semantic metadata (blocking behaviour, collectiveness, which argument is
-// the tag, ...) that the front-end, the runtime simulator, the static
-// verifiers and the embedding layers all consult.
+// semantic metadata (collectiveness, which argument is the tag, ...) that
+// the front-end, the runtime simulator, the static verifiers and the
+// embedding layers all consult. Each routine is declared once, as a row of
+// the routines table.
 //
 // The model intentionally covers the MPI subset exercised by the MPI Bugs
 // Initiative and MPI-CorrBench: blocking and nonblocking point-to-point,
 // persistent communication, collectives, and one-sided (RMA) epochs.
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Op identifies an MPI operation.
 type Op int
@@ -70,63 +74,127 @@ const (
 	OpAbort
 )
 
-var opNames = map[Op]string{
-	OpInit:           "MPI_Init",
-	OpFinalize:       "MPI_Finalize",
-	OpCommRank:       "MPI_Comm_rank",
-	OpCommSize:       "MPI_Comm_size",
-	OpSend:           "MPI_Send",
-	OpSsend:          "MPI_Ssend",
-	OpBsend:          "MPI_Bsend",
-	OpRsend:          "MPI_Rsend",
-	OpRecv:           "MPI_Recv",
-	OpSendrecv:       "MPI_Sendrecv",
-	OpIsend:          "MPI_Isend",
-	OpIssend:         "MPI_Issend",
-	OpIrecv:          "MPI_Irecv",
-	OpWait:           "MPI_Wait",
-	OpWaitall:        "MPI_Waitall",
-	OpTest:           "MPI_Test",
-	OpRequestFree:    "MPI_Request_free",
-	OpSendInit:       "MPI_Send_init",
-	OpRecvInit:       "MPI_Recv_init",
-	OpStart:          "MPI_Start",
-	OpStartall:       "MPI_Startall",
-	OpBarrier:        "MPI_Barrier",
-	OpBcast:          "MPI_Bcast",
-	OpReduce:         "MPI_Reduce",
-	OpAllreduce:      "MPI_Allreduce",
-	OpGather:         "MPI_Gather",
-	OpScatter:        "MPI_Scatter",
-	OpAllgather:      "MPI_Allgather",
-	OpAlltoall:       "MPI_Alltoall",
-	OpExscan:         "MPI_Exscan",
-	OpScan:           "MPI_Scan",
-	OpIbarrier:       "MPI_Ibarrier",
-	OpIbcast:         "MPI_Ibcast",
-	OpIallreduce:     "MPI_Iallreduce",
-	OpWinCreate:      "MPI_Win_create",
-	OpWinFree:        "MPI_Win_free",
-	OpWinFence:       "MPI_Win_fence",
-	OpPut:            "MPI_Put",
-	OpGet:            "MPI_Get",
-	OpAccumulate:     "MPI_Accumulate",
-	OpWinLock:        "MPI_Win_lock",
-	OpWinUnlock:      "MPI_Win_unlock",
-	OpCommSplit:      "MPI_Comm_split",
-	OpCommFree:       "MPI_Comm_free",
-	OpCommDup:        "MPI_Comm_dup",
-	OpTypeContiguous: "MPI_Type_contiguous",
-	OpTypeCommit:     "MPI_Type_commit",
-	OpTypeFree:       "MPI_Type_free",
-	OpGetCount:       "MPI_Get_count",
-	OpAbort:          "MPI_Abort",
+// routines is the MPI model's one table of routines, indexed by Op: each
+// row gives the C name, the flags and the parameters in C order. The
+// names, SignatureOf, IsCollective, StartsRequest and the IR prototypes
+// lowering declares are all read from it.
+var routines = [...]routine{
+	OpInit:           {"MPI_Init", 0, []Param{ptr, ptr}},
+	OpFinalize:       {"MPI_Finalize", 0, nil},
+	OpCommRank:       {"MPI_Comm_rank", 0, []Param{comm, bufOut}},
+	OpCommSize:       {"MPI_Comm_size", 0, []Param{comm, bufOut}},
+	OpSend:           {"MPI_Send", 0, []Param{buf, count, dtype, peer, tag, comm}},
+	OpSsend:          {"MPI_Ssend", 0, []Param{buf, count, dtype, peer, tag, comm}},
+	OpBsend:          {"MPI_Bsend", 0, []Param{buf, count, dtype, peer, tag, comm}},
+	OpRsend:          {"MPI_Rsend", 0, []Param{buf, count, dtype, peer, tag, comm}},
+	OpRecv:           {"MPI_Recv", 0, []Param{buf, count, dtype, peer, tag, comm, status}},
+	OpSendrecv:       {"MPI_Sendrecv", 0, []Param{buf, count, dtype, peer, tag, ptr, i32, i32, i32, i32, comm, status}},
+	OpIsend:          {"MPI_Isend", startsRequest, []Param{buf, count, dtype, peer, tag, comm, req}},
+	OpIssend:         {"MPI_Issend", startsRequest, []Param{buf, count, dtype, peer, tag, comm, req}},
+	OpIrecv:          {"MPI_Irecv", startsRequest, []Param{buf, count, dtype, peer, tag, comm, req}},
+	OpWait:           {"MPI_Wait", 0, []Param{req, status}},
+	OpWaitall:        {"MPI_Waitall", 0, []Param{count, req, status}},
+	OpTest:           {"MPI_Test", 0, []Param{req, i32p, status}},
+	OpRequestFree:    {"MPI_Request_free", 0, []Param{req}},
+	OpSendInit:       {"MPI_Send_init", startsRequest, []Param{buf, count, dtype, peer, tag, comm, req}},
+	OpRecvInit:       {"MPI_Recv_init", startsRequest, []Param{buf, count, dtype, peer, tag, comm, req}},
+	OpStart:          {"MPI_Start", 0, []Param{req}},
+	OpStartall:       {"MPI_Startall", 0, []Param{count, req}},
+	OpBarrier:        {"MPI_Barrier", collective, []Param{comm}},
+	OpBcast:          {"MPI_Bcast", collective, []Param{buf, count, dtype, root, comm}},
+	OpReduce:         {"MPI_Reduce", collective, []Param{buf, ptr, count, dtype, redop, root, comm}},
+	OpAllreduce:      {"MPI_Allreduce", collective, []Param{buf, ptr, count, dtype, redop, comm}},
+	OpGather:         {"MPI_Gather", collective, []Param{buf, count, dtype, ptr, i32, i32, root, comm}},
+	OpScatter:        {"MPI_Scatter", collective, []Param{buf, count, dtype, ptr, i32, i32, root, comm}},
+	OpAllgather:      {"MPI_Allgather", collective, []Param{buf, count, dtype, ptr, i32, i32, comm}},
+	OpAlltoall:       {"MPI_Alltoall", collective, []Param{buf, count, dtype, ptr, i32, i32, comm}},
+	OpExscan:         {"MPI_Exscan", collective, []Param{buf, ptr, count, dtype, redop, comm}},
+	OpScan:           {"MPI_Scan", collective, []Param{buf, ptr, count, dtype, redop, comm}},
+	OpIbarrier:       {"MPI_Ibarrier", collective | startsRequest, []Param{comm, req}},
+	OpIbcast:         {"MPI_Ibcast", collective | startsRequest, []Param{buf, count, dtype, root, comm, req}},
+	OpIallreduce:     {"MPI_Iallreduce", collective | startsRequest, []Param{buf, ptr, count, dtype, redop, comm, req}},
+	OpWinCreate:      {"MPI_Win_create", 0, []Param{buf, i64, i32, i32, comm, winOut}},
+	OpWinFree:        {"MPI_Win_free", 0, []Param{winOut}},
+	OpWinFence:       {"MPI_Win_fence", 0, []Param{i32, win}},
+	OpPut:            {"MPI_Put", 0, []Param{buf, count, dtype, peer, i64, i32, i32, win}},
+	OpGet:            {"MPI_Get", 0, []Param{buf, count, dtype, peer, i64, i32, i32, win}},
+	OpAccumulate:     {"MPI_Accumulate", 0, []Param{buf, count, dtype, peer, i64, i32, i32, redop, win}},
+	OpWinLock:        {"MPI_Win_lock", 0, []Param{i32, peer, i32, win}},
+	OpWinUnlock:      {"MPI_Win_unlock", 0, []Param{peer, win}},
+	OpCommSplit:      {"MPI_Comm_split", 0, []Param{comm, i32, i32, i32p}},
+	OpCommFree:       {"MPI_Comm_free", 0, []Param{i32p}}, // the handle by pointer: no comm-value position
+	OpCommDup:        {"MPI_Comm_dup", 0, []Param{comm, i32p}},
+	OpTypeContiguous: {"MPI_Type_contiguous", 0, []Param{count, dtype, i32p}},
+	OpTypeCommit:     {"MPI_Type_commit", 0, []Param{dtypeOut}},
+	OpTypeFree:       {"MPI_Type_free", 0, []Param{dtypeOut}},
+	OpGetCount:       {"MPI_Get_count", 0, []Param{status, dtype, bufOut}},
+	OpAbort:          {"MPI_Abort", 0, []Param{comm, i32}},
 }
+
+// routine is one row of the routines table.
+type routine struct {
+	name   string
+	flags  flags
+	params []Param
+}
+
+// flags holds what a routine's row says beyond its parameters.
+type flags uint8
+
+const (
+	collective    flags = 1 << iota // a (possibly nonblocking) collective
+	startsRequest                   // produces an MPI_Request that must be completed or freed
+)
+
+// Kind is the C type of an MPI routine parameter, with the MPI handles
+// lowered to the integers generated programs pass.
+type Kind uint8
+
+// Parameter kinds.
+const (
+	KVoidPtr   Kind = iota // void*: a message buffer, or MPI_Init's argc/argv
+	KInt                   // int: a count, rank, tag or flag, or a comm, datatype or operator handle
+	KIntPtr                // int*: an int or int handle the routine writes
+	KLong                  // long: a displacement or size, or a window handle
+	KReqPtr                // MPI_Request* or MPI_Win*: a pointer to an i64 handle
+	KStatusPtr             // MPI_Status*
+)
+
+// Param is one parameter of an MPI routine: its C type, and the ArgIndex
+// field that records its position if it plays a role in the call.
+type Param struct {
+	Kind Kind
+	role func(*ArgIndex) *int
+}
+
+// The parameters the routines table is written with: one per kind and
+// role that some routine takes. A parameter with no role is named for its
+// kind, after the IR type it lowers to.
+var (
+	buf      = Param{KVoidPtr, func(a *ArgIndex) *int { return &a.Buf }}
+	count    = Param{KInt, func(a *ArgIndex) *int { return &a.Count }}
+	dtype    = Param{KInt, func(a *ArgIndex) *int { return &a.Datatype }}
+	peer     = Param{KInt, func(a *ArgIndex) *int { return &a.Peer }}
+	tag      = Param{KInt, func(a *ArgIndex) *int { return &a.Tag }}
+	comm     = Param{KInt, func(a *ArgIndex) *int { return &a.Comm }}
+	root     = Param{KInt, func(a *ArgIndex) *int { return &a.Root }}
+	redop    = Param{KInt, func(a *ArgIndex) *int { return &a.RedOp }}
+	win      = Param{KLong, func(a *ArgIndex) *int { return &a.Win }}
+	req      = Param{KReqPtr, func(a *ArgIndex) *int { return &a.Request }}
+	bufOut   = Param{KIntPtr, buf.role}   // the rank, size or count the routine writes
+	dtypeOut = Param{KIntPtr, dtype.role} // the handle MPI_Type_commit and _free take by pointer
+	winOut   = Param{KReqPtr, win.role}   // the handle MPI_Win_create writes and MPI_Win_free clears
+	ptr      = Param{Kind: KVoidPtr}
+	i32      = Param{Kind: KInt}
+	i32p     = Param{Kind: KIntPtr}
+	i64      = Param{Kind: KLong}
+	status   = Param{Kind: KStatusPtr}
+)
 
 // String returns the canonical MPI function name (e.g. "MPI_Send").
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if o > OpNone && int(o) < len(routines) {
+		return routines[o].name
 	}
 	return fmt.Sprintf("MPI_Op(%d)", int(o))
 }
@@ -134,84 +202,22 @@ func (o Op) String() string {
 // FromName maps an MPI function name back to its Op; ok reports whether the
 // name is a known MPI operation.
 func FromName(name string) (Op, bool) {
-	op, ok := nameToOp[name]
+	op, ok := byName[name]
 	return op, ok
 }
 
-var nameToOp = func() map[string]Op {
-	m := make(map[string]Op, len(opNames))
-	for op, n := range opNames {
-		m[n] = op
-	}
-	return m
-}()
-
-// Class groups operations by the way they interact with the runtime.
-type Class int
-
-// Operation classes.
-const (
-	ClassEnv        Class = iota // Init / Finalize / rank / size
-	ClassP2P                     // blocking point-to-point
-	ClassNonBlock                // nonblocking point-to-point
-	ClassPersistent              // persistent requests
-	ClassRequest                 // request completion (wait/test/free)
-	ClassCollective              // collectives
-	ClassRMA                     // one-sided
-	ClassComm                    // communicator management
-	ClassType                    // datatype management
-	ClassOther
-)
-
-// Classify returns the class of op.
-func Classify(op Op) Class {
-	switch op {
-	case OpInit, OpFinalize, OpCommRank, OpCommSize, OpAbort:
-		return ClassEnv
-	case OpSend, OpSsend, OpBsend, OpRsend, OpRecv, OpSendrecv:
-		return ClassP2P
-	case OpIsend, OpIssend, OpIrecv:
-		return ClassNonBlock
-	case OpSendInit, OpRecvInit, OpStart, OpStartall:
-		return ClassPersistent
-	case OpWait, OpWaitall, OpTest, OpRequestFree, OpGetCount:
-		return ClassRequest
-	case OpBarrier, OpBcast, OpReduce, OpAllreduce, OpGather, OpScatter,
-		OpAllgather, OpAlltoall, OpExscan, OpScan, OpIbarrier, OpIbcast, OpIallreduce:
-		return ClassCollective
-	case OpWinCreate, OpWinFree, OpWinFence, OpPut, OpGet, OpAccumulate,
-		OpWinLock, OpWinUnlock:
-		return ClassRMA
-	case OpCommSplit, OpCommFree, OpCommDup:
-		return ClassComm
-	case OpTypeContiguous, OpTypeCommit, OpTypeFree:
-		return ClassType
-	}
-	return ClassOther
-}
-
 // IsCollective reports whether op is a (possibly nonblocking) collective.
-func IsCollective(op Op) bool { return Classify(op) == ClassCollective }
-
-// IsBlocking reports whether the call can block waiting for a remote peer.
-func IsBlocking(op Op) bool {
-	switch op {
-	case OpSend, OpSsend, OpRecv, OpSendrecv, OpWait, OpWaitall,
-		OpBarrier, OpBcast, OpReduce, OpAllreduce, OpGather, OpScatter,
-		OpAllgather, OpAlltoall, OpExscan, OpScan, OpWinFence:
-		return true
-	}
-	return false
-}
+func IsCollective(op Op) bool { return op.flags()&collective != 0 }
 
 // StartsRequest reports whether op produces an MPI_Request that must later
 // be completed (wait/test) or freed.
-func StartsRequest(op Op) bool {
-	switch op {
-	case OpIsend, OpIssend, OpIrecv, OpSendInit, OpRecvInit, OpIbarrier, OpIbcast, OpIallreduce:
-		return true
+func StartsRequest(op Op) bool { return op.flags()&startsRequest != 0 }
+
+func (o Op) flags() flags {
+	if o > OpNone && int(o) < len(routines) {
+		return routines[o].flags
 	}
-	return false
+	return 0
 }
 
 // Datatype models an MPI datatype handle.
@@ -230,7 +236,7 @@ const (
 	DTDerived // a committed derived type (Type_contiguous)
 )
 
-var dtNames = map[Datatype]string{
+var dtNames = [...]string{
 	DTNull:     "MPI_DATATYPE_NULL",
 	DTInt:      "MPI_INT",
 	DTFloat:    "MPI_FLOAT",
@@ -244,8 +250,8 @@ var dtNames = map[Datatype]string{
 
 // String returns the canonical MPI constant name.
 func (d Datatype) String() string {
-	if s, ok := dtNames[d]; ok {
-		return s
+	if d >= 0 && int(d) < len(dtNames) {
+		return dtNames[d]
 	}
 	return fmt.Sprintf("MPI_Datatype(%d)", int(d))
 }
@@ -289,7 +295,7 @@ const (
 	ROBor
 )
 
-var roNames = map[ReduceOp]string{
+var roNames = [...]string{
 	RONull: "MPI_OP_NULL",
 	ROSum:  "MPI_SUM",
 	ROProd: "MPI_PROD",
@@ -301,10 +307,21 @@ var roNames = map[ReduceOp]string{
 
 // String returns the canonical MPI constant name.
 func (r ReduceOp) String() string {
-	if s, ok := roNames[r]; ok {
-		return s
+	if r >= 0 && int(r) < len(roNames) {
+		return roNames[r]
 	}
 	return fmt.Sprintf("MPI_Op(%d)", int(r))
+}
+
+// HandleNamed returns the value of the datatype or reduction-operator
+// handle an mpi.h constant spells, such as MPI_INT or MPI_SUM. MPI_DERIVED,
+// the model's name for a committed derived type, is not one.
+func HandleNamed(name string) (int64, bool) {
+	if i := slices.Index(dtNames[:DTDerived], name); i >= 0 {
+		return int64(i), true
+	}
+	i := slices.Index(roNames[:], name)
+	return int64(i), i >= 0
 }
 
 // Well-known constants mirroring mpi.h. Their concrete integer values are
@@ -338,105 +355,38 @@ type ArgIndex struct {
 	Win      int // RMA window handle
 }
 
-func noArgs() ArgIndex {
-	return ArgIndex{Buf: -1, Count: -1, Datatype: -1, Peer: -1, Tag: -1, Comm: -1, Request: -1, Root: -1, RedOp: -1, Win: -1}
-}
-
-// Signature describes an MPI call's arity and semantic argument positions.
+// Signature describes an MPI call's arity, semantic argument positions and
+// parameters.
 type Signature struct {
-	Op     Op
 	NArgs  int
 	Arg    ArgIndex
-	Blocks bool
+	Params []Param // in call order; shared with the routines table, read only
 }
 
-var signatures = map[Op]Signature{}
-
-func sig(op Op, n int, mut func(*ArgIndex)) {
-	a := noArgs()
-	if mut != nil {
-		mut(&a)
-	}
-	signatures[op] = Signature{Op: op, NArgs: n, Arg: a, Blocks: IsBlocking(op)}
-}
+// signatures and byName are derived from the routines table at init.
+var (
+	signatures [len(routines)]Signature
+	byName     = make(map[string]Op, len(routines))
+)
 
 func init() {
-	sig(OpInit, 2, nil)
-	sig(OpFinalize, 0, nil)
-	sig(OpCommRank, 2, func(a *ArgIndex) { a.Comm = 0; a.Buf = 1 })
-	sig(OpCommSize, 2, func(a *ArgIndex) { a.Comm = 0; a.Buf = 1 })
-	sig(OpAbort, 2, func(a *ArgIndex) { a.Comm = 0 })
-
-	p2p := func(a *ArgIndex) {
-		a.Buf, a.Count, a.Datatype, a.Peer, a.Tag, a.Comm = 0, 1, 2, 3, 4, 5
+	for op := OpInit; int(op) < len(routines); op++ {
+		r := &routines[op]
+		a := ArgIndex{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
+		for i, p := range r.params {
+			if p.role != nil {
+				*p.role(&a) = i
+			}
+		}
+		signatures[op] = Signature{NArgs: len(r.params), Arg: a, Params: r.params}
+		byName[r.name] = op
 	}
-	sig(OpSend, 6, p2p)
-	sig(OpSsend, 6, p2p)
-	sig(OpBsend, 6, p2p)
-	sig(OpRsend, 6, p2p)
-	sig(OpRecv, 7, func(a *ArgIndex) { p2p(a) }) // + status
-	sig(OpSendrecv, 12, func(a *ArgIndex) {
-		a.Buf, a.Count, a.Datatype, a.Peer, a.Tag, a.Comm = 0, 1, 2, 3, 4, 10
-	})
-
-	nb := func(a *ArgIndex) {
-		a.Buf, a.Count, a.Datatype, a.Peer, a.Tag, a.Comm, a.Request = 0, 1, 2, 3, 4, 5, 6
-	}
-	sig(OpIsend, 7, nb)
-	sig(OpIssend, 7, nb)
-	sig(OpIrecv, 7, nb)
-	sig(OpSendInit, 7, nb)
-	sig(OpRecvInit, 7, nb)
-
-	sig(OpWait, 2, func(a *ArgIndex) { a.Request = 0 })
-	sig(OpWaitall, 3, func(a *ArgIndex) { a.Count = 0; a.Request = 1 })
-	sig(OpTest, 3, func(a *ArgIndex) { a.Request = 0 })
-	sig(OpRequestFree, 1, func(a *ArgIndex) { a.Request = 0 })
-	sig(OpStart, 1, func(a *ArgIndex) { a.Request = 0 })
-	sig(OpStartall, 2, func(a *ArgIndex) { a.Count = 0; a.Request = 1 })
-	sig(OpGetCount, 3, func(a *ArgIndex) { a.Datatype = 1; a.Buf = 2 })
-
-	sig(OpBarrier, 1, func(a *ArgIndex) { a.Comm = 0 })
-	sig(OpBcast, 5, func(a *ArgIndex) { a.Buf, a.Count, a.Datatype, a.Root, a.Comm = 0, 1, 2, 3, 4 })
-	sig(OpReduce, 7, func(a *ArgIndex) { a.Buf, a.Count, a.Datatype, a.RedOp, a.Root, a.Comm = 0, 2, 3, 4, 5, 6 })
-	sig(OpAllreduce, 6, func(a *ArgIndex) { a.Buf, a.Count, a.Datatype, a.RedOp, a.Comm = 0, 2, 3, 4, 5 })
-	coll2buf := func(a *ArgIndex) {
-		a.Buf, a.Count, a.Datatype, a.Root, a.Comm = 0, 1, 2, 6, 7
-	}
-	sig(OpGather, 8, coll2buf)
-	sig(OpScatter, 8, coll2buf)
-	sig(OpAllgather, 7, func(a *ArgIndex) { a.Buf, a.Count, a.Datatype, a.Comm = 0, 1, 2, 6 })
-	sig(OpAlltoall, 7, func(a *ArgIndex) { a.Buf, a.Count, a.Datatype, a.Comm = 0, 1, 2, 6 })
-	sig(OpExscan, 6, func(a *ArgIndex) { a.Buf, a.Count, a.Datatype, a.RedOp, a.Comm = 0, 2, 3, 4, 5 })
-	sig(OpScan, 6, func(a *ArgIndex) { a.Buf, a.Count, a.Datatype, a.RedOp, a.Comm = 0, 2, 3, 4, 5 })
-	sig(OpIbarrier, 2, func(a *ArgIndex) { a.Comm = 0; a.Request = 1 })
-	sig(OpIbcast, 6, func(a *ArgIndex) { a.Buf, a.Count, a.Datatype, a.Root, a.Comm, a.Request = 0, 1, 2, 3, 4, 5 })
-	sig(OpIallreduce, 7, func(a *ArgIndex) { a.Buf, a.Count, a.Datatype, a.RedOp, a.Comm, a.Request = 0, 2, 3, 4, 5, 6 })
-
-	sig(OpWinCreate, 6, func(a *ArgIndex) { a.Buf = 0; a.Comm = 4; a.Win = 5 })
-	sig(OpWinFree, 1, func(a *ArgIndex) { a.Win = 0 })
-	sig(OpWinFence, 2, func(a *ArgIndex) { a.Win = 1 })
-	rma := func(a *ArgIndex) {
-		a.Buf, a.Count, a.Datatype, a.Peer, a.Win = 0, 1, 2, 3, 7
-	}
-	sig(OpPut, 8, rma)
-	sig(OpGet, 8, rma)
-	sig(OpAccumulate, 9, func(a *ArgIndex) { rma(a); a.RedOp = 7; a.Win = 8 })
-	sig(OpWinLock, 4, func(a *ArgIndex) { a.Peer = 1; a.Win = 3 })
-	sig(OpWinUnlock, 2, func(a *ArgIndex) { a.Peer = 0; a.Win = 1 })
-
-	sig(OpCommSplit, 4, func(a *ArgIndex) { a.Comm = 0 })
-	// Comm_free takes a *pointer* to the handle, so it has no comm-value
-	// argument position.
-	sig(OpCommFree, 1, nil)
-	sig(OpCommDup, 2, func(a *ArgIndex) { a.Comm = 0 })
-	sig(OpTypeContiguous, 3, func(a *ArgIndex) { a.Count = 0; a.Datatype = 1 })
-	sig(OpTypeCommit, 1, func(a *ArgIndex) { a.Datatype = 0 })
-	sig(OpTypeFree, 1, func(a *ArgIndex) { a.Datatype = 0 })
 }
 
 // SignatureOf returns the signature for op; ok is false for unknown ops.
 func SignatureOf(op Op) (Signature, bool) {
-	s, ok := signatures[op]
-	return s, ok
+	if op <= OpNone || int(op) >= len(signatures) {
+		return Signature{}, false
+	}
+	return signatures[op], true
 }

@@ -2,9 +2,9 @@ package mpi
 
 import "testing"
 
-// allOps walks the enum rather than the name table, so an Op constant added
-// without an opNames or signatures entry fails the tests below. OpAbort is
-// the last constant in the enum.
+// allOps walks the enum rather than the routines table, so an Op constant
+// added without a row fails the tests below. OpAbort is the last constant
+// in the enum.
 func allOps() []Op {
 	var ops []Op
 	for op := OpInit; op <= OpAbort; op++ {
@@ -13,45 +13,47 @@ func allOps() []Op {
 	return ops
 }
 
-func TestOpNamesRoundTrip(t *testing.T) {
+// TestRoutineTableInvariants checks what every row must satisfy: the name
+// maps back to the op, and every role index lies inside the arity.
+func TestRoutineTableInvariants(t *testing.T) {
+	if len(routines) != len(allOps())+1 {
+		t.Errorf("routines has %d rows for %d ops; an Op after OpAbort needs allOps extended", len(routines)-1, len(allOps()))
+	}
 	for _, op := range allOps() {
 		name := op.String()
-		got, ok := FromName(name)
-		if !ok || got != op {
+		if got, ok := FromName(name); !ok || got != op {
 			t.Errorf("FromName(%q) = %v, %v", name, got, ok)
 		}
+		sig, ok := SignatureOf(op)
+		if !ok {
+			t.Errorf("no signature for %s", op)
+			continue
+		}
+		if sig.NArgs != len(sig.Params) {
+			t.Errorf("%s: arity %d but %d params", op, sig.NArgs, len(sig.Params))
+		}
+		for _, idx := range []int{sig.Arg.Buf, sig.Arg.Count, sig.Arg.Datatype,
+			sig.Arg.Peer, sig.Arg.Tag, sig.Arg.Comm, sig.Arg.Request,
+			sig.Arg.Root, sig.Arg.RedOp, sig.Arg.Win} {
+			if idx < -1 || idx >= sig.NArgs {
+				t.Errorf("%s: argument role index %d outside arity %d", op, idx, sig.NArgs)
+			}
+		}
 	}
-	if len(opNames) != len(allOps()) {
-		t.Errorf("opNames has %d entries for %d ops; an Op after OpAbort needs allOps extended", len(opNames), len(allOps()))
+	for _, op := range []Op{OpNone, OpAbort + 1, -1} {
+		if _, ok := SignatureOf(op); ok {
+			t.Errorf("SignatureOf(%d) found a signature", op)
+		}
+		if IsCollective(op) || StartsRequest(op) {
+			t.Errorf("op %d has flags", op)
+		}
 	}
 	if _, ok := FromName("MPI_NotAThing"); ok {
 		t.Error("FromName accepted an unknown name")
 	}
 }
 
-func TestClassify(t *testing.T) {
-	cases := map[Op]Class{
-		OpInit:      ClassEnv,
-		OpSend:      ClassP2P,
-		OpIsend:     ClassNonBlock,
-		OpSendInit:  ClassPersistent,
-		OpWait:      ClassRequest,
-		OpBcast:     ClassCollective,
-		OpPut:       ClassRMA,
-		OpCommSplit: ClassComm,
-		OpTypeFree:  ClassType,
-	}
-	for op, want := range cases {
-		if got := Classify(op); got != want {
-			t.Errorf("Classify(%s) = %v, want %v", op, got, want)
-		}
-	}
-}
-
-func TestBlockingAndRequests(t *testing.T) {
-	if !IsBlocking(OpRecv) || !IsBlocking(OpBarrier) || IsBlocking(OpIsend) {
-		t.Error("IsBlocking wrong")
-	}
+func TestRequestsAndCollectives(t *testing.T) {
 	if !StartsRequest(OpIrecv) || !StartsRequest(OpSendInit) || StartsRequest(OpSend) {
 		t.Error("StartsRequest wrong")
 	}
@@ -75,21 +77,26 @@ func TestDatatypes(t *testing.T) {
 	}
 }
 
-func TestSignatures(t *testing.T) {
-	for _, op := range allOps() {
-		sig, ok := SignatureOf(op)
-		if !ok {
-			t.Errorf("no signature for %s", op)
-			continue
-		}
-		for _, idx := range []int{sig.Arg.Buf, sig.Arg.Count, sig.Arg.Datatype,
-			sig.Arg.Peer, sig.Arg.Tag, sig.Arg.Comm, sig.Arg.Request,
-			sig.Arg.Root, sig.Arg.RedOp, sig.Arg.Win} {
-			if idx >= sig.NArgs {
-				t.Errorf("%s: argument role index %d beyond arity %d", op, idx, sig.NArgs)
-			}
+func TestHandleNamed(t *testing.T) {
+	for d := DTNull; d < DTDerived; d++ {
+		if got, ok := HandleNamed(d.String()); !ok || got != int64(d) {
+			t.Errorf("HandleNamed(%q) = %v, %v", d, got, ok)
 		}
 	}
+	if _, ok := HandleNamed(DTDerived.String()); ok {
+		t.Error("HandleNamed accepted MPI_DERIVED, which mpi.h does not define")
+	}
+	for r := RONull; r <= ROBor; r++ {
+		if got, ok := HandleNamed(r.String()); !ok || got != int64(r) {
+			t.Errorf("HandleNamed(%q) = %v, %v", r, got, ok)
+		}
+	}
+	if _, ok := HandleNamed("MPI_COMM_WORLD"); ok {
+		t.Error("HandleNamed accepted a communicator")
+	}
+}
+
+func TestSignatures(t *testing.T) {
 	send, _ := SignatureOf(OpSend)
 	if send.Arg.Tag != 4 || send.Arg.Comm != 5 || send.NArgs != 6 {
 		t.Errorf("MPI_Send signature wrong: %+v", send)

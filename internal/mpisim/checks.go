@@ -125,8 +125,7 @@ func (rt *Runtime) validateArgs(p *proc, op mpi.Op, args []RV) {
 	}
 	if v, ok := arg(sig.Arg.Buf); ok {
 		if v.P == nil {
-			if c, okc := arg(sig.Arg.Count); okc && c.I > 0 &&
-				op != mpi.OpCommRank && op != mpi.OpCommSize {
+			if c, okc := arg(sig.Arg.Count); okc && c.I > 0 {
 				bad("null buffer with nonzero count")
 			}
 		}

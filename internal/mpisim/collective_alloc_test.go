@@ -16,8 +16,10 @@ import (
 
 // collectiveLoop is a two-rank program whose every iteration starts two
 // persistent requests with MPI_Startall, waits for them, runs two
-// MPI_Barriers, and moves data through MPI_Reduce, MPI_Allreduce,
-// MPI_Scan and MPI_Bcast.
+// MPI_Barriers, moves data through every blocking collective that moves
+// data (MPI_Reduce, MPI_Allreduce, MPI_Scan, MPI_Exscan, MPI_Bcast,
+// MPI_Gather, MPI_Scatter, MPI_Allgather, MPI_Alltoall), and completes
+// MPI_Ibarrier, MPI_Ibcast and MPI_Iallreduce with MPI_Wait.
 func collectiveLoop(tb testing.TB, iters int64) *Program {
 	tb.Helper()
 	world := ast.Id("MPI_COMM_WORLD")
@@ -33,6 +35,7 @@ func collectiveLoop(tb testing.TB, iters int64) *Program {
 		ast.DeclArr("buf", 2, ast.Int),
 		ast.DeclArr("out", 2, ast.Int),
 		ast.DeclArr("reqs", 2, ast.Request),
+		ast.Decl("creq", ast.Request, nil),
 		ast.IfElse(ast.Eq(ast.Id("rank"), ast.I(0)), initReqs("MPI_Send_init", 1), initReqs("MPI_Recv_init", 0)),
 		ast.ForUp("it", 0, iters,
 			ast.CallS("MPI_Startall", ast.I(2), ast.Id("reqs")),
@@ -42,7 +45,18 @@ func collectiveLoop(tb testing.TB, iters int64) *Program {
 			ast.CallS("MPI_Reduce", elem("buf", 0), elem("out", 0), ast.I(2), ast.Id("MPI_INT"), ast.Id("MPI_SUM"), ast.I(0), world),
 			ast.CallS("MPI_Allreduce", elem("buf", 0), elem("out", 0), ast.I(2), ast.Id("MPI_INT"), ast.Id("MPI_MAX"), world),
 			ast.CallS("MPI_Scan", elem("buf", 0), elem("out", 0), ast.I(2), ast.Id("MPI_INT"), ast.Id("MPI_SUM"), world),
-			ast.CallS("MPI_Bcast", elem("out", 0), ast.I(2), ast.Id("MPI_INT"), ast.I(0), world)),
+			ast.CallS("MPI_Exscan", elem("buf", 0), elem("out", 0), ast.I(2), ast.Id("MPI_INT"), ast.Id("MPI_SUM"), world),
+			ast.CallS("MPI_Bcast", elem("out", 0), ast.I(2), ast.Id("MPI_INT"), ast.I(0), world),
+			ast.CallS("MPI_Gather", elem("buf", 0), ast.I(1), ast.Id("MPI_INT"), elem("out", 0), ast.I(1), ast.Id("MPI_INT"), ast.I(0), world),
+			ast.CallS("MPI_Scatter", elem("buf", 0), ast.I(1), ast.Id("MPI_INT"), elem("out", 0), ast.I(1), ast.Id("MPI_INT"), ast.I(0), world),
+			ast.CallS("MPI_Allgather", elem("buf", 0), ast.I(1), ast.Id("MPI_INT"), elem("out", 0), ast.I(1), ast.Id("MPI_INT"), world),
+			ast.CallS("MPI_Alltoall", elem("buf", 0), ast.I(1), ast.Id("MPI_INT"), elem("out", 0), ast.I(1), ast.Id("MPI_INT"), world),
+			ast.CallS("MPI_Ibarrier", world, ast.Addr(ast.Id("creq"))),
+			ast.CallS("MPI_Wait", ast.Addr(ast.Id("creq")), ast.Id("MPI_STATUS_IGNORE")),
+			ast.CallS("MPI_Ibcast", elem("out", 0), ast.I(2), ast.Id("MPI_INT"), ast.I(0), world, ast.Addr(ast.Id("creq"))),
+			ast.CallS("MPI_Wait", ast.Addr(ast.Id("creq")), ast.Id("MPI_STATUS_IGNORE")),
+			ast.CallS("MPI_Iallreduce", elem("buf", 0), elem("out", 0), ast.I(2), ast.Id("MPI_INT"), ast.Id("MPI_SUM"), world, ast.Addr(ast.Id("creq"))),
+			ast.CallS("MPI_Wait", ast.Addr(ast.Id("creq")), ast.Id("MPI_STATUS_IGNORE"))),
 		ast.CallS("MPI_Request_free", elem("reqs", 0)),
 		ast.CallS("MPI_Request_free", elem("reqs", 1)),
 		ast.Finalize(),
@@ -61,7 +75,8 @@ func collectiveLoop(tb testing.TB, iters int64) *Program {
 // persistent starts it performs. Allocating a slot, its members map and
 // its order slice per collective, a handle list per MPI_Startall, or
 // accumulators or a broadcast copy per reduction, scan or broadcast,
-// costs several allocations per iteration.
+// costs several allocations per iteration, and so does a request or a
+// status per nonblocking collective.
 func TestWarmCollectiveRunAllocsFlat(t *testing.T) {
 	warmAllocs := func(iters int64) float64 {
 		prog := collectiveLoop(t, iters)

@@ -25,6 +25,9 @@ func FuzzOptimize(f *testing.F) {
 	f.Add("define i32 @g(i32 %a) {\nentry:\n  %r = add i32 %a, 1\n  ret i32 %r\n}\n\ndefine i32 @main(i32 %n) {\nentry:\n  %i = alloca i32\n  store i32 0, i32* %i\n  br label %h\nh:\n  %v = load i32, i32* %i\n  %c = icmp slt i32 %v, %n\n  br i1 %c, label %body, label %out\nbody:\n  %w = call i32 @g(i32 %v)\n  store i32 %w, i32* %i\n  br label %h\nout:\n  %z = load i32, i32* %i\n  ret i32 %z\n}\n")
 	// Both arms of a condbr name one block; an escaping slot.
 	f.Add("declare void @use(i32*)\n\ndefine void @f(i1 %c) {\nentry:\n  %x = alloca i32\n  call void @use(i32* %x)\n  br i1 %c, label %y, label %y\ny:\n  ret void\n}\n")
+	// A pointer operand of a double multiply: Verify must reject it, since
+	// it prints as `fmul double* %p, 1.2`, which does not parse back.
+	f.Add("define double @f() {\nentry:\n  %p = alloca double\n  %t = fmul double %p, 1.2\n  ret double %t\n}\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<14 {

@@ -46,12 +46,11 @@ import (
 // It also holds the request's compiled program and its one simulation,
 // both resolved on first demand by a dynamic tool. A request's tools run
 // in order on its own goroutine (analyzeProgram) and share its ranks,
-// step budget and context, so prog and sim need no lock: one compile and
-// one run serve them all.
+// step budget and context, so the parse, prog and sim need no lock: one
+// parse, one compile and one run serve them all.
 type lazyModule struct {
 	src    string
 	digest string // requestDigest(src), computed once per request
-	once   sync.Once
 	mod    *ir.Module
 	err    error
 	prog   *mpisim.Program
@@ -59,9 +58,9 @@ type lazyModule struct {
 }
 
 func (lm *lazyModule) get() (*ir.Module, error) {
-	lm.once.Do(func() {
+	if lm.mod == nil && lm.err == nil {
 		lm.mod, lm.err = ir.Parse(lm.src)
-	})
+	}
 	return lm.mod, lm.err
 }
 

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -266,7 +267,7 @@ func (e *Engine) Ready() resilience.Report {
 	if e.tools != nil {
 		if open := e.openBreakerNames(); len(open) > 0 {
 			h.Set("tools", resilience.StatusDegraded,
-				"breaker open: "+joinNames(open))
+				"breaker open: "+strings.Join(open, ", "))
 		} else {
 			h.Set("tools", resilience.StatusOK, fmt.Sprintf("%d tools", len(e.tools.Names())))
 		}
@@ -280,15 +281,4 @@ func (e *Engine) Ready() resilience.Report {
 			fmt.Sprintf("queue %d/%d", js.QueueDepth, js.QueueCapacity))
 	}
 	return h.Report(e.draining.Load())
-}
-
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
 }
