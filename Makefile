@@ -103,7 +103,8 @@ chaos:
 #   reference (digests key the store, so they must never move);
 # - FuzzDigest: the streaming digest against sha256 of the whole
 #   normalized text, through buffers of every size, so chunk cuts land
-#   on every line boundary;
+#   on every line boundary, for the single digests and the one-pass
+#   pair an analyze request computes;
 # - FuzzOptimize: -O2 and -Os over any IR that parses and verifies (no
 #   panic, the result verifies and re-parses, the same input always
 #   prints the same output);

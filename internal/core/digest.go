@@ -142,9 +142,31 @@ func sumNormalized(buf []byte, src string) string {
 		buf = buf[:0]
 	}
 	var sum [sha256.Size]byte
-	var hexSum [2 * sha256.Size]byte
-	hex.Encode(hexSum[:], h.Sum(sum[:0]))
-	return string(hexSum[:])
+	return hexString(h.Sum(sum[:0]))
+}
+
+// sumHeaderedPair returns sumHeadered(src, a...) and sumHeadered(src,
+// b...) from one normalising pass through buf: each normalized chunk
+// feeds one hasher per header. The hashers stay local, as in
+// sumNormalized, so they need no heap.
+func sumHeaderedPair(buf []byte, src string, a, b []string) (string, string) {
+	ha, hb := sha256.New(), sha256.New()
+	ha.Write(appendHeader(buf[:0], a...))
+	hb.Write(appendHeader(buf[:0], b...))
+	for src != "" {
+		buf, src = appendNormalizedIR(buf[:0], src)
+		ha.Write(buf)
+		hb.Write(buf)
+	}
+	var sa, sb [sha256.Size]byte
+	return hexString(ha.Sum(sa[:0])), hexString(hb.Sum(sb[:0]))
+}
+
+// hexString returns sum in lower-case hex.
+func hexString(sum []byte) string {
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum)
+	return string(h[:])
 }
 
 // appendHeader appends the digest header "v" ArtifactVersion "|" for
@@ -176,6 +198,16 @@ func DigestIR(d Detector, src string) string {
 // address the same cache entry.
 func DigestProgram(d Detector, p *ast.Program) string {
 	return digest(d, "c", ast.RenderC(p))
+}
+
+// DigestIRAndKeyed returns DigestIR(d, src) and DigestIRKeyed(ident,
+// src), byte for byte, from one normalising pass over src. An analyze
+// request keys its ML verdict and its tool verdicts by the two.
+func DigestIRAndKeyed(d Detector, ident, src string) (irDigest, keyed string) {
+	chunk := digestChunks.Get().(*[digestChunk]byte)
+	defer digestChunks.Put(chunk)
+	return sumHeaderedPair(chunk[:0], src,
+		[]string{d.Name(), d.Opt().String(), "ir"}, []string{ident, "ir"})
 }
 
 // DigestIRKeyed is DigestIR for analyses that are not trained detectors:

@@ -253,6 +253,8 @@ func FuzzNormalizeIR(f *testing.F) {
 // arbitrary text. Besides the digestChunk buffer the exported digests
 // use, it streams through a buffer of the fuzzed capacity, so chunk cuts
 // land on every line boundary, and lines longer than the buffer grow it.
+// The one-pass pair digest must equal DigestIR and DigestIRKeyed under
+// each of its two headers, through either buffer.
 func FuzzDigest(f *testing.F) {
 	f.Add(goldenIR(), uint16(0))
 	f.Add(goldenIR(), uint16(37))
@@ -273,6 +275,24 @@ func FuzzDigest(f *testing.F) {
 		buf := append(make([]byte, 0, int(capacity)), header...)
 		if got := sumNormalized(buf, src); got != want {
 			t.Fatalf("sumNormalized(%q) through a %d-byte buffer = %s, want %s", src, capacity, got, want)
+		}
+
+		det := stubDet{"IR2Vec+DT", passes.Os}
+		irHeader := "v" + strconv.Itoa(ArtifactVersion) + "|IR2Vec+DT|-Os|ir|"
+		irSum := sha256.Sum256([]byte(irHeader + NormalizeIR(src)))
+		wantIR := hex.EncodeToString(irSum[:])
+		if got := DigestIR(det, src); got != wantIR {
+			t.Fatalf("DigestIR(%q) = %s, want %s", src, got, wantIR)
+		}
+		gotIR, gotKeyed := DigestIRAndKeyed(det, ident, src)
+		if gotIR != wantIR || gotKeyed != want {
+			t.Fatalf("DigestIRAndKeyed(%q) = %s, %s; want %s, %s", src, gotIR, gotKeyed, wantIR, want)
+		}
+		gotIR, gotKeyed = sumHeaderedPair(make([]byte, 0, int(capacity)), src,
+			[]string{det.Name(), det.Opt().String(), "ir"}, []string{ident, "ir"})
+		if gotIR != wantIR || gotKeyed != want {
+			t.Fatalf("sumHeaderedPair(%q) through a %d-byte buffer = %s, %s; want %s, %s",
+				src, capacity, gotIR, gotKeyed, wantIR, want)
 		}
 	})
 }

@@ -1,9 +1,15 @@
 // The hybrid static+dynamic analysis tier (POST /analyze): one program
-// fans out to the registered ML detector plus a selection of expert
+// goes to the registered ML detector plus a selection of expert
 // verification tools — the PARCOACH/MPI-Checker-like static analyses and
 // the ITAC/MUST-like dynamic checkers of the paper's Table III — and the
 // response carries every per-tool verdict plus a combined ensemble
 // verdict.
+//
+// A request ingests its program once: one normalising pass yields both
+// the ML cache digest and the tool-cache digest, and the program parses
+// at most once. The tools run first, in order, on the raw module; then
+// the ML leg, on the same goroutine, hands that module to the classify
+// worker, which runs -Os on it in place.
 //
 // Dynamic tools read a run of the program on the runtime simulator,
 // which is orders of magnitude heavier than a cached classification. A
@@ -25,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,33 +46,45 @@ import (
 )
 
 // lazyModule parses a program's textual IR at most once, on first
-// demand. The analyze path only needs the module when some tool verdict
-// actually has to be computed — a fully warm request (every tool served
-// from the verdict cache) never parses at all.
+// demand. The analyze path only needs the module when some verdict
+// actually has to be computed — a fully warm request (every tool and
+// the ML verdict served from their caches) never parses at all.
 //
 // It also holds the request's compiled program and its one simulation,
-// both resolved on first demand by a dynamic tool. A request's tools run
-// in order on its own goroutine (analyzeProgram) and share its ranks,
-// step budget and context, so the parse, prog and sim need no lock: one
-// parse, one compile and one run serve them all.
+// both resolved on first demand by a dynamic tool. A request's tools and
+// then its ML leg run in order on its own goroutine (analyzeProgram), so
+// the parse, prog and sim need no lock: one parse, one compile and one
+// run serve them all.
 type lazyModule struct {
-	src    string
-	digest string // requestDigest(src), computed once per request
-	mod    *ir.Module
-	err    error
-	prog   *mpisim.Program
-	sim    *simRun
+	src string
+	// The request's two cache digests, computed in one pass; empty when
+	// the engine runs uncached.
+	mlDigest, toolDigest string
+	mod                  *ir.Module
+	err                  error
+	prog                 *mpisim.Program
+	sim                  *simRun
 }
 
-func (lm *lazyModule) get() (*ir.Module, error) {
+func (lm *lazyModule) get(e *Engine) (*ir.Module, error) {
 	if lm.mod == nil && lm.err == nil {
-		lm.mod, lm.err = ir.Parse(lm.src)
+		lm.mod, lm.err = e.parse(lm.src)
 	}
 	return lm.mod, lm.err
 }
 
-// release ends the module's life once the request's last tool and its
-// simulation are done with it.
+// take hands the module to the ML leg's classify job, parsing it now if
+// no tool needed it; the job runs -Os on it in place and releases it.
+// The compiled program points into the module, so take must come after
+// the request's last tool.
+func (lm *lazyModule) take(e *Engine) (*ir.Module, error) {
+	m, err := lm.get(e)
+	lm.mod, lm.prog = nil, nil
+	return m, err
+}
+
+// release ends the module's life at the end of the request, unless the
+// ML leg took it.
 func (lm *lazyModule) release() {
 	if lm.mod != nil {
 		lm.mod.Release()
@@ -261,7 +280,7 @@ func toolPrefix(name string) string { return name + keySep }
 // never cached).
 func (e *Engine) compiledProgram(lm *lazyModule) (*mpisim.Program, error) {
 	if lm.prog == nil {
-		mod, err := lm.get()
+		mod, err := lm.get(e)
 		if err != nil {
 			return nil, err
 		}
@@ -320,14 +339,27 @@ func (e *Engine) simulate(ctx context.Context, prog *mpisim.Program, ranks int) 
 // toolKey addresses one (tool, configuration, program) verdict: the
 // key carries the tool name, every configuration axis that can change
 // the verdict, and the program's canonical digest. The digest is
-// computed once per request (requestDigest) and shared by every tool
-// key, so the hashing cost does not scale with the tool count.
+// computed once per request (analyzeProgram) and shared by every tool
+// key, so the hashing cost does not scale with the tool count. The key
+// is built in one allocation, sized for the widest configuration.
 func toolKey(name string, ranks int, steps int64, digest string) string {
-	return toolPrefix(name) + fmt.Sprintf("ranks=%d|steps=%d", ranks, steps) + keySep + digest
+	const cfgMax = len("ranks=|steps=") + 2*20 // two signed 64-bit decimals
+	var k strings.Builder
+	k.Grow(len(name) + 2*len(keySep) + cfgMax + len(digest))
+	var num [20]byte
+	k.WriteString(name)
+	k.WriteString(keySep + "ranks=")
+	k.Write(strconv.AppendInt(num[:0], int64(ranks), 10))
+	k.WriteString("|steps=")
+	k.Write(strconv.AppendInt(num[:0], steps, 10))
+	k.WriteString(keySep)
+	k.WriteString(digest)
+	return k.String()
 }
 
-// requestDigest canonically digests a program once per /analyze request.
-func requestDigest(src string) string { return core.DigestIRKeyed("analyze", src) }
+// toolIdent is the analysis identity of the tool-cache digest
+// (core.DigestIRKeyed); a change orphans every stored tool verdict.
+const toolIdent = "analyze"
 
 // resolveTools maps requested tool names to registered tools; an empty
 // request selects every registered tool, sorted by name.
@@ -347,13 +379,14 @@ func (e *Engine) resolveTools(names []string) ([]selectedTool, error) {
 	return out, nil
 }
 
-// Analyze fans one program out to the registered ML detector plus the
-// selected expert tools and combines their verdicts. The ML verdict
-// rides the ordinary classify path (same worker pool, cache and
-// coalescing); the tools run in order on the calling goroutine, the
-// dynamic ones reading one simulation under the request deadline and
-// the engine's per-simulation budgets. The request as a whole is subject
-// to the same min(caller deadline, engine timeout) budget as Classify.
+// Analyze runs one program through the registered ML detector and the
+// selected expert tools and combines their verdicts. The tools run
+// first, in order on the calling goroutine, the dynamic ones reading one
+// simulation under the request deadline and the engine's per-simulation
+// budgets; then the ML verdict rides the ordinary classify path (same
+// admission, worker pool, cache and coalescing). The request as a whole
+// is subject to the same min(caller deadline, engine timeout) budget as
+// Classify.
 func (e *Engine) Analyze(ctx context.Context, req AnalyzeRequest) (*AnalyzeResponse, error) {
 	if e.tools == nil {
 		return nil, ErrAnalysisDisabled
@@ -380,67 +413,77 @@ func clampRanks(ranks int) int {
 	return ranks
 }
 
-// analyzeProgram fans one program out to the ML detector plus the
-// resolved tools under its own min(caller deadline, engine timeout)
-// budget — the shared core of Analyze and AnalyzeBatch (each program of
-// a batch gets this full per-program budget, not a share of one). The
-// finished verdict is published on the event bus.
+// analyzeProgram runs the ML detector and the resolved tools on one
+// program under its own min(caller deadline, engine timeout) budget —
+// the shared core of Analyze and AnalyzeBatch (each program of a batch
+// gets this full per-program budget, not a share of one). Admission
+// comes first, so a shed request costs no parse and no simulation. One
+// normalising pass digests the program for both caches. The tools run
+// in order on this goroutine, then the ML leg, which hands the module
+// they parsed to its classify job. The finished verdict is published on
+// the event bus.
 func (e *Engine) analyzeProgram(ctx context.Context, model string, selected []selectedTool, ranks int, prog Program) (*AnalyzeResponse, error) {
 	if strings.TrimSpace(prog.IR) == "" {
 		return nil, ErrEmptyProgram
 	}
+	det, gen, ok := e.reg.getWithGen(model)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, model)
+	}
 	ctx, cancel := context.WithTimeout(ctx, e.cfg.Timeout)
 	defer cancel()
+	dl, hasDL := ctx.Deadline()
+	if err := e.admit(dl, hasDL); err != nil {
+		return nil, err
+	}
 
-	// The ML verdict computes concurrently with the expert tools, which run
-	// in order on this goroutine.
-	resp := &AnalyzeResponse{Model: model, Name: prog.Name}
-	mlDone := make(chan error, 1)
-	go func() {
-		// Pipeline panics are already isolated inside the worker pool;
-		// this recover guards the fan-out goroutine itself, which would
-		// otherwise take down the process.
-		defer func() {
-			if r := recover(); r != nil {
-				atomic.AddInt64(&e.stats.resilience.ClassifyPanics, 1)
-				e.bus.Publish(events.FaultRecovered, FaultRecoveredData{
-					Subsystem: "classify", Panic: fmt.Sprint(r)})
-				mlDone <- fmt.Errorf("serve: classify panic: %v", r)
-			}
-		}()
-		res, err := e.Classify(ctx, model, []Program{prog})
-		if err == nil {
-			resp.ML = res[0]
-		}
-		mlDone <- err
-	}()
-
-	verdicts := make([]ToolVerdict, len(selected))
 	// The module parses lazily, at most once, and only if some tool
-	// verdict misses its cache. (A parse failure is counted once, by the
-	// ML goroutine's Classify — not again here.) The first dynamic tool
+	// verdict or the ML verdict misses its cache. The first dynamic tool
 	// that misses its verdict cache runs the request's simulation, and the
 	// rest interpret the same run.
 	lm := &lazyModule{src: prog.IR}
 	defer lm.release()
 	if e.toolCache != nil {
-		// The digest keys the tool-verdict cache; without it it would be
-		// dead work on the request path.
-		lm.digest = requestDigest(prog.IR)
+		// Both caches exist exactly when CacheSize > 0; without them the
+		// digests would be dead work on the request path.
+		lm.mlDigest, lm.toolDigest = core.DigestIRAndKeyed(det, toolIdent, prog.IR)
 	}
+	verdicts := make([]ToolVerdict, len(selected))
 	for i, st := range selected {
 		verdicts[i] = e.runTool(ctx, st, lm, ranks)
 	}
-	if err := <-mlDone; err != nil {
+	ml, err := e.classifyIngested(ctx, det, gen, model, prog, lm)
+	if err != nil {
 		return nil, err
 	}
-	resp.Tools = verdicts
+	resp := &AnalyzeResponse{Model: model, Name: prog.Name, ML: ml, Tools: verdicts}
 	resp.Ensemble = ensembleOf(resp.ML, verdicts)
 	e.bus.Publish(events.VerdictCompleted, VerdictCompletedData{
 		Model: model, Name: prog.Name, Incorrect: resp.Ensemble.Incorrect,
 		Flags: resp.Ensemble.Flags, Voters: resp.Ensemble.Voters,
 	})
 	return resp, nil
+}
+
+// classifyIngested is the ML leg of an analyze request: the classify
+// path for its one program under the digest and module the request
+// already holds. Pipeline panics are isolated inside the worker pool;
+// this recover guards the leg itself, so a panic here fails the request
+// instead of the process.
+func (e *Engine) classifyIngested(ctx context.Context, det core.Detector, gen uint64, model string, prog Program, lm *lazyModule) (res Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			atomic.AddInt64(&e.stats.resilience.ClassifyPanics, 1)
+			e.bus.Publish(events.FaultRecovered, FaultRecoveredData{
+				Subsystem: "classify", Panic: fmt.Sprint(r)})
+			err = fmt.Errorf("serve: classify panic: %v", r)
+		}
+	}()
+	rs, err := e.classify(ctx, det, gen, model, []Program{prog}, lm)
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
 }
 
 // runTool produces one expert verdict, consulting the tool cache first:
@@ -466,7 +509,7 @@ func (e *Engine) runTool(ctx context.Context, st selectedTool, lm *lazyModule, r
 	if !st.dynamic {
 		keyRanks, keySteps = 0, 0
 	}
-	key := toolKey(st.name, keyRanks, keySteps, lm.digest)
+	key := toolKey(st.name, keyRanks, keySteps, lm.toolDigest)
 	for {
 		v, f, state := e.toolCache.Join(key)
 		switch state {
@@ -528,7 +571,7 @@ func (e *Engine) execTool(ctx context.Context, st selectedTool, lm *lazyModule, 
 	if st.dynamic {
 		prog, perr = e.compiledProgram(lm)
 	} else {
-		_, perr = lm.get()
+		_, perr = lm.get(e)
 	}
 	if perr != nil {
 		return e.parseErrVerdict(st, perr, f)

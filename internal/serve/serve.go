@@ -712,6 +712,15 @@ func (e *Engine) Classify(ctx context.Context, model string, progs []Program) ([
 	if err := e.admit(dl, hasDL); err != nil {
 		return nil, err
 	}
+	return e.classify(ctx, det, gen, model, progs, nil)
+}
+
+// classify is the per-item path of an admitted request under ctx: each
+// program is served from the cache, parked on an identical in-flight
+// program, or parsed and queued on the worker pool. lm, when non-nil, is
+// an analyze request's ingest of progs' one program: its ML digest and
+// its module are taken from lm, not computed again.
+func (e *Engine) classify(ctx context.Context, det core.Detector, gen uint64, model string, progs []Program, lm *lazyModule) ([]Result, error) {
 	atomic.AddInt64(&e.stats.engine.Requests, 1)
 	atomic.AddInt64(&e.stats.engine.Programs, int64(len(progs)))
 
@@ -725,11 +734,14 @@ func (e *Engine) Classify(ctx context.Context, model string, progs []Program) ([
 	// to coalesced followers but never cached, so a corrected
 	// resubmission recomputes. It fails only when ctx dies first.
 	enqueue := func(i int, flight *cache.Flight[Result]) error {
-		pstart := time.Now()
-		m, err := ir.Parse(progs[i].IR)
-		telemetry.Fold(&e.stats.pipeline.AvgParseNanos, int64(time.Since(pstart)), 0.3)
+		var m *ir.Module
+		var err error
+		if lm != nil {
+			m, err = lm.take(e)
+		} else {
+			m, err = e.parse(progs[i].IR)
+		}
 		if err != nil {
-			atomic.AddInt64(&e.stats.engine.ParseErrors, 1)
 			results[i] = Result{Err: "parse: " + err.Error()}
 			if flight != nil {
 				e.cache.Complete(flight, Result{}, fmt.Errorf("parse: %w", err))
@@ -758,8 +770,13 @@ func (e *Engine) Classify(ctx context.Context, model string, progs []Program) ([
 		// request computes and stores is unreachable from the new model.
 		var flight *cache.Flight[Result]
 		if e.cache != nil {
-			key := cacheKey(model, gen, core.DigestIR(det, p.IR))
-			v, f, st := e.cache.Join(key)
+			var digest string
+			if lm != nil {
+				digest = lm.mlDigest
+			} else {
+				digest = core.DigestIR(det, p.IR)
+			}
+			v, f, st := e.cache.Join(cacheKey(model, gen, digest))
 			switch st {
 			case cache.Hit:
 				results[i] = v
@@ -829,6 +846,19 @@ func (e *Engine) Classify(ctx context.Context, model string, progs []Program) ([
 	return results, nil
 }
 
+// parse runs one ir.Parse for the engine: it counts the parse and any
+// failure, and folds the parse's wall time into the parse EWMA.
+func (e *Engine) parse(src string) (*ir.Module, error) {
+	atomic.AddInt64(&e.stats.engine.Parses, 1)
+	start := time.Now()
+	m, err := ir.Parse(src)
+	telemetry.Fold(&e.stats.pipeline.AvgParseNanos, int64(time.Since(start)), 0.3)
+	if err != nil {
+		atomic.AddInt64(&e.stats.engine.ParseErrors, 1)
+	}
+	return m, err
+}
+
 // cacheKey namespaces a program digest by model slot and generation; the
 // model prefix (everything before the digest) is what per-model
 // invalidation sweeps on, generations included.
@@ -847,19 +877,22 @@ func isCancellation(err error) bool {
 // Stats.
 // ---------------------------------------------------------------------------
 
-// EngineStats is the engine half of GET /stats.
+// EngineStats is the engine half of GET /stats. Parses counts every
+// ir.Parse the engine runs: one per cold program, classified or
+// analyzed, and none for a warm repeat.
 type EngineStats struct {
 	Requests      int64 `json:"requests"`
 	Programs      int64 `json:"programs"`
 	PipelineExecs int64 `json:"pipeline_execs"`
 	ParseErrors   int64 `json:"parse_errors"`
+	Parses        int64 `json:"parses"`
 	Workers       int   `json:"workers"`
 	MaxBatch      int   `json:"max_batch"`
 }
 
 // PipelineStats is the cold-path half of GET /stats: how the parse →
 // optimise → predict pipeline is actually behaving. AvgParseNanos is an
-// EWMA of front-door ir.Parse wall time. The BatchFill counters
+// EWMA of the engine's ir.Parse wall time. The BatchFill counters
 // histogram the sizes of worker-drained batches (1 / 2–4 / 5–8 / full,
 // where full is predictBatch) — all-singleton fills mean
 // the queue never backs up and batching is idle, full fills mean the
