@@ -69,7 +69,7 @@ func (g *gen) declareExtern(name string) (*ir.Func, error) {
 		return f, nil
 	}
 	if op, ok := mpi.FromName(name); ok {
-		sig, _ := mpi.SignatureOf(op)
+		sig := mpi.SignatureOf(op)
 		params := make([]*ir.Type, len(sig.Params))
 		for i, p := range sig.Params {
 			params[i] = paramTypes[p.Kind]

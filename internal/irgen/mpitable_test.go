@@ -23,8 +23,8 @@ const mpiTableGolden = "testdata/mpi_table.golden"
 // mpiTableLine renders one routine's row of the golden.
 func mpiTableLine(t *testing.T, op mpi.Op) string {
 	t.Helper()
-	sig, ok := mpi.SignatureOf(op)
-	if !ok {
+	sig := mpi.SignatureOf(op)
+	if sig == nil {
 		t.Fatalf("no signature for %s", op)
 	}
 	g := &gen{m: ir.NewModule("table"), funcs: map[string]*ir.Func{}}
@@ -37,9 +37,11 @@ func mpiTableLine(t *testing.T, op mpi.Op) string {
 		params[i] = p.String()
 	}
 	a := sig.Arg
-	return fmt.Sprintf("%s collective=%t request=%t nargs=%d buf=%d count=%d datatype=%d peer=%d tag=%d comm=%d req=%d root=%d redop=%d win=%d ret=%s params=(%s)",
-		op, mpi.IsCollective(op), mpi.StartsRequest(op), sig.NArgs,
+	return fmt.Sprintf("%s collective=%t request=%t nargs=%d buf=%d count=%d datatype=%d peer=%d tag=%d comm=%d req=%d root=%d redop=%d win=%d "+
+		"recvbuf=%d recvcount=%d recvdatatype=%d source=%d recvtag=%d status=%d out=%d size=%d disp=%d targetdatatype=%d ret=%s params=(%s)",
+		op, mpi.IsCollective(op), mpi.StartsRequest(op), len(sig.Params),
 		a.Buf, a.Count, a.Datatype, a.Peer, a.Tag, a.Comm, a.Request, a.Root, a.RedOp, a.Win,
+		a.RecvBuf, a.RecvCount, a.RecvDatatype, a.Source, a.RecvTag, a.Status, a.Out, a.Size, a.Disp, a.TargetDatatype,
 		f.Sig.Ret, strings.Join(params, ", "))
 }
 
@@ -80,14 +82,14 @@ func TestMPITableGolden(t *testing.T) {
 // model equals the parameter count of the prototype lowering declares.
 func TestMPISignatureMatchesPrototype(t *testing.T) {
 	for op := mpi.OpInit; op <= mpi.OpAbort; op++ {
-		sig, _ := mpi.SignatureOf(op)
+		sig := mpi.SignatureOf(op)
 		g := &gen{m: ir.NewModule("arity"), funcs: map[string]*ir.Func{}}
 		f, err := g.declareExtern(op.String())
 		if err != nil {
 			t.Fatalf("declareExtern(%s): %v", op, err)
 		}
-		if len(f.Sig.Params) != sig.NArgs {
-			t.Errorf("%s: model arity %d, IR prototype has %d params", op, sig.NArgs, len(f.Sig.Params))
+		if len(f.Sig.Params) != len(sig.Params) {
+			t.Errorf("%s: model arity %d, IR prototype has %d params", op, len(sig.Params), len(f.Sig.Params))
 		}
 	}
 }

@@ -88,13 +88,13 @@ var routines = [...]routine{
 	OpBsend:          {"MPI_Bsend", 0, []Param{buf, count, dtype, peer, tag, comm}},
 	OpRsend:          {"MPI_Rsend", 0, []Param{buf, count, dtype, peer, tag, comm}},
 	OpRecv:           {"MPI_Recv", 0, []Param{buf, count, dtype, peer, tag, comm, status}},
-	OpSendrecv:       {"MPI_Sendrecv", 0, []Param{buf, count, dtype, peer, tag, ptr, i32, i32, i32, i32, comm, status}},
+	OpSendrecv:       {"MPI_Sendrecv", 0, []Param{buf, count, dtype, peer, tag, recvBuf, recvCount, recvDtype, source, recvTag, comm, status}},
 	OpIsend:          {"MPI_Isend", startsRequest, []Param{buf, count, dtype, peer, tag, comm, req}},
 	OpIssend:         {"MPI_Issend", startsRequest, []Param{buf, count, dtype, peer, tag, comm, req}},
 	OpIrecv:          {"MPI_Irecv", startsRequest, []Param{buf, count, dtype, peer, tag, comm, req}},
 	OpWait:           {"MPI_Wait", 0, []Param{req, status}},
 	OpWaitall:        {"MPI_Waitall", 0, []Param{count, req, status}},
-	OpTest:           {"MPI_Test", 0, []Param{req, i32p, status}},
+	OpTest:           {"MPI_Test", 0, []Param{req, out, status}},
 	OpRequestFree:    {"MPI_Request_free", 0, []Param{req}},
 	OpSendInit:       {"MPI_Send_init", startsRequest, []Param{buf, count, dtype, peer, tag, comm, req}},
 	OpRecvInit:       {"MPI_Recv_init", startsRequest, []Param{buf, count, dtype, peer, tag, comm, req}},
@@ -102,29 +102,29 @@ var routines = [...]routine{
 	OpStartall:       {"MPI_Startall", 0, []Param{count, req}},
 	OpBarrier:        {"MPI_Barrier", collective, []Param{comm}},
 	OpBcast:          {"MPI_Bcast", collective, []Param{buf, count, dtype, root, comm}},
-	OpReduce:         {"MPI_Reduce", collective, []Param{buf, ptr, count, dtype, redop, root, comm}},
-	OpAllreduce:      {"MPI_Allreduce", collective, []Param{buf, ptr, count, dtype, redop, comm}},
-	OpGather:         {"MPI_Gather", collective, []Param{buf, count, dtype, ptr, i32, i32, root, comm}},
-	OpScatter:        {"MPI_Scatter", collective, []Param{buf, count, dtype, ptr, i32, i32, root, comm}},
-	OpAllgather:      {"MPI_Allgather", collective, []Param{buf, count, dtype, ptr, i32, i32, comm}},
-	OpAlltoall:       {"MPI_Alltoall", collective, []Param{buf, count, dtype, ptr, i32, i32, comm}},
-	OpExscan:         {"MPI_Exscan", collective, []Param{buf, ptr, count, dtype, redop, comm}},
-	OpScan:           {"MPI_Scan", collective, []Param{buf, ptr, count, dtype, redop, comm}},
+	OpReduce:         {"MPI_Reduce", collective, []Param{buf, recvBuf, count, dtype, redop, root, comm}},
+	OpAllreduce:      {"MPI_Allreduce", collective, []Param{buf, recvBuf, count, dtype, redop, comm}},
+	OpGather:         {"MPI_Gather", collective, []Param{buf, count, dtype, recvBuf, recvCount, recvDtype, root, comm}},
+	OpScatter:        {"MPI_Scatter", collective, []Param{buf, count, dtype, recvBuf, recvCount, recvDtype, root, comm}},
+	OpAllgather:      {"MPI_Allgather", collective, []Param{buf, count, dtype, recvBuf, recvCount, recvDtype, comm}},
+	OpAlltoall:       {"MPI_Alltoall", collective, []Param{buf, count, dtype, recvBuf, recvCount, recvDtype, comm}},
+	OpExscan:         {"MPI_Exscan", collective, []Param{buf, recvBuf, count, dtype, redop, comm}},
+	OpScan:           {"MPI_Scan", collective, []Param{buf, recvBuf, count, dtype, redop, comm}},
 	OpIbarrier:       {"MPI_Ibarrier", collective | startsRequest, []Param{comm, req}},
 	OpIbcast:         {"MPI_Ibcast", collective | startsRequest, []Param{buf, count, dtype, root, comm, req}},
-	OpIallreduce:     {"MPI_Iallreduce", collective | startsRequest, []Param{buf, ptr, count, dtype, redop, comm, req}},
-	OpWinCreate:      {"MPI_Win_create", 0, []Param{buf, i64, i32, i32, comm, winOut}},
+	OpIallreduce:     {"MPI_Iallreduce", collective | startsRequest, []Param{buf, recvBuf, count, dtype, redop, comm, req}},
+	OpWinCreate:      {"MPI_Win_create", 0, []Param{buf, size, i32, i32, comm, winOut}},
 	OpWinFree:        {"MPI_Win_free", 0, []Param{winOut}},
 	OpWinFence:       {"MPI_Win_fence", 0, []Param{i32, win}},
-	OpPut:            {"MPI_Put", 0, []Param{buf, count, dtype, peer, i64, i32, i32, win}},
-	OpGet:            {"MPI_Get", 0, []Param{buf, count, dtype, peer, i64, i32, i32, win}},
-	OpAccumulate:     {"MPI_Accumulate", 0, []Param{buf, count, dtype, peer, i64, i32, i32, redop, win}},
+	OpPut:            {"MPI_Put", 0, []Param{buf, count, dtype, peer, disp, i32, targetDtype, win}},
+	OpGet:            {"MPI_Get", 0, []Param{buf, count, dtype, peer, disp, i32, targetDtype, win}},
+	OpAccumulate:     {"MPI_Accumulate", 0, []Param{buf, count, dtype, peer, disp, i32, targetDtype, redop, win}},
 	OpWinLock:        {"MPI_Win_lock", 0, []Param{i32, peer, i32, win}},
 	OpWinUnlock:      {"MPI_Win_unlock", 0, []Param{peer, win}},
-	OpCommSplit:      {"MPI_Comm_split", 0, []Param{comm, i32, i32, i32p}},
-	OpCommFree:       {"MPI_Comm_free", 0, []Param{i32p}}, // the handle by pointer: no comm-value position
-	OpCommDup:        {"MPI_Comm_dup", 0, []Param{comm, i32p}},
-	OpTypeContiguous: {"MPI_Type_contiguous", 0, []Param{count, dtype, i32p}},
+	OpCommSplit:      {"MPI_Comm_split", 0, []Param{comm, i32, i32, out}},
+	OpCommFree:       {"MPI_Comm_free", 0, []Param{out}}, // the handle by pointer: no comm-value position
+	OpCommDup:        {"MPI_Comm_dup", 0, []Param{comm, out}},
+	OpTypeContiguous: {"MPI_Type_contiguous", 0, []Param{count, dtype, out}},
 	OpTypeCommit:     {"MPI_Type_commit", 0, []Param{dtypeOut}},
 	OpTypeFree:       {"MPI_Type_free", 0, []Param{dtypeOut}},
 	OpGetCount:       {"MPI_Get_count", 0, []Param{status, dtype, bufOut}},
@@ -171,24 +171,31 @@ type Param struct {
 // role that some routine takes. A parameter with no role is named for its
 // kind, after the IR type it lowers to.
 var (
-	buf      = Param{KVoidPtr, func(a *ArgIndex) *int { return &a.Buf }}
-	count    = Param{KInt, func(a *ArgIndex) *int { return &a.Count }}
-	dtype    = Param{KInt, func(a *ArgIndex) *int { return &a.Datatype }}
-	peer     = Param{KInt, func(a *ArgIndex) *int { return &a.Peer }}
-	tag      = Param{KInt, func(a *ArgIndex) *int { return &a.Tag }}
-	comm     = Param{KInt, func(a *ArgIndex) *int { return &a.Comm }}
-	root     = Param{KInt, func(a *ArgIndex) *int { return &a.Root }}
-	redop    = Param{KInt, func(a *ArgIndex) *int { return &a.RedOp }}
-	win      = Param{KLong, func(a *ArgIndex) *int { return &a.Win }}
-	req      = Param{KReqPtr, func(a *ArgIndex) *int { return &a.Request }}
-	bufOut   = Param{KIntPtr, buf.role}   // the rank, size or count the routine writes
-	dtypeOut = Param{KIntPtr, dtype.role} // the handle MPI_Type_commit and _free take by pointer
-	winOut   = Param{KReqPtr, win.role}   // the handle MPI_Win_create writes and MPI_Win_free clears
-	ptr      = Param{Kind: KVoidPtr}
-	i32      = Param{Kind: KInt}
-	i32p     = Param{Kind: KIntPtr}
-	i64      = Param{Kind: KLong}
-	status   = Param{Kind: KStatusPtr}
+	buf         = Param{KVoidPtr, func(a *ArgIndex) *int { return &a.Buf }}
+	count       = Param{KInt, func(a *ArgIndex) *int { return &a.Count }}
+	dtype       = Param{KInt, func(a *ArgIndex) *int { return &a.Datatype }}
+	peer        = Param{KInt, func(a *ArgIndex) *int { return &a.Peer }}
+	tag         = Param{KInt, func(a *ArgIndex) *int { return &a.Tag }}
+	comm        = Param{KInt, func(a *ArgIndex) *int { return &a.Comm }}
+	root        = Param{KInt, func(a *ArgIndex) *int { return &a.Root }}
+	redop       = Param{KInt, func(a *ArgIndex) *int { return &a.RedOp }}
+	win         = Param{KLong, func(a *ArgIndex) *int { return &a.Win }}
+	req         = Param{KReqPtr, func(a *ArgIndex) *int { return &a.Request }}
+	recvBuf     = Param{KVoidPtr, func(a *ArgIndex) *int { return &a.RecvBuf }}
+	recvCount   = Param{KInt, func(a *ArgIndex) *int { return &a.RecvCount }}
+	recvDtype   = Param{KInt, func(a *ArgIndex) *int { return &a.RecvDatatype }}
+	source      = Param{KInt, func(a *ArgIndex) *int { return &a.Source }}
+	recvTag     = Param{KInt, func(a *ArgIndex) *int { return &a.RecvTag }}
+	status      = Param{KStatusPtr, func(a *ArgIndex) *int { return &a.Status }}
+	out         = Param{KIntPtr, func(a *ArgIndex) *int { return &a.Out }}
+	size        = Param{KLong, func(a *ArgIndex) *int { return &a.Size }}
+	disp        = Param{KLong, func(a *ArgIndex) *int { return &a.Disp }}
+	targetDtype = Param{KInt, func(a *ArgIndex) *int { return &a.TargetDatatype }}
+	bufOut      = Param{KIntPtr, buf.role}   // the rank, size or count the routine writes
+	dtypeOut    = Param{KIntPtr, dtype.role} // the handle MPI_Type_commit and _free take by pointer
+	winOut      = Param{KReqPtr, win.role}   // the handle MPI_Win_create writes and MPI_Win_free clears
+	ptr         = Param{Kind: KVoidPtr}
+	i32         = Param{Kind: KInt}
 )
 
 // String returns the canonical MPI function name (e.g. "MPI_Send").
@@ -353,12 +360,25 @@ type ArgIndex struct {
 	Root     int // collective root
 	RedOp    int // reduction operator
 	Win      int // RMA window handle
+
+	RecvBuf      int // receive buffer pointer, beside Buf's send buffer
+	RecvCount    int // receive element count, where it is not Count
+	RecvDatatype int // receive datatype handle, where it is not Datatype
+	Source       int // source rank, where Peer is the destination
+	RecvTag      int // receive tag, where Tag is the send tag
+	Status       int // MPI_Status pointer
+	// Out is an int the routine writes by pointer: MPI_Test's flag, the
+	// communicator or datatype handle Comm_split, Comm_dup or
+	// Type_contiguous makes, or the handle Comm_free nulls.
+	Out            int
+	Size           int // MPI_Win_create's window size in bytes
+	Disp           int // RMA target displacement
+	TargetDatatype int // RMA target datatype handle
 }
 
-// Signature describes an MPI call's arity, semantic argument positions and
-// parameters.
+// Signature describes an MPI call's semantic argument positions and its
+// parameters; the arity is len(Params).
 type Signature struct {
-	NArgs  int
 	Arg    ArgIndex
 	Params []Param // in call order; shared with the routines table, read only
 }
@@ -372,21 +392,23 @@ var (
 func init() {
 	for op := OpInit; int(op) < len(routines); op++ {
 		r := &routines[op]
-		a := ArgIndex{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
+		a := ArgIndex{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+			-1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
 		for i, p := range r.params {
 			if p.role != nil {
 				*p.role(&a) = i
 			}
 		}
-		signatures[op] = Signature{NArgs: len(r.params), Arg: a, Params: r.params}
+		signatures[op] = Signature{Arg: a, Params: r.params}
 		byName[r.name] = op
 	}
 }
 
-// SignatureOf returns the signature for op; ok is false for unknown ops.
-func SignatureOf(op Op) (Signature, bool) {
+// SignatureOf returns the signature for op, or nil for unknown ops. The
+// signature is the table's own and must not be modified.
+func SignatureOf(op Op) *Signature {
 	if op <= OpNone || int(op) >= len(signatures) {
-		return Signature{}, false
+		return nil
 	}
-	return signatures[op], true
+	return &signatures[op]
 }

@@ -1,6 +1,9 @@
 package mpi
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // allOps walks the enum rather than the routines table, so an Op constant
 // added without a row fails the tests below. OpAbort is the last constant
@@ -24,24 +27,20 @@ func TestRoutineTableInvariants(t *testing.T) {
 		if got, ok := FromName(name); !ok || got != op {
 			t.Errorf("FromName(%q) = %v, %v", name, got, ok)
 		}
-		sig, ok := SignatureOf(op)
-		if !ok {
+		sig := SignatureOf(op)
+		if sig == nil {
 			t.Errorf("no signature for %s", op)
 			continue
 		}
-		if sig.NArgs != len(sig.Params) {
-			t.Errorf("%s: arity %d but %d params", op, sig.NArgs, len(sig.Params))
-		}
-		for _, idx := range []int{sig.Arg.Buf, sig.Arg.Count, sig.Arg.Datatype,
-			sig.Arg.Peer, sig.Arg.Tag, sig.Arg.Comm, sig.Arg.Request,
-			sig.Arg.Root, sig.Arg.RedOp, sig.Arg.Win} {
-			if idx < -1 || idx >= sig.NArgs {
-				t.Errorf("%s: argument role index %d outside arity %d", op, idx, sig.NArgs)
+		roles := reflect.ValueOf(sig.Arg)
+		for i := 0; i < roles.NumField(); i++ {
+			if idx := int(roles.Field(i).Int()); idx < -1 || idx >= len(sig.Params) {
+				t.Errorf("%s: %s index %d outside arity %d", op, roles.Type().Field(i).Name, idx, len(sig.Params))
 			}
 		}
 	}
 	for _, op := range []Op{OpNone, OpAbort + 1, -1} {
-		if _, ok := SignatureOf(op); ok {
+		if SignatureOf(op) != nil {
 			t.Errorf("SignatureOf(%d) found a signature", op)
 		}
 		if IsCollective(op) || StartsRequest(op) {
@@ -97,11 +96,11 @@ func TestHandleNamed(t *testing.T) {
 }
 
 func TestSignatures(t *testing.T) {
-	send, _ := SignatureOf(OpSend)
-	if send.Arg.Tag != 4 || send.Arg.Comm != 5 || send.NArgs != 6 {
+	send := SignatureOf(OpSend)
+	if send.Arg.Tag != 4 || send.Arg.Comm != 5 || len(send.Params) != 6 {
 		t.Errorf("MPI_Send signature wrong: %+v", send)
 	}
-	reduce, _ := SignatureOf(OpReduce)
+	reduce := SignatureOf(OpReduce)
 	if reduce.Arg.RedOp != 4 || reduce.Arg.Root != 5 {
 		t.Errorf("MPI_Reduce signature wrong: %+v", reduce)
 	}

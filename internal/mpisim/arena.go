@@ -87,10 +87,10 @@ func takeRuntime(ranks int) *Runtime {
 	case rt = <-freeRuns:
 	default:
 		rt = &Runtime{
-			reqs:   map[int64]*request{},
-			wins:   map[int64]*window{},
-			comms:  map[int64]int{},
-			dtypes: map[int64]bool{},
+			reqs:    map[int64]*request{},
+			wins:    map[int64]*window{},
+			comms:   map[int64]int{},
+			derived: map[int64]derivedType{},
 		}
 	}
 	for len(rt.built) < ranks {
@@ -136,11 +136,9 @@ func (rt *Runtime) recycle() {
 	clear(rt.reqs)
 	clear(rt.wins)
 	clear(rt.comms)
-	clear(rt.dtypes)
-	clear(rt.derivedSizes)
+	clear(rt.derived)
 	*rt = Runtime{memArena: rt.memArena, built: rt.built, reqs: rt.reqs,
-		wins: rt.wins, comms: rt.comms, dtypes: rt.dtypes,
-		derivedSizes: rt.derivedSizes, sends: clearSlice(rt.sends),
+		wins: rt.wins, comms: rt.comms, derived: rt.derived, sends: clearSlice(rt.sends),
 		recvs: clearSlice(rt.recvs), colls: rt.colls[:0], coll: rt.coll,
 		msgLog: rt.msgLog[:0], wildRecvs: rt.wildRecvs[:0]}
 	if kept > maxRunRetain {

@@ -3,42 +3,62 @@ package mpisim
 import (
 	"fmt"
 
+	"mpidetect/internal/ir"
 	"mpidetect/internal/mpi"
 )
 
-// dtSizeKnown returns the byte size of one element of dt and whether
-// that size is actually known. A derived handle that was never created
-// in this world (a garbage constant, an uninitialised variable) has no
-// defensible size; callers must not guess one, or they both mask real
-// truncation mismatches and fabricate spurious ones.
-func (rt *Runtime) dtSizeKnown(dt mpi.Datatype) (int, bool) {
-	if int64(dt) >= 100 {
-		sz, ok := rt.derivedSizes[int64(dt)]
-		return sz, ok
-	}
-	return dt.Size(), true
+// derivedBase is the first derived datatype handle: every handle from
+// here up names a type MPI_Type_contiguous made, or none at all.
+const derivedBase = 100
+
+// derivedType is one datatype MPI_Type_contiguous made.
+type derivedType struct {
+	size             int // bytes per element
+	committed, freed bool
 }
 
-// dtSize is dtSizeKnown for callers that need a size for data movement:
-// an unknown derived handle reports a use-of-unknown-datatype violation
-// (once per run) and contributes zero bytes, rather than the old silent
-// 4-byte guess that let size-based checks pass or misfire.
-func (rt *Runtime) dtSize(dt mpi.Datatype) int {
-	sz, ok := rt.dtSizeKnown(dt)
-	if !ok {
+// dtype is the run's one answer to what a datatype handle is.
+type dtype struct {
+	size      int      // bytes per element; 0 when not known
+	known     bool     // false for a derived handle this run never created
+	derived   bool     // the handle is derivedBase or above
+	valid     bool     // usable for communication: a basic type or a live derived one
+	committed bool     // not a derived type still awaiting MPI_Type_commit
+	elem      *ir.Type // what reductions load and store: ir.I32 or ir.F64
+}
+
+// datatype describes dt. A derived handle that was never created in
+// this world (a garbage constant, an uninitialised variable) has no
+// defensible size; callers must not guess one, or they both mask real
+// truncation mismatches and fabricate spurious ones. A freed handle
+// keeps its size.
+func (rt *Runtime) datatype(dt mpi.Datatype) dtype {
+	if int64(dt) >= derivedBase {
+		t, ok := rt.derived[int64(dt)]
+		return dtype{size: t.size, known: ok, derived: true, valid: ok && !t.freed,
+			committed: t.committed, elem: ir.F64}
+	}
+	d := dtype{size: dt.Size(), known: true, valid: dt >= mpi.DTInt && dt <= mpi.DTDerived,
+		committed: true, elem: ir.F64}
+	switch dt {
+	case mpi.DTInt, mpi.DTUnsigned,
+		mpi.DTLong: // divergence from MPI: MPI_LONG (8 bytes) loads as i32, and MPI_FLOAT (4 bytes) as f64
+		d.elem = ir.I32
+	}
+	return d
+}
+
+// moving is datatype for a collective, RMA or derived-type movement of
+// data: an unknown derived handle reports a use-of-unknown-datatype
+// violation (once per run) and moves zero bytes, rather than a silent
+// guess that would let size-based checks pass or misfire.
+func (rt *Runtime) moving(dt mpi.Datatype) dtype {
+	d := rt.datatype(dt)
+	if !d.known {
 		rt.reportOnce(Violation{Kind: VInvalidParam, Rank: -1, Op: mpi.OpNone,
 			Msg: fmt.Sprintf("use of unknown or freed derived datatype %d", int64(dt))})
-		return 0
 	}
-	return sz
-}
-
-// dtypeSizes records the size of a derived datatype.
-func (rt *Runtime) dtypeSizes(id int64, size int) {
-	if rt.derivedSizes == nil {
-		rt.derivedSizes = map[int64]int{}
-	}
-	rt.derivedSizes[id] = size
+	return d
 }
 
 // dtCompatible extends mpi.Datatype.Compatible to derived handles. MPI
@@ -46,104 +66,73 @@ func (rt *Runtime) dtypeSizes(id int64, size int) {
 // process-local), so two derived types match when their signatures — here
 // approximated by their byte sizes — agree.
 func (rt *Runtime) dtCompatible(a, b mpi.Datatype) bool {
-	aDerived, bDerived := int64(a) >= 100, int64(b) >= 100
+	aDerived, bDerived := int64(a) >= derivedBase, int64(b) >= derivedBase
 	switch {
 	case aDerived && bDerived:
-		return rt.dtSize(a) == rt.dtSize(b)
+		return rt.moving(a).size == rt.moving(b).size
 	case aDerived != bDerived:
 		return false
 	}
 	return a.Compatible(b)
 }
 
-// dtValid reports whether dt is a usable datatype for communication: a
-// basic type or a committed derived type.
-func (rt *Runtime) dtValid(dt mpi.Datatype) (ok, committed bool) {
-	v := int64(dt)
-	if v >= 100 {
-		c, exists := rt.dtypes[v]
-		return exists, c
-	}
-	return dt >= mpi.DTInt && dt <= mpi.DTDerived, true
-}
-
 // validateArgs performs the call-site argument validation an MPI
 // implementation with full error checking performs. It records violations
 // but never aborts the call (matching tools that keep running).
-func (rt *Runtime) validateArgs(p *proc, op mpi.Op, args []RV) {
-	sig, ok := mpi.SignatureOf(op)
-	if !ok {
-		return
-	}
+func (rt *Runtime) validateArgs(p *proc, op mpi.Op, sig *mpi.Signature, args []RV) {
 	bad := func(msg string) {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: op, Msg: msg})
 	}
-	arg := func(i int) (RV, bool) {
-		if i < 0 || i >= len(args) {
-			return RV{}, false
-		}
-		return args[i], true
+	a := &sig.Arg
+	if i := a.Count; i >= 0 && args[i].I < 0 {
+		bad(fmt.Sprintf("negative count %d", args[i].I))
 	}
-	if v, ok := arg(sig.Arg.Count); ok {
-		if v.I < 0 {
-			bad(fmt.Sprintf("negative count %d", v.I))
-		}
-	}
-	if v, ok := arg(sig.Arg.Datatype); ok && op != mpi.OpTypeContiguous &&
+	if i := a.Datatype; i >= 0 && op != mpi.OpTypeContiguous &&
 		op != mpi.OpTypeCommit && op != mpi.OpTypeFree && op != mpi.OpGetCount {
-		valid, committed := rt.dtValid(mpi.Datatype(v.I))
-		switch {
-		case !valid:
-			bad(fmt.Sprintf("invalid datatype %d", v.I))
-		case !committed:
+		switch d := rt.datatype(mpi.Datatype(args[i].I)); {
+		case !d.valid:
+			bad(fmt.Sprintf("invalid datatype %d", args[i].I))
+		case !d.committed:
 			bad("use of an uncommitted derived datatype")
 		}
 	}
-	if v, ok := arg(sig.Arg.Tag); ok {
+	if i := a.Tag; i >= 0 {
+		v := args[i].I
 		isRecv := op == mpi.OpRecv || op == mpi.OpIrecv || op == mpi.OpRecvInit
 		switch {
-		case v.I == mpi.AnyTag && !isRecv:
+		case v == mpi.AnyTag && !isRecv:
 			bad("MPI_ANY_TAG used on a send")
-		case v.I != mpi.AnyTag && (v.I < 0 || v.I > mpi.TagUB):
-			bad(fmt.Sprintf("tag %d out of range", v.I))
+		case v != mpi.AnyTag && (v < 0 || v > mpi.TagUB):
+			bad(fmt.Sprintf("tag %d out of range", v))
 		}
 	}
-	if v, ok := arg(sig.Arg.Comm); ok {
-		if _, known := rt.comms[v.I]; !known {
-			bad(fmt.Sprintf("invalid communicator %d", v.I))
+	if i := a.Comm; i >= 0 {
+		if _, known := rt.comms[args[i].I]; !known {
+			bad(fmt.Sprintf("invalid communicator %d", args[i].I))
 		}
 	}
-	if v, ok := arg(sig.Arg.Root); ok {
-		if v.I < 0 || v.I >= int64(len(rt.procs)) {
-			bad(fmt.Sprintf("invalid root %d", v.I))
-		}
+	if i := a.Root; i >= 0 && (args[i].I < 0 || args[i].I >= int64(len(rt.procs))) {
+		bad(fmt.Sprintf("invalid root %d", args[i].I))
 	}
-	if v, ok := arg(sig.Arg.RedOp); ok {
-		if v.I < int64(mpi.ROSum) || v.I > int64(mpi.ROBor) {
-			bad(fmt.Sprintf("invalid reduction operator %d", v.I))
-		}
+	if i := a.RedOp; i >= 0 && (args[i].I < int64(mpi.ROSum) || args[i].I > int64(mpi.ROBor)) {
+		bad(fmt.Sprintf("invalid reduction operator %d", args[i].I))
 	}
-	if v, ok := arg(sig.Arg.Buf); ok {
-		if v.P == nil {
-			if c, okc := arg(sig.Arg.Count); okc && c.I > 0 {
-				bad("null buffer with nonzero count")
-			}
-		}
+	if a.Buf >= 0 && args[a.Buf].P == nil && a.Count >= 0 && args[a.Count].I > 0 {
+		bad("null buffer with nonzero count")
 	}
 	// Sends must name a concrete destination.
 	switch op {
 	case mpi.OpSend, mpi.OpSsend, mpi.OpBsend, mpi.OpRsend,
 		mpi.OpIsend, mpi.OpIssend, mpi.OpSendInit:
-		if v, ok := arg(sig.Arg.Peer); ok && v.I == mpi.AnySource {
+		if args[a.Peer].I == mpi.AnySource {
 			bad("MPI_ANY_SOURCE used as a send destination")
 		}
 	}
 	// Receives accept wildcards but not other negatives.
 	switch op {
 	case mpi.OpRecv, mpi.OpIrecv, mpi.OpRecvInit:
-		if v, ok := arg(sig.Arg.Peer); ok && v.I < 0 &&
-			v.I != mpi.AnySource && v.I != mpi.ProcNull {
-			bad(fmt.Sprintf("invalid source rank %d", v.I))
+		if v := args[a.Peer].I; v < 0 && v != mpi.AnySource && v != mpi.ProcNull {
+			bad(fmt.Sprintf("invalid source rank %d", v))
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 // collSlot is one in-flight collective operation instance.
 type collSlot struct {
 	op      mpi.Op
+	sig     *mpi.Signature // decodes the members' args
 	comm    int64
 	done    bool
 	members map[int]collMember
@@ -25,7 +26,7 @@ type collMember struct {
 // joinCollective attaches the calling rank to the matching open collective
 // (creating it if absent) and completes the collective when every rank of
 // the communicator has arrived.
-func (rt *Runtime) joinCollective(p *proc, op mpi.Op, comm int64, args []RV) *collSlot {
+func (rt *Runtime) joinCollective(p *proc, op mpi.Op, sig *mpi.Signature, comm int64, args []RV) *collSlot {
 	var slot *collSlot
 	for _, s := range rt.colls {
 		if s.done || s.op != op || s.comm != comm {
@@ -38,7 +39,7 @@ func (rt *Runtime) joinCollective(p *proc, op mpi.Op, comm int64, args []RV) *co
 		break
 	}
 	if slot == nil {
-		slot = rt.newCollSlot(op, comm)
+		slot = rt.newCollSlot(op, sig, comm)
 	}
 	slot.members[p.rank] = collMember{args: args}
 	slot.order = append(slot.order, p.rank)
@@ -52,16 +53,16 @@ func (rt *Runtime) joinCollective(p *proc, op mpi.Op, comm int64, args []RV) *co
 // list keeps the slots of earlier runs past its length (recycle scrubs
 // them), so a warm run reuses a slot with its members map and order
 // slice instead of allocating all three.
-func (rt *Runtime) newCollSlot(op mpi.Op, comm int64) *collSlot {
+func (rt *Runtime) newCollSlot(op mpi.Op, sig *mpi.Signature, comm int64) *collSlot {
 	n := len(rt.colls)
 	if n < cap(rt.colls) {
 		if s := rt.colls[:n+1][n]; s != nil {
 			rt.colls = rt.colls[:n+1]
-			s.op, s.comm = op, comm
+			s.op, s.sig, s.comm = op, sig, comm
 			return s
 		}
 	}
-	s := &collSlot{op: op, comm: comm, members: map[int]collMember{}}
+	s := &collSlot{op: op, sig: sig, comm: comm, members: map[int]collMember{}}
 	rt.colls = append(rt.colls, s)
 	return s
 }
@@ -82,32 +83,25 @@ func (rt *Runtime) commSize(comm int64) int {
 	return len(rt.procs)
 }
 
-func (rt *Runtime) doCollective(p *proc, op mpi.Op, args []RV) (RV, error) {
-	sig, _ := mpi.SignatureOf(op)
-	comm := int64(mpi.CommWorld)
-	if sig.Arg.Comm >= 0 && sig.Arg.Comm < len(args) {
-		comm = args[sig.Arg.Comm].I
-	}
-	return rt.park(p, wait{op: op, slot: rt.joinCollective(p, op, comm, args)})
+// doCollective joins a blocking collective on its communicator: the data
+// movers, and Comm_split, Comm_dup and Win_create, whose finish mints
+// the new handle.
+func (rt *Runtime) doCollective(p *proc, op mpi.Op, sig *mpi.Signature, args []RV) (RV, error) {
+	slot := rt.joinCollective(p, op, sig, args[sig.Arg.Comm].I, args)
+	return rt.park(p, wait{op: op, slot: slot, sig: sig, args: args})
 }
 
-func (rt *Runtime) doICollective(p *proc, op mpi.Op, args []RV) (RV, error) {
-	sig, _ := mpi.SignatureOf(op)
-	comm := int64(mpi.CommWorld)
-	if sig.Arg.Comm >= 0 && sig.Arg.Comm < len(args) {
-		comm = args[sig.Arg.Comm].I
-	}
-	reqIdx := sig.Arg.Request
-	if reqIdx < 0 || reqIdx >= len(args) || args[reqIdx].P == nil {
+func (rt *Runtime) doICollective(p *proc, op mpi.Op, sig *mpi.Signature, args []RV) (RV, error) {
+	ptr := args[sig.Arg.Request].P
+	if ptr == nil {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: op, Msg: "null request pointer"})
 		return RV{I: mpi.ErrOther}, nil
 	}
-	slot := rt.joinCollective(p, op, comm, args)
+	slot := rt.joinCollective(p, op, sig, args[sig.Arg.Comm].I, args)
 	rt.nextReq++
 	r := rt.newRequest()
 	*r = request{id: rt.nextReq, owner: p.rank, op: op, active: true, coll: slot}
 	rt.reqs[r.id] = r
-	ptr := args[reqIdx].P
 	if err := ptr.Obj.store(ptr.Off, ir.I64, RV{I: r.id}); err != nil {
 		return RV{}, err
 	}
@@ -118,48 +112,32 @@ func (rt *Runtime) doICollective(p *proc, op mpi.Op, args []RV) (RV, error) {
 // performs the data movement, then releases every blocked participant.
 func (rt *Runtime) completeCollective(s *collSlot) {
 	s.done = true
-	sig, _ := mpi.SignatureOf(s.op)
-	ref := s.members[s.order[0]]
-
-	argInt := func(m collMember, idx int) int64 {
-		if idx < 0 || idx >= len(m.args) {
-			return 0
-		}
-		return m.args[idx].I
-	}
+	a := &s.sig.Arg
+	ref := s.members[s.order[0]].args
 	// Consistency checks against the first arriving rank.
 	for _, rank := range s.order[1:] {
-		m := s.members[rank]
-		if sig.Arg.Root >= 0 && argInt(m, sig.Arg.Root) != argInt(ref, sig.Arg.Root) {
+		m := s.members[rank].args
+		if i := a.Root; i >= 0 && m[i].I != ref[i].I {
 			rt.reportOnce(Violation{Kind: VRootMismatch, Rank: rank, Op: s.op,
-				Msg: fmt.Sprintf("root %d disagrees with root %d", argInt(m, sig.Arg.Root), argInt(ref, sig.Arg.Root))})
+				Msg: fmt.Sprintf("root %d disagrees with root %d", m[i].I, ref[i].I)})
 		}
-		if sig.Arg.RedOp >= 0 && argInt(m, sig.Arg.RedOp) != argInt(ref, sig.Arg.RedOp) {
+		if i := a.RedOp; i >= 0 && m[i].I != ref[i].I {
 			rt.reportOnce(Violation{Kind: VOpMismatch, Rank: rank, Op: s.op,
 				Msg: "reduction operator disagreement"})
 		}
-		if sig.Arg.Datatype >= 0 {
-			a := mpi.Datatype(argInt(m, sig.Arg.Datatype))
-			b := mpi.Datatype(argInt(ref, sig.Arg.Datatype))
-			if !rt.dtCompatible(a, b) {
+		if i := a.Datatype; i >= 0 {
+			x, y := mpi.Datatype(m[i].I), mpi.Datatype(ref[i].I)
+			if !rt.dtCompatible(x, y) {
 				rt.reportOnce(Violation{Kind: VTypeMismatch, Rank: rank, Op: s.op,
-					Msg: fmt.Sprintf("datatype %s disagrees with %s", a, b)})
+					Msg: fmt.Sprintf("datatype %s disagrees with %s", x, y)})
 			}
 		}
-		if sig.Arg.Count >= 0 && argInt(m, sig.Arg.Count) != argInt(ref, sig.Arg.Count) {
+		if i := a.Count; i >= 0 && m[i].I != ref[i].I {
 			rt.reportOnce(Violation{Kind: VTypeMismatch, Rank: rank, Op: s.op,
-				Msg: fmt.Sprintf("count %d disagrees with %d", argInt(m, sig.Arg.Count), argInt(ref, sig.Arg.Count))})
+				Msg: fmt.Sprintf("count %d disagrees with %d", m[i].I, ref[i].I)})
 		}
 	}
 	rt.moveCollectiveData(s)
-}
-
-// bufOf returns the idx-th argument as a pointer.
-func bufOf(m collMember, idx int) *Ptr {
-	if idx < 0 || idx >= len(m.args) {
-		return nil
-	}
-	return m.args[idx].P
 }
 
 // moveCollectiveData implements the data semantics of each collective so
@@ -169,13 +147,11 @@ func (rt *Runtime) moveCollectiveData(s *collSlot) {
 	case mpi.OpBarrier, mpi.OpIbarrier, mpi.OpCommSplit, mpi.OpCommDup:
 		// no data
 	case mpi.OpBcast, mpi.OpIbcast:
-		rt.bcastData(s, 0, 1, 2, 3)
-	case mpi.OpReduce:
-		rt.reduceData(s, 0, 1, 2, 3, 4, 5, false)
-	case mpi.OpAllreduce, mpi.OpIallreduce:
-		rt.reduceData(s, 0, 1, 2, 3, 4, -1, true)
+		rt.bcastData(s)
+	case mpi.OpReduce, mpi.OpAllreduce, mpi.OpIallreduce:
+		rt.reduceData(s)
 	case mpi.OpScan, mpi.OpExscan:
-		rt.scanData(s)
+		rt.scanData(s) // divergence from MPI: MPI_Exscan runs this inclusive scan too
 	case mpi.OpGather:
 		rt.gatherData(s)
 	case mpi.OpScatter:
@@ -186,12 +162,11 @@ func (rt *Runtime) moveCollectiveData(s *collSlot) {
 }
 
 // collScratch is the Runtime's scratch for collective data movement:
-// the reduction and scan accumulators and the broadcast copy. It lives
+// the reduction and scan accumulator and the broadcast copy. It lives
 // with the pooled Runtime, so it is reused across collectives and runs,
 // and it holds no references.
 type collScratch struct {
-	accI  []int64
-	accF  []float64
+	acc   MemObj // one 8-byte word per element: wide(elem) values
 	bytes []byte
 }
 
@@ -205,26 +180,34 @@ func (rt *Runtime) fitScratch(n, size int) {
 	}
 }
 
-// accumulators returns a zeroed accumulator of n elements: ints when
-// isInt, floats otherwise, and nil for the kind the datatype does not
-// use.
-func (rt *Runtime) accumulators(n int, isInt bool) ([]int64, []float64) {
+// accumulator returns the scratch accumulator cleared to n zero words.
+func (rt *Runtime) accumulator(n int) *MemObj {
 	rt.fitScratch(n, 8)
-	c := &rt.coll
-	if isInt {
-		if cap(c.accI) < n {
-			c.accI = make([]int64, n)
-		}
-		acc := c.accI[:n]
-		clear(acc)
-		return acc, nil
+	acc := &rt.coll.acc
+	if cap(acc.Bytes) < 8*n {
+		acc.Bytes = make([]byte, 8*n)
 	}
-	if cap(c.accF) < n {
-		c.accF = make([]float64, n)
+	acc.Bytes = acc.Bytes[:8*n]
+	clear(acc.Bytes)
+	return acc
+}
+
+// wide is the accumulator word type for elements of type elem: reductions
+// of i32 elements accumulate in 64 bits and store the low 32.
+func wide(elem *ir.Type) *ir.Type {
+	if elem == ir.I32 {
+		return ir.I64
 	}
-	acc := c.accF[:n]
-	clear(acc)
-	return nil, acc
+	return elem
+}
+
+// reduceRV folds b into a under op: as ints for ir.I32 elements, as
+// floats otherwise.
+func reduceRV(op mpi.ReduceOp, elem *ir.Type, a, b RV) RV {
+	if elem == ir.I32 {
+		return RV{I: reduceInt(op, a.I, b.I)}
+	}
+	return RV{F: reduceFloat(op, a.F, b.F)}
 }
 
 // copyOf returns a scratch copy of b.
@@ -239,7 +222,7 @@ func (rt *Runtime) copyOf(b []byte) []byte {
 
 // retained is the bytes the scratch keeps across runs.
 func (c *collScratch) retained() int {
-	return 8*(cap(c.accI)+cap(c.accF)) + cap(c.bytes)
+	return cap(c.acc.Bytes) + cap(c.bytes)
 }
 
 // elemsHeld bounds a collective's count-driven loop over p, whose
@@ -264,25 +247,25 @@ func elemsHeld(p *Ptr, size, count int) int {
 	return min(n, count)
 }
 
-func (rt *Runtime) bcastData(s *collSlot, bufIdx, countIdx, dtIdx, rootIdx int) {
-	ref := s.members[s.order[0]]
-	root := int(ref.args[rootIdx].I)
+func (rt *Runtime) bcastData(s *collSlot) {
+	a := &s.sig.Arg
+	root := int(s.members[s.order[0]].args[a.Root].I)
 	rm, ok := s.members[root]
 	if !ok {
 		return
 	}
-	src := bufOf(rm, bufIdx)
+	src := rm.args[a.Buf].P
 	if src == nil {
 		return
 	}
-	n := int(rm.args[countIdx].I) * rt.dtSize(mpi.Datatype(rm.args[dtIdx].I))
+	n := int(rm.args[a.Count].I) * rt.moving(mpi.Datatype(rm.args[a.Datatype].I)).size
 	n = clampLen(src, n)
 	data := rt.copyOf(src.Obj.Bytes[src.Off : src.Off+n])
 	for rank, m := range s.members {
 		if rank == root {
 			continue
 		}
-		dst := bufOf(m, bufIdx)
+		dst := m.args[a.Buf].P
 		if dst == nil {
 			continue
 		}
@@ -291,51 +274,54 @@ func (rt *Runtime) bcastData(s *collSlot, bufIdx, countIdx, dtIdx, rootIdx int) 
 	}
 }
 
-// reduceData implements Reduce/Allreduce for MPI_INT and MPI_DOUBLE. The
-// accumulators cover the elements the members' buffers hold: an element
+// reduceData implements Reduce, Allreduce and Iallreduce: to the root's
+// receive buffer for a row with a root, to every member's otherwise. The
+// accumulator covers the elements the members' buffers hold: an element
 // past every send buffer but inside a receive buffer stays zero, and the
 // loops never run past what any buffer holds, whatever the count.
-func (rt *Runtime) reduceData(s *collSlot, sIdx, rIdx, cIdx, dtIdx, opIdx, rootIdx int, all bool) {
-	ref := s.members[s.order[0]]
-	count := int(ref.args[cIdx].I)
-	dt := mpi.Datatype(ref.args[dtIdx].I)
-	op := mpi.ReduceOp(ref.args[opIdx].I)
+func (rt *Runtime) reduceData(s *collSlot) {
+	a := &s.sig.Arg
+	ref := s.members[s.order[0]].args
+	count := int(ref[a.Count].I)
+	dt := mpi.Datatype(ref[a.Datatype].I)
+	op := mpi.ReduceOp(ref[a.RedOp].I)
 	if count <= 0 {
 		return
 	}
-	isInt := dt == mpi.DTInt || dt == mpi.DTLong || dt == mpi.DTUnsigned
-	// The element size is looked up (reporting an unknown datatype) only
+	// The descriptor is looked up (reporting an unknown datatype) only
 	// when some buffer is moved.
-	sz, sized, n := 0, false, 0
+	var d dtype
+	sized, n := false, 0
 	hold := func(p *Ptr) {
 		if p == nil {
 			return
 		}
 		if !sized {
-			sz, sized = rt.dtSize(dt), true
+			d, sized = rt.moving(dt), true
 		}
-		n = max(n, elemsHeld(p, sz, count))
+		n = max(n, elemsHeld(p, d.size, count))
 	}
 	for _, rank := range s.order {
-		hold(bufOf(s.members[rank], sIdx))
+		hold(s.members[rank].args[a.Buf].P)
 	}
+	all := a.Root < 0
 	var rm collMember
 	hasRoot := false
 	if all {
 		for _, m := range s.members {
-			hold(bufOf(m, rIdx))
+			hold(m.args[a.RecvBuf].P)
 		}
-	} else if rm, hasRoot = s.members[int(ref.args[rootIdx].I)]; hasRoot {
-		hold(bufOf(rm, rIdx))
+	} else if rm, hasRoot = s.members[int(ref[a.Root].I)]; hasRoot {
+		hold(rm.args[a.RecvBuf].P)
 	}
 	if n == 0 {
 		return
 	}
-	accI, accF := rt.accumulators(n, isInt)
+	acc, sz, elem := rt.accumulator(n), d.size, d.elem
+	word := wide(elem)
 	first := true
 	for _, rank := range s.order {
-		m := s.members[rank]
-		src := bufOf(m, sIdx)
+		src := s.members[rank].args[a.Buf].P
 		if src == nil {
 			continue
 		}
@@ -344,25 +330,17 @@ func (rt *Runtime) reduceData(s *collSlot, sIdx, rIdx, cIdx, dtIdx, opIdx, rootI
 			if off+sz > len(src.Obj.Bytes) {
 				break
 			}
-			switch {
-			case isInt && first:
-				rv, _ := src.Obj.load(off, ir.I32)
-				accI[i] = rv.I
-			case isInt:
-				rv, _ := src.Obj.load(off, ir.I32)
-				accI[i] = reduceInt(op, accI[i], rv.I)
-			case first:
-				rv, _ := src.Obj.load(off, ir.F64)
-				accF[i] = rv.F
-			default:
-				rv, _ := src.Obj.load(off, ir.F64)
-				accF[i] = reduceFloat(op, accF[i], rv.F)
+			v, _ := src.Obj.load(off, elem)
+			if !first {
+				w, _ := acc.load(8*i, word)
+				v = reduceRV(op, elem, w, v)
 			}
+			_ = acc.store(8*i, word, v)
 		}
 		first = false
 	}
 	write := func(m collMember) {
-		dst := bufOf(m, rIdx)
+		dst := m.args[a.RecvBuf].P
 		if dst == nil {
 			return
 		}
@@ -371,11 +349,8 @@ func (rt *Runtime) reduceData(s *collSlot, sIdx, rIdx, cIdx, dtIdx, opIdx, rootI
 			if off+sz > len(dst.Obj.Bytes) {
 				break
 			}
-			if isInt {
-				_ = dst.Obj.store(off, ir.I32, RV{I: accI[i]})
-			} else {
-				_ = dst.Obj.store(off, ir.F64, RV{F: accF[i]})
-			}
+			w, _ := acc.load(8*i, word)
+			_ = dst.Obj.store(off, elem, w)
 		}
 	}
 	if all {
@@ -391,81 +366,78 @@ func (rt *Runtime) reduceData(s *collSlot, sIdx, rIdx, cIdx, dtIdx, opIdx, rootI
 
 // scanData implements inclusive scan with MPI_SUM semantics (the only op
 // the generators use with Scan), with reduceData's bounds on the
-// accumulators and loops.
+// accumulator and loops.
 func (rt *Runtime) scanData(s *collSlot) {
-	ref := s.members[s.order[0]]
-	count := int(ref.args[2].I)
-	dt := mpi.Datatype(ref.args[3].I)
-	isInt := dt == mpi.DTInt || dt == mpi.DTLong
+	a := &s.sig.Arg
+	ref := s.members[s.order[0]].args
+	count := int(ref[a.Count].I)
 	if count <= 0 {
 		// A negative count crashes the completing rank with makeslice's
 		// panic, as it did when the accumulators were sized by count.
 		_ = make([]int64, count)
 		return
 	}
-	// Every member in rank order looks up the element size (reporting an
+	dt := mpi.Datatype(ref[a.Datatype].I)
+	// Every member in rank order looks up the descriptor (reporting an
 	// unknown datatype), whether or not it passed a buffer.
-	sz, n := 0, 0
+	var d dtype
+	n := 0
 	for rank := 0; rank < rt.commSize(s.comm); rank++ {
 		if m, ok := s.members[rank]; ok {
-			sz = rt.dtSize(dt)
-			n = max(n, elemsHeld(bufOf(m, 0), sz, count), elemsHeld(bufOf(m, 1), sz, count))
+			d = rt.moving(dt)
+			n = max(n, elemsHeld(m.args[a.Buf].P, d.size, count), elemsHeld(m.args[a.RecvBuf].P, d.size, count))
 		}
 	}
 	if n == 0 {
 		return
 	}
-	acc, accF := rt.accumulators(n, isInt)
+	elem := d.elem
+	if dt == mpi.DTUnsigned {
+		elem = ir.F64 // divergence from MPI: Scan reads MPI_UNSIGNED as float; Reduce reads it as int
+	}
+	acc, sz, word := rt.accumulator(n), d.size, wide(elem)
 	for rank := 0; rank < rt.commSize(s.comm); rank++ {
 		m, ok := s.members[rank]
 		if !ok {
 			continue
 		}
-		src, dst := bufOf(m, 0), bufOf(m, 1)
+		src, dst := m.args[a.Buf].P, m.args[a.RecvBuf].P
 		for i := 0; i < n; i++ {
 			if src != nil && src.Off+(i+1)*sz <= len(src.Obj.Bytes) {
-				if isInt {
-					rv, _ := src.Obj.load(src.Off+i*sz, ir.I32)
-					acc[i] += rv.I
-				} else {
-					rv, _ := src.Obj.load(src.Off+i*sz, ir.F64)
-					accF[i] += rv.F
-				}
+				v, _ := src.Obj.load(src.Off+i*sz, elem)
+				w, _ := acc.load(8*i, word)
+				_ = acc.store(8*i, word, reduceRV(mpi.ROSum, elem, w, v))
 			}
 			if dst != nil && dst.Off+(i+1)*sz <= len(dst.Obj.Bytes) {
-				if isInt {
-					_ = dst.Obj.store(dst.Off+i*sz, ir.I32, RV{I: acc[i]})
-				} else {
-					_ = dst.Obj.store(dst.Off+i*sz, ir.F64, RV{F: accF[i]})
-				}
+				w, _ := acc.load(8*i, word)
+				_ = dst.Obj.store(dst.Off+i*sz, elem, w)
 			}
 		}
 	}
 }
 
 func (rt *Runtime) gatherData(s *collSlot) {
-	// sbuf0 scount1 sdt2 rbuf3 rcount4 rdt5 root6 comm7
-	ref := s.members[s.order[0]]
-	root := int(ref.args[6].I)
+	a := &s.sig.Arg
+	root := int(s.members[s.order[0]].args[a.Root].I)
 	rm, ok := s.members[root]
 	if !ok {
 		return
 	}
-	dst := bufOf(rm, 3)
+	dst := rm.args[a.RecvBuf].P
 	if dst == nil {
 		return
 	}
-	per := int(rm.args[4].I) * rt.dtSize(mpi.Datatype(rm.args[5].I))
+	per := int(rm.args[a.RecvCount].I) * rt.moving(mpi.Datatype(rm.args[a.RecvDatatype].I)).size
 	for rank := 0; rank < rt.commSize(s.comm); rank++ {
 		m, ok := s.members[rank]
 		if !ok {
 			continue
 		}
-		src := bufOf(m, 0)
+		src := m.args[a.Buf].P
 		if src == nil {
 			continue
 		}
-		n := int(m.args[1].I) * rt.dtSize(mpi.Datatype(m.args[2].I))
+		n := int(m.args[a.Count].I) * rt.moving(mpi.Datatype(m.args[a.Datatype].I)).size
 		n = clampLen(src, n)
 		dOff := dst.Off + rank*per
 		if dOff+n > len(dst.Obj.Bytes) {
@@ -478,23 +450,23 @@ func (rt *Runtime) gatherData(s *collSlot) {
 }
 
 func (rt *Runtime) scatterData(s *collSlot) {
-	ref := s.members[s.order[0]]
-	root := int(ref.args[6].I)
+	a := &s.sig.Arg
+	root := int(s.members[s.order[0]].args[a.Root].I)
 	rm, ok := s.members[root]
 	if !ok {
 		return
 	}
-	src := bufOf(rm, 0)
+	src := rm.args[a.Buf].P
 	if src == nil {
 		return
 	}
-	per := int(rm.args[1].I) * rt.dtSize(mpi.Datatype(rm.args[2].I))
+	per := int(rm.args[a.Count].I) * rt.moving(mpi.Datatype(rm.args[a.Datatype].I)).size
 	for rank := 0; rank < rt.commSize(s.comm); rank++ {
 		m, ok := s.members[rank]
 		if !ok {
 			continue
 		}
-		dst := bufOf(m, 3)
+		dst := m.args[a.RecvBuf].P
 		if dst == nil {
 			continue
 		}
@@ -511,20 +483,20 @@ func (rt *Runtime) scatterData(s *collSlot) {
 }
 
 func (rt *Runtime) allgatherData(s *collSlot) {
-	// sbuf0 scount1 sdt2 rbuf3 rcount4 rdt5 comm6
+	a := &s.sig.Arg
 	for rank := 0; rank < rt.commSize(s.comm); rank++ {
-		src0, ok := s.members[rank]
+		sm, ok := s.members[rank]
 		if !ok {
 			continue
 		}
-		src := bufOf(src0, 0)
+		src := sm.args[a.Buf].P
 		if src == nil {
 			continue
 		}
-		n := int(src0.args[1].I) * rt.dtSize(mpi.Datatype(src0.args[2].I))
+		n := int(sm.args[a.Count].I) * rt.moving(mpi.Datatype(sm.args[a.Datatype].I)).size
 		n = clampLen(src, n)
 		for _, m := range s.members {
-			dst := bufOf(m, 3)
+			dst := m.args[a.RecvBuf].P
 			if dst == nil {
 				continue
 			}
@@ -600,26 +572,17 @@ func reduceFloat(op mpi.ReduceOp, a, b float64) float64 {
 	return a + b
 }
 
-// doCommCreate implements Comm_split / Comm_dup as collectives that mint a
-// fresh communicator handle of the same size.
-func (rt *Runtime) doCommCreate(p *proc, op mpi.Op, args []RV) (RV, error) {
-	return rt.park(p, wait{op: op, slot: rt.joinCollective(p, op, args[0].I, args), args: args})
-}
-
-// commCreated finishes Comm_split/Comm_dup once every rank has joined.
+// commCreated finishes Comm_split/Comm_dup once every rank has joined:
+// the communicator it mints has the size of the one split or duplicated.
 func (rt *Runtime) commCreated(p *proc, w *wait) (RV, error) {
-	op, args, slot, comm := w.op, w.args, w.slot, w.args[0].I
+	slot, a := w.slot, &w.sig.Arg
 	// The first rank out mints the handle.
 	if slot.newComm == 0 {
 		rt.nextComm++
 		slot.newComm = rt.nextComm
-		rt.comms[slot.newComm] = rt.commSize(comm)
+		rt.comms[slot.newComm] = rt.commSize(w.args[a.Comm].I)
 	}
-	outIdx := 3
-	if op == mpi.OpCommDup {
-		outIdx = 1
-	}
-	if ptr := args[outIdx].P; ptr != nil {
+	if ptr := w.args[a.Out].P; ptr != nil {
 		if err := ptr.Obj.store(ptr.Off, ir.I32, RV{I: slot.newComm}); err != nil {
 			return RV{}, err
 		}
@@ -628,8 +591,8 @@ func (rt *Runtime) commCreated(p *proc, w *wait) (RV, error) {
 	return RV{I: mpi.Success}, nil
 }
 
-func (rt *Runtime) doCommFree(p *proc, args []RV) (RV, error) {
-	ptr := args[0].P
+func (rt *Runtime) doCommFree(p *proc, sig *mpi.Signature, args []RV) (RV, error) {
+	ptr := args[sig.Arg.Out].P
 	if ptr == nil {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: mpi.OpCommFree, Msg: "null comm pointer"})
 		return RV{I: mpi.ErrOther}, nil
@@ -653,10 +616,10 @@ func (rt *Runtime) doCommFree(p *proc, args []RV) (RV, error) {
 	return RV{I: mpi.Success}, nil
 }
 
-func (rt *Runtime) doTypeContiguous(p *proc, args []RV) (RV, error) {
-	count := int(args[0].I)
-	base := mpi.Datatype(args[1].I)
-	outp := args[2].P
+func (rt *Runtime) doTypeContiguous(p *proc, sig *mpi.Signature, args []RV) (RV, error) {
+	count := int(args[sig.Arg.Count].I)
+	base := mpi.Datatype(args[sig.Arg.Datatype].I)
+	outp := args[sig.Arg.Out].P
 	if outp == nil || count <= 0 {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: mpi.OpTypeContiguous,
 			Msg: "invalid count or null newtype"})
@@ -664,16 +627,15 @@ func (rt *Runtime) doTypeContiguous(p *proc, args []RV) (RV, error) {
 	}
 	rt.nextType++
 	id := rt.nextType
-	rt.dtypes[id] = false
-	rt.dtypeSizes(id, count*rt.dtSize(base))
+	rt.derived[id] = derivedType{size: count * rt.moving(base).size}
 	if err := outp.Obj.store(outp.Off, ir.I32, RV{I: id}); err != nil {
 		return RV{}, err
 	}
 	return RV{I: mpi.Success}, nil
 }
 
-func (rt *Runtime) doTypeCommitFree(p *proc, op mpi.Op, args []RV) (RV, error) {
-	ptr := args[0].P
+func (rt *Runtime) doTypeCommitFree(p *proc, op mpi.Op, sig *mpi.Signature, args []RV) (RV, error) {
+	ptr := args[sig.Arg.Datatype].P
 	if ptr == nil {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: op, Msg: "null datatype pointer"})
 		return RV{I: mpi.ErrOther}, nil
@@ -682,16 +644,18 @@ func (rt *Runtime) doTypeCommitFree(p *proc, op mpi.Op, args []RV) (RV, error) {
 	if err != nil {
 		return RV{}, err
 	}
-	if _, ok := rt.dtypes[hv.I]; !ok {
+	t, ok := rt.derived[hv.I]
+	if !ok || t.freed {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: op,
 			Msg: fmt.Sprintf("%s on a non-derived datatype %d", op, hv.I)})
 		return RV{I: mpi.ErrOther}, nil
 	}
 	if op == mpi.OpTypeCommit {
-		rt.dtypes[hv.I] = true
+		t.committed = true
 	} else {
-		delete(rt.dtypes, hv.I)
+		t.freed = true
 		_ = ptr.Obj.store(ptr.Off, ir.I32, RV{I: int64(mpi.DTNull)})
 	}
+	rt.derived[hv.I] = t
 	return RV{I: mpi.Success}, nil
 }

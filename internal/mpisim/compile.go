@@ -118,7 +118,8 @@ type callKind uint8
 
 const (
 	ckFunc   callKind = iota // callee
-	ckMPI                    // mpiOp
+	ckMPI                    // mpiOp, with its row sig
+	ckArity                  // crash: an MPI call whose argument count is not its row's
 	ckPrintf                 // printf builtin
 	ckExit                   // exit builtin
 	ckSleep                  // sleep/usleep builtins
@@ -161,6 +162,7 @@ type caux struct {
 	gep []gepStep
 
 	mpiOp  mpi.Op
+	sig    *mpi.Signature
 	callee *cfunc
 }
 
@@ -494,10 +496,17 @@ func sizeOrDyn(t *ir.Type) (int, bool) {
 
 // resolveCall pre-resolves the callee with the interpreter's lookup
 // order: MPI routines, then the printf/exit/sleep builtins, then
-// module-defined functions; anything else crashes at execution.
+// module-defined functions; anything else crashes at execution. An MPI
+// call is resolved to its row of the routines table, and one whose
+// argument count differs from the row's crashes at execution, so the
+// handlers may read every position the row gives.
 func (fc *fnCtx) resolveCall(ci *cinstr, in *ir.Instr) {
 	if op, ok := mpi.FromName(in.Callee); ok {
-		ci.ck, ci.aux.mpiOp = ckMPI, op
+		sig := mpi.SignatureOf(op)
+		ci.ck, ci.aux.mpiOp, ci.aux.sig = ckMPI, op, sig
+		if len(in.Args) != len(sig.Params) {
+			ci.ck = ckArity
+		}
 		return
 	}
 	switch in.Callee {

@@ -50,6 +50,8 @@ func FuzzSimulate(f *testing.F) {
 	for _, src := range oversizedPrograms {
 		f.Add(src)
 	}
+	// An MPI call with fewer arguments than its routine takes.
+	f.Add(shortCallIR(f, "MPI_Send", 2))
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<15 {
 			return

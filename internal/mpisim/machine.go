@@ -502,7 +502,9 @@ func (m *Machine) execCall(fr []RV, in *cinstr) (RV, error) {
 	}
 	switch in.ck {
 	case ckMPI:
-		return m.rt.dispatch(m, in.aux.mpiOp, args)
+		return m.rt.dispatch(m, in.aux.mpiOp, in.aux.sig, args)
+	case ckArity:
+		return RV{}, crashf("%s expects %d args, got %d", in.aux.mpiOp, len(in.aux.sig.Params), nargs)
 	case ckPrintf:
 		return m.printf(args)
 	case ckExit:

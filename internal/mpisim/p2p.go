@@ -37,7 +37,8 @@ type request struct {
 	active     bool
 	freed      bool
 
-	// persistent template arguments
+	// persistent template arguments, decoded by sig
+	sig  *mpi.Signature
 	args []RV
 
 	msg  *message
@@ -59,83 +60,72 @@ func (r *request) completed() bool {
 	return true
 }
 
-// p2pArgs decodes the common (buf, count, dtype, peer, tag, comm) prefix.
-func p2pArgs(args []RV) (buf *Ptr, count int, dt mpi.Datatype, peer, tag int, comm int64) {
-	buf = args[0].P
-	count = int(args[1].I)
-	dt = mpi.Datatype(args[2].I)
-	peer = int(args[3].I)
-	tag = int(args[4].I)
-	comm = args[5].I
-	return
-}
-
-func (rt *Runtime) doSend(p *proc, op mpi.Op, args []RV) (RV, error) {
-	buf, count, dt, dst, tag, comm := p2pArgs(args)
+func (rt *Runtime) doSend(p *proc, op mpi.Op, sig *mpi.Signature, args []RV) (RV, error) {
+	a := &sig.Arg
+	dst := int(args[a.Peer].I)
 	if dst == mpi.ProcNull {
 		return RV{I: mpi.Success}, nil
 	}
 	if !rt.peerOK(p, op, dst) {
 		return RV{I: mpi.ErrOther}, nil
 	}
-	bytes := rt.readBuf(p, op, buf, count, dt)
+	dt := mpi.Datatype(args[a.Datatype].I)
+	bytes := rt.readBuf(p, op, args[a.Buf].P, int(args[a.Count].I), dt)
 	msg := rt.newMessage()
-	*msg = message{src: p.rank, dst: dst, tag: tag, comm: comm, dtype: dt, data: bytes}
+	*msg = message{src: p.rank, dst: dst, tag: int(args[a.Tag].I), comm: args[a.Comm].I, dtype: dt, data: bytes}
 	msg.synchronous = op == mpi.OpSsend || op == mpi.OpRsend || len(bytes) > eagerLimit
 	rt.postSend(msg)
 	return rt.park(p, wait{op: op, msg: msg})
 }
 
-func (rt *Runtime) doRecv(p *proc, op mpi.Op, args []RV) (RV, error) {
-	buf, count, dt, src, tag, comm := p2pArgs(args)
+func (rt *Runtime) doRecv(p *proc, op mpi.Op, sig *mpi.Signature, args []RV) (RV, error) {
+	a := &sig.Arg
+	src := int(args[a.Peer].I)
 	if src == mpi.ProcNull {
 		return RV{I: mpi.Success}, nil
 	}
-	var status *Ptr
-	if len(args) > 6 {
-		status = args[6].P
-	}
 	r := rt.newRecvPost()
-	*r = recvPost{dst: p.rank, src: src, tag: tag, comm: comm, dtype: dt,
-		count: count, buf: buf, status: status}
+	*r = recvPost{dst: p.rank, src: src, tag: int(args[a.Tag].I), comm: args[a.Comm].I,
+		dtype: mpi.Datatype(args[a.Datatype].I), count: int(args[a.Count].I),
+		buf: args[a.Buf].P, status: args[a.Status].P}
 	rt.postRecv(r)
 	return rt.park(p, wait{op: op, recv: r})
 }
 
-func (rt *Runtime) doSendrecv(p *proc, args []RV) (RV, error) {
-	// sbuf, scount, sdt, dst, stag, rbuf, rcount, rdt, src, rtag, comm, status
-	comm := args[10].I
-	dst, src := int(args[3].I), int(args[8].I)
+func (rt *Runtime) doSendrecv(p *proc, sig *mpi.Signature, args []RV) (RV, error) {
+	a := &sig.Arg
+	comm := args[a.Comm].I
+	dst, src := int(args[a.Peer].I), int(args[a.Source].I)
 	// Post the receive first, then the send, then wait: this is the
 	// deadlock-free semantics of MPI_Sendrecv.
 	var r *recvPost
 	if src != mpi.ProcNull {
 		r = rt.newRecvPost()
-		*r = recvPost{dst: p.rank, src: src, tag: int(args[9].I), comm: comm,
-			dtype: mpi.Datatype(args[7].I), count: int(args[6].I),
-			buf: args[5].P, status: args[11].P}
+		*r = recvPost{dst: p.rank, src: src, tag: int(args[a.RecvTag].I), comm: comm,
+			dtype: mpi.Datatype(args[a.RecvDatatype].I), count: int(args[a.RecvCount].I),
+			buf: args[a.RecvBuf].P, status: args[a.Status].P}
 		rt.postRecv(r)
 	}
 	if dst != mpi.ProcNull && rt.peerOK(p, mpi.OpSendrecv, dst) {
-		bytes := rt.readBuf(p, mpi.OpSendrecv, args[0].P, int(args[1].I), mpi.Datatype(args[2].I))
+		dt := mpi.Datatype(args[a.Datatype].I)
+		bytes := rt.readBuf(p, mpi.OpSendrecv, args[a.Buf].P, int(args[a.Count].I), dt)
 		msg := rt.newMessage()
-		*msg = message{src: p.rank, dst: dst, tag: int(args[4].I), comm: comm,
-			dtype: mpi.Datatype(args[2].I), data: bytes}
+		*msg = message{src: p.rank, dst: dst, tag: int(args[a.Tag].I), comm: comm, dtype: dt, data: bytes}
 		rt.postSend(msg)
 	}
 	return rt.park(p, wait{op: mpi.OpSendrecv, recv: r})
 }
 
 // doImmediate handles Isend/Issend/Irecv and the persistent inits.
-func (rt *Runtime) doImmediate(p *proc, op mpi.Op, args []RV) (RV, error) {
-	reqPtr := args[6].P
+func (rt *Runtime) doImmediate(p *proc, op mpi.Op, sig *mpi.Signature, args []RV) (RV, error) {
+	reqPtr := args[sig.Arg.Request].P
 	if reqPtr == nil {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: op, Msg: "null request pointer"})
 		return RV{I: mpi.ErrOther}, nil
 	}
 	rt.nextReq++
 	r := rt.newRequest()
-	*r = request{id: rt.nextReq, owner: p.rank, op: op, args: args}
+	*r = request{id: rt.nextReq, owner: p.rank, op: op, sig: sig, args: args}
 	rt.reqs[r.id] = r
 	if op == mpi.OpSendInit || op == mpi.OpRecvInit {
 		r.persistent = true
@@ -150,14 +140,20 @@ func (rt *Runtime) doImmediate(p *proc, op mpi.Op, args []RV) (RV, error) {
 
 // activateRequest starts the communication described by a request.
 func (rt *Runtime) activateRequest(p *proc, r *request) {
-	args := r.args
-	buf, count, dt, peer, tag, comm := p2pArgs(args)
+	args, a := r.args, &r.sig.Arg
+	buf, count, dt := args[a.Buf].P, int(args[a.Count].I), mpi.Datatype(args[a.Datatype].I)
+	peer, tag, comm := int(args[a.Peer].I), int(args[a.Tag].I), args[a.Comm].I
 	r.active = true
 	isRecv := r.op == mpi.OpIrecv || r.op == mpi.OpRecvInit
 	if peer == mpi.ProcNull {
 		r.msg = nil
 		r.recv = nil
 		return
+	}
+	d := rt.datatype(dt)
+	length := count * d.size
+	if d.derived {
+		length = 0 // divergence from MPI: a pending region sizes a derived handle as 0
 	}
 	if isRecv {
 		rp := rt.newRecvPost()
@@ -167,7 +163,7 @@ func (rt *Runtime) activateRequest(p *proc, r *request) {
 		rt.postRecv(rp)
 		if buf != nil {
 			p.activeRegions = append(p.activeRegions, activeRegion{obj: buf.Obj, off: buf.Off,
-				length: count * dt.Size(), write: true, reqID: r.id, op: r.op})
+				length: length, write: true, reqID: r.id, op: r.op})
 		}
 		return
 	}
@@ -182,7 +178,7 @@ func (rt *Runtime) activateRequest(p *proc, r *request) {
 	rt.postSend(msg)
 	if buf != nil {
 		p.activeRegions = append(p.activeRegions, activeRegion{obj: buf.Obj, off: buf.Off,
-			length: count * dt.Size(), write: false, reqID: r.id, op: r.op})
+			length: length, write: false, reqID: r.id, op: r.op})
 	}
 }
 
@@ -250,9 +246,8 @@ func (rt *Runtime) deliver(msg *message, r *recvPost) {
 	}
 	sendBytes := len(msg.data)
 	n := sendBytes
-	recvSize, recvSizeKnown := rt.dtSizeKnown(r.dtype)
-	if recvSizeKnown {
-		recvCap := r.count * recvSize
+	if d := rt.datatype(r.dtype); d.known {
+		recvCap := r.count * d.size
 		if recvCap < 0 {
 			recvCap = 0 // negative counts were already reported as invalid
 		}
@@ -348,8 +343,8 @@ func (p *proc) clearRegions(reqID int64) {
 	p.activeRegions = live
 }
 
-func (rt *Runtime) doWait(p *proc, args []RV) (RV, error) {
-	r, ok := rt.lookupRequest(p, mpi.OpWait, args[0].P)
+func (rt *Runtime) doWait(p *proc, sig *mpi.Signature, args []RV) (RV, error) {
+	r, ok := rt.lookupRequest(p, mpi.OpWait, args[sig.Arg.Request].P)
 	if !ok || r == nil {
 		return RV{I: mpi.Success}, nil
 	}
@@ -357,7 +352,7 @@ func (rt *Runtime) doWait(p *proc, args []RV) (RV, error) {
 		// Waiting on an inactive persistent request returns immediately.
 		return RV{I: mpi.Success}, nil
 	}
-	return rt.park(p, wait{op: mpi.OpWait, req: r, args: args})
+	return rt.park(p, wait{op: mpi.OpWait, req: r, sig: sig, args: args})
 }
 
 func (rt *Runtime) completeRequest(p *proc, r *request, handlePtr *Ptr) {
@@ -376,8 +371,8 @@ func (rt *Runtime) completeRequest(p *proc, r *request, handlePtr *Ptr) {
 // doWaitall completes MPI_Waitall's requests in order from the i-th and
 // parks on the first incomplete one; finish completes that one and
 // continues here with the next.
-func (rt *Runtime) doWaitall(p *proc, args []RV, i int) (RV, error) {
-	n, base := int(args[0].I), args[1].P
+func (rt *Runtime) doWaitall(p *proc, sig *mpi.Signature, args []RV, i int) (RV, error) {
+	n, base := int(args[sig.Arg.Count].I), args[sig.Arg.Request].P
 	if base == nil {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: mpi.OpWaitall, Msg: "null request array"})
 		return RV{I: mpi.ErrOther}, nil
@@ -392,16 +387,16 @@ func (rt *Runtime) doWaitall(p *proc, args []RV, i int) (RV, error) {
 			continue
 		}
 		if !r.completed() {
-			return rt.park(p, wait{op: mpi.OpWaitall, req: r, args: args, idx: i})
+			return rt.park(p, wait{op: mpi.OpWaitall, req: r, sig: sig, args: args, idx: i})
 		}
 		rt.completeRequest(p, r, hp)
 	}
 	return RV{I: mpi.Success}, nil
 }
 
-func (rt *Runtime) doTest(p *proc, args []RV) (RV, error) {
-	r, ok := rt.lookupRequest(p, mpi.OpTest, args[0].P)
-	flagPtr := args[1].P
+func (rt *Runtime) doTest(p *proc, sig *mpi.Signature, args []RV) (RV, error) {
+	handle, flagPtr := args[sig.Arg.Request].P, args[sig.Arg.Out].P
+	r, ok := rt.lookupRequest(p, mpi.OpTest, handle)
 	setFlag := func(v int64) {
 		if flagPtr != nil {
 			_ = flagPtr.Obj.store(flagPtr.Off, ir.I32, RV{I: v})
@@ -412,7 +407,7 @@ func (rt *Runtime) doTest(p *proc, args []RV) (RV, error) {
 		return RV{I: mpi.Success}, nil
 	}
 	if r.completed() {
-		rt.completeRequest(p, r, args[0].P)
+		rt.completeRequest(p, r, handle)
 		setFlag(1)
 	} else {
 		setFlag(0)
@@ -428,8 +423,9 @@ func (rt *Runtime) doTest(p *proc, args []RV) (RV, error) {
 	return RV{I: mpi.Success}, nil
 }
 
-func (rt *Runtime) doRequestFree(p *proc, args []RV) (RV, error) {
-	r, ok := rt.lookupRequest(p, mpi.OpRequestFree, args[0].P)
+func (rt *Runtime) doRequestFree(p *proc, sig *mpi.Signature, args []RV) (RV, error) {
+	handle := args[sig.Arg.Request].P
+	r, ok := rt.lookupRequest(p, mpi.OpRequestFree, handle)
 	if !ok || r == nil {
 		return RV{I: mpi.Success}, nil
 	}
@@ -440,18 +436,19 @@ func (rt *Runtime) doRequestFree(p *proc, args []RV) (RV, error) {
 	r.freed = true
 	r.completedAndWaited = true
 	p.clearRegions(r.id)
-	if args[0].P != nil {
-		_ = args[0].P.Obj.store(args[0].P.Off, ir.I64, RV{I: mpi.RequestNil})
+	if handle != nil {
+		_ = handle.Obj.store(handle.Off, ir.I64, RV{I: mpi.RequestNil})
 	}
 	return RV{I: mpi.Success}, nil
 }
 
-func (rt *Runtime) doStart(p *proc, op mpi.Op, args []RV) (RV, error) {
+func (rt *Runtime) doStart(p *proc, op mpi.Op, sig *mpi.Signature, args []RV) (RV, error) {
+	base := args[sig.Arg.Request].P
 	if op == mpi.OpStart {
-		rt.startRequest(p, op, args[0].P)
+		rt.startRequest(p, op, base)
 		return RV{I: mpi.Success}, nil
 	}
-	n, base := int(args[0].I), args[1].P
+	n := int(args[sig.Arg.Count].I)
 	if base == nil {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: op, Msg: "null request array"})
 		return RV{I: mpi.ErrOther}, nil
@@ -482,9 +479,8 @@ func (rt *Runtime) startRequest(p *proc, op mpi.Op, hp *Ptr) {
 	rt.activateRequest(p, r)
 }
 
-func (rt *Runtime) doGetCount(p *proc, args []RV) (RV, error) {
-	st := args[0].P
-	outp := args[2].P
+func (rt *Runtime) doGetCount(p *proc, sig *mpi.Signature, args []RV) (RV, error) {
+	st, outp := args[sig.Arg.Status].P, args[sig.Arg.Buf].P
 	if st == nil || outp == nil {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: mpi.OpGetCount, Msg: "null pointer"})
 		return RV{I: mpi.ErrOther}, nil
@@ -503,7 +499,11 @@ func (rt *Runtime) readBuf(p *proc, op mpi.Op, buf *Ptr, count int, dt mpi.Datat
 		}
 		return nil
 	}
-	n := count * dt.Size()
+	d := rt.datatype(dt)
+	n := count * d.size
+	if d.derived {
+		n = 0 // divergence from MPI: a send sizes a derived handle as 0, so it moves no data
+	}
 	if n < 0 {
 		n = 0
 	}

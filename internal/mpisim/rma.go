@@ -30,30 +30,24 @@ type rmaAccess struct {
 	op     mpi.Op
 }
 
-// doWinCreate is collective: every rank contributes its base/size.
-func (rt *Runtime) doWinCreate(p *proc, args []RV) (RV, error) {
-	// base0, size1, dispunit2, info3, comm4, win5
-	slot := rt.joinCollective(p, mpi.OpWinCreate, args[4].I, args)
-	return rt.park(p, wait{op: mpi.OpWinCreate, slot: slot, args: args})
-}
-
-// winCreated finishes MPI_Win_create once every rank has joined: the
-// first rank out mints the window.
+// winCreated finishes MPI_Win_create, a collective in which every rank
+// contributes its base and size, once every rank has joined: the first
+// rank out mints the window.
 func (rt *Runtime) winCreated(p *proc, wt *wait) (RV, error) {
-	args, slot, comm := wt.args, wt.slot, wt.args[4].I
+	args, slot, a := wt.args, wt.slot, &wt.sig.Arg
 	if slot.newComm == 0 {
 		rt.nextWin++
 		slot.newComm = rt.nextWin
-		w := &window{id: slot.newComm, owner: p.rank, comm: comm,
+		w := &window{id: slot.newComm, owner: p.rank, comm: args[a.Comm].I,
 			bases: make([]*Ptr, len(rt.procs)), sizes: make([]int, len(rt.procs)),
 			locks: map[int]int{}}
 		for rank, m := range slot.members {
-			w.bases[rank] = m.args[0].P
-			w.sizes[rank] = int(m.args[1].I)
+			w.bases[rank] = m.args[a.Buf].P
+			w.sizes[rank] = int(m.args[a.Size].I)
 		}
 		rt.wins[w.id] = w
 	}
-	if ptr := args[5].P; ptr != nil {
+	if ptr := args[a.Win].P; ptr != nil {
 		if err := ptr.Obj.store(ptr.Off, ir.I64, RV{I: slot.newComm}); err != nil {
 			return RV{}, err
 		}
@@ -75,8 +69,8 @@ func (rt *Runtime) winByHandle(p *proc, op mpi.Op, h int64) *window {
 	return w
 }
 
-func (rt *Runtime) doWinFree(p *proc, args []RV) (RV, error) {
-	ptr := args[0].P
+func (rt *Runtime) doWinFree(p *proc, sig *mpi.Signature, args []RV) (RV, error) {
+	ptr := args[sig.Arg.Win].P
 	if ptr == nil {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: mpi.OpWinFree, Msg: "null window pointer"})
 		return RV{I: mpi.ErrOther}, nil
@@ -93,31 +87,27 @@ func (rt *Runtime) doWinFree(p *proc, args []RV) (RV, error) {
 		rt.reportOnce(Violation{Kind: VEpochLife, Rank: p.rank, Op: mpi.OpWinFree,
 			Msg: "window freed while an epoch is open"})
 	}
-	slot := rt.joinCollective(p, mpi.OpWinFree, w.comm, args)
-	return rt.park(p, wait{op: mpi.OpWinFree, slot: slot, win: w, args: args})
+	slot := rt.joinCollective(p, mpi.OpWinFree, sig, w.comm, args)
+	return rt.park(p, wait{op: mpi.OpWinFree, slot: slot, win: w, sig: sig, args: args})
 }
 
-func (rt *Runtime) doWinFence(p *proc, args []RV) (RV, error) {
-	w := rt.winByHandle(p, mpi.OpWinFence, args[1].I)
+func (rt *Runtime) doWinFence(p *proc, sig *mpi.Signature, args []RV) (RV, error) {
+	w := rt.winByHandle(p, mpi.OpWinFence, args[sig.Arg.Win].I)
 	if w == nil {
 		return RV{I: mpi.ErrOther}, nil
 	}
-	slot := rt.joinCollective(p, mpi.OpWinFence, w.comm, args)
+	slot := rt.joinCollective(p, mpi.OpWinFence, sig, w.comm, args)
 	return rt.park(p, wait{op: mpi.OpWinFence, slot: slot, win: w})
 }
 
 // doRMAAccess implements Put / Get / Accumulate.
-func (rt *Runtime) doRMAAccess(p *proc, op mpi.Op, args []RV) (RV, error) {
-	// origin0, count1, dt2, target3, disp4, tcount5, tdt6, [op7,] win
-	winIdx := 7
-	if op == mpi.OpAccumulate {
-		winIdx = 8
-	}
-	w := rt.winByHandle(p, op, args[winIdx].I)
+func (rt *Runtime) doRMAAccess(p *proc, op mpi.Op, sig *mpi.Signature, args []RV) (RV, error) {
+	a := &sig.Arg
+	w := rt.winByHandle(p, op, args[a.Win].I)
 	if w == nil {
 		return RV{I: mpi.ErrOther}, nil
 	}
-	target := int(args[3].I)
+	target := int(args[a.Peer].I)
 	if target < 0 || target >= len(rt.procs) {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: op,
 			Msg: fmt.Sprintf("invalid target rank %d", target)})
@@ -128,13 +118,12 @@ func (rt *Runtime) doRMAAccess(p *proc, op mpi.Op, args []RV) (RV, error) {
 		rt.reportOnce(Violation{Kind: VEpochLife, Rank: p.rank, Op: op,
 			Msg: "RMA access outside any epoch"})
 	}
-	origin := args[0].P
-	count := int(args[1].I)
-	dt := mpi.Datatype(args[2].I)
-	disp := int(args[4].I)
-	tdt := mpi.Datatype(args[6].I)
-	n := count * rt.dtSize(dt)
-	tOff := disp * rt.dtSize(tdt)
+	origin := args[a.Buf].P
+	count := int(args[a.Count].I)
+	dt := mpi.Datatype(args[a.Datatype].I)
+	d := rt.moving(dt)
+	n := count * d.size
+	tOff := int(args[a.Disp].I) * rt.moving(mpi.Datatype(args[a.TargetDatatype].I)).size
 
 	base := w.bases[target]
 	if base == nil {
@@ -163,23 +152,19 @@ func (rt *Runtime) doRMAAccess(p *proc, op mpi.Op, args []RV) (RV, error) {
 		k := clampLen(origin, clampLen(tPtr, n))
 		copy(origin.Obj.Bytes[origin.Off:origin.Off+k], tPtr.Obj.Bytes[tPtr.Off:tPtr.Off+k])
 	case mpi.OpAccumulate:
-		rop := mpi.ReduceOp(args[7].I)
-		isInt := dt == mpi.DTInt || dt == mpi.DTLong
-		sz := rt.dtSize(dt)
+		rop := mpi.ReduceOp(args[a.RedOp].I)
+		elem, sz := d.elem, d.size
+		if dt == mpi.DTUnsigned {
+			elem = ir.F64 // divergence from MPI: Accumulate reads MPI_UNSIGNED as float; Reduce reads it as int
+		}
 		for i := 0; i < count; i++ {
 			so, to := origin.Off+i*sz, tPtr.Off+i*sz
 			if so+sz > len(origin.Obj.Bytes) || to+sz > len(tPtr.Obj.Bytes) {
 				break
 			}
-			if isInt {
-				a, _ := tPtr.Obj.load(to, ir.I32)
-				b, _ := origin.Obj.load(so, ir.I32)
-				_ = tPtr.Obj.store(to, ir.I32, RV{I: reduceInt(rop, a.I, b.I)})
-			} else {
-				a, _ := tPtr.Obj.load(to, ir.F64)
-				b, _ := origin.Obj.load(so, ir.F64)
-				_ = tPtr.Obj.store(to, ir.F64, RV{F: reduceFloat(rop, a.F, b.F)})
-			}
+			x, _ := tPtr.Obj.load(to, elem)
+			y, _ := origin.Obj.load(so, elem)
+			_ = tPtr.Obj.store(to, elem, reduceRV(rop, elem, x, y))
 		}
 	}
 	return RV{I: mpi.Success}, nil
@@ -237,25 +222,18 @@ func (rt *Runtime) checkRMALocalAccess(rank int, ptr *Ptr, size int, isWrite boo
 	}
 }
 
-func (rt *Runtime) doWinLock(p *proc, op mpi.Op, args []RV) (RV, error) {
+func (rt *Runtime) doWinLock(p *proc, op mpi.Op, sig *mpi.Signature, args []RV) (RV, error) {
+	w := rt.winByHandle(p, op, args[sig.Arg.Win].I)
+	if w == nil {
+		return RV{I: mpi.ErrOther}, nil
+	}
+	target := int(args[sig.Arg.Peer].I)
 	if op == mpi.OpWinLock {
-		// locktype0, rank1, assert2, win3
-		w := rt.winByHandle(p, op, args[3].I)
-		if w == nil {
-			return RV{I: mpi.ErrOther}, nil
-		}
-		target := int(args[1].I)
 		if !rt.peerOK(p, op, target) {
 			return RV{I: mpi.ErrOther}, nil
 		}
 		return rt.park(p, wait{op: op, win: w, idx: target})
 	}
-	// Unlock: rank0, win1
-	w := rt.winByHandle(p, op, args[1].I)
-	if w == nil {
-		return RV{I: mpi.ErrOther}, nil
-	}
-	target := int(args[0].I)
 	if w.locks[target] != p.rank+1 {
 		rt.report(Violation{Kind: VEpochLife, Rank: p.rank, Op: op,
 			Msg: "unlock without a matching lock"})

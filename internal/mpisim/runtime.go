@@ -68,8 +68,9 @@ type wait struct {
 	req  *request  // MPI_Wait/Waitall, until the request completes
 	slot *collSlot // a collective, until every member has joined
 	win  *window
-	args []RV // the call's arguments
-	idx  int  // MPI_Waitall: the index of req; MPI_Win_lock: the target
+	sig  *mpi.Signature // decodes args
+	args []RV           // the call's arguments
+	idx  int            // MPI_Waitall: the index of req; MPI_Win_lock: the target
 }
 
 // ready reports whether the wait is over.
@@ -138,12 +139,11 @@ type Runtime struct {
 	wins  map[int64]*window
 	comms map[int64]int // comm handle -> size
 
-	nextReq      int64
-	nextWin      int64
-	nextComm     int64
-	nextType     int64
-	dtypes       map[int64]bool // derived datatype committed state
-	derivedSizes map[int64]int  // derived datatype element sizes
+	nextReq  int64
+	nextWin  int64
+	nextComm int64
+	nextType int64
+	derived  map[int64]derivedType // by handle, freed ones included
 
 	msgLog    []msgRecord
 	wildRecvs []wildRecord
@@ -302,18 +302,19 @@ func (rt *Runtime) finish(p *proc) (RV, error) {
 	w := &p.wait
 	switch w.op {
 	case mpi.OpWait:
-		rt.completeRequest(p, w.req, w.args[0].P)
+		rt.completeRequest(p, w.req, w.args[w.sig.Arg.Request].P)
 	case mpi.OpWaitall:
-		base := w.args[1].P
+		base := w.args[w.sig.Arg.Request].P
 		rt.completeRequest(p, w.req, &Ptr{Obj: base.Obj, Off: base.Off + 8*w.idx})
-		return rt.doWaitall(p, w.args, w.idx+1)
+		return rt.doWaitall(p, w.sig, w.args, w.idx+1)
 	case mpi.OpCommSplit, mpi.OpCommDup:
 		return rt.commCreated(p, w)
 	case mpi.OpWinCreate:
 		return rt.winCreated(p, w)
 	case mpi.OpWinFree:
 		w.win.freed = true
-		_ = w.args[0].P.Obj.store(w.args[0].P.Off, ir.I64, RV{I: 0})
+		ptr := w.args[w.sig.Arg.Win].P
+		_ = ptr.Obj.store(ptr.Off, ir.I64, RV{I: 0})
 	case mpi.OpWinFence:
 		// The first rank out of the fence toggles the epoch.
 		if w.slot.newComm == 0 {
@@ -438,8 +439,8 @@ func (rt *Runtime) finalLeakCheck() {
 				Msg: "window never freed"})
 		}
 	}
-	for _, committed := range rt.dtypes {
-		if committed {
+	for _, t := range rt.derived {
+		if t.committed && !t.freed {
 			rt.reportOnce(Violation{Kind: VResourceLeak, Rank: -1, Op: mpi.OpTypeCommit,
 				Msg: "derived datatype never freed"})
 		}
@@ -459,8 +460,9 @@ func (rt *Runtime) finalLeakCheck() {
 }
 
 // dispatch routes an MPI call to its handler. It is the single entry point
-// the interpreter uses for MPI_* calls.
-func (rt *Runtime) dispatch(m *Machine, op mpi.Op, args []RV) (RV, error) {
+// the interpreter uses for MPI_* calls; sig is op's row, and args has
+// its arity.
+func (rt *Runtime) dispatch(m *Machine, op mpi.Op, sig *mpi.Signature, args []RV) (RV, error) {
 	p := m.proc
 	if op == mpi.OpInit {
 		if p.inited {
@@ -477,58 +479,54 @@ func (rt *Runtime) dispatch(m *Machine, op mpi.Op, args []RV) (RV, error) {
 		rt.report(Violation{Kind: VCallOrdering, Rank: p.rank, Op: op,
 			Msg: op.String() + " after MPI_Finalize"})
 	}
-	rt.validateArgs(p, op, args)
+	rt.validateArgs(p, op, sig, args)
 	switch op {
 	case mpi.OpFinalize:
 		return rt.doFinalize(p)
 	case mpi.OpCommRank, mpi.OpCommSize:
-		return rt.doRankSize(p, op, args)
+		return rt.doRankSize(p, op, sig, args)
 	case mpi.OpAbort:
 		return RV{}, &runErr{kind: "exit", msg: "MPI_Abort"}
 	case mpi.OpSend, mpi.OpSsend, mpi.OpBsend, mpi.OpRsend:
-		return rt.doSend(p, op, args)
+		return rt.doSend(p, op, sig, args)
 	case mpi.OpRecv:
-		return rt.doRecv(p, op, args)
+		return rt.doRecv(p, op, sig, args)
 	case mpi.OpSendrecv:
-		return rt.doSendrecv(p, args)
+		return rt.doSendrecv(p, sig, args)
 	case mpi.OpIsend, mpi.OpIssend, mpi.OpIrecv, mpi.OpSendInit, mpi.OpRecvInit:
-		return rt.doImmediate(p, op, args)
+		return rt.doImmediate(p, op, sig, args)
 	case mpi.OpWait:
-		return rt.doWait(p, args)
+		return rt.doWait(p, sig, args)
 	case mpi.OpWaitall:
-		return rt.doWaitall(p, args, 0)
+		return rt.doWaitall(p, sig, args, 0)
 	case mpi.OpTest:
-		return rt.doTest(p, args)
+		return rt.doTest(p, sig, args)
 	case mpi.OpRequestFree:
-		return rt.doRequestFree(p, args)
+		return rt.doRequestFree(p, sig, args)
 	case mpi.OpStart, mpi.OpStartall:
-		return rt.doStart(p, op, args)
+		return rt.doStart(p, op, sig, args)
 	case mpi.OpGetCount:
-		return rt.doGetCount(p, args)
+		return rt.doGetCount(p, sig, args)
 	case mpi.OpBarrier, mpi.OpBcast, mpi.OpReduce, mpi.OpAllreduce,
 		mpi.OpGather, mpi.OpScatter, mpi.OpAllgather, mpi.OpAlltoall,
-		mpi.OpExscan, mpi.OpScan:
-		return rt.doCollective(p, op, args)
+		mpi.OpExscan, mpi.OpScan, mpi.OpCommSplit, mpi.OpCommDup, mpi.OpWinCreate:
+		return rt.doCollective(p, op, sig, args)
 	case mpi.OpIbarrier, mpi.OpIbcast, mpi.OpIallreduce:
-		return rt.doICollective(p, op, args)
-	case mpi.OpWinCreate:
-		return rt.doWinCreate(p, args)
+		return rt.doICollective(p, op, sig, args)
 	case mpi.OpWinFree:
-		return rt.doWinFree(p, args)
+		return rt.doWinFree(p, sig, args)
 	case mpi.OpWinFence:
-		return rt.doWinFence(p, args)
+		return rt.doWinFence(p, sig, args)
 	case mpi.OpPut, mpi.OpGet, mpi.OpAccumulate:
-		return rt.doRMAAccess(p, op, args)
+		return rt.doRMAAccess(p, op, sig, args)
 	case mpi.OpWinLock, mpi.OpWinUnlock:
-		return rt.doWinLock(p, op, args)
-	case mpi.OpCommSplit, mpi.OpCommDup:
-		return rt.doCommCreate(p, op, args)
+		return rt.doWinLock(p, op, sig, args)
 	case mpi.OpCommFree:
-		return rt.doCommFree(p, args)
+		return rt.doCommFree(p, sig, args)
 	case mpi.OpTypeContiguous:
-		return rt.doTypeContiguous(p, args)
+		return rt.doTypeContiguous(p, sig, args)
 	case mpi.OpTypeCommit, mpi.OpTypeFree:
-		return rt.doTypeCommitFree(p, op, args)
+		return rt.doTypeCommitFree(p, op, sig, args)
 	}
 	return RV{I: mpi.Success}, nil
 }
@@ -548,20 +546,21 @@ func (rt *Runtime) doFinalize(p *proc) (RV, error) {
 	return RV{I: mpi.Success}, nil
 }
 
-func (rt *Runtime) doRankSize(p *proc, op mpi.Op, args []RV) (RV, error) {
-	if len(args) < 2 || args[1].P == nil {
+func (rt *Runtime) doRankSize(p *proc, op mpi.Op, sig *mpi.Signature, args []RV) (RV, error) {
+	out := args[sig.Arg.Buf].P
+	if out == nil {
 		rt.report(Violation{Kind: VInvalidParam, Rank: p.rank, Op: op, Msg: "null output pointer"})
 		return RV{I: mpi.ErrOther}, nil
 	}
 	val := int64(p.rank)
 	if op == mpi.OpCommSize {
-		size, ok := rt.comms[args[0].I]
+		size, ok := rt.comms[args[sig.Arg.Comm].I]
 		if !ok {
 			size = len(rt.procs)
 		}
 		val = int64(size)
 	}
-	if err := args[1].P.Obj.store(args[1].P.Off, ir.I32, RV{I: val}); err != nil {
+	if err := out.Obj.store(out.Off, ir.I32, RV{I: val}); err != nil {
 		return RV{}, err
 	}
 	return RV{I: mpi.Success}, nil

@@ -272,12 +272,13 @@ func (PARCOACH) CheckModule(_ context.Context, m *ir.Module, _ mpisim.Config) Ve
 // output of MPI_Comm_rank via a simple forward data-flow closure.
 func rankTaintedValues(f *ir.Func) map[ir.Value]bool {
 	tainted := map[ir.Value]bool{}
-	// Seed: pointers passed to MPI_Comm_rank.
+	// Seed: the output pointers passed to MPI_Comm_rank.
 	rankPtrs := map[ir.Value]bool{}
+	out := mpi.SignatureOf(mpi.OpCommRank).Arg.Buf
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.MPICallName() == "MPI_Comm_rank" && len(in.Args) >= 2 {
-				rankPtrs[in.Args[1]] = true
+			if in.MPICallName() == "MPI_Comm_rank" && out < len(in.Args) {
+				rankPtrs[in.Args[out]] = true
 			}
 		}
 	}
@@ -382,8 +383,7 @@ func (MPIChecker) CheckModule(_ context.Context, m *ir.Module, _ mpisim.Config) 
 					continue
 				}
 				op, _ := mpi.FromName(name)
-				sig, okSig := mpi.SignatureOf(op)
-				if okSig {
+				if sig := mpi.SignatureOf(op); sig != nil {
 					if v := constArg(in, sig.Arg.Count); v != nil && v.Int < 0 {
 						return Verdict{Flagged: true, Reason: "negative count in " + name}
 					}
