@@ -111,7 +111,11 @@ chaos:
 # - FuzzVecKernels: each AVX2 assembly kernel against its generic Go
 #   twin, bit for bit, over odd lengths, misaligned slices, NaN payloads,
 #   infinities, signed zeros and subnormals, the matmul row kernel in
-#   both its accumulating and zero-start forms (skipped without AVX2);
+#   both its accumulating and zero-start forms, the GATv2 edge scores
+#   (EdgeScores) at every width 1-40 with zero activations against
+#   infinite and NaN weights, and the vector exp and ELU (VecExp,
+#   VecELU) against math.Exp across its subnormal, underflow and
+#   overflow ranges (skipped without AVX2 and FMA);
 # - FuzzEdgeAttend: the inference-only GATv2 ops (MatMulRows,
 #   MatMulRowsAddRow, EdgeAttend) against the differentiable composition
 #   training runs, bit for bit, over the same special values, repeated

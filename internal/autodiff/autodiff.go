@@ -314,10 +314,13 @@ func segmentSoftmax(dst, src []float64, seg []int, maxs, sums []float64) {
 		}
 	}
 	clear(sums)
+	dst = dst[:len(seg)]
 	for i, s := range seg {
-		e := math.Exp(src[i] - maxs[s])
-		dst[i] = e
-		sums[s] += e
+		dst[i] = src[i] - maxs[s]
+	}
+	tensor.VecExp(dst)
+	for i, s := range seg {
+		sums[s] += dst[i]
 	}
 	for i, s := range seg {
 		if sums[s] > 0 {
@@ -669,16 +672,9 @@ func (t *Tape) ELUAddN(ins ...*Node) *Node {
 	vd := val.Data
 	copy(vd, ins[0].Val.Data)
 	for _, in := range ins[1:] {
-		src := in.Val.Data[:len(vd)]
-		for i := range vd {
-			vd[i] += src[i]
-		}
+		tensor.VecAdd(vd, in.Val.Data[:len(vd)])
 	}
-	for i, v := range vd {
-		if v < 0 {
-			vd[i] = math.Exp(v) - 1
-		}
-	}
+	tensor.VecELU(vd)
 	out := t.node(val)
 	if !t.inference {
 		out.back = func() {
@@ -761,35 +757,13 @@ func (t *Tape) EdgeAttend(hs, hd, att *Node, srcAt, dstAt, dst []int, nDst int, 
 	if len(dstAt) != len(srcAt) || len(dst) != len(srcAt) {
 		panic("autodiff: EdgeAttend edge list length mismatch")
 	}
-	a := att.Val.Data[:w]
 	score := t.alloc(len(srcAt), false)
-	for i, r := range srcAt {
-		xs := hs.Val.Row(r)
-		xd := hd.Val.Row(dstAt[i])[:len(xs)]
-		ak := a[:len(xs)]
-		s := 0.0
-		for k, x := range xs {
-			v := x + xd[k]
-			if v < 0 {
-				v = slope * v
-			}
-			if v == 0 {
-				continue
-			}
-			s += v * ak[k]
-		}
-		score[i] = s
-	}
+	tensor.EdgeScores(score, hs.Val, hd.Val, srcAt, dstAt, att.Val.Data, slope)
 	segmentSoftmax(score, score, dst, t.alloc(nDst, false), t.alloc(nDst, false))
 	// SegmentSumMulCol's weighted sum, reading each source row in place.
 	val := t.newMat(nDst, w, true)
 	for i, sg := range dst {
-		s := score[i]
-		src := hs.Val.Row(srcAt[i])
-		out := val.Row(sg)[:len(src)]
-		for j, v := range src {
-			out[j] += v * s
-		}
+		tensor.VecAddScaled(val.Row(sg), score[i], hs.Val.Row(srcAt[i]))
 	}
 	return t.node(val)
 }

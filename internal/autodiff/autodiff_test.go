@@ -1,6 +1,7 @@
 package autodiff
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -377,36 +378,70 @@ func TestTapeResetReusesArena(t *testing.T) {
 }
 
 // TestELUAddNBitIdentical pins the fused accumulate+activate against the
-// Add-chain + ELU composition it replaces.
+// Add-chain + ELU composition it replaces: the same output, loss and
+// input-gradient bits. It runs over normals, and over math.Exp's edges
+// and special values: ±0, the smallest negative subnormal, the smallest
+// normal and subnormal results (-708.39…, -745.13…) and the edge where
+// the vector exp hands a group to math.Exp, values past underflow,
+// ±Inf, ±MaxFloat64 and NaNs with distinct payloads. There the second
+// and third inputs are -0, which leaves every sum its first input's
+// bits, except in every third and every fifth entry, where they are
+// specials too, so the sums add two NaNs or two infinities.
 func TestELUAddNBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	xs := []*tensor.Mat{
+	normals := []*tensor.Mat{
 		tensor.Randn(rng, 7, 5, 1),
 		tensor.Randn(rng, 7, 5, 1),
 		tensor.Randn(rng, 7, 5, 1),
 	}
-	lf, gf := runPass(xs, func(tp *Tape, ins []*Node) *Node {
-		return sumAll(tp, tp.ELUAddN(ins[0], ins[1], ins[2]))
-	})
-	lu, gu := runPass(xs, func(tp *Tape, ins []*Node) *Node {
-		return sumAll(tp, tp.ELU(tp.Add(tp.Add(ins[0], ins[1]), ins[2])))
-	})
-	if lf != lu {
-		t.Errorf("fused loss %v != unfused %v", lf, lu)
+	edges := []float64{
+		0, math.Copysign(0, -1), -math.SmallestNonzeroFloat64,
+		-708.3964185322641, -745.1332191019411, -1022.5 * math.Ln2, -746, -1e4,
+		math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, -1, -0.5, 2,
+		math.Float64frombits(0x7ff8_0000_0000_0011),
+		math.Float64frombits(0xfff8_0000_0000_0022),
+		math.Float64frombits(0x7ff0_0000_0000_0033),
 	}
-	for i := range gf {
-		for j := range gf[i].Data {
-			if gf[i].Data[j] != gu[i].Data[j] {
-				t.Fatalf("input %d grad[%d]: fused %v != unfused %v",
-					i, j, gf[i].Data[j], gu[i].Data[j])
-			}
+	specials := []*tensor.Mat{tensor.New(9, 8), tensor.New(9, 8), tensor.New(9, 8)}
+	for i := range specials[0].Data {
+		specials[0].Data[i] = edges[i%len(edges)]
+		specials[1].Data[i] = math.Copysign(0, -1)
+		specials[2].Data[i] = math.Copysign(0, -1)
+		if i%3 == 0 {
+			specials[1].Data[i] = edges[rng.Intn(len(edges))]
+		}
+		if i%5 == 0 {
+			specials[2].Data[i] = edges[rng.Intn(len(edges))]
+		}
+	}
+	for _, c := range []struct {
+		name string
+		xs   []*tensor.Mat
+	}{{"normals", normals}, {"specials", specials}} {
+		var fused, unfused *tensor.Mat
+		lf, gf := runPass(c.xs, func(tp *Tape, ins []*Node) *Node {
+			out := tp.ELUAddN(ins[0], ins[1], ins[2])
+			fused = out.Val
+			return sumAll(tp, out)
+		})
+		lu, gu := runPass(c.xs, func(tp *Tape, ins []*Node) *Node {
+			out := tp.ELU(tp.Add(tp.Add(ins[0], ins[1]), ins[2]))
+			unfused = out.Val
+			return sumAll(tp, out)
+		})
+		sameBits(t, c.name+": output", fused, unfused)
+		if math.Float64bits(lf) != math.Float64bits(lu) {
+			t.Errorf("%s: fused loss %v != unfused %v", c.name, lf, lu)
+		}
+		for i := range gf {
+			sameBits(t, fmt.Sprintf("%s: input %d grad", c.name, i), gf[i], gu[i])
 		}
 	}
 	// Single-input degenerate form equals plain ELU.
-	l1, _ := runPass(xs[:1], func(tp *Tape, ins []*Node) *Node {
+	l1, _ := runPass(normals[:1], func(tp *Tape, ins []*Node) *Node {
 		return sumAll(tp, tp.ELUAddN(ins[0]))
 	})
-	l2, _ := runPass(xs[:1], func(tp *Tape, ins []*Node) *Node {
+	l2, _ := runPass(normals[:1], func(tp *Tape, ins []*Node) *Node {
 		return sumAll(tp, tp.ELU(ins[0]))
 	})
 	if l1 != l2 {

@@ -9,9 +9,12 @@ import (
 )
 
 // benchModel builds an untrained default-size model over the graphs'
-// vocabulary: prediction cost does not depend on the weights, so skipping
-// training keeps the bench setup cheap while the forward pass is exactly
-// the serving one.
+// vocabulary, which keeps the bench setup cheap while the forward pass
+// is exactly the serving one. The weights still shape the cost a little:
+// the attention-score and ELU kernels no longer branch on each
+// activation's sign (the scalar loops did, and mispredicted about half
+// the time), but the matmuls skip exactly-zero inputs and the ELU leaves
+// a group of four with an input below about -708.4 to math.Exp.
 func benchModel(gs []*graphs.Graph) *Model {
 	return NewModel(Default(), graphs.BuildVocab(gs), 2)
 }

@@ -54,6 +54,24 @@ func FloatBinary(op Opcode, a, b float64) (float64, bool) {
 	return 0, false
 }
 
+// ZExt zero-extends v, an integer of type from, to type to: the bits
+// above from's width are cleared before v takes to's width, so zext i8 -1
+// to i32 is 255. A nil from (an untyped constant) and i64 keep all 64
+// bits.
+func ZExt(from, to *Type, v int64) int64 {
+	if from != nil {
+		switch from.Kind {
+		case KInt1:
+			v &= 1
+		case KInt8:
+			v &= 0xff
+		case KInt32:
+			v &= 0xffffffff
+		}
+	}
+	return Wrap(to, v)
+}
+
 // Wrap truncates v to the width of the integer type t and sign-extends
 // it back: i1 keeps its low bit (0 or 1), i8 and i32 their signed value.
 // Any other type keeps all 64 bits.

@@ -383,7 +383,7 @@ func (m *Machine) execInstr(fr []RV, in *cinstr) (RV, error) {
 		if err != nil {
 			return RV{}, err
 		}
-		return execConv(in.op, in.typ, x)
+		return execConv(in, x)
 
 	case in.op == ir.OpSelect:
 		c, err := m.evalOp(fr, &in.a)
@@ -642,12 +642,13 @@ func execBinary(op ir.Opcode, typ *ir.Type, x, y RV) (RV, error) {
 	return RV{}, crashf("bad binary op %s", op)
 }
 
-func execConv(op ir.Opcode, typ *ir.Type, x RV) (RV, error) {
+func execConv(in *cinstr, x RV) (RV, error) {
+	op, typ := in.op, in.typ
 	switch op {
 	case ir.OpTrunc, ir.OpSExt:
 		return RV{I: ir.Wrap(typ, x.I)}, nil
 	case ir.OpZExt:
-		return RV{I: x.I}, nil
+		return RV{I: ir.ZExt(in.from, typ, x.I)}, nil
 	case ir.OpSIToFP:
 		return RV{F: float64(x.I)}, nil
 	case ir.OpFPToSI:

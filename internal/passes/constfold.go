@@ -151,18 +151,10 @@ func foldConv(in *ir.Instr, c *ir.Const) *ir.Const {
 		if c.IsFloat {
 			return nil
 		}
-		v := c.Int
-		if in.Op == ir.OpZExt && c.Typ != nil {
-			switch c.Typ.Kind {
-			case ir.KInt1:
-				v &= 1
-			case ir.KInt8:
-				v &= 0xff
-			case ir.KInt32:
-				v &= 0xffffffff
-			}
+		if in.Op == ir.OpZExt {
+			return ir.ConstInt(in.Typ, ir.ZExt(c.Typ, in.Typ, c.Int))
 		}
-		return ir.ConstInt(in.Typ, ir.Wrap(in.Typ, v))
+		return ir.ConstInt(in.Typ, ir.Wrap(in.Typ, c.Int))
 	case ir.OpSIToFP:
 		if c.IsFloat {
 			return nil

@@ -1,9 +1,10 @@
-// Elementwise and row kernels under the matmuls and IR2Vec's vector
-// helpers. Each has a portable Go body (the *Generic functions) and, on
-// amd64 CPUs whose OS saves the YMM registers, an AVX2 assembly body in
-// kernels_amd64.s. The choice is made once at init from CPUID; the Go
-// bodies run everywhere else, under -tags purego, and serve as the
-// oracle the assembly is tested against.
+// Elementwise and row kernels under the matmuls, the GNN's attention and
+// activation, and IR2Vec's vector helpers. Each has a portable Go body
+// (the *Generic functions) and, on amd64 CPUs with AVX2 and FMA whose OS
+// saves the YMM registers, an AVX2 assembly body in kernels_amd64.s. The
+// choice is made once at init from CPUID; the Go bodies run everywhere
+// else, under -tags purego, and serve as the oracle the assembly is
+// tested against.
 //
 // The matmul row kernel is register-blocked (Goto and van de Geijn,
 // "Anatomy of High-Performance Matrix Multiplication"): the assembly
@@ -12,24 +13,64 @@
 // every nonzero term to the whole panel, so each a[k] is read once per
 // panel and each output element is loaded and stored once.
 //
+// EdgeScores is the GATv2 attention score (Brody, Alon and Yahav, "How
+// Attentive are Graph Attention Networks?", ICLR 2022) of four edges at
+// a time, one per lane, with the LeakyReLU and the zero skip done by
+// compare-and-blend instead of branches on each activation's sign.
+// VecExp and VecELU run math.Exp four lanes at a time: the assembly
+// transcribes the table-free FMA path math.Exp takes on every CPU with
+// AVX and FMA (Shibata, "Efficient evaluation methods of elementary
+// functions suitable for SIMD computation", ISC 2010), and leaves a
+// group of four with a non-finite lane, or a result that overflows or
+// is subnormal or zero, to math.Exp itself. Where GODEBUG turns
+// math.Exp's FMA path off, they keep the scalar loop (expOnAVX2).
+//
 // The assembly is bit-identical to the Go loops. Every output element
 // still gets one rounded multiply and one rounded add per term (VMULPD
-// then VADDPD, never FMA), in the same order, from the same start value.
-// The operands also keep the order the Go compiler emits for the scalar
-// loops, because when both operands of an x86 arithmetic instruction are
-// NaN the first source's payload wins: for x·a the x element is the first
-// source, for product + y the product is, and for dst + src dst is.
-// (That is the normal build's code; the race detector's instrumented
-// build orders some of these operands differently.)
+// then VADDPD, never FMA outside the exp), in the same order, from the
+// same start value. The operands also keep the order the Go compiler
+// emits for the scalar loops, because when both operands of an x86
+// arithmetic instruction are NaN the first source's payload wins: for
+// x·a the x element is the first source, for product + y the product
+// is, and for dst + src dst is. In an edge score xs is first in xs+xd,
+// the activation v in slope·v and v·a[k], and the sum s in s + term;
+// in the ELU the exponential is first in exp(v) - 1. (That is the
+// normal build's code. The instrumented builds of the race detector and
+// of fuzzing order some of these operands differently; the scalar sums
+// the edge scores are checked against stop adding once they are NaN,
+// which pins the one order a fuzz test would see, as matmulRows says.)
 //
 // The Go wrappers reslice their arguments before entering assembly, so a
 // slice too short for the operation panics in Go instead of reading or
 // writing out of bounds.
 package tensor
 
+import "math"
+
 // useAVX2 selects the assembly kernels. It is set once from the CPU at
 // init; tests flip it to run both paths.
 var useAVX2 = cpuHasAVX2()
+
+// expOnAVX2 lets VecExp and VecELU run their assembly. It gives
+// math.Exp's bits only where math.Exp takes its FMA path: on every CPU
+// with AVX and FMA, unless GODEBUG turns FMA off (cpu.fma=off). So it is
+// set once at init by checking the kernel against math.Exp on four
+// inputs whose FMA and plain results differ.
+var expOnAVX2 = useAVX2 && expMatchesMath()
+
+func expMatchesMath() bool {
+	probe := []float64{-0.09375, -0.109375, -0.1875, -0.21875}
+	got := append([]float64(nil), probe...)
+	if expAVX2(got) != len(got) {
+		return false
+	}
+	for i, x := range probe {
+		if got[i] != math.Exp(x) {
+			return false
+		}
+	}
+	return true
+}
 
 // axpy computes y[j] += a*x[j]. x must not partially overlap y.
 func axpy(a float64, x, y []float64) {
@@ -93,5 +134,95 @@ func matmulRowGeneric(orow, arow, b []float64, fresh bool) {
 			continue
 		}
 		axpyGeneric(av, b[k*n:(k+1)*n], orow)
+	}
+}
+
+// EdgeScores writes to score[i], for every i < len(score), the GATv2
+// attention score of the edge from row srcAt[i] of hs to row dstAt[i] of
+// hd: the sum from +0, over ascending k, of lrelu(hs[src,k] + hd[dst,k])
+// times a[k], where lrelu(v) is slope·v for v < 0 and v otherwise, and
+// exactly-zero activations are skipped (as the column matmul skips zero
+// terms, so a zero activation against an infinite or NaN a[k] adds
+// nothing). hs and hd must have the same width, and a at least as many
+// entries.
+func EdgeScores(score []float64, hs, hd *Mat, srcAt, dstAt []int, a []float64, slope float64) {
+	w := hs.C
+	if hd.C != w {
+		panic("tensor: EdgeScores width mismatch")
+	}
+	a = a[:w:len(a)]
+	srcAt, dstAt = srcAt[:len(score):len(srcAt)], dstAt[:len(score):len(dstAt)]
+	n := 0
+	if useAVX2 && w > 0 {
+		// The assembly scores four edges at a time and reads rows by
+		// index, so every index it will read is checked here.
+		n = len(score) &^ 3
+		for i, r := range srcAt[:n] {
+			if uint(r) >= uint(hs.R) || uint(dstAt[i]) >= uint(hd.R) {
+				panic("tensor: EdgeScores row index out of range")
+			}
+		}
+		edgeScoresAVX2(score[:n], hs.Data[:hs.R*w:len(hs.Data)], hd.Data[:hd.R*w:len(hd.Data)], w, srcAt, dstAt, a, slope)
+	}
+	edgeScoresGeneric(score[n:], hs, hd, srcAt[n:], dstAt[n:], a, slope)
+}
+
+func edgeScoresGeneric(score []float64, hs, hd *Mat, srcAt, dstAt []int, a []float64, slope float64) {
+	for i, r := range srcAt[:len(score)] {
+		xs := hs.Row(r)
+		xd := hd.Row(dstAt[i])[:len(xs)]
+		ak := a[:len(xs)]
+		s := 0.0
+		for k, x := range xs {
+			v := x + xd[k]
+			if v < 0 {
+				v = slope * v
+			}
+			if v == 0 || s != s {
+				continue // a NaN sum keeps its payload (see matmulRows)
+			}
+			s += v * ak[k]
+		}
+		score[i] = s
+	}
+}
+
+// VecExp sets v[i] = math.Exp(v[i]), bit for bit.
+func VecExp(v []float64) {
+	for useAVX2 && expOnAVX2 && len(v) >= 4 {
+		// The assembly stops at a group of four it cannot do exactly, or
+		// with fewer than four left; math.Exp does those.
+		v = v[expAVX2(v):]
+		g := v[:min(len(v), 4)]
+		expGeneric(g)
+		v = v[len(g):]
+	}
+	expGeneric(v)
+}
+
+func expGeneric(v []float64) {
+	for i, x := range v {
+		v[i] = math.Exp(x)
+	}
+}
+
+// VecELU applies the ELU activation in place: v[i] = math.Exp(v[i]) - 1
+// where v[i] < 0, bit for bit; every other entry, NaN included, keeps
+// its value.
+func VecELU(v []float64) {
+	for useAVX2 && expOnAVX2 && len(v) >= 4 {
+		v = v[eluAVX2(v):] // stops as VecExp's does
+		g := v[:min(len(v), 4)]
+		eluGeneric(g)
+		v = v[len(g):]
+	}
+	eluGeneric(v)
+}
+
+func eluGeneric(v []float64) {
+	for i, x := range v {
+		if x < 0 {
+			v[i] = math.Exp(x) - 1
+		}
 	}
 }

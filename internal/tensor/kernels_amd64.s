@@ -377,6 +377,330 @@ rowdone:
 	VZEROUPPER
 	RET
 
+// func edgeScoresAVX2(score, hs, hd []float64, w int, srcAt, dstAt []int, a []float64, slope float64)
+//
+// Scores four edges at a time, one per lane, so the four sums are four
+// independent add chains in one register. For each block of four
+// columns k..k+3 it computes each edge's four products p[k] (a row of
+// Y0-Y3), transposes the 4x4 block so that Y0-Y3 hold columns k..k+3
+// (lane e = edge e), and adds the columns to the sums in ascending k.
+// Per edge and column:
+//
+//	v = xs + xd             (VADDPD, xs first)
+//	v = v < 0 ? v·slope : v (VCMPPD LT, VMULPD with v first, VBLENDVPD;
+//	                         NaN compares false and keeps v)
+//	p = v·a[k]              (v first)
+//	p = v == 0 ? +0 : p     (VCMPPD EQ, VANDNPD)
+//	s = s + p               (s first)
+//
+// s starts at +0 and so can never become -0 (an exact cancellation
+// rounds to +0), so adding +0 leaves every s, NaN and ±Inf included,
+// as it was: the masked product is the Go loop's skip. A width that is
+// not a multiple of four ends in a block loaded through the mask in
+// Y15; its missing columns load as +0, so they are skipped the same
+// way. The Go wrapper checks every row index and calls it with a
+// multiple of four edges and w at least one.
+//
+// Registers: SI, DI, R8, R9 the four source rows, R10-R13 the four
+// destination rows, BX the column byte offset, CX the byte length of
+// the whole blocks, AX a, DX the first edge of the group, R14 the row
+// stride in bytes; Y11 a block, Y12 the sums, Y13 +0, Y14 slope, Y15
+// the tail mask, Y8-Y10 scratch.
+
+// ACT turns xs (already in row) into its masked products, with xd at
+// the memory operand xd.
+#define ACT(xd, row) \
+	VADDPD    xd, row, row; \
+	VCMPPD    $0x11, Y13, row, Y8; \
+	VMULPD    Y14, row, Y9; \
+	VBLENDVPD Y8, Y9, row, row; \
+	VCMPPD    $0x00, Y13, row, Y8; \
+	VMULPD    Y11, row, row; \
+	VANDNPD   row, Y8, row
+
+// EDGE and MEDGE compute one edge's four products into row: EDGE over
+// a whole block, MEDGE over the masked last one.
+#define EDGE(src, dst, row) \
+	VMOVUPD (src)(BX*1), row; \
+	ACT((dst)(BX*1), row)
+
+#define MEDGE(src, dst, row) \
+	VMASKMOVPD (src)(BX*1), Y15, row; \
+	VMASKMOVPD (dst)(BX*1), Y15, Y10; \
+	ACT(Y10, row)
+
+// SUM4 transposes the products of Y0-Y3 into columns and adds them to
+// the sums in ascending k.
+#define SUM4 \
+	VUNPCKLPD   Y1, Y0, Y4; \
+	VUNPCKHPD   Y1, Y0, Y5; \
+	VUNPCKLPD   Y3, Y2, Y6; \
+	VUNPCKHPD   Y3, Y2, Y7; \
+	VINSERTF128 $1, X6, Y4, Y0; \
+	VINSERTF128 $1, X7, Y5, Y1; \
+	VPERM2F128  $0x31, Y6, Y4, Y2; \
+	VPERM2F128  $0x31, Y7, Y5, Y3; \
+	VADDPD      Y0, Y12, Y12; \
+	VADDPD      Y1, Y12, Y12; \
+	VADDPD      Y2, Y12, Y12; \
+	VADDPD      Y3, Y12, Y12
+
+// ROW loads into reg the address of the row of the matrix at CX whose
+// index is at off(BX)(DX*8).
+#define ROW(off, reg) \
+	MOVQ  off(BX)(DX*8), reg; \
+	IMULQ R14, reg; \
+	ADDQ  CX, reg
+
+TEXT ·edgeScoresAVX2(SB), NOSPLIT, $0-160
+	MOVQ         w+72(FP), R14
+	MOVQ         R14, CX
+	ANDQ         $3, CX
+	JE           nomask
+	NEGQ         CX
+	LEAQ         tailmask<>(SB), AX
+	VMOVUPD      32(AX)(CX*8), Y15
+
+nomask:
+	SHLQ         $3, R14
+	MOVQ         a_base+128(FP), AX
+	VBROADCASTSD slope+152(FP), Y14
+	VXORPD       Y13, Y13, Y13
+	XORQ         DX, DX
+
+edges:
+	CMPQ   DX, score_len+8(FP)
+	JGE    edgesdone
+	MOVQ   srcAt_base+80(FP), BX
+	MOVQ   hs_base+24(FP), CX
+	ROW(0, SI)
+	ROW(8, DI)
+	ROW(16, R8)
+	ROW(24, R9)
+	MOVQ   dstAt_base+104(FP), BX
+	MOVQ   hd_base+48(FP), CX
+	ROW(0, R10)
+	ROW(8, R11)
+	ROW(16, R12)
+	ROW(24, R13)
+	MOVQ   w+72(FP), CX
+	ANDQ   $-4, CX
+	SHLQ   $3, CX
+	XORQ   BX, BX
+	VXORPD Y12, Y12, Y12
+
+blocks:
+	CMPQ    BX, CX
+	JGE     lastblock
+	VMOVUPD (AX)(BX*1), Y11
+	EDGE(SI, R10, Y0)
+	EDGE(DI, R11, Y1)
+	EDGE(R8, R12, Y2)
+	EDGE(R9, R13, Y3)
+	SUM4
+	ADDQ    $32, BX
+	JMP     blocks
+
+lastblock:
+	TESTQ      $3, w+72(FP)
+	JE         store
+	VMASKMOVPD (AX)(BX*1), Y15, Y11
+	MEDGE(SI, R10, Y0)
+	MEDGE(DI, R11, Y1)
+	MEDGE(R8, R12, Y2)
+	MEDGE(R9, R13, Y3)
+	SUM4
+
+store:
+	MOVQ    score_base+0(FP), BX
+	VMOVUPD Y12, (BX)(DX*8)
+	ADDQ    $4, DX
+	JMP     edges
+
+edgesdone:
+	VZEROUPPER
+	RET
+
+// The exp kernels transcribe the FMA path of math.Exp (Go's
+// src/math/exp_amd64.s, after Shibata, "Efficient evaluation methods of
+// elementary functions suitable for SIMD computation", ISC 2010) to four
+// lanes, instruction for instruction: k = round(x·log2(e)) by
+// VCVTPD2DQ, two fused reductions x - k·LN2U - k·LN2L, r = x/16, seven
+// fused Horner steps, y·(y+2) three times and (y+2)·y+1 once, and the
+// scale by 2^k. Every step is one IEEE operation with no table, so each
+// lane gets math.Exp's bits. A group in which any lane has k outside
+// [-1022, 1023] is left to math.Exp: that covers NaN and ±Inf (whose
+// conversion gives the integer indefinite), overflow, and the results
+// math.Exp builds as subnormals or zero, below about -708.4.
+
+// Each constant four times over, so it can be a 256-bit memory operand;
+// the literals are exp_amd64.s's. The last 32 bytes are four int32s of
+// 1023 (the exponent bias and the largest k) and four of -1022 (the
+// smallest k).
+// 0: log2(e)
+DATA expconst<>+0(SB)/8, $1.4426950408889634073599246810018920
+DATA expconst<>+8(SB)/8, $1.4426950408889634073599246810018920
+DATA expconst<>+16(SB)/8, $1.4426950408889634073599246810018920
+DATA expconst<>+24(SB)/8, $1.4426950408889634073599246810018920
+// 32: LN2U, the upper bits of ln(2)
+DATA expconst<>+32(SB)/8, $0.69314718055966295651160180568695068359375
+DATA expconst<>+40(SB)/8, $0.69314718055966295651160180568695068359375
+DATA expconst<>+48(SB)/8, $0.69314718055966295651160180568695068359375
+DATA expconst<>+56(SB)/8, $0.69314718055966295651160180568695068359375
+// 64: LN2L, the rest
+DATA expconst<>+64(SB)/8, $0.28235290563031577122588448175013436025525412068e-12
+DATA expconst<>+72(SB)/8, $0.28235290563031577122588448175013436025525412068e-12
+DATA expconst<>+80(SB)/8, $0.28235290563031577122588448175013436025525412068e-12
+DATA expconst<>+88(SB)/8, $0.28235290563031577122588448175013436025525412068e-12
+DATA expconst<>+96(SB)/8, $0.0625
+DATA expconst<>+104(SB)/8, $0.0625
+DATA expconst<>+112(SB)/8, $0.0625
+DATA expconst<>+120(SB)/8, $0.0625
+// 128: 1/8!
+DATA expconst<>+128(SB)/8, $2.4801587301587301587e-5
+DATA expconst<>+136(SB)/8, $2.4801587301587301587e-5
+DATA expconst<>+144(SB)/8, $2.4801587301587301587e-5
+DATA expconst<>+152(SB)/8, $2.4801587301587301587e-5
+// 160: 1/7!
+DATA expconst<>+160(SB)/8, $1.9841269841269841270e-4
+DATA expconst<>+168(SB)/8, $1.9841269841269841270e-4
+DATA expconst<>+176(SB)/8, $1.9841269841269841270e-4
+DATA expconst<>+184(SB)/8, $1.9841269841269841270e-4
+// 192: 1/6!
+DATA expconst<>+192(SB)/8, $1.3888888888888888889e-3
+DATA expconst<>+200(SB)/8, $1.3888888888888888889e-3
+DATA expconst<>+208(SB)/8, $1.3888888888888888889e-3
+DATA expconst<>+216(SB)/8, $1.3888888888888888889e-3
+// 224: 1/5!
+DATA expconst<>+224(SB)/8, $8.3333333333333333333e-3
+DATA expconst<>+232(SB)/8, $8.3333333333333333333e-3
+DATA expconst<>+240(SB)/8, $8.3333333333333333333e-3
+DATA expconst<>+248(SB)/8, $8.3333333333333333333e-3
+// 256: 1/4!
+DATA expconst<>+256(SB)/8, $4.1666666666666666667e-2
+DATA expconst<>+264(SB)/8, $4.1666666666666666667e-2
+DATA expconst<>+272(SB)/8, $4.1666666666666666667e-2
+DATA expconst<>+280(SB)/8, $4.1666666666666666667e-2
+// 288: 1/3!
+DATA expconst<>+288(SB)/8, $1.6666666666666666667e-1
+DATA expconst<>+296(SB)/8, $1.6666666666666666667e-1
+DATA expconst<>+304(SB)/8, $1.6666666666666666667e-1
+DATA expconst<>+312(SB)/8, $1.6666666666666666667e-1
+DATA expconst<>+320(SB)/8, $0.5
+DATA expconst<>+328(SB)/8, $0.5
+DATA expconst<>+336(SB)/8, $0.5
+DATA expconst<>+344(SB)/8, $0.5
+DATA expconst<>+352(SB)/8, $1.0
+DATA expconst<>+360(SB)/8, $1.0
+DATA expconst<>+368(SB)/8, $1.0
+DATA expconst<>+376(SB)/8, $1.0
+DATA expconst<>+384(SB)/8, $2.0
+DATA expconst<>+392(SB)/8, $2.0
+DATA expconst<>+400(SB)/8, $2.0
+DATA expconst<>+408(SB)/8, $2.0
+DATA expconst<>+416(SB)/4, $1023
+DATA expconst<>+420(SB)/4, $1023
+DATA expconst<>+424(SB)/4, $1023
+DATA expconst<>+428(SB)/4, $1023
+DATA expconst<>+432(SB)/4, $-1022
+DATA expconst<>+436(SB)/4, $-1022
+DATA expconst<>+440(SB)/4, $-1022
+DATA expconst<>+444(SB)/4, $-1022
+GLOBL expconst<>(SB), RODATA|NOPTR, $448
+
+// EXP4 replaces the four lanes of Y1 by their exponentials, or jumps to
+// fail with Y1 unchanged when a lane needs math.Exp's special cases. It
+// clobbers Y2-Y5. Each step names the scalar instruction it copies; the
+// operands of a multiply or add are finite and not NaN wherever the
+// group gets this far, so their order cannot change a bit.
+#define EXP4(fail) \
+	VMULPD       expconst<>+0(SB), Y1, Y2; \
+	VCVTPD2DQY   Y2, X3; \
+	VPCMPGTD     expconst<>+416(SB), X3, X4; \
+	VMOVDQU      expconst<>+432(SB), X5; \
+	VPCMPGTD     X3, X5, X5; \
+	VPOR         X4, X5, X5; \
+	VPTEST       X5, X5; \
+	JNE          fail; \
+	VCVTDQ2PD    X3, Y2; \
+	VMOVAPD      Y1, Y5; \
+	VFNMADD231PD expconst<>+32(SB), Y2, Y5; \
+	VFNMADD231PD expconst<>+64(SB), Y2, Y5; \
+	VMULPD       expconst<>+96(SB), Y5, Y5; \
+	VMOVUPD      expconst<>+128(SB), Y4; \
+	VFMADD213PD  expconst<>+160(SB), Y5, Y4; \
+	VFMADD213PD  expconst<>+192(SB), Y5, Y4; \
+	VFMADD213PD  expconst<>+224(SB), Y5, Y4; \
+	VFMADD213PD  expconst<>+256(SB), Y5, Y4; \
+	VFMADD213PD  expconst<>+288(SB), Y5, Y4; \
+	VFMADD213PD  expconst<>+320(SB), Y5, Y4; \
+	VFMADD213PD  expconst<>+352(SB), Y5, Y4; \
+	VMULPD       Y4, Y5, Y5; \
+	VADDPD       expconst<>+384(SB), Y5, Y4; \
+	VMULPD       Y4, Y5, Y5; \
+	VADDPD       expconst<>+384(SB), Y5, Y4; \
+	VMULPD       Y4, Y5, Y5; \
+	VADDPD       expconst<>+384(SB), Y5, Y4; \
+	VMULPD       Y4, Y5, Y5; \
+	VADDPD       expconst<>+384(SB), Y5, Y4; \
+	VFMADD213PD  expconst<>+352(SB), Y4, Y5; \
+	VPADDD       expconst<>+416(SB), X3, X3; \
+	VPMOVZXDQ    X3, Y3; \
+	VPSLLQ       $52, Y3, Y3; \
+	VMULPD       Y3, Y5, Y1
+
+// func expAVX2(v []float64) int
+TEXT ·expAVX2(SB), NOSPLIT, $0-32
+	MOVQ v_base+0(FP), SI
+	MOVQ v_len+8(FP), CX
+	XORQ AX, AX
+
+exploop:
+	LEAQ    4(AX), DX
+	CMPQ    DX, CX
+	JG      expdone
+	VMOVUPD (SI)(AX*8), Y1
+	EXP4(expdone)
+	VMOVUPD Y1, (SI)(AX*8)
+	MOVQ    DX, AX
+	JMP     exploop
+
+expdone:
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func eluAVX2(v []float64) int
+//
+// Each group feeds EXP4 its negative lanes and +0 in the others (whose
+// k is 0), subtracts one (the exponential first, as Go's
+// math.Exp(v) - 1), and blends the results into the negative lanes
+// only; Y0 holds v, Y6 the v < 0 mask (false for NaN), Y7 +0.
+TEXT ·eluAVX2(SB), NOSPLIT, $0-32
+	MOVQ   v_base+0(FP), SI
+	MOVQ   v_len+8(FP), CX
+	XORQ   AX, AX
+	VXORPD Y7, Y7, Y7
+
+eluloop:
+	LEAQ      4(AX), DX
+	CMPQ      DX, CX
+	JG        eludone
+	VMOVUPD   (SI)(AX*8), Y0
+	VCMPPD    $0x11, Y7, Y0, Y6
+	VANDPD    Y0, Y6, Y1
+	EXP4(eludone)
+	VSUBPD    expconst<>+352(SB), Y1, Y1
+	VBLENDVPD Y6, Y1, Y0, Y0
+	VMOVUPD   Y0, (SI)(AX*8)
+	MOVQ      DX, AX
+	JMP       eluloop
+
+eludone:
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

@@ -12,3 +12,11 @@ func vecAddAVX2(dst, src []float64) { panic("tensor: AVX2 kernels not built") }
 func matmulRowAVX2(orow, arow, b []float64, fresh bool) {
 	panic("tensor: AVX2 kernels not built")
 }
+
+func edgeScoresAVX2(score, hs, hd []float64, w int, srcAt, dstAt []int, a []float64, slope float64) {
+	panic("tensor: AVX2 kernels not built")
+}
+
+func expAVX2(v []float64) int { panic("tensor: AVX2 kernels not built") }
+
+func eluAVX2(v []float64) int { panic("tensor: AVX2 kernels not built") }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -123,6 +125,9 @@ func bothPaths(t *testing.T, name string, dst []float64, off int, op func(dst []
 // all zeros, dense and mixed. The row kernel is checked directly in both
 // starts over drawn (not zeroed) output rows, and through MatMulInto and
 // MatMulRowsInto, whose output starts drawn too: both must overwrite it.
+// VecExp and VecELU run over n%68 values, half of them spread across
+// math.Exp's normal, subnormal and overflow ranges (expSlice), and
+// EdgeScores over 1+k%12 edges of width 1+n%40.
 func FuzzVecKernels(f *testing.F) {
 	if !cpuHasAVX2() {
 		f.Skip("no AVX2 kernels on this host")
@@ -181,7 +186,49 @@ func FuzzVecKernels(f *testing.F) {
 				})
 			}
 		}
+
+		bothPaths(t, "VecExp", in.expSlice(cols, o), o, VecExp)
+		bothPaths(t, "VecELU", in.expSlice(cols, o), o, VecELU)
+
+		// EdgeScores over 1 + k%12 edges (whole groups of four and a
+		// tail) between three source and three destination rows of
+		// width 1 + n%40. Row 0 of both tables is cleared, so the edges
+		// joining them score exactly-zero activations, which must add
+		// nothing even against an infinite or NaN a[k].
+		w := 1 + int(n)%40
+		hs := FromSlice(3, w, in.slice(3*w, o))
+		hd := FromSlice(3, w, in.slice(3*w, o))
+		clear(hs.Row(0))
+		clear(hd.Row(0))
+		av := in.slice(w, o)
+		slope := 0.2
+		if k&1 == 1 {
+			slope = in.next()
+		}
+		nEdge := 1 + int(k)%12
+		srcAt, dstAt := make([]int, nEdge), make([]int, nEdge)
+		for i := range srcAt {
+			srcAt[i], dstAt[i] = in.rng.Intn(3), in.rng.Intn(3)
+		}
+		bothPaths(t, fmt.Sprintf("EdgeScores/w=%d", w), make([]float64, nEdge), o, func(score []float64) {
+			EdgeScores(score, hs, hd, srcAt, dstAt, av, slope)
+		})
 	})
+}
+
+// expSlice is slice for the exp kernels: half its values are drawn like
+// slice's, the other half spread uniformly over [-760, 720], where
+// math.Exp's normal path, its subnormal results and its overflow lie.
+func (in *kernelInput) expSlice(n, off int) []float64 {
+	s := make([]float64, off+n)[off:]
+	for i := range s {
+		if len(in.raw) < 8 && in.rng.Intn(2) == 0 {
+			s[i] = -760 + 1480*in.rng.Float64()
+		} else {
+			s[i] = in.next()
+		}
+	}
+	return s
 }
 
 // TestMatMulKernelWidths diffs the AVX2 matmul row kernel against the
@@ -245,6 +292,142 @@ func TestMatMulKernelWidths(t *testing.T) {
 	}
 }
 
+// TestEdgeScoresBitExact diffs the AVX2 edge-score kernel against the
+// generic loop at every width from 1 to 40 (whole four-column blocks and
+// every masked last block), over 39 edges (whole groups of four edges
+// and a tail) that join every source row to every destination row. Row
+// 0 of both tables is zero and row 2 of hd is the negation of row 2 of
+// hs, so those edges score activations that are exactly zero, +0 by
+// cancellation included, against attention weights that are half
+// specials (±Inf and NaNs among them): the skip must add nothing. Row 1
+// of both tables holds NaNs with a payload per entry, so the add, the
+// product with a NaN weight and the sum see two NaNs, and the other rows
+// mix the specials into normals. Each width runs under every slope below, NaN included.
+func TestEdgeScoresBitExact(t *testing.T) {
+	if !cpuHasAVX2() {
+		t.Skip("no AVX2 kernels on this host")
+	}
+	specials := append([]float64{
+		math.Float64frombits(0x7ff8_0000_0000_0011),
+		math.Float64frombits(0xfff8_0000_0000_0022),
+		math.Float64frombits(0x7ff0_0000_0000_0033),
+	}, kernelSpecials...)
+	slopes := []float64{
+		0.2, 0, math.Copysign(0, -1), -1, math.Inf(1), math.MaxFloat64,
+		math.Float64frombits(0xfff8_0000_0000_0044),
+	}
+	const rows = 6
+	var srcAt, dstAt []int
+	for e := 0; e < 39; e++ {
+		srcAt, dstAt = append(srcAt, e%rows), append(dstAt, e/rows%rows)
+	}
+	for w := 1; w <= 40; w++ {
+		rng := rand.New(rand.NewSource(int64(w)))
+		draw := func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				if rng.Intn(2) == 0 {
+					v[i] = specials[rng.Intn(len(specials))]
+				} else {
+					v[i] = rng.NormFloat64()
+				}
+			}
+			return v
+		}
+		hs, hd, a := FromSlice(rows, w, draw(rows*w)), FromSlice(rows, w, draw(rows*w)), draw(w)
+		clear(hs.Row(0))
+		clear(hd.Row(0))
+		for j := range w {
+			hs.Row(1)[j] = math.Float64frombits(0x7ff8_0000_0001_0000 | uint64(j))
+			hd.Row(1)[j] = math.Float64frombits(0xfff8_0000_0002_0000 | uint64(j))
+			hs.Row(2)[j] = rng.NormFloat64()
+			hd.Row(2)[j] = -hs.Row(2)[j]
+		}
+		for _, slope := range slopes {
+			bothPaths(t, fmt.Sprintf("w=%d/slope=%v", w, slope), make([]float64, len(srcAt)), 0, func(score []float64) {
+				EdgeScores(score, hs, hd, srcAt, dstAt, a, slope)
+			})
+		}
+	}
+}
+
+// TestVecExpBitExact pins VecExp to math.Exp and VecELU to the scalar
+// ELU (math.Exp(x) - 1 below zero, x elsewhere), bit for bit, on every
+// kernel path: a dense sweep of [-746, 0], the softmax's and the
+// activation's domain, through the subnormal results below about -708.4
+// and the underflow to zero below about -745.1; a sparser one of
+// [0, 746], past overflow; a window of ulps around each edge the
+// assembly tests (the exponent k = round(x·log2 e) leaving [-1022,
+// 1023]) and each edge of math.Exp's results (the smallest normal and
+// the smallest subnormal, overflow); and the special values, ±0, the
+// smallest subnormals, ±Inf and NaNs with distinct payloads. The values
+// are shuffled, so groups of four mix lanes the assembly computes with
+// lanes it leaves to math.Exp, and each op runs at every misalignment.
+func TestVecExpBitExact(t *testing.T) {
+	if cpuHasAVX2() && !strings.Contains(os.Getenv("GODEBUG"), "cpu.") && !expOnAVX2 {
+		t.Error("the exp kernels are off on a CPU with AVX2 and FMA")
+	}
+	const sweep = 1 << 18
+	var xs []float64
+	for i := 0; i <= sweep; i++ {
+		xs = append(xs, -746*float64(i)/sweep)
+	}
+	for i := 0; i <= sweep/8; i++ {
+		xs = append(xs, 746*float64(i)/(sweep/8))
+	}
+	for _, edge := range []float64{
+		-1022.5 * math.Ln2, 1023.5 * math.Ln2, // k leaves [-1022, 1023]
+		1024.5 * math.Ln2,   // 2^k's biased exponent leaves 11 bits
+		-708.3964185322641,  // the smallest normal result
+		-745.1332191019411,  // the smallest subnormal result
+		709.782712893384,    // math.Exp's overflow threshold
+		-math.MaxFloat64, 0, // the ends of the finite negatives
+	} {
+		x := edge
+		for range 64 {
+			x = math.Nextafter(x, math.Inf(-1))
+		}
+		for range 128 {
+			xs = append(xs, x)
+			x = math.Nextafter(x, math.Inf(1))
+		}
+	}
+	xs = append(xs, kernelSpecials...)
+	xs = append(xs,
+		math.Float64frombits(0x7ff8_0000_0000_0011),
+		math.Float64frombits(0xfff8_0000_0000_0022),
+		math.Float64frombits(0x7ff0_0000_0000_0033),
+		math.Float64frombits(0xfff0_0000_0000_0044),
+	)
+	rand.New(rand.NewSource(7)).Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+
+	wantExp, wantELU := make([]float64, len(xs)), make([]float64, len(xs))
+	for i, x := range xs {
+		wantExp[i], wantELU[i] = math.Exp(x), x
+		if x < 0 {
+			wantELU[i] = math.Exp(x) - 1
+		}
+	}
+	forEachKernelPath(t, func(t *testing.T) {
+		for off := range 4 {
+			for _, c := range []struct {
+				name string
+				op   func([]float64)
+				want []float64
+			}{{"VecExp", VecExp, wantExp}, {"VecELU", VecELU, wantELU}} {
+				got := append(make([]float64, off, off+len(xs)), xs...)[off:]
+				c.op(got)
+				for i, w := range c.want {
+					if g := got[i]; math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("%s(%v) at offset %d = %v (%#x), want %v (%#x)",
+							c.name, xs[i], off, g, math.Float64bits(g), w, math.Float64bits(w))
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestKernelsRejectShortSlices pins that every wrapper checks its
 // lengths in Go before the kernel runs: a slice too short for the
 // operation panics on both paths instead of reaching the assembly.
@@ -277,6 +460,24 @@ func TestKernelsRejectShortSlices(t *testing.T) {
 			{"MatMulInto/b.Data", func() {
 				MatMulInto(New(2, 4), New(2, 3), &Mat{R: 3, C: 4, Data: make([]float64, 11)})
 			}},
+			{"EdgeScores/src", func() {
+				EdgeScores(make([]float64, 4), New(2, 3), New(2, 3), []int{0, 1, 2, 0}, make([]int, 4), long, 0.2)
+			}},
+			{"EdgeScores/dst", func() {
+				EdgeScores(make([]float64, 4), New(2, 3), New(2, 3), make([]int, 4), []int{0, 0, 0, -1}, long, 0.2)
+			}},
+			{"EdgeScores/edges", func() {
+				EdgeScores(make([]float64, 5), New(2, 3), New(2, 3), make([]int, 4), make([]int, 5), long, 0.2)
+			}},
+			{"EdgeScores/att", func() {
+				EdgeScores(make([]float64, 4), New(2, 3), New(2, 3), make([]int, 4), make([]int, 4), short[:2], 0.2)
+			}},
+			{"EdgeScores/width", func() {
+				EdgeScores(make([]float64, 4), New(2, 3), New(2, 4), make([]int, 4), make([]int, 4), long, 0.2)
+			}},
+			{"EdgeScores/hs.Data", func() {
+				EdgeScores(make([]float64, 4), &Mat{R: 2, C: 3, Data: make([]float64, 5)}, New(2, 3), []int{1, 1, 1, 1}, make([]int, 4), long, 0.2)
+			}},
 		} {
 			if !panics(c.op) {
 				t.Errorf("%s with a short slice did not panic", c.name)
@@ -292,8 +493,11 @@ func panics(f func()) (did bool) {
 }
 
 // BenchmarkKernels times each kernel path at serving shapes: MatMulInto
-// for the three GATv2 layers of gnn.Default() over a 512-node batch, and
-// VecAddScaled at ir2vec.Dim (256).
+// for the three GATv2 layers of gnn.Default() over a 512-node batch,
+// VecAddScaled at ir2vec.Dim (256), and at the GNN's widths 16, 24 and
+// 32 the attention scores of 2048 edges between 512-row tables
+// (EdgeScores) and the activation of a 512-row matrix (VecELU), whose
+// inputs are standard normals, so half the activations are negative.
 func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	for _, p := range kernelPaths() {
@@ -318,6 +522,30 @@ func BenchmarkKernels(b *testing.B) {
 					}
 				})
 			})
+			for _, w := range []int{16, 24, 32} {
+				hs, hd, a := Randn(rng, 512, w, 1), Randn(rng, 512, w, 1), Randn(rng, w, 1, 1).Data
+				srcAt, dstAt := make([]int, 2048), make([]int, 2048)
+				for i := range srcAt {
+					srcAt[i], dstAt[i] = rng.Intn(512), rng.Intn(512)
+				}
+				score := make([]float64, len(srcAt))
+				b.Run(fmt.Sprintf("EdgeScores_2048x%d", w), func(b *testing.B) {
+					withKernels(p.avx2, func() {
+						for b.Loop() {
+							EdgeScores(score, hs, hd, srcAt, dstAt, a, 0.2)
+						}
+					})
+				})
+				in, v := Randn(rng, 512, w, 1).Data, make([]float64, 512*w)
+				b.Run(fmt.Sprintf("VecELU_512x%d", w), func(b *testing.B) {
+					withKernels(p.avx2, func() {
+						for b.Loop() {
+							copy(v, in)
+							VecELU(v)
+						}
+					})
+				})
+			}
 		})
 	}
 }
