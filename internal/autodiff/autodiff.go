@@ -624,12 +624,7 @@ func (t *Tape) SegmentSumMulCol(a, col *Node, seg []int, nSeg int) *Node {
 	}
 	val := t.newMat(nSeg, a.Val.C, true)
 	for i, sg := range seg {
-		s := col.Val.Data[i]
-		src := a.Val.Row(i)
-		dst := val.Row(sg)[:len(src)]
-		for j, v := range src {
-			dst[j] += v * s
-		}
+		tensor.VecAddScaled(val.Row(sg), col.Val.Data[i], a.Val.Row(i))
 	}
 	out := t.node(val)
 	if !t.inference {

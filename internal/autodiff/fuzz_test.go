@@ -77,18 +77,14 @@ func dirtyInference() *Tape {
 	return tp
 }
 
-// sameBits fails unless got and want are bit-identical. Under the race
-// detector two NaNs count as equal whatever their payloads (see
-// raceBuild); every other bit must still match.
+// sameBits fails unless got and want are bit-identical, NaN payloads
+// included.
 func sameBits(t *testing.T, what string, got, want *tensor.Mat) {
 	t.Helper()
 	if got.R != want.R || got.C != want.C {
 		t.Fatalf("%s: shape %dx%d, composition %dx%d", what, got.R, got.C, want.R, want.C)
 	}
 	for i := range want.Data {
-		if raceBuild && math.IsNaN(got.Data[i]) && math.IsNaN(want.Data[i]) {
-			continue
-		}
 		if g, w := math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]); g != w {
 			t.Fatalf("%s: element %d: fused %v (%#x), composition %v (%#x)",
 				what, i, got.Data[i], g, want.Data[i], w)

@@ -146,7 +146,6 @@ type cinstr struct {
 	size    int // pre-sized bytes (alloca element, load/store access)
 	a, b    operand
 	typ     *ir.Type
-	from    *ir.Type // zext: the operand's type, whose width it clears above
 	in      *ir.Instr
 	aux     *caux
 }
@@ -470,9 +469,6 @@ func (fc *fnCtx) compileInstr(f *ir.Func, b *ir.Block, in *ir.Instr) cinstr {
 		ci.b = argOp(1)
 	case in.Op.IsConv():
 		ci.a = argOp(0)
-		if in.Op == ir.OpZExt && len(args) > 0 {
-			ci.from = args[0].Type()
-		}
 	case in.Op == ir.OpSelect:
 		ci.a = argOp(0)
 		ci.b = argOp(1)

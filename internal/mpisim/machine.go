@@ -648,7 +648,11 @@ func execConv(in *cinstr, x RV) (RV, error) {
 	case ir.OpTrunc, ir.OpSExt:
 		return RV{I: ir.Wrap(typ, x.I)}, nil
 	case ir.OpZExt:
-		return RV{I: ir.ZExt(in.from, typ, x.I)}, nil
+		var from *ir.Type
+		if len(in.in.Args) > 0 {
+			from = in.in.Args[0].Type()
+		}
+		return RV{I: ir.ZExt(from, typ, x.I)}, nil
 	case ir.OpSIToFP:
 		return RV{F: float64(x.I)}, nil
 	case ir.OpFPToSI:

@@ -36,9 +36,10 @@
 // the activation v in slope·v and v·a[k], and the sum s in s + term;
 // in the ELU the exponential is first in exp(v) - 1. (That is the
 // normal build's code. The instrumented builds of the race detector and
-// of fuzzing order some of these operands differently; the scalar sums
-// the edge scores are checked against stop adding once they are NaN,
-// which pins the one order a fuzz test would see, as matmulRows says.)
+// of fuzzing order some of these operands differently, so the scalar
+// loops the edge scores are checked against, edgeScoresGeneric and the
+// column matmul, recompute a score that comes out NaN with the orders
+// pinned: see dotNaN.)
 //
 // The Go wrappers reslice their arguments before entering assembly, so a
 // slice too short for the operation panics in Go instead of reading or
@@ -178,27 +179,51 @@ func edgeScoresGeneric(score []float64, hs, hd *Mat, srcAt, dstAt []int, a []flo
 			if v < 0 {
 				v = slope * v
 			}
-			if v == 0 || s != s {
-				continue // a NaN sum keeps its payload (see matmulRows)
+			if v == 0 {
+				continue
 			}
 			s += v * ak[k]
+		}
+		if s != s {
+			s = edgeScoreNaN(xs, xd, ak, slope)
 		}
 		score[i] = s
 	}
 }
 
-// VecExp sets v[i] = math.Exp(v[i]), bit for bit.
-func VecExp(v []float64) {
-	for useAVX2 && expOnAVX2 && len(v) >= 4 {
-		// The assembly stops at a group of four it cannot do exactly, or
-		// with fewer than four left; math.Exp does those.
-		v = v[expAVX2(v):]
-		g := v[:min(len(v), 4)]
-		expGeneric(g)
-		v = v[len(g):]
+// edgeScoreNaN recomputes an edge score that came out NaN with the
+// assembly's operand orders (xs first in xs+xd, then as dotNaN), which
+// the compiler does not keep in every build.
+func edgeScoreNaN(xs, xd, a []float64, slope float64) float64 {
+	s := 0.0
+	for k, x := range xs {
+		var v float64
+		switch y := xd[k]; {
+		case x != x:
+			v = quiet(x)
+		case y != y:
+			v = quiet(y)
+		default:
+			v = x + y
+		}
+		if v < 0 {
+			v = slope * v // v is not NaN, so at most one operand is
+		}
+		switch {
+		case v == 0:
+		case v != v:
+			return quiet(v)
+		default:
+			if s += v * a[k]; s != s {
+				return s
+			}
+		}
 	}
-	expGeneric(v)
+	return s
 }
+
+// VecExp sets v[i] = math.Exp(v[i]), bit for bit.
+func VecExp(v []float64) { expGroups(v, expAVX2, expGeneric) }
 
 func expGeneric(v []float64) {
 	for i, x := range v {
@@ -209,15 +234,7 @@ func expGeneric(v []float64) {
 // VecELU applies the ELU activation in place: v[i] = math.Exp(v[i]) - 1
 // where v[i] < 0, bit for bit; every other entry, NaN included, keeps
 // its value.
-func VecELU(v []float64) {
-	for useAVX2 && expOnAVX2 && len(v) >= 4 {
-		v = v[eluAVX2(v):] // stops as VecExp's does
-		g := v[:min(len(v), 4)]
-		eluGeneric(g)
-		v = v[len(g):]
-	}
-	eluGeneric(v)
-}
+func VecELU(v []float64) { expGroups(v, eluAVX2, eluGeneric) }
 
 func eluGeneric(v []float64) {
 	for i, x := range v {
@@ -225,4 +242,18 @@ func eluGeneric(v []float64) {
 			v[i] = math.Exp(x) - 1
 		}
 	}
+}
+
+// expGroups runs an exp kernel over v: the assembly asm where
+// expOnAVX2 allows it, and its scalar twin generic on the group of four
+// asm stopped at because it cannot do it exactly, and on the last
+// entries that make no whole group.
+func expGroups(v []float64, asm func([]float64) int, generic func([]float64)) {
+	for useAVX2 && expOnAVX2 && len(v) >= 4 {
+		v = v[asm(v):]
+		g := v[:min(len(v), 4)]
+		generic(g)
+		v = v[len(g):]
+	}
+	generic(v)
 }

@@ -22,7 +22,10 @@
 // the host's core count.
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // matmulBlockK is the k-tile: one tile of b (matmulBlockK rows) stays
 // resident in cache while a streams past it.
@@ -90,16 +93,13 @@ func matmulRows(out, a *Mat, rows []int, b *Mat) {
 		for i := range out.Data[:out.R] {
 			s := 0.0
 			for k, av := range arow(i) {
-				// Once s is NaN it stays that NaN, as s + p gives when
-				// s is the first source. Which payload s + p keeps when
-				// p is NaN too depends on the operand order, and the
-				// instrumented builds of fuzzing and the race detector
-				// put p first here, so the skip pins it for the
-				// assembly edge scores (EdgeScores) to match.
-				if av == 0 || s != s {
+				if av == 0 {
 					continue
 				}
 				s += av * bcol[k]
+			}
+			if s != s {
+				s = dotNaN(arow(i), bcol)
 			}
 			out.Data[i] = s
 		}
@@ -120,6 +120,41 @@ func matmulRows(out, a *Mat, rows []int, b *Mat) {
 			matmulRow(out.Row(i), arow(i)[k0:k1], bblk, k0 == 0)
 		}
 	}
+}
+
+// dotNaN recomputes a column product whose sum came out NaN, giving it
+// the payload of the operand orders the normal build's code and the
+// assembly edge scores (EdgeScores) keep: av first in av·b, the sum
+// first in s + product. When both operands of an x86 add or multiply
+// are NaN the first source's payload wins, and the compiler may order
+// them either way (the instrumented builds of fuzzing and the race
+// detector put b and the product first), so the loop above leaves a NaN
+// sum to this one, which no operand order can change. Once s is NaN,
+// s + product keeps it, so the first NaN term decides. It is kept out of
+// line so the hot loop compiles as it would without it.
+//
+//go:noinline
+func dotNaN(a, b []float64) float64 {
+	s := 0.0
+	for k, av := range a {
+		switch {
+		case av == 0:
+		case av != av:
+			return quiet(av) // s is not NaN, so s + av·b is av·b
+		default:
+			// One operand at most is NaN in av·b and in s + av·b.
+			if s += av * b[k]; s != s {
+				return s
+			}
+		}
+	}
+	return s
+}
+
+// quiet returns the NaN x with its quiet bit set, as an x86 arithmetic
+// instruction returns a NaN operand.
+func quiet(x float64) float64 {
+	return math.Float64frombits(math.Float64bits(x) | 1<<51)
 }
 
 // MatMulATBInto computes aᵀ @ b into out, which must be zeroed and

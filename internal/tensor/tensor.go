@@ -80,10 +80,7 @@ func AddInPlace(a, b *Mat) {
 	if a.R != b.R || a.C != b.C {
 		panic("tensor: AddInPlace shape mismatch")
 	}
-	ad := a.Data[:len(b.Data)]
-	for i, v := range b.Data {
-		ad[i] += v
-	}
+	VecAdd(a.Data, b.Data)
 }
 
 // ScaleInPlace multiplies every entry by s.
